@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"pictor/internal/engine"
@@ -253,6 +252,10 @@ type fullEngine struct {
 	p *churnPortal
 }
 
+// machineEpochKey prefixes each machine-epoch's cluster seed key,
+// "fleet/churn/m<machine>/e<epoch>".
+var machineEpochKey = exp.NewSeedKey("fleet/churn/m")
+
 // AdvanceEpoch builds and runs machine mi's cluster for epoch e.
 // Per-(machine, epoch) seeds derive from the stream base — not the
 // unit seed, which encodes policy and Migrate — so a migration-vs-
@@ -264,7 +267,7 @@ func (fe *fullEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
 	p := fe.p
 	m := p.f.Machines[mi]
 	cl := NewCluster(Options{
-		Seed:  exp.DeriveSeed(p.streamBase, fmt.Sprintf("fleet/churn/m%d/e%d", mi, e), p.u.Rep),
+		Seed:  machineEpochKey.Int(mi).Str("/e").Int(e).Seed(p.streamBase, p.u.Rep),
 		Cores: int(m.Cores + 0.5),
 	})
 	for _, prof := range m.Placed {

@@ -87,7 +87,7 @@ func surrogateTableFor(suite []app.Profile) surrogateTable {
 		table := make(surrogateTable, len(suite))
 		ti := 0
 		for _, p := range suite {
-			demand := fleet.PredictedCPUDemand(p)
+			demand := fleet.PredictedCPUDemand(&p)
 			cv := surrogateCurve{}
 			for n := 1; n <= surrogateColoDepth; n++ {
 				rs := res[ti][0].Results
@@ -166,6 +166,10 @@ func (cv surrogateCurve) at(L float64) (rtt stats.Summary, fps, cpu, gpu float64
 	return rtt, fps, cpu, gpu
 }
 
+// surrogateKey prefixes each session-epoch's jitter seed key,
+// "fleet/surrogate/s<id>/e<epoch>".
+var surrogateKey = exp.NewSeedKey("fleet/surrogate/s")
+
 // surrogateEngine is the cheap fidelity tier: engine.SessionEngine
 // backed by the calibrated curves. Degraded (brown-out) residents are
 // served through their full-resolution curve at the machine's reduced
@@ -238,7 +242,8 @@ func (se *surrogateEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
 		// One lognormal draw per (session, epoch, rep) seed; FirstLogNormal
 		// yields the seeded RNG's exact value without the O(607) seeding
 		// cost that dominated million-session sweeps.
-		j := sim.FirstLogNormal(exp.DeriveSeed(p.streamBase, fmt.Sprintf("fleet/surrogate/s%d/e%d", s.ID, e), p.u.Rep), 1, surrogateJitterSigma)
+		seed := surrogateKey.Int(s.ID).Str("/e").Int(e).Seed(p.streamBase, p.u.Rep)
+		j := sim.FirstLogNormal(seed, 1, surrogateJitterSigma)
 		rtt.Mean *= j
 		rtt.P1 *= j
 		rtt.P25 *= j

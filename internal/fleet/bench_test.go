@@ -1,6 +1,10 @@
 package fleet
 
-import "testing"
+import (
+	"testing"
+
+	"pictor/internal/app"
+)
 
 // BenchmarkFaultChurnBookkeeping measures the pure fault-tolerance
 // bookkeeping path — departures, crash evictions, retry-queue drains,
@@ -53,4 +57,67 @@ func BenchmarkFaultChurnBookkeeping(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkPlacementSaturated is the placement layer of the diurnal
+// million-session sweep in isolation: one offer (ns/op) to a
+// 10k-machine (8,4) fleet held at the sweep's peak of 20k heavy-mix
+// arrivals per epoch, with no execution attached. Each placed offer is
+// released again at once, so every iteration sees the same saturated
+// fleet; rejects/offer is the share of offers nothing could hold.
+func BenchmarkPlacementSaturated(b *testing.B) {
+	for _, policy := range PolicyNames() {
+		b.Run(policy, func(b *testing.B) {
+			f, offers := saturatedFleet(b)
+			pol, err := NewPolicy(policy, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rejects := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mi := f.placeOne(&offers[i%len(offers)], pol)
+				if mi < 0 {
+					rejects++
+					continue
+				}
+				m := f.Machines[mi]
+				m.release(len(m.Placed) - 1)
+			}
+			b.ReportMetric(float64(rejects)/float64(b.N), "rejects/offer")
+		})
+	}
+}
+
+// saturatedFleet runs round-robin churn at the diurnal sweep's peak
+// rate for a few epochs, stopping just after one epoch's admissions,
+// and returns the fleet with the next epoch's arrival profiles to
+// offer: the point in a peak epoch where late arrivals find the fleet
+// full.
+func saturatedFleet(b *testing.B) (*Fleet, []app.Profile) {
+	const (
+		machines = 10_000
+		peak     = 20_000
+		warm     = 6
+	)
+	src, err := NewChurnSource(ArrivalConfig{
+		Mix: MixHeavy, Rate: peak, MeanSessionEpochs: 1, Epochs: warm + 1, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := NewHetero(machines, []float64{8, 4})
+	c := NewChurn(f, &RoundRobin{})
+	for e := 0; e < warm; e++ {
+		c.DepartDue(e)
+		for _, s := range src.Next(e) {
+			c.Offer(s, e)
+		}
+	}
+	var offers []app.Profile
+	for _, s := range src.Next(warm) {
+		offers = append(offers, s.Profile)
+	}
+	return f, offers
 }

@@ -168,7 +168,12 @@ func (c *Churn) Arrive(s *Session) bool {
 // and records the placement. It is the single admission path shared by
 // Arrive, Offer and RetryDue, so every outcome reverses identically.
 func (c *Churn) admit(s *Session) bool {
-	mi := c.Fleet.placeOne(s.Served(), c.Policy)
+	prof := &s.Profile
+	if s.Tier > 0 {
+		served := s.Served()
+		prof = &served
+	}
+	mi := c.Fleet.placeOne(prof, c.Policy)
 	if mi < 0 {
 		return false
 	}
@@ -226,17 +231,19 @@ func (c *Churn) releaseSlot(mi, i int) {
 // measuring no better than the source), nothing moves — migration must
 // never turn into an eviction or a swap of one hot machine for another.
 func (c *Churn) MigrateOff(mi int, rttMs []float64) bool {
+	// The source's slot demands are each resident's served demand
+	// (slots align with sessions).
+	demand := c.Fleet.Machines[mi].slotDemand
 	order := make([]int, len(c.sessions[mi]))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return PredictedCPUDemand(c.sessions[mi][order[a]].Served()) >
-			PredictedCPUDemand(c.sessions[mi][order[b]].Served())
+		return demand[order[a]] > demand[order[b]]
 	})
 	for _, victim := range order {
 		s := c.sessions[mi][victim]
-		d := PredictedCPUDemand(s.Served())
+		d := demand[victim]
 		target := -1
 		for _, m := range c.Fleet.Machines {
 			// Targets must be up and must hold the session *without*
@@ -262,8 +269,9 @@ func (c *Churn) MigrateOff(mi int, rttMs []float64) bool {
 		if target < 0 {
 			continue
 		}
+		served := c.Fleet.Machines[mi].Placed[victim]
 		c.releaseSlot(mi, victim)
-		c.Fleet.Machines[target].place(s.Served())
+		c.Fleet.Machines[target].place(&served)
 		c.sessions[target] = append(c.sessions[target], s)
 		s.Machine = target
 		c.Migrations++

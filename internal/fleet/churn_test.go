@@ -190,7 +190,7 @@ func TestChurnBookkeepingProperty(t *testing.T) {
 func sumProfiles(ps []app.Profile) float64 {
 	d := 0.0
 	for _, p := range ps {
-		d += PredictedCPUDemand(p)
+		d += PredictedCPUDemand(&p)
 	}
 	return d
 }

@@ -291,12 +291,12 @@ func (c *Churn) QueuedRetries() int { return len(c.retryQ) }
 // relief for minimum fidelity loss across the machine.
 func (c *Churn) DegradeOne(mi int) bool {
 	best, bestDemand := -1, 0.0
+	demand := c.Fleet.Machines[mi].slotDemand
 	for i, s := range c.sessions[mi] {
 		if s.Tier >= MaxDegradeTier {
 			continue
 		}
-		d := PredictedCPUDemand(s.Served())
-		if best < 0 || d > bestDemand {
+		if d := demand[i]; best < 0 || d > bestDemand {
 			best, bestDemand = i, d
 		}
 	}
@@ -305,7 +305,8 @@ func (c *Churn) DegradeOne(mi int) bool {
 	}
 	s := c.sessions[mi][best]
 	s.Tier++
-	c.Fleet.Machines[mi].replace(best, s.Served())
+	served := s.Served()
+	c.Fleet.Machines[mi].replace(best, &served)
 	return true
 }
 
@@ -349,13 +350,14 @@ func (c *Churn) UpgradeOne(mi int) bool {
 		return false
 	}
 	s := c.sessions[mi][best]
+	m := c.Fleet.Machines[mi]
 	restored := DegradedProfile(s.Profile, s.Tier-1)
-	added := PredictedCPUDemand(restored) - PredictedCPUDemand(s.Served())
-	if !c.Fleet.Machines[mi].Fits(added, 1) {
+	added := PredictedCPUDemand(&restored) - m.slotDemand[best]
+	if !m.Fits(added, 1) {
 		return false
 	}
 	s.Tier--
-	c.Fleet.Machines[mi].replace(best, restored)
+	m.replace(best, &restored)
 	return true
 }
 

@@ -90,7 +90,7 @@ func TestDegradedProfile(t *testing.T) {
 	if got := DegradedProfile(d2, 0); got.Width != d2.Width || got.Height != d2.Height || got.UploadMBPerFrame != d2.UploadMBPerFrame {
 		t.Fatal("tier 0 must return the profile unchanged")
 	}
-	prev := PredictedCPUDemand(d2)
+	prev := PredictedCPUDemand(&d2)
 	for tier := 1; tier <= MaxDegradeTier; tier++ {
 		p := DegradedProfile(d2, tier)
 		if p.Name != d2.Name {
@@ -102,7 +102,7 @@ func TestDegradedProfile(t *testing.T) {
 		if p.UploadMBPerFrame >= DegradedProfile(d2, tier-1).UploadMBPerFrame {
 			t.Fatalf("tier %d must shrink upload volume", tier)
 		}
-		d := PredictedCPUDemand(p)
+		d := PredictedCPUDemand(&p)
 		if d >= prev {
 			t.Fatalf("tier %d demand %g must shed load vs %g", tier, d, prev)
 		}

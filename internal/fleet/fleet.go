@@ -56,7 +56,11 @@ type Machine struct {
 	// Index is the machine's position in the fleet (stable identity;
 	// ties between equally-good machines break toward lower index).
 	Index int
-	// Cores is the machine's CPU capacity.
+	// Cores is the machine's CPU capacity. The fleet's headroom index
+	// reads it only when the machine's placements change, so set it
+	// before placing: a later increase stays invisible to placement
+	// until then (a decrease is safe — the exact Fits test still
+	// applies).
 	Cores float64
 	// Placed holds the profiles placed on this machine, in admission
 	// order.
@@ -67,6 +71,12 @@ type Machine struct {
 	// zero value MachineUp keeps every fault-free fleet byte-identical
 	// to the pre-fault implementation.
 	State MachineState
+	// slotDemand caches PredictedCPUDemand of each placed profile,
+	// index-aligned with Placed.
+	slotDemand []float64
+	// index is the fleet's headroom index, kept current on every
+	// placement change (nil for a machine outside an indexed fleet).
+	index *headroomIndex
 }
 
 // Fits reports whether adding demand d keeps the machine within its
@@ -79,9 +89,10 @@ func (m *Machine) Fits(d, overcommit float64) bool {
 // left-to-right sum over the placed list (identical to incremental
 // accumulation for append-only admission), so release can reverse the
 // bookkeeping exactly.
-func (m *Machine) place(p app.Profile) {
-	m.Placed = append(m.Placed, p)
-	m.Demand = sumDemand(m.Placed)
+func (m *Machine) place(p *app.Profile) {
+	m.Placed = append(m.Placed, *p)
+	m.slotDemand = append(m.slotDemand, PredictedCPUDemand(p))
+	m.updateDemand()
 }
 
 // release removes the placed instance at slot i (reversing place).
@@ -91,25 +102,32 @@ func (m *Machine) place(p app.Profile) {
 // could drift negative on an empty machine.
 func (m *Machine) release(i int) {
 	m.Placed = append(m.Placed[:i], m.Placed[i+1:]...)
-	m.Demand = sumDemand(m.Placed)
+	m.slotDemand = append(m.slotDemand[:i], m.slotDemand[i+1:]...)
+	m.updateDemand()
 }
 
 // replace swaps the profile at slot i for p (a brown-out tier change:
 // same tenant, different served fidelity) and recomputes demand the
 // same left-to-right way place/release do, so a degrade followed by an
 // upgrade restores Demand bit-identically.
-func (m *Machine) replace(i int, p app.Profile) {
-	m.Placed[i] = p
-	m.Demand = sumDemand(m.Placed)
+func (m *Machine) replace(i int, p *app.Profile) {
+	m.Placed[i] = *p
+	m.slotDemand[i] = PredictedCPUDemand(p)
+	m.updateDemand()
 }
 
-// sumDemand is the left-to-right predicted-demand sum of a placement.
-func sumDemand(ps []app.Profile) float64 {
+// updateDemand re-sums the slot demands left to right — the same
+// additions, in the same order, as summing PredictedCPUDemand over
+// Placed — and refreshes the machine's headroom leaf.
+func (m *Machine) updateDemand() {
 	d := 0.0
-	for _, p := range ps {
-		d += PredictedCPUDemand(p)
+	for _, s := range m.slotDemand {
+		d += s
 	}
-	return d
+	m.Demand = d
+	if m.index != nil {
+		m.index.update(m)
+	}
 }
 
 // Fleet is a set of machines plus the admission-control knobs.
@@ -127,6 +145,19 @@ type Fleet struct {
 	// collector. Placement is sequential per fleet (the kernel runs each
 	// trial single-threaded), so one buffer is safe.
 	scratch []*Machine
+	// index is the headroom index over Machines, built on first use
+	// (see headroom).
+	index *headroomIndex
+}
+
+// headroom returns the fleet's headroom index, rebuilding it when the
+// fleet's Overcommit or machine count differs from the one it was built
+// for.
+func (f *Fleet) headroom() *headroomIndex {
+	if ix := f.index; ix == nil || ix.overcommit != f.Overcommit || ix.n != len(f.Machines) {
+		f.index = newHeadroomIndex(f.Machines, f.Overcommit)
+	}
+	return f.index
 }
 
 // New builds a fleet of n identical machines with the given core count
@@ -189,8 +220,8 @@ func ParseCoreClasses(s string) ([]float64, error) {
 // fully deterministic: same fleet, stream and policy always produce the
 // same placement.
 func (f *Fleet) Admit(reqs []app.Profile, p Placement) {
-	for i, req := range reqs {
-		if f.placeOne(req, p) < 0 {
+	for i := range reqs {
+		if f.placeOne(&reqs[i], p) < 0 {
 			f.Rejected = append(f.Rejected, i)
 		}
 	}
@@ -200,9 +231,9 @@ func (f *Fleet) Admit(reqs []app.Profile, p Placement) {
 // and records the placement, returning the chosen machine's fleet index
 // or -1 when no machine can (or the policy will) hold it. Policies
 // whose choice short-circuits (cursorPicker) skip materializing the
-// feasibility list entirely — the scan stops at the machine the full
-// list would have selected anyway.
-func (f *Fleet) placeOne(req app.Profile, p Placement) int {
+// feasibility list entirely — the headroom index finds the machine the
+// full list would have selected anyway.
+func (f *Fleet) placeOne(req *app.Profile, p Placement) int {
 	d := PredictedCPUDemand(req)
 	if cp, ok := p.(cursorPicker); ok {
 		mi := cp.pickDirect(f, d)
@@ -216,7 +247,7 @@ func (f *Fleet) placeOne(req app.Profile, p Placement) int {
 	if len(feasible) == 0 {
 		return -1
 	}
-	pick := p.Pick(feasible, req)
+	pick := p.Pick(feasible, *req)
 	if pick < 0 || pick >= len(feasible) {
 		return -1
 	}
@@ -227,9 +258,13 @@ func (f *Fleet) placeOne(req app.Profile, p Placement) int {
 // feasible lists the machines that can hold one more request of demand
 // d, in index order. Machines that are down or cold-starting (fault
 // injection) take no placements. The returned slice is valid until the
-// next call (it reuses the fleet's scratch buffer).
+// next call (it reuses the fleet's scratch buffer). When the headroom
+// index rules every machine out, the scan is skipped.
 func (f *Fleet) feasible(d float64) []*Machine {
 	out := f.scratch[:0]
+	if !f.headroom().mayFit(d) {
+		return out
+	}
 	for _, m := range f.Machines {
 		if m.State != MachineUp {
 			continue
@@ -259,7 +294,9 @@ func (f *Fleet) Placements() [][]app.Profile {
 // measures the truth — but it orders the suite correctly (D2's worker
 // threads and STK's encode volume are the heavyweights, RE is the
 // lightest), which is all a least-loaded or bin-packing policy needs.
-func PredictedCPUDemand(p app.Profile) float64 {
+// The profile is passed by pointer: placement evaluates this per offer,
+// and copying a whole app.Profile for five fields showed in profiles.
+func PredictedCPUDemand(p *app.Profile) float64 {
 	const targetFPS = 60
 	frameMB := float64(p.Width*p.Height) * 4 / 1e6 // raw RGBA readback
 	perFrameMs := p.ALBaseMs + p.ASBaseMs + p.ASPerMBMs*frameMB + p.Codec.MsPerMB*frameMB

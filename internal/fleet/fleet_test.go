@@ -18,7 +18,7 @@ func names(ps []app.Profile) []string {
 func TestPredictedCPUDemandOrdersSuite(t *testing.T) {
 	d := map[string]float64{}
 	for _, p := range app.Suite() {
-		d[p.Name] = PredictedCPUDemand(p)
+		d[p.Name] = PredictedCPUDemand(&p)
 		if d[p.Name] <= 0 {
 			t.Fatalf("%s: demand must be positive, got %g", p.Name, d[p.Name])
 		}
@@ -266,7 +266,7 @@ func TestBinPackTieBreakRobustToAccumulationOrder(t *testing.T) {
 	mk := func(index int, order []app.Profile) *Machine {
 		m := &Machine{Index: index, Cores: 64}
 		for _, p := range order {
-			m.place(p)
+			m.place(&p)
 		}
 		return m
 	}
@@ -303,7 +303,7 @@ func TestBinPackPrefersFullerOnCostTie(t *testing.T) {
 	d2, _ := app.ByName("D2")
 	empty := &Machine{Index: 0, Cores: 64}
 	fuller := &Machine{Index: 1, Cores: 64}
-	fuller.place(d2)
+	fuller.place(&d2)
 	// No interference table: every cost is 0 — a pure tie.
 	pol := &BinPack{}
 	if got := pol.Pick([]*Machine{empty, fuller}, re); got != 1 {

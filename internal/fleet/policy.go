@@ -76,11 +76,11 @@ func (p *RoundRobin) Pick(feasible []*Machine, _ app.Profile) int {
 }
 
 // cursorPicker is the streaming fast path for policies whose choice is
-// "the first fitting machine in my own probe order": placeOne offers
-// machines directly and the policy stops at the first fit, instead of
+// "the first fitting machine in my own probe order": the policy finds
+// that machine itself (through the fleet's headroom index), instead of
 // materializing the whole feasibility list only to discard all but one
-// entry — the difference between O(first fit) and O(fleet) per arrival
-// on a 10k-machine sweep. An implementation must select exactly the
+// entry — the difference between O(log n) and O(fleet) per arrival on
+// a 10k-machine sweep. An implementation must select exactly the
 // machine its Pick would select from the full feasible list, or
 // schedule goldens diverge by policy dispatch path.
 type cursorPicker interface {
@@ -91,29 +91,43 @@ type cursorPicker interface {
 
 // pickDirect: Pick minimizes wrapping cursor distance over the feasible
 // list, which is exactly "the first fitting index at or after the
-// cursor, wrapping once" — so probe in that order and stop at the
-// first fit. The cursor only advances on a successful placement,
-// matching the slow path (an empty feasibility list never reaches
-// Pick).
+// cursor, wrapping once". The headroom index yields the candidates in
+// that order, skipping whole runs of full machines, and each candidate
+// passes the exact feasibility test before it is chosen. The cursor
+// only advances on a successful placement, matching the slow path (an
+// empty feasibility list never reaches Pick).
 func (p *RoundRobin) pickDirect(f *Fleet, d float64) int {
 	n := len(f.Machines)
 	if n == 0 {
 		return -1
 	}
+	ix := f.headroom()
+	if !ix.mayFit(d) {
+		return -1
+	}
 	start := p.next % n
-	for i := 0; i < n; i++ {
-		idx := start + i
-		if idx >= n {
-			idx -= n
+	for i := ix.next(start, d); i >= 0; i = ix.next(i+1, d) {
+		if p.take(f, i, d) {
+			return i
 		}
-		m := f.Machines[idx]
-		if m.State != MachineUp || !m.Fits(d, f.Overcommit) {
-			continue
+	}
+	for i := ix.next(0, d); i >= 0 && i < start; i = ix.next(i+1, d) {
+		if p.take(f, i, d) {
+			return i
 		}
-		p.next = idx + 1
-		return idx
 	}
 	return -1
+}
+
+// take applies the exact feasibility test to a candidate from the
+// index and, when it passes, moves the cursor past it.
+func (p *RoundRobin) take(f *Fleet, i int, d float64) bool {
+	m := f.Machines[i]
+	if m.State != MachineUp || !m.Fits(d, f.Overcommit) {
+		return false
+	}
+	p.next = i + 1
+	return true
 }
 
 // LeastLoadedCount places on the feasible machine hosting the fewest

@@ -29,7 +29,7 @@ go test -run '^$' -bench 'BenchmarkSuiteGridSequential' \
 # Fleet-scale sweeps pinned by benchguard: the per-epoch fault
 # bookkeeping loop and the kernel/streaming scale contracts (one
 # iteration each — they assert their own scale internally).
-go test -run '^$' -bench 'BenchmarkFaultChurnBookkeeping$' \
+go test -run '^$' -bench 'BenchmarkFaultChurnBookkeeping$|BenchmarkPlacementSaturated' \
     -benchmem ./internal/fleet/ | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkGlobalKernelSweep$|BenchmarkDiurnalMillionSweep$' \
     -benchtime 1x -benchmem . | tee -a "$TMP"
