@@ -14,7 +14,8 @@ import (
 // the input behaviour of a human player. The first six profiles below
 // are the paper's Table 2 suite, calibrated to the single-instance
 // characterization in §5.1 (utilization, FPS, stage-latency and
-// bandwidth ranges); see EXPERIMENTS.md for paper-vs-measured values.
+// bandwidth ranges); the pictor-bench CLI's fig8 to fig13 experiments
+// measure those quantities from the simulation.
 // CAD, VV and CZ extend the suite along axes the paper's six do not
 // stress. Profiles join the experiment vocabulary via Register.
 type Profile struct {

@@ -138,7 +138,8 @@ type ArrivalConfig struct {
 // O(peak concurrent sessions), not O(total arrivals).
 type ChurnSource struct {
 	cfg       ArrivalConfig
-	draw      func() app.Profile
+	suite     []app.Profile // the set draw indexes
+	draw      func() int
 	arrivals  *sim.RNG
 	durations *sim.RNG
 	cursor    int // next epoch Next must be asked for
@@ -163,12 +164,13 @@ func NewChurnSource(cfg ArrivalConfig) (*ChurnSource, error) {
 	if err := ValidateSchedule(cfg.Schedule, cfg.Rate, cfg.PeakRate, cfg.PeriodEpochs); err != nil {
 		return nil, err
 	}
-	draw, err := profileDrawer(cfg.Suite, cfg.Mix, cfg.Seed)
+	suite, draw, err := profileDrawer(cfg.Suite, cfg.Mix, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	return &ChurnSource{
 		cfg:       cfg,
+		suite:     suite,
 		draw:      draw,
 		arrivals:  sim.NewRNG(cfg.Seed).Fork("fleet/churn/arrivals"),
 		durations: sim.NewRNG(cfg.Seed).Fork("fleet/churn/durations"),
@@ -196,15 +198,16 @@ func (src *ChurnSource) Next(epoch int) []*Session {
 			d = 1
 		}
 		s := src.take()
-		// Full overwrite: a recycled session must not leak its previous
-		// tenant's brown-out tier or placement.
-		*s = Session{
-			ID:      src.id,
-			Profile: src.draw(),
-			Arrive:  epoch,
-			Departs: epoch + d,
-			Machine: -1,
-		}
+		// Assigning field by field copies the profile once, from the
+		// suite into the session. Every field is assigned, so a recycled
+		// session leaks nothing of its previous tenant (brown-out tier,
+		// placement).
+		s.ID = src.id
+		s.Profile = src.suite[src.draw()]
+		s.Arrive = epoch
+		s.Departs = epoch + d
+		s.Machine = -1
+		s.Tier = 0
 		src.batch = append(src.batch, s)
 		src.id++
 	}

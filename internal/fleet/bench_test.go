@@ -65,11 +65,12 @@ func BenchmarkFaultChurnBookkeeping(b *testing.B) {
 // arrivals per epoch, with no execution attached. Each placed offer is
 // released again at once, so every iteration sees the same saturated
 // fleet; rejects/offer is the share of offers nothing could hold.
+// Bin-packing scores with benchTable, so its interference path runs.
 func BenchmarkPlacementSaturated(b *testing.B) {
 	for _, policy := range PolicyNames() {
 		b.Run(policy, func(b *testing.B) {
 			f, offers := saturatedFleet(b)
-			pol, err := NewPolicy(policy, nil)
+			pol, err := NewPolicy(policy, benchTable())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -120,4 +121,25 @@ func saturatedFleet(b *testing.B) (*Fleet, []app.Profile) {
 		offers = append(offers, s.Profile)
 	}
 	return f, offers
+}
+
+// benchTable is a fixed interference table over the paper's six: the
+// co-location penalties the §5.3 pair experiment measures
+// (core.PairInterference), rounded to two places.
+func benchTable() *Interference {
+	it := NewInterference()
+	for _, p := range []struct {
+		a, b  string
+		score float64
+	}{
+		{"STK", "STK", 0.15}, {"STK", "0AD", 0.09}, {"STK", "RE", 0.09}, {"STK", "D2", 0.19}, {"STK", "IM", 0.11}, {"STK", "ITP", 0.13},
+		{"0AD", "0AD", 0.02}, {"0AD", "RE", 0.04}, {"0AD", "D2", 0.12}, {"0AD", "IM", 0.04}, {"0AD", "ITP", 0.10},
+		{"RE", "RE", 0.05}, {"RE", "D2", 0.10}, {"RE", "IM", 0.06}, {"RE", "ITP", 0.07},
+		{"D2", "D2", 0.24}, {"D2", "IM", 0.16}, {"D2", "ITP", 0.19},
+		{"IM", "IM", 0.20}, {"IM", "ITP", 0.11},
+		{"ITP", "ITP", 0.12},
+	} {
+		it.Set(p.a, p.b, p.score)
+	}
+	return it
 }

@@ -77,12 +77,21 @@ type Machine struct {
 	// index is the fleet's headroom index, kept current on every
 	// placement change (nil for a machine outside an indexed fleet).
 	index *headroomIndex
+	// gen counts the machine's placement changes, so a cache over its
+	// residents (BinPack's cost memo) can tell when it went stale.
+	gen uint64
 }
 
 // Fits reports whether adding demand d keeps the machine within its
 // overcommitted capacity.
 func (m *Machine) Fits(d, overcommit float64) bool {
 	return m.Demand+d <= m.Cores*overcommit
+}
+
+// admits is the exact admission test: the machine is up and fits demand
+// d. The headroom index only narrows down which machines to ask.
+func (m *Machine) admits(d, overcommit float64) bool {
+	return m.State == MachineUp && m.Fits(d, overcommit)
 }
 
 // place records a request on the machine. Demand is recomputed as the
@@ -118,13 +127,16 @@ func (m *Machine) replace(i int, p *app.Profile) {
 
 // updateDemand re-sums the slot demands left to right — the same
 // additions, in the same order, as summing PredictedCPUDemand over
-// Placed — and refreshes the machine's headroom leaf.
+// Placed — advances the placement generation and refreshes the
+// machine's headroom leaf. place, release and replace all end here, so
+// it is the one point where a machine's residents change.
 func (m *Machine) updateDemand() {
 	d := 0.0
 	for _, s := range m.slotDemand {
 		d += s
 	}
 	m.Demand = d
+	m.gen++
 	if m.index != nil {
 		m.index.update(m)
 	}
@@ -229,14 +241,14 @@ func (f *Fleet) Admit(reqs []app.Profile, p Placement) {
 
 // placeOne offers one request to the policy over the feasible machines
 // and records the placement, returning the chosen machine's fleet index
-// or -1 when no machine can (or the policy will) hold it. Policies
-// whose choice short-circuits (cursorPicker) skip materializing the
-// feasibility list entirely — the headroom index finds the machine the
-// full list would have selected anyway.
+// or -1 when no machine can (or the policy will) hold it. Policies that
+// search the headroom index themselves (directPicker) skip
+// materializing the feasibility list entirely, and choose the machine
+// the full list would have selected anyway.
 func (f *Fleet) placeOne(req *app.Profile, p Placement) int {
 	d := PredictedCPUDemand(req)
-	if cp, ok := p.(cursorPicker); ok {
-		mi := cp.pickDirect(f, d)
+	if dp, ok := p.(directPicker); ok {
+		mi := dp.pickDirect(f, req, d)
 		if mi < 0 {
 			return -1
 		}
@@ -266,10 +278,7 @@ func (f *Fleet) feasible(d float64) []*Machine {
 		return out
 	}
 	for _, m := range f.Machines {
-		if m.State != MachineUp {
-			continue
-		}
-		if m.Fits(d, f.Overcommit) {
+		if m.admits(d, f.Overcommit) {
 			out = append(out, m)
 		}
 	}
@@ -341,13 +350,13 @@ func RequestStreamFrom(suite []app.Profile, mix Mix, n int, seed int64) ([]app.P
 	if n < 1 {
 		return nil, fmt.Errorf("fleet: request stream needs at least 1 request, got %d", n)
 	}
-	draw, err := profileDrawer(suite, mix, seed)
+	suite, draw, err := profileDrawer(suite, mix, seed)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]app.Profile, n)
 	for i := range out {
-		out[i] = draw()
+		out[i] = suite[draw()]
 	}
 	return out, nil
 }
@@ -355,27 +364,29 @@ func RequestStreamFrom(suite []app.Profile, mix Mix, n int, seed int64) ([]app.P
 // profileDrawer returns a deterministic profile generator for the named
 // mix over the given workload set — the single source of arrival
 // randomness shared by the one-shot RequestStream and the churn model's
-// per-epoch arrivals. A nil suite draws from the paper's six; the fork
-// labels (and, over the default set, the random streams) match the
-// original fixed-suite implementation exactly. The heavy mix weights
+// per-epoch arrivals. It returns the set it draws from (a nil suite
+// draws from the paper's six) and a draw function yielding indices into
+// it, so callers copy each profile once, straight into its destination.
+// The fork labels (and, over the default set, the random streams) match
+// the original fixed-suite implementation exactly. The heavy mix weights
 // each profile by its declared HeavyWeight (unset weights count as 1),
 // so extended families slot into the mix without a baked-in table.
-func profileDrawer(suite []app.Profile, mix Mix, seed int64) (func() app.Profile, error) {
+func profileDrawer(suite []app.Profile, mix Mix, seed int64) ([]app.Profile, func() int, error) {
 	if len(suite) == 0 {
 		suite = app.PaperSuite()
 	}
 	switch mix {
 	case MixSuite, "":
 		i := 0
-		return func() app.Profile {
-			p := suite[i%len(suite)]
+		return suite, func() int {
+			k := i % len(suite)
 			i++
-			return p
+			return k
 		}, nil
 	case MixShuffled:
 		rng := sim.NewRNG(seed).Fork("fleet/mix/shuffled")
-		return func() app.Profile {
-			return suite[rng.Intn(len(suite))]
+		return suite, func() int {
+			return rng.Intn(len(suite))
 		}, nil
 	case MixHeavy:
 		weights := make([]int, len(suite))
@@ -389,16 +400,16 @@ func profileDrawer(suite []app.Profile, mix Mix, seed int64) (func() app.Profile
 			total += w
 		}
 		rng := sim.NewRNG(seed).Fork("fleet/mix/heavy")
-		return func() app.Profile {
+		return suite, func() int {
 			r := rng.Intn(total)
 			for j, w := range weights {
 				if r < w {
-					return suite[j]
+					return j
 				}
 				r -= w
 			}
-			return suite[len(suite)-1] // unreachable: weights cover [0, total)
+			return len(suite) - 1 // unreachable: weights cover [0, total)
 		}, nil
 	}
-	return nil, fmt.Errorf("fleet: unknown mix %q (have %v)", mix, Mixes())
+	return nil, nil, fmt.Errorf("fleet: unknown mix %q (have %v)", mix, Mixes())
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"pictor/internal/app"
@@ -52,12 +53,71 @@ type checkedRoundRobin struct {
 	picks *int
 }
 
-func (p checkedRoundRobin) pickDirect(f *Fleet, d float64) int {
+func (p checkedRoundRobin) pickDirect(f *Fleet, req *app.Profile, d float64) int {
 	p.t.Helper()
 	want := linearPick(f, p.next, d)
-	got := p.RoundRobin.pickDirect(f, d)
+	got := p.RoundRobin.pickDirect(f, req, d)
 	if got != want {
 		p.t.Fatalf("round-robin pick from cursor %d for demand %v: index chose %d, linear scan %d", p.next, d, got, want)
+	}
+	*p.picks++
+	return got
+}
+
+// refKey is the name-pair key of a reference interference map.
+func refKey(a, b string) [2]string {
+	if b < a {
+		a, b = b, a
+	}
+	return [2]string{a, b}
+}
+
+// linearBinPack is the bin-packing pick the direct scan replaced: Pick
+// over linearFeasible, each machine's cost the left-to-right sum, over
+// its residents, of the request's score in ref, a name-pair map (a nil
+// map scores every pair 0). It returns a fleet index. It is the
+// reference the direct path must reproduce exactly.
+func linearBinPack(f *Fleet, ref map[[2]string]float64, req *app.Profile, d float64) int {
+	best, bestCost, bestDemand := -1, 0.0, 0.0
+	for _, i := range linearFeasible(f, d) {
+		m := f.Machines[i]
+		cost := 0.0
+		for _, placed := range m.Placed {
+			cost += ref[refKey(req.Name, placed.Name)]
+		}
+		switch {
+		case best < 0 || cost < bestCost-binPackEps:
+		case cost <= bestCost+binPackEps && m.Demand > bestDemand+binPackEps:
+		default:
+			continue
+		}
+		best, bestCost, bestDemand = i, cost, m.Demand
+	}
+	return best
+}
+
+// checkedBinPack checks every direct bin-packing pick — arrivals and
+// failover retries alike — against the linear reference over ref, the
+// name-pair copy of the policy's table, and checks that the exported
+// Pick over the feasibility list chooses the same machine.
+type checkedBinPack struct {
+	*BinPack
+	t     *testing.T
+	ref   map[[2]string]float64
+	picks *int
+}
+
+func (p checkedBinPack) pickDirect(f *Fleet, req *app.Profile, d float64) int {
+	p.t.Helper()
+	want := linearBinPack(f, p.ref, req, d)
+	got := p.BinPack.pickDirect(f, req, d)
+	if got != want {
+		p.t.Fatalf("bin-packing %s (demand %v): direct scan chose %d, linear scan %d", req.Name, d, got, want)
+	}
+	if feasible := f.feasible(d); len(feasible) > 0 {
+		if pick := p.BinPack.Pick(feasible, *req); pick < 0 || feasible[pick].Index != want {
+			p.t.Fatalf("bin-packing %s (demand %v): Pick chose slot %d of %v, linear scan machine %d", req.Name, d, pick, indices(feasible), want)
+		}
 	}
 	*p.picks++
 	return got
@@ -109,31 +169,198 @@ func checkIndex(t *testing.T, f *Fleet) {
 // availability — arrivals, departures, direct State writes through
 // Down→Cold→Up with crash evictions, failover retries, brown-out
 // degrade/upgrade, migration and a mid-run Overcommit change — and
-// checks offer by offer that the index-backed round-robin pick and
-// feasibility list are exactly the linear scan's.
+// checks offer by offer that the index-backed round-robin and
+// bin-packing picks and the feasibility list are exactly the linear
+// scan's. Bin-packing runs without a table here; see
+// TestBinPackMatchesLinearScan for its scoring.
 func TestIndexedPlacementMatchesLinearScan(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		for seed := int64(1); seed <= 8; seed++ {
-			runIndexedChurn(t, policy, seed)
+			rng := rand.New(rand.NewSource(seed))
+			f := NewHetero(1+rng.Intn(40), []float64{8, 4})
+			base, _ := NewPolicy(policy, nil)
+			picks := 0
+			var pol Placement = checkedPick{Placement: base, t: t, f: f, picks: &picks}
+			switch p := base.(type) {
+			case *RoundRobin:
+				pol = checkedRoundRobin{RoundRobin: p, t: t, picks: &picks}
+			case *BinPack:
+				pol = checkedBinPack{BinPack: p, t: t, picks: &picks}
+			}
+			runIndexedChurn(t, f, pol, rng, seed, 3, nil)
+			if picks == 0 {
+				t.Fatalf("%s seed %d: no pick was checked", policy, seed)
+			}
 		}
 	}
 }
 
-func runIndexedChurn(t *testing.T, policy string, seed int64) {
-	const epochs = 24
-	rng := rand.New(rand.NewSource(seed))
-	machines := 1 + rng.Intn(40)
-	f := NewHetero(machines, []float64{8, 4})
-	base, _ := NewPolicy(policy, nil)
-	picks := 0
-	var pol Placement = checkedPick{Placement: base, t: t, f: f, picks: &picks}
-	if rr, ok := base.(*RoundRobin); ok {
-		pol = checkedRoundRobin{RoundRobin: rr, t: t, picks: &picks}
+// TestBinPackMatchesLinearScan checks the bin-packing direct path —
+// the leaf scan and the per-(machine, profile) cost memo — offer by
+// offer against the linear reference, through the same random churn as
+// TestIndexedPlacementMatchesLinearScan, with tables that hold cost
+// near-ties within binPackEps, profiles they have never seen, and none
+// at all. A third of the way in, Set changes the table between two
+// offers; afterwards the same policy places on a second fleet of the
+// same size.
+func TestBinPackMatchesLinearScan(t *testing.T) {
+	for _, table := range []string{"none", "near-ties", "sparse"} {
+		for seed := int64(1); seed <= 8; seed++ {
+			it, ref := testTable(table)
+			bp := &BinPack{Interference: it}
+			picks := 0
+			pol := checkedBinPack{BinPack: bp, t: t, ref: ref, picks: &picks}
+			rng := rand.New(rand.NewSource(seed))
+			machines := 1 + rng.Intn(40)
+			retune := func() {
+				if it == nil {
+					return
+				}
+				// Pairs the table already holds turn hostile, so its width
+				// stays and memoized costs go stale without the table's
+				// generation.
+				for _, pr := range [][2]string{{"STK", "D2"}, {"RE", "RE"}, {"IM", "D2"}} {
+					it.Set(pr[0], pr[1], 2)
+					ref[refKey(pr[0], pr[1])] = 2
+				}
+			}
+			// Half an arrival per machine and epoch keeps the fleets partly
+			// empty, so most offers score many machines.
+			runIndexedChurn(t, NewHetero(machines, []float64{8, 4}), pol, rng, seed, 0.5, retune)
+			runIndexedChurn(t, NewHetero(machines, []float64{8, 4}), pol, rng, seed+100, 0.5, nil)
+			if picks == 0 {
+				t.Fatalf("table %s seed %d: no pick was checked", table, seed)
+			}
+		}
 	}
+}
+
+// TestBinPackMemoFollowsFleet: generations count per machine, so two
+// fleets can hold different residents at equal generations, and a
+// policy moving from one to the other must not carry costs across.
+func TestBinPackMemoFollowsFleet(t *testing.T) {
+	stk, _ := app.ByName("STK")
+	re, _ := app.ByName("RE")
+	it := NewInterference()
+	it.Set("STK", "STK", 0.5)
+	it.Set("STK", "RE", 0)
+	fleetOf := func(residents ...app.Profile) *Fleet {
+		f := New(len(residents), 64)
+		for i := range residents {
+			f.Machines[i].place(&residents[i])
+		}
+		return f
+	}
+	bp := &BinPack{Interference: it}
+	d := PredictedCPUDemand(&stk)
+	if got := bp.pickDirect(fleetOf(stk, re), &stk, d); got != 1 {
+		t.Fatalf("STK offered beside STK and RE: picked machine %d, want 1 (RE)", got)
+	}
+	if got := bp.pickDirect(fleetOf(re, stk), &stk, d); got != 0 {
+		t.Fatalf("STK offered to a second fleet, residents swapped: picked machine %d, want 0 (RE)", got)
+	}
+}
+
+// TestBinPackSharedTableRace runs two bin-packing churn trials at once
+// over one freshly built table, the way concurrent fleet trials share
+// the table PairInterferenceAmong caches, and checks that each places
+// exactly as it does alone. Run under -race, it also fails if reading
+// the table writes to it.
+func TestBinPackSharedTableRace(t *testing.T) {
+	const epochs = 12
+	source := func(seed int64) *ChurnSource {
+		src, err := NewChurnSource(ArrivalConfig{
+			Mix: MixHeavy, Rate: 60, MeanSessionEpochs: 2.5, Epochs: epochs, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	placements := func(it *Interference, src *ChurnSource) []int {
+		c := NewChurn(NewHetero(24, []float64{8, 4}), &BinPack{Interference: it})
+		var out []int
+		for e := 0; e < epochs; e++ {
+			c.DepartDue(e)
+			for _, s := range src.Next(e) {
+				c.Arrive(s)
+				out = append(out, s.Machine)
+			}
+		}
+		return out
+	}
+	seeds := []int64{1, 2}
+	want := make([][]int, len(seeds))
+	for i, seed := range seeds {
+		it, _ := testTable("near-ties")
+		want[i] = placements(it, source(seed))
+	}
+	shared, _ := testTable("near-ties")
+	got := make([][]int, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		src := source(seed)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = placements(shared, src)
+		}(i)
+	}
+	wg.Wait()
+	for i, seed := range seeds {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("seed %d: placements over the shared table differ from a private table's", seed)
+		}
+	}
+}
+
+// testTable builds a named interference table over the heavy mix's
+// profiles and its name-pair reference copy: "none" is the nil table;
+// "near-ties" scores most pairs with values whose sums differ by
+// accumulation order and by less than binPackEps, leaves 0AD and ITP
+// out and knows a CAD the mix never draws; "sparse" knows only D2 and
+// RE and leaves most of their pairs unrecorded.
+func testTable(name string) (*Interference, map[[2]string]float64) {
+	if name == "none" {
+		return nil, nil
+	}
+	it, ref := NewInterference(), map[[2]string]float64{}
+	set := func(a, b string, score float64) {
+		it.Set(a, b, score)
+		ref[refKey(a, b)] = score
+	}
+	switch name {
+	case "near-ties":
+		set("STK", "STK", 0.1)
+		set("STK", "RE", 0.2)
+		set("STK", "D2", 0.3)
+		set("RE", "RE", 0.1)
+		set("RE", "D2", 0.25)
+		set("RE", "IM", 0.25+4e-10)
+		set("D2", "D2", 0.3)
+		set("D2", "IM", 0.1+3e-9)
+		set("IM", "IM", 0.2)
+		set("IM", "STK", 0.1)
+		set("CAD", "STK", 0.4)
+		set("CAD", "CAD", 0.5)
+	case "sparse":
+		set("D2", "D2", 0.4)
+		set("RE", "D2", 0.05)
+	}
+	return it, ref
+}
+
+// runIndexedChurn drives fleet f through 24 epochs of random churn
+// under pol, with perMachine arrivals per machine and epoch, drawing
+// every random choice from rng. At a third of the run it calls midway,
+// when non-nil, half way through an epoch's offers.
+func runIndexedChurn(t *testing.T, f *Fleet, pol Placement, rng *rand.Rand, seed int64, perMachine float64, midway func()) {
+	const epochs = 24
+	machines := len(f.Machines)
 	c := NewChurn(f, pol)
 	c.Retry = RetryPolicy{MaxAttempts: 2, BackoffEpochs: 1}
 	src, err := NewChurnSource(ArrivalConfig{
-		Mix: MixHeavy, Rate: 3 * float64(machines), MeanSessionEpochs: 2.5, Epochs: epochs, Seed: seed,
+		Mix: MixHeavy, Rate: perMachine * float64(machines), MeanSessionEpochs: 2.5, Epochs: epochs, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,10 +384,14 @@ func runIndexedChurn(t *testing.T, policy string, seed int64) {
 			}
 		}
 		c.RetryDue(e)
-		for _, s := range src.Next(e) {
+		batch := src.Next(e)
+		for i, s := range batch {
+			if e == epochs/3 && i == len(batch)/2 && midway != nil {
+				midway()
+			}
 			d := PredictedCPUDemand(&s.Profile)
 			if want := linearFeasible(f, d); !slices.Equal(indices(f.feasible(d)), want) {
-				t.Fatalf("%s seed %d epoch %d: feasible %v, linear scan %v", policy, seed, e, indices(f.feasible(d)), want)
+				t.Fatalf("%s seed %d epoch %d: feasible %v, linear scan %v", pol.Name(), seed, e, indices(f.feasible(d)), want)
 			}
 			c.Offer(s, e)
 		}
@@ -179,9 +410,6 @@ func runIndexedChurn(t *testing.T, policy string, seed int64) {
 			}
 		}
 		checkIndex(t, f)
-	}
-	if picks == 0 {
-		t.Fatalf("%s seed %d: no pick was checked", policy, seed)
 	}
 }
 
@@ -208,7 +436,7 @@ func TestIndexExactAtCapacityEdges(t *testing.T) {
 					cores = math.Nextafter(cores, math.Inf(1))
 				}
 			}
-			for _, policy := range []string{PolicyRoundRobin, PolicyLeastCount} {
+			for _, policy := range []string{PolicyRoundRobin, PolicyLeastCount, PolicyBinPack} {
 				f := NewHetero(len(classes), classes)
 				f.Overcommit = oc
 				rr := &RoundRobin{}
@@ -221,10 +449,16 @@ func TestIndexExactAtCapacityEdges(t *testing.T) {
 					if got := indices(f.feasible(d)); !slices.Equal(got, want) {
 						t.Fatalf("%s oc %v offer %d: feasible %v, linear scan %v", p.Name, oc, offers, got, want)
 					}
-					wantPick := linearPick(f, rr.next, d)
+					var wantPick int
+					switch policy {
+					case PolicyRoundRobin:
+						wantPick = linearPick(f, rr.next, d)
+					case PolicyBinPack:
+						wantPick = linearBinPack(f, nil, &p, d)
+					}
 					got := f.placeOne(&p, pol)
-					if policy == PolicyRoundRobin && got != wantPick {
-						t.Fatalf("%s oc %v offer %d: picked %d, linear scan %d", p.Name, oc, offers, got, wantPick)
+					if policy != PolicyLeastCount && got != wantPick {
+						t.Fatalf("%s %s oc %v offer %d: picked %d, linear scan %d", policy, p.Name, oc, offers, got, wantPick)
 					}
 					if got < 0 {
 						break

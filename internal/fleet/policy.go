@@ -75,18 +75,19 @@ func (p *RoundRobin) Pick(feasible []*Machine, _ app.Profile) int {
 	return best
 }
 
-// cursorPicker is the streaming fast path for policies whose choice is
-// "the first fitting machine in my own probe order": the policy finds
-// that machine itself (through the fleet's headroom index), instead of
-// materializing the whole feasibility list only to discard all but one
-// entry — the difference between O(log n) and O(fleet) per arrival on
-// a 10k-machine sweep. An implementation must select exactly the
-// machine its Pick would select from the full feasible list, or
-// schedule goldens diverge by policy dispatch path.
-type cursorPicker interface {
-	// pickDirect returns the chosen machine's fleet index (without
-	// placing on it), or -1 when no up machine fits demand d.
-	pickDirect(f *Fleet, d float64) int
+// directPicker is the fast path for policies that find their machine
+// themselves, through the fleet's headroom index, instead of receiving
+// the materialized feasibility list: round-robin walks from its cursor
+// and stops at the first fit (O(log n) per arrival on a 10k-machine
+// sweep), bin-packing scores the fitting machines where they stand. An
+// implementation must select exactly the machine its Pick would select
+// from the full feasible list, or schedule goldens diverge by policy
+// dispatch path.
+type directPicker interface {
+	// pickDirect returns the fleet index of the machine chosen for req,
+	// whose predicted demand is d (without placing on it), or -1 when
+	// no up machine fits d.
+	pickDirect(f *Fleet, req *app.Profile, d float64) int
 }
 
 // pickDirect: Pick minimizes wrapping cursor distance over the feasible
@@ -96,7 +97,7 @@ type cursorPicker interface {
 // passes the exact feasibility test before it is chosen. The cursor
 // only advances on a successful placement, matching the slow path (an
 // empty feasibility list never reaches Pick).
-func (p *RoundRobin) pickDirect(f *Fleet, d float64) int {
+func (p *RoundRobin) pickDirect(f *Fleet, _ *app.Profile, d float64) int {
 	n := len(f.Machines)
 	if n == 0 {
 		return -1
@@ -122,8 +123,7 @@ func (p *RoundRobin) pickDirect(f *Fleet, d float64) int {
 // take applies the exact feasibility test to a candidate from the
 // index and, when it passes, moves the cursor past it.
 func (p *RoundRobin) take(f *Fleet, i int, d float64) bool {
-	m := f.Machines[i]
-	if m.State != MachineUp || !m.Fits(d, f.Overcommit) {
+	if !f.Machines[i].admits(d, f.Overcommit) {
 		return false
 	}
 	p.next = i + 1
@@ -172,10 +172,21 @@ func (LeastLoadedDemand) Pick(feasible []*Machine, _ app.Profile) int {
 // experiment produces), it prefers the fullest — packing compatible
 // workloads tightly so the fleet keeps whole machines free (and near
 // idle power) for as long as possible.
+//
+// Admission takes the direct path (pickDirect): one pass over the
+// headroom index's leaves in machine order, with no feasibility list,
+// reading each fitting machine's interference cost from a memo the
+// policy keeps per (machine, profile). A memo entry is recomputed only
+// after that machine's placements change, the table changes (Set), or
+// the policy moves to another fleet, so an offer costs one lookup per
+// fitting machine instead of a sum over its residents. The exported
+// Pick computes the same costs unmemoized; both choose by the same
+// comparison, so the two paths pick the same machine bit for bit.
 type BinPack struct {
 	// Interference scores co-location penalties; nil falls back to pure
 	// demand-based packing (every pair scores zero).
 	Interference *Interference
+	memo         costMemo
 }
 
 func (*BinPack) Name() string { return PolicyBinPack }
@@ -189,25 +200,102 @@ func (*BinPack) Name() string { return PolicyBinPack }
 // anything within the tolerance counts as the tie it morally is.
 const binPackEps = 1e-9
 
+// binPackChoice is the best candidate so far under BinPack's order:
+// lexicographic (cost, -demand, index) with tolerance — minimal
+// interference first; among equal costs, the fullest machine; remaining
+// ties keep the first (lowest-index) winner.
+type binPackChoice struct {
+	best         int // -1 until a candidate wins
+	cost, demand float64
+}
+
+// consider offers candidate i, with interference cost and demand; the
+// candidates must come in index order.
+func (c *binPackChoice) consider(i int, cost, demand float64) {
+	switch {
+	case c.best < 0 || cost < c.cost-binPackEps:
+		// Strictly lower interference.
+	case cost <= c.cost+binPackEps && demand > c.demand+binPackEps:
+		// Tied interference, strictly fuller machine.
+	default:
+		return
+	}
+	c.best, c.cost, c.demand = i, cost, demand
+}
+
 func (p *BinPack) Pick(feasible []*Machine, req app.Profile) int {
-	best, bestCost, bestDemand := -1, 0.0, 0.0
+	_, row := p.Interference.row(req.Name)
+	choice := binPackChoice{best: -1}
 	for i, m := range feasible {
-		cost := 0.0
-		for _, placed := range m.Placed {
-			cost += p.Interference.Score(req.Name, placed.Name)
-		}
-		// Lexicographic (cost, -demand, index) with tolerance: minimal
-		// interference first; among equal costs, pack the fullest
-		// machine; remaining ties keep the first (lowest-index) winner.
-		switch {
-		case best < 0 || cost < bestCost-binPackEps:
-			// Strictly lower interference.
-		case cost <= bestCost+binPackEps && m.Demand > bestDemand+binPackEps:
-			// Tied interference, strictly fuller machine.
-		default:
+		choice.consider(i, p.Interference.cost(row, m.Placed), m.Demand)
+	}
+	return choice.best
+}
+
+// pickDirect is Pick over the feasibility list, without the list: the
+// headroom index's leaves, in machine order, rule out every machine
+// whose padded headroom is below d, and the rest pass the exact
+// MachineUp && Fits test the list is built with — so the candidates,
+// their order and their costs are Pick's, and so is the choice.
+func (p *BinPack) pickDirect(f *Fleet, req *app.Profile, d float64) int {
+	ix := f.headroom()
+	if !ix.mayFit(d) {
+		return -1
+	}
+	it := p.Interference
+	r, row := it.row(req.Name)
+	var memo []costEntry // the request's cost on each machine; nil when all are 0
+	if row != nil {
+		memo = p.memo.of(f, it, r)
+	}
+	choice := binPackChoice{best: -1}
+	for i, headroom := range ix.tree[ix.size : ix.size+ix.n] {
+		if headroom < d {
 			continue
 		}
-		best, bestCost, bestDemand = i, cost, m.Demand
+		m := f.Machines[i]
+		if !m.admits(d, f.Overcommit) {
+			continue
+		}
+		cost := 0.0
+		if memo != nil {
+			e := &memo[i]
+			if e.gen != m.gen+1 {
+				e.cost, e.gen = it.cost(row, m.Placed), m.gen+1
+			}
+			cost = e.cost
+		}
+		choice.consider(i, cost, m.Demand)
 	}
-	return best
+	return choice.best
+}
+
+// costMemo holds BinPack's interference cost for each (table id,
+// machine) pair of one fleet: 16 bytes a pair, ~290 KB for 3,000
+// machines under a six-profile table.
+type costMemo struct {
+	fleet    *Fleet        // fleet the entries belong to
+	table    *Interference // table they were computed from
+	tableGen uint64        // the table's generation then
+	entries  []costEntry   // table id r, machine i at r*len(fleet.Machines) + i
+}
+
+// costEntry is one memoized cost, valid while its machine's generation
+// is gen-1 (0 marks an entry never computed).
+type costEntry struct {
+	cost float64
+	gen  uint64
+}
+
+// of returns table id r's entries for f's machines, by fleet index. It
+// first empties the memo unless the memo was built for f and it as they
+// stand: the same fleet and machine count, the same table, and no Set
+// since (Set is also the only way the table's width changes).
+func (c *costMemo) of(f *Fleet, it *Interference, r int) []costEntry {
+	n := len(f.Machines)
+	if c.fleet != f || c.table != it || c.tableGen != it.gen || len(c.entries) != n*len(it.ids) {
+		c.fleet, c.table, c.tableGen = f, it, it.gen
+		c.entries = make([]costEntry, n*len(it.ids))
+	}
+	return c.entries[r*n : (r+1)*n]
 }

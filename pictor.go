@@ -21,9 +21,10 @@
 // cloud rendering system of the paper's Figure 1 — TurboVNC-style
 // proxies, a VirtualGL-style interposer, X11/OpenGL layers, a GPU with
 // shared caches, PCIe, a multi-core server and per-instance networks —
-// runs as a deterministic discrete-event simulation. See DESIGN.md for
-// the substitution argument and EXPERIMENTS.md for paper-vs-measured
-// results on every figure and table.
+// runs as a deterministic discrete-event simulation. README.md
+// describes each subsystem and how to run it; EXPERIMENTS.md, generated
+// from the pictor-bench CLI, lists every experiment mode, one for each of
+// the paper's figures and tables plus the fleet-scale extensions.
 //
 // # Quick start
 //

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the per-frame microbenchmarks and the headline suite-grid
 # benchmark, and records ns/op, B/op and allocs/op per benchmark into
-# BENCH_single_trial.json (section "current"; the pinned "baseline"
-# section holding the pre-optimization numbers is preserved).
+# BENCH_single_trial.json (section "current", and appended to its
+# "history" list; the pinned "baseline" section holding the
+# pre-optimization numbers is preserved).
 #
 #   scripts/bench.sh              # full run, updates BENCH_single_trial.json
 #   GRID_BENCHTIME=1x scripts/bench.sh   # quicker smoke

@@ -15,10 +15,14 @@ the fault-churn bookkeeping loop, the per-epoch overhead every fault
 trial pays; the global-kernel and diurnal-million sweeps, the scale
 contracts of the fidelity tiers and the streaming arrival API: ~100k
 sessions over 1000 machines and ~1M sessions over 10k machines must
-stay in whole-seconds territory; and the round-robin offer on a
+stay in whole-seconds territory; the round-robin offer on a
 saturated 10k-machine fleet, which the headroom index keeps at
-O(log n) instead of a probe of every machine), and they are stable enough (no allocation
-churn, no I/O) that a >20% move is a code regression, not noise.
+O(log n) instead of a probe of every machine; and the bin-packing offer
+on that fleet, scored against a fixed six-profile interference table,
+which the leaf scan and per-(machine, profile) cost memo keep from
+summing every resident's score on every fitting machine), and they are
+stable enough (no allocation churn, no I/O) that a >20% move is a code
+regression, not noise.
 
 A pinned benchmark with no recorded entry in the JSON fails the guard:
 a silently missing pin is indistinguishable from an unguarded
@@ -47,6 +51,7 @@ PINNED = [
     "BenchmarkGlobalKernelSweep",
     "BenchmarkDiurnalMillionSweep",
     "BenchmarkPlacementSaturated/roundrobin",
+    "BenchmarkPlacementSaturated/binpack",
 ]
 
 

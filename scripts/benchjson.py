@@ -4,24 +4,37 @@
 Usage: benchjson.py BENCH_OUTPUT_FILE JSON_PATH [SECTION]
 
 Records ns/op, B/op and allocs/op per benchmark under the given section
-(default "current"). Other sections already in the JSON file — notably
-the pinned "baseline" section recording the pre-optimization numbers —
-are preserved, so the perf trajectory accumulates instead of resetting.
+(default "current"): each benchmark in the output replaces its entry
+there, and entries for benchmarks the output does not hold are kept, so
+the section always has the latest number of every benchmark ever
+recorded in it — the reference benchguard.py compares against. Other
+sections already in the JSON file — notably the pinned "baseline"
+section recording the pre-optimization numbers — are preserved.
 
-The section is stamped with the commit the numbers were measured at
-(`git rev-parse --short HEAD`, "+dirty" appended when the working tree
-has uncommitted changes), and a per-benchmark delta summary against the
-"baseline" section is printed after writing.
+Every recording is also appended to the file's "history" list as
+{section, commit, date, benchmarks}, holding exactly what that run
+measured, so earlier numbers stay in the file after a later recording
+replaces them in the section. When the list does not exist yet, the
+section's existing numbers open it (date null: they predate it).
+
+The commit is `git rev-parse --short HEAD`, with "+dirty" appended when
+the working tree has uncommitted changes, and the date is the UTC time
+of recording; the section carries its latest recording's commit, and
+history tells which recording measured each entry. A per-benchmark
+delta summary of the section against the "baseline" section is printed
+after writing.
 """
 import json
 import re
 import subprocess
 import sys
+from datetime import datetime, timezone
 
-LINE = re.compile(
-    r"^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op"
-    r"(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?"
-)
+LINE = re.compile(r"^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$")
+METRIC = re.compile(r"([-+\d.eE]+) (\S+)")
+# The standard units' keys; a custom b.ReportMetric unit (rejects/offer)
+# is recorded under its own name.
+KEYS = {"ns/op": "ns_op", "B/op": "b_op", "allocs/op": "allocs_op"}
 
 
 def parse(path):
@@ -31,12 +44,12 @@ def parse(path):
             m = LINE.match(line.strip())
             if not m:
                 continue
-            name, iters, ns, bop, allocs = m.groups()
-            rec = {"iterations": int(iters), "ns_op": float(ns)}
-            if bop is not None:
-                rec["b_op"] = float(bop)
-                rec["allocs_op"] = float(allocs)
-            out[name] = rec
+            name, iters, rest = m.groups()
+            rec = {"iterations": int(iters)}
+            for value, unit in METRIC.findall(rest):
+                rec[KEYS.get(unit, unit)] = float(value)
+            if "ns_op" in rec:
+                out[name] = rec
     return out
 
 
@@ -83,11 +96,25 @@ def main():
     except (FileNotFoundError, json.JSONDecodeError):
         doc = {}
     doc.setdefault("units", {"time": "ns/op", "mem": "B/op", "allocs": "allocs/op"})
-    doc[section] = {"commit": commit_stamp(), "benchmarks": parse(bench_out)}
+    fresh = parse(bench_out)
+    if not fresh:
+        sys.exit(f"benchjson: no benchmark results in {bench_out}; {json_path} left as it was")
+    commit = commit_stamp()
+    history = doc.setdefault("history", [])
+    if not history and section in doc:
+        history.append({"section": section, "commit": doc[section].get("commit"),
+                        "date": None, "benchmarks": doc[section]["benchmarks"]})
+    history.append({"section": section, "commit": commit,
+                    "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+                    "benchmarks": fresh})
+    recorded = dict(doc.get(section, {}).get("benchmarks", {}))
+    recorded.update(fresh)
+    doc[section] = {"commit": commit, "benchmarks": recorded}
     with open(json_path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(doc[section]['benchmarks'])} benchmarks to {json_path} [{section}]")
+    print(f"wrote {len(fresh)} benchmarks to {json_path} [{section}] "
+          f"({len(recorded)} recorded there, {len(history)} recordings in history)")
     print_deltas(doc, section)
 
 
