@@ -574,8 +574,8 @@ func BenchmarkFaultChurn(b *testing.B) {
 // BenchmarkGlobalKernelSweep is the scale headline of the fidelity
 // tiers: a 1000-machine heterogeneous fleet offered ~100k sessions
 // over 20 epochs, every machine on the calibrated surrogate tier
-// (SurrogateTail with a zero sampled cohort), driven through the
-// global event kernel with the migration controller on. What took the
+// (SurrogateTail with a zero sampled cohort), driven through the churn
+// epoch loop with the migration controller on. What took the
 // full per-frame simulator hours runs in seconds here — the pinned
 // guard keeps it that way — while the fidelity fixture in
 // internal/core bounds how far the cheap tier may drift. Calibration
@@ -603,7 +603,7 @@ func BenchmarkGlobalKernelSweep(b *testing.B) {
 			b.Fatalf("sweep produced no execution: active %.1f, %.1f W", r.MeanActive, r.MeanPowerWatts)
 		}
 		b.ReportMetric(float64(r.Arrivals), "sessions/op")
-		if show := printHeader("Kernel", "global event kernel: 100k-session surrogate-tier sweep"); show {
+		if show := printHeader("Kernel", "churn epoch loop: 100k-session surrogate-tier sweep"); show {
 			fmt.Printf("1000 machines × 20 epochs: %d sessions offered, %d rejected, mean active %.0f, %.1f%% available, %.0f kW mean\n",
 				r.Arrivals, r.Rejected, r.MeanActive, 100*r.Availability, r.MeanPowerWatts/1000)
 		}

@@ -28,6 +28,12 @@ import (
 	"pictor/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so one that never finishes them cannot hold a
+// connection forever. It does not bound request bodies or the
+// long-lived SSE progress streams.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	parallel := flag.Int("parallel", 0, "experiment-runner workers per job (0 = all cores)")
@@ -36,7 +42,7 @@ func main() {
 	flag.Parse()
 
 	srv := serve.New(serve.Config{Parallel: *parallel, Jobs: *jobs, QueueDepth: *queueDepth})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	go func() {
 		log.Printf("pictor-server listening on %s (POST /jobs, GET /jobs/{id}/events)", *addr)

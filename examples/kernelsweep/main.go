@@ -3,8 +3,8 @@
 //
 // The churn and faults demos simulate every session frame by frame —
 // honest, but linear in sessions, which caps sweeps at thousands. This
-// demo drives the same churn lifecycle through the global event kernel
-// with fidelity tiers: machines [0, fidelity) run the full per-frame
+// demo drives the same churn lifecycle through the epoch loop with
+// fidelity tiers: machines [0, fidelity) run the full per-frame
 // simulator, the rest of the fleet runs calibrated per-profile response
 // curves (RTT, FPS and utilization as a function of machine load, with
 // deterministic per-session jitter). Tens of thousands of offered

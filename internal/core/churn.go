@@ -129,14 +129,13 @@ type ChurnResult struct {
 	RepsMerged int
 }
 
-// executeFleetChurn lowers a churn-shaped trial onto the global event
-// kernel: the churnPortal implements the fleet lifecycle (depart,
-// fault, retry, arrive, gauge, collect, react) and the fidelity
-// dispatch, and engine.RunChurn drives it through the horizon in the
-// exact order the historical nested epoch loop ran — so full-fidelity
-// runs are byte-identical to the pre-kernel implementation, while
-// shapes with SurrogateTail execute their tail machines on calibrated
-// predictors instead of per-frame simulation. The kernel runs
+// executeFleetChurn runs a churn-shaped trial through engine.RunChurn:
+// the churnPortal implements the fleet lifecycle (depart, fault,
+// retry, arrive, gauge, collect, react) and the fidelity dispatch, and
+// the epoch loop drives it through the horizon in the exact order the
+// historical nested loop ran — so full-fidelity runs are byte-identical
+// to it, while shapes with SurrogateTail execute their tail machines on
+// calibrated predictors instead of per-frame simulation. The loop runs
 // sequentially inside the one execution unit — the runner already
 // shards trials across workers — so churn sweeps stay byte-identical
 // at any parallelism level.
@@ -227,7 +226,7 @@ func executeFleetChurn(t exp.Trial, u exp.Unit) *ChurnResult {
 	// streamed run never materializes the schedule to compute it.
 	sink, streaming := resolveChurnSink(t.Sink, sh.RollupOnly, u.Rep, u.Seed, out)
 
-	// Assemble the portal and drive it on the kernel. The fidelity
+	// Assemble the portal and drive it through the loop. The fidelity
 	// split normalizes here: without SurrogateTail every machine runs
 	// full fidelity; with it, machines [0, sampled) stay full and the
 	// tail runs the calibrated surrogate (sampled clamps to the fleet).
@@ -235,8 +234,9 @@ func executeFleetChurn(t exp.Trial, u exp.Unit) *ChurnResult {
 		t: t, sh: sh, u: u, streamBase: streamBase,
 		c: c, f: f, src: src, timeline: timeline,
 		sink: sink, streaming: streaming,
-		sampled: len(f.Machines),
-		out:     out,
+		sampled:    len(f.Machines),
+		out:        out,
+		machineRTT: make([]stats.Summary, len(f.Machines)),
 	}
 	portal.full = &fullEngine{p: portal}
 	if sh.SurrogateTail {

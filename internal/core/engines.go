@@ -10,15 +10,14 @@ import (
 	"pictor/internal/stats"
 )
 
-// churnPortal lowers one churn-shaped trial onto the global event
-// kernel: it implements engine.FleetPortal (the fleet lifecycle —
-// departures, faults, failover, arrivals, gauges, measurement
-// collection and the QoS controllers) and engine.EnginePicker (the
-// fidelity dispatch — full per-frame simulation for the sampled
-// cohort, the calibrated surrogate for the tail, nil for crashed
-// machines). The kernel dispatches its methods in the exact order the
-// historical nested loop ran, so a full-fidelity run through the
-// portal is byte-identical to the pre-kernel implementation.
+// churnPortal lowers one churn-shaped trial onto engine.RunChurn: it
+// implements engine.FleetPortal (the fleet lifecycle — departures,
+// faults, failover, arrivals, gauges, measurement collection and the
+// QoS controllers) and engine.EnginePicker (the fidelity dispatch —
+// full per-frame simulation for the sampled cohort, the calibrated
+// surrogate for the tail, nil for crashed machines). The epoch loop
+// calls its methods in the exact order the historical nested loop ran,
+// so a full-fidelity run through the portal is byte-identical to it.
 type churnPortal struct {
 	t          exp.Trial
 	sh         exp.FleetShape
@@ -45,7 +44,8 @@ type churnPortal struct {
 	sampled   int
 
 	out *ChurnResult
-	// Per-epoch scratch, reset at Gauge and folded into out at React.
+	// Per-epoch scratch, reset at Gauge and folded into out at React;
+	// machineRTT holds one entry per machine for the trial's lifetime.
 	er         EpochResult
 	machineRTT []stats.Summary
 	epochRTTs  []stats.Summary
@@ -53,7 +53,7 @@ type churnPortal struct {
 	rollupRTTs []stats.Summary
 }
 
-// Machines and Epochs size the kernel's event schedule.
+// Machines and Epochs size the epoch loop.
 func (p *churnPortal) Machines() int { return len(p.f.Machines) }
 func (p *churnPortal) Epochs() int   { return p.sh.Epochs }
 
@@ -116,7 +116,7 @@ func (p *churnPortal) Gauge(e int) {
 	for mi := range p.f.Machines {
 		p.er.Degraded += p.c.DegradedResidents(mi)
 	}
-	p.machineRTT = make([]stats.Summary, len(p.f.Machines))
+	clear(p.machineRTT) // a crashed machine is never collected: it reads zero
 	p.epochRTTs = p.epochRTTs[:0]
 	if !p.sh.OccupancyDetail {
 		return
@@ -150,21 +150,21 @@ func (p *churnPortal) EngineFor(_, mi int) engine.SessionEngine {
 }
 
 // Collect folds one machine's epoch measurements into the epoch
-// scratch. The kernel delivers machines in index order, so the pooled
-// aggregates are byte-stable.
+// scratch. The loop delivers machines in index order, so the pooled
+// aggregates are byte-stable; the machine's summaries are its own
+// sub-slice of epochRTTs.
 func (p *churnPortal) Collect(_, mi int, me engine.MachineEpoch) {
 	p.er.PowerWatts += me.PowerWatts
-	var rtts []stats.Summary
+	first := len(p.epochRTTs)
 	for _, s := range me.Sessions {
 		if s.QoSViolation {
 			p.er.QoSViolations++
 		}
 		if s.RTT.N > 0 {
-			rtts = append(rtts, s.RTT)
+			p.epochRTTs = append(p.epochRTTs, s.RTT)
 		}
 	}
-	p.machineRTT[mi] = exp.PoolSummaries(rtts)
-	p.epochRTTs = append(p.epochRTTs, rtts...)
+	p.machineRTT[mi] = exp.PoolSummaries(p.epochRTTs[first:])
 	if p.sh.OccupancyDetail {
 		p.er.Occupancy[mi].RTTMean = p.machineRTT[mi].Mean
 		p.er.Occupancy[mi].PowerWatts = me.PowerWatts

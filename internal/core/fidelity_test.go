@@ -58,9 +58,9 @@ func renderFidelity(r ChurnResult) string {
 	return sb.String()
 }
 
-// TestFidelityFullCohortMatchesBaseline is the kernel-refactor property
-// test: lowering churn onto the global event kernel with every fidelity
-// knob at its expensive setting must reproduce the plain path
+// TestFidelityFullCohortMatchesBaseline is the fidelity-tier property
+// test: running churn through the epoch loop with every fidelity knob
+// at its expensive setting must reproduce the plain path
 // byte-for-byte. SurrogateTail with the full cohort sampled changes the
 // trial key (and therefore the key-derived unit seed) but no execution
 // seed — everything derives from the stream base — so the rollups must

@@ -409,7 +409,7 @@ func validateFleetShape(shape exp.FleetShape) {
 	if _, err := fleet.NewPolicy(shape.Policy, nil); err != nil {
 		panic("core: " + err.Error())
 	}
-	if _, err := fleet.RequestStream(fleet.Mix(shape.Mix), 1, 1); err != nil {
+	if err := fleet.ValidateMix(fleet.Mix(shape.Mix)); err != nil {
 		panic("core: " + err.Error())
 	}
 	if _, err := fleet.ParseCoreClasses(shape.CoreClasses); err != nil {

@@ -217,7 +217,7 @@ func (s ExperimentSpec) Normalize() (ExperimentSpec, error) {
 	if _, err := fleet.NewPolicy(s.Policy, nil); err != nil {
 		return s, fmt.Errorf("spec: %v", err)
 	}
-	if _, err := fleet.RequestStream(fleet.Mix(s.Mix), 1, 1); err != nil {
+	if err := fleet.ValidateMix(fleet.Mix(s.Mix)); err != nil {
 		return s, fmt.Errorf("spec: %v", err)
 	}
 	if _, err := fleet.ParseCoreClasses(s.CoreClasses); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"pictor/internal/exp"
@@ -145,5 +146,42 @@ func TestRollupOnlyMatchesFullScalars(t *testing.T) {
 	}
 	if f.RTT.N != r.RTT.N {
 		t.Fatalf("rollup RTT pools %d observations, full pools %d", r.RTT.N, f.RTT.N)
+	}
+}
+
+// TestChurnEpochLoopAllocations guards the epoch loop's steady state:
+// on a surrogate, rollup-only churn at a constant rate, doubling the
+// horizon adds machine-epochs but next to no allocations — no dispatch
+// closure or queued event per machine, no per-machine Sessions or RTT
+// slice, no seeded RNG register per jitter draw. What the extra epochs
+// may allocate is per-epoch bookkeeping and session-pool growth.
+func TestChurnEpochLoopAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 4 surrogate churn trials")
+	}
+	const machines, epochs = 200, 10
+	shape := exp.FleetShape{
+		Machines: machines, Policy: fleet.PolicyRoundRobin, Mix: string(fleet.MixHeavy),
+		CoreClasses: "8,4", ArrivalRate: 300, MeanSessionEpochs: 2,
+		SurrogateTail: true, RollupOnly: true,
+	}
+	cfg := QuickExperimentConfig()
+	cfg.WarmupSeconds, cfg.Seconds, cfg.Parallel = 1, 5, 1
+	mallocs := func(n int) uint64 {
+		sh := shape
+		sh.Epochs = n
+		RunFleetChurn(sh, cfg) // calibrates the surrogate once per process
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		RunFleetChurn(sh, cfg)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	short, long := mallocs(epochs), mallocs(2*epochs)
+	perMachineEpoch := (float64(long) - float64(short)) / (epochs * machines)
+	t.Logf("%d vs %d objects: %.3f per extra machine-epoch", short, long, perMachineEpoch)
+	if perMachineEpoch > 0.25 {
+		t.Fatalf("the extra %d epochs allocate %.2f objects per machine-epoch, want well under 1",
+			epochs, perMachineEpoch)
 	}
 }

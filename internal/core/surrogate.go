@@ -183,9 +183,12 @@ type surrogateEngine struct {
 	// batch caches one curve evaluation per profile within a single
 	// AdvanceEpoch call: the machine's load is fixed for the epoch, so
 	// every resident of a profile shares the same interpolated point
-	// and only the per-session jitter differs. The kernel executes one
-	// trial's machines sequentially, so the scratch map never races.
+	// and only the per-session jitter differs. The epoch loop executes
+	// one trial's machines sequentially, so the scratch never races.
 	batch map[string]surrogateEval
+	// sessions backs every MachineEpoch.Sessions this engine returns;
+	// the portal folds it in Collect before the next AdvanceEpoch.
+	sessions []engine.SessionObs
 }
 
 // surrogateEval is one interpolated curve point — the (profile,
@@ -220,7 +223,7 @@ func (se *surrogateEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
 	}
 	me := engine.MachineEpoch{
 		Demand:   m.Demand,
-		Sessions: make([]engine.SessionObs, 0, len(residents)),
+		Sessions: se.sessions[:0],
 	}
 	if se.batch == nil {
 		se.batch = make(map[string]surrogateEval, 8)
@@ -268,5 +271,6 @@ func (se *surrogateEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
 		cpu = maxUtil
 	}
 	me.PowerWatts = se.model.TotalWatts(cpu, gpu, len(residents))
+	se.sessions = me.Sessions
 	return me
 }

@@ -1,16 +1,15 @@
-// Package engine is Pictor's global discrete-event kernel for fleet
-// execution: one scheduler that owns the epoch clock and dispatches
-// every machine- and session-level event through portal interfaces.
+// Package engine drives fleet churn: a fixed epoch loop that calls the
+// fleet lifecycle and the per-machine session engines through portal
+// interfaces.
 //
-// The fleet layer used to run one simulation kernel per machine inside
-// nested per-machine loops, so fidelity was uniform and sweep cost
-// scaled linearly with sessions. This package inverts that structure:
-// the kernel orders all events on one deterministic clock — (epoch,
-// phase, machine, sequence) — and the *implementations* behind the
-// portals decide how much an event costs. A SessionEngine may run the
-// full per-frame simulation or a cheap trained surrogate; the kernel
+// Every epoch runs the fleet-scope phases in their historical order
+// (depart, fault, retry, arrive, gauge), then advances each machine in
+// index order through the session engine its fidelity tier selects,
+// then reacts. The *implementations* behind the portals decide how
+// much a machine-epoch costs: a SessionEngine may run the full
+// per-frame simulation or a cheap trained surrogate, and the loop
 // neither knows nor cares, which is what lets a sweep mix fidelity
-// tiers per machine and scale to hundreds of thousands of sessions.
+// tiers per machine and scale to a million sessions.
 //
 // Like internal/exp and internal/fleet, the package is deliberately a
 // leaf (it imports only internal/stats): the assembly layer
@@ -19,178 +18,7 @@
 // other — the pces/mrnes NetSimPortal pattern.
 package engine
 
-import (
-	"container/heap"
-	"fmt"
-
-	"pictor/internal/stats"
-)
-
-// Phase orders the events inside one epoch. The values are the churn
-// lifecycle in its historical execution order; events of one epoch
-// always drain before any event of the next.
-type Phase uint8
-
-const (
-	// PhaseDepart releases sessions whose horizon elapsed.
-	PhaseDepart Phase = iota
-	// PhaseFault applies the epoch's machine crash/repair states.
-	PhaseFault
-	// PhaseRetry runs matured failover attempts.
-	PhaseRetry
-	// PhaseArrive admits the epoch's scheduled arrivals.
-	PhaseArrive
-	// PhaseGauge snapshots post-admission state (active sessions,
-	// degraded residents, occupancy detail).
-	PhaseGauge
-	// PhaseExecute advances one machine's resident sessions through the
-	// epoch — the only per-machine phase, and the only one whose cost
-	// depends on the session engine's fidelity tier.
-	PhaseExecute
-	// PhaseReact closes the epoch: pooled measurements feed the
-	// migration and brown-out controllers and the epoch's rollups.
-	PhaseReact
-)
-
-// String implements fmt.Stringer for traces and tests.
-func (p Phase) String() string {
-	switch p {
-	case PhaseDepart:
-		return "depart"
-	case PhaseFault:
-		return "fault"
-	case PhaseRetry:
-		return "retry"
-	case PhaseArrive:
-		return "arrive"
-	case PhaseGauge:
-		return "gauge"
-	case PhaseExecute:
-		return "execute"
-	case PhaseReact:
-		return "react"
-	}
-	return fmt.Sprintf("phase(%d)", uint8(p))
-}
-
-// Event is one scheduled dispatch on the kernel's clock. Machine is -1
-// for fleet-scope phases and the machine index for PhaseExecute.
-type Event struct {
-	Epoch   int
-	Phase   Phase
-	Machine int
-	seq     uint64
-}
-
-// Handler consumes one event. Handlers may schedule further events at
-// or after the event's own clock position.
-type Handler func(Event)
-
-// scheduled pairs an event with its handler on the heap.
-type scheduled struct {
-	ev Event
-	h  Handler
-}
-
-// eventHeap orders events by (Epoch, Phase, Machine, seq): the epoch
-// clock first, the lifecycle phase inside it, machines in index order
-// inside a phase, and FIFO among exact ties — so a run's dispatch order
-// is a pure function of what was scheduled, never of heap internals.
-type eventHeap []scheduled
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	a, b := h[i].ev, h[j].ev
-	if a.Epoch != b.Epoch {
-		return a.Epoch < b.Epoch
-	}
-	if a.Phase != b.Phase {
-		return a.Phase < b.Phase
-	}
-	if a.Machine != b.Machine {
-		return a.Machine < b.Machine
-	}
-	return a.seq < b.seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(scheduled)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
-}
-
-// Kernel is the global event scheduler. Create with New, Schedule
-// events, then Run until the heap drains. A Kernel is not safe for
-// concurrent use — determinism is the whole point; the experiment
-// runner parallelizes across trials, never inside one.
-type Kernel struct {
-	heap    eventHeap
-	seq     uint64
-	now     Event
-	running bool
-}
-
-// New returns an empty kernel at epoch 0.
-func New() *Kernel { return &Kernel{} }
-
-// Now reports the event currently being dispatched (the zero Event
-// before Run starts).
-func (k *Kernel) Now() Event { return k.now }
-
-// Schedule enqueues an event for the handler. Scheduling into the past
-// — strictly before the event currently dispatching — panics: a run
-// whose handlers could rewind the clock would make dispatch order
-// depend on heap state instead of the schedule.
-func (k *Kernel) Schedule(epoch int, phase Phase, machine int, h Handler) {
-	if h == nil {
-		panic("engine: Schedule needs a handler")
-	}
-	if epoch < 0 {
-		panic(fmt.Sprintf("engine: cannot schedule into negative epoch %d", epoch))
-	}
-	ev := Event{Epoch: epoch, Phase: phase, Machine: machine, seq: k.seq}
-	if k.running && k.before(ev, k.now) {
-		panic(fmt.Sprintf("engine: cannot schedule %s@e%d/m%d into the past (now %s@e%d/m%d)",
-			phase, epoch, machine, k.now.Phase, k.now.Epoch, k.now.Machine))
-	}
-	k.seq++
-	heap.Push(&k.heap, scheduled{ev: ev, h: h})
-}
-
-// before reports whether a sorts strictly before b on the clock
-// (ignoring the FIFO sequence — scheduling at the current position is
-// legal and dispatches after the running handler returns).
-func (k *Kernel) before(a, b Event) bool {
-	if a.Epoch != b.Epoch {
-		return a.Epoch < b.Epoch
-	}
-	if a.Phase != b.Phase {
-		return a.Phase < b.Phase
-	}
-	return a.Machine < b.Machine
-}
-
-// Run dispatches events in clock order until none remain. Handlers may
-// schedule more events (at or after the current position), so a run
-// that seeds only epoch 0 can still drive an arbitrary horizon.
-func (k *Kernel) Run() {
-	k.running = true
-	defer func() { k.running = false }()
-	for k.heap.Len() > 0 {
-		s := heap.Pop(&k.heap).(scheduled)
-		k.now = s.ev
-		s.h(s.ev)
-	}
-}
-
-// Pending reports how many events remain scheduled.
-func (k *Kernel) Pending() int { return k.heap.Len() }
-
-// ---------------------------------------------------------------------------
-// Portals
+import "pictor/internal/stats"
 
 // SessionObs is one session's epoch measurement, whatever fidelity tier
 // produced it: its RTT distribution over the epoch and whether it fell
@@ -211,6 +39,8 @@ type MachineEpoch struct {
 	// Demand echoes the predicted CPU demand the machine executed at.
 	Demand float64
 	// Sessions holds one observation per resident, in placement order.
+	// An engine may reuse the backing array: the slice is valid until
+	// the same engine's next AdvanceEpoch call.
 	Sessions []SessionObs
 }
 
@@ -233,11 +63,12 @@ type EnginePicker interface {
 }
 
 // FleetPortal is the fleet layer's lifecycle, one method per
-// fleet-scope phase. The kernel dispatches into it in phase order;
-// Collect receives each machine's measurements as its execute event
-// drains (machine index order, so pooled aggregates are byte-stable).
+// fleet-scope phase. RunChurn calls it in phase order; Collect
+// receives each machine's measurements right after the machine
+// advances (machine index order, so pooled aggregates are
+// byte-stable).
 type FleetPortal interface {
-	// Machines and Epochs size the event schedule.
+	// Machines and Epochs size the loop.
 	Machines() int
 	Epochs() int
 	Depart(epoch int)
@@ -249,38 +80,25 @@ type FleetPortal interface {
 	React(epoch int)
 }
 
-// RunChurn drives a fleet portal over its horizon on a fresh kernel:
-// for every epoch, the lifecycle phases in order, one execute event per
-// machine (through the picker's fidelity dispatch), then the react
-// phase. Epochs schedule themselves one ahead — the react handler seeds
-// epoch e+1 — so the heap stays O(machines) regardless of horizon.
+// RunChurn drives a fleet portal over its horizon: for every epoch,
+// the lifecycle phases in order, one advance per machine (through the
+// picker's fidelity dispatch) immediately collected, then the react
+// phase. The loop runs sequentially — the experiment runner
+// parallelizes across trials, never inside one — so a run's call order
+// is fixed by the horizon and the machine count alone.
 func RunChurn(p FleetPortal, picker EnginePicker) {
-	k := New()
-	epochs := p.Epochs()
-	if epochs < 1 {
-		return
-	}
-	var seed func(epoch int)
-	seed = func(epoch int) {
-		k.Schedule(epoch, PhaseDepart, -1, func(ev Event) { p.Depart(ev.Epoch) })
-		k.Schedule(epoch, PhaseFault, -1, func(ev Event) { p.Fault(ev.Epoch) })
-		k.Schedule(epoch, PhaseRetry, -1, func(ev Event) { p.Retry(ev.Epoch) })
-		k.Schedule(epoch, PhaseArrive, -1, func(ev Event) { p.Arrive(ev.Epoch) })
-		k.Schedule(epoch, PhaseGauge, -1, func(ev Event) { p.Gauge(ev.Epoch) })
-		for mi := 0; mi < p.Machines(); mi++ {
-			k.Schedule(epoch, PhaseExecute, mi, func(ev Event) {
-				if eng := picker.EngineFor(ev.Epoch, ev.Machine); eng != nil {
-					p.Collect(ev.Epoch, ev.Machine, eng.AdvanceEpoch(ev.Epoch, ev.Machine))
-				}
-			})
-		}
-		k.Schedule(epoch, PhaseReact, -1, func(ev Event) {
-			p.React(ev.Epoch)
-			if next := ev.Epoch + 1; next < epochs {
-				seed(next)
+	machines, epochs := p.Machines(), p.Epochs()
+	for e := 0; e < epochs; e++ {
+		p.Depart(e)
+		p.Fault(e)
+		p.Retry(e)
+		p.Arrive(e)
+		p.Gauge(e)
+		for mi := 0; mi < machines; mi++ {
+			if eng := picker.EngineFor(e, mi); eng != nil {
+				p.Collect(e, mi, eng.AdvanceEpoch(e, mi))
 			}
-		})
+		}
+		p.React(e)
 	}
-	seed(0)
-	k.Run()
 }

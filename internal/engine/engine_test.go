@@ -8,105 +8,6 @@ import (
 	"pictor/internal/stats"
 )
 
-// TestKernelDispatchOrder pins the clock: events drain by (epoch,
-// phase, machine, seq) regardless of scheduling order.
-func TestKernelDispatchOrder(t *testing.T) {
-	k := New()
-	var got []string
-	record := func(ev Event) {
-		got = append(got, fmt.Sprintf("e%d/%s/m%d", ev.Epoch, ev.Phase, ev.Machine))
-	}
-	// Scheduled deliberately out of order.
-	k.Schedule(1, PhaseDepart, -1, record)
-	k.Schedule(0, PhaseExecute, 2, record)
-	k.Schedule(0, PhaseExecute, 0, record)
-	k.Schedule(0, PhaseReact, -1, record)
-	k.Schedule(0, PhaseDepart, -1, record)
-	k.Schedule(0, PhaseExecute, 1, record)
-	k.Run()
-	want := []string{
-		"e0/depart/m-1", "e0/execute/m0", "e0/execute/m1",
-		"e0/execute/m2", "e0/react/m-1", "e1/depart/m-1",
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("dispatch order = %v, want %v", got, want)
-	}
-	if k.Pending() != 0 {
-		t.Fatalf("heap not drained: %d pending", k.Pending())
-	}
-}
-
-// TestKernelFIFOAmongTies pins the tie-break: events with the identical
-// (epoch, phase, machine) key dispatch in scheduling order.
-func TestKernelFIFOAmongTies(t *testing.T) {
-	k := New()
-	var got []int
-	for i := 0; i < 8; i++ {
-		i := i
-		k.Schedule(3, PhaseGauge, -1, func(Event) { got = append(got, i) })
-	}
-	k.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("tie dispatch order = %v, want FIFO", got)
-		}
-	}
-}
-
-// TestKernelHandlersSchedule pins dynamic scheduling: a handler can
-// seed future events (the epoch-ahead pattern RunChurn uses), and Now
-// tracks the dispatching event.
-func TestKernelHandlersSchedule(t *testing.T) {
-	k := New()
-	var epochs []int
-	var handler Handler
-	handler = func(ev Event) {
-		if k.Now() != ev {
-			t.Fatalf("Now() = %+v during dispatch of %+v", k.Now(), ev)
-		}
-		epochs = append(epochs, ev.Epoch)
-		if ev.Epoch < 3 {
-			k.Schedule(ev.Epoch+1, PhaseReact, -1, handler)
-		}
-	}
-	k.Schedule(0, PhaseReact, -1, handler)
-	k.Run()
-	if fmt.Sprint(epochs) != fmt.Sprint([]int{0, 1, 2, 3}) {
-		t.Fatalf("self-scheduling horizon = %v", epochs)
-	}
-}
-
-// TestKernelRejectsPastAndBadSchedules pins the guardrails: scheduling
-// into the past mid-run, negative epochs, and nil handlers all panic.
-func TestKernelRejectsPastAndBadSchedules(t *testing.T) {
-	mustPanic := func(name, want string, f func()) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-			if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
-				t.Fatalf("%s: panic %q does not mention %q", name, msg, want)
-			}
-		}()
-		f()
-	}
-	mustPanic("nil handler", "needs a handler", func() {
-		New().Schedule(0, PhaseDepart, -1, nil)
-	})
-	mustPanic("negative epoch", "negative epoch", func() {
-		New().Schedule(-1, PhaseDepart, -1, func(Event) {})
-	})
-	mustPanic("past schedule", "into the past", func() {
-		k := New()
-		k.Schedule(2, PhaseReact, -1, func(Event) {
-			k.Schedule(1, PhaseDepart, -1, func(Event) {})
-		})
-		k.Run()
-	})
-}
-
 // tracePortal records every portal dispatch in order and lets the test
 // choose per-machine engines.
 type tracePortal struct {
@@ -171,19 +72,5 @@ func TestRunChurnZeroEpochs(t *testing.T) {
 	RunChurn(p, p)
 	if len(p.trace) != 0 {
 		t.Fatalf("zero-epoch run dispatched %v", p.trace)
-	}
-}
-
-// TestPhaseStrings keeps the phase labels stable for traces and panics.
-func TestPhaseStrings(t *testing.T) {
-	want := map[Phase]string{
-		PhaseDepart: "depart", PhaseFault: "fault", PhaseRetry: "retry",
-		PhaseArrive: "arrive", PhaseGauge: "gauge", PhaseExecute: "execute",
-		PhaseReact: "react", Phase(250): "phase(250)",
-	}
-	for p, s := range want {
-		if p.String() != s {
-			t.Fatalf("Phase(%d).String() = %q, want %q", uint8(p), p.String(), s)
-		}
 	}
 }

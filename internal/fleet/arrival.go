@@ -178,7 +178,7 @@ func NewChurnSource(cfg ArrivalConfig) (*ChurnSource, error) {
 }
 
 // Next returns the sessions arriving in the given epoch. Epochs must
-// be consumed strictly in order from 0 (the kernel's dispatch order
+// be consumed strictly in order from 0 (the churn epoch loop
 // guarantees this); anything else panics, because serving it would
 // silently change the schedule. The returned slice is reused by the
 // following call.

@@ -154,8 +154,8 @@ type Fleet struct {
 	// arrival rates the feasibility list is the placement path's only
 	// allocation, and it is discarded the moment the policy picks —
 	// reusing one buffer keeps a million-arrival sweep off the garbage
-	// collector. Placement is sequential per fleet (the kernel runs each
-	// trial single-threaded), so one buffer is safe.
+	// collector. Placement is sequential per fleet (the epoch loop runs
+	// each trial single-threaded), so one buffer is safe.
 	scratch []*Machine
 	// index is the headroom index over Machines, built on first use
 	// (see headroom).
@@ -332,6 +332,16 @@ const (
 // Mixes lists the supported arrival mixes.
 func Mixes() []Mix { return []Mix{MixSuite, MixShuffled, MixHeavy} }
 
+// ValidateMix rejects a mix name Mixes does not list; the empty name
+// is the suite mix.
+func ValidateMix(mix Mix) error {
+	switch mix {
+	case MixSuite, "", MixShuffled, MixHeavy:
+		return nil
+	}
+	return fmt.Errorf("fleet: unknown mix %q (have %v)", mix, Mixes())
+}
+
 // RequestStream generates n instance requests for the named mix, drawn
 // from the paper's six-benchmark suite (the historical default). See
 // RequestStreamFrom for an explicit workload set.
@@ -411,5 +421,5 @@ func profileDrawer(suite []app.Profile, mix Mix, seed int64) ([]app.Profile, fun
 			return len(suite) - 1 // unreachable: weights cover [0, total)
 		}, nil
 	}
-	return nil, nil, fmt.Errorf("fleet: unknown mix %q (have %v)", mix, Mixes())
+	return nil, nil, ValidateMix(mix)
 }

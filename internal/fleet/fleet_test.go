@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -47,6 +48,25 @@ func TestRequestStreamDeterministicAndSized(t *testing.T) {
 	}
 	if _, err := RequestStream("nope", 4, 1); err == nil {
 		t.Fatal("unknown mix must error")
+	}
+}
+
+// TestValidateMix pins the mix vocabulary: every listed mix and the
+// empty default pass, and a typo fails with the message a stream over
+// it reports.
+func TestValidateMix(t *testing.T) {
+	cases := map[Mix]bool{"": true, "heavvy": false, "Heavy": false}
+	for _, mix := range Mixes() {
+		cases[mix] = true
+	}
+	for mix, ok := range cases {
+		err := ValidateMix(mix)
+		if ok != (err == nil) {
+			t.Fatalf("ValidateMix(%q) = %v, want ok=%v", mix, err, ok)
+		}
+		if _, serr := RequestStream(mix, 1, 1); fmt.Sprint(serr) != fmt.Sprint(err) {
+			t.Fatalf("mix %q: ValidateMix says %v, RequestStream says %v", mix, err, serr)
+		}
 	}
 }
 

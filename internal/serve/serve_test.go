@@ -299,7 +299,7 @@ func TestServerPanicBecomesJobWarning(t *testing.T) {
 // streaming result API: a spec with "stream": true runs rollup-only
 // (no per-epoch structs in the JSON export or the result cache), yet
 // /results.csv still carries every epoch row — spilled by the sink as
-// the kernel produced them — and /healthz reports the queue's occupancy
+// the churn loop closed them — and /healthz reports the queue's occupancy
 // plus the in-flight sink memory mode.
 func TestServerStreamedChurnSpillsEpochs(t *testing.T) {
 	if testing.Short() {

@@ -9,7 +9,7 @@ import (
 
 // churnSpill is the server's streaming result sink. Attached as the
 // Trial.Sink of an executed churn trial whose spec streams, it receives
-// every epoch the kernel produces and spills it straight into
+// every epoch the churn loop closes and spills it straight into
 // pre-rendered CSV cells. The trial's in-memory result keeps only the
 // horizon rollup (O(1) per repetition — that is what the JSON export
 // and the result cache hold), occupancy detail is dropped at the sink,

