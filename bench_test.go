@@ -547,16 +547,19 @@ func BenchmarkScenarioProfiles(b *testing.B) {
 // build instead of rotting.
 func BenchmarkFaultChurn(b *testing.B) {
 	cfg := benchCfg()
-	cfg.WarmupSeconds, cfg.Seconds = 1, 5
-	shape := exp.FleetShape{
+	static := false // no migration controller: isolate the recovery mechanisms
+	spec := core.ExperimentSpec{
+		Kind: core.SpecFaults, Warmup: 1, Seconds: 5, Seed: &cfg.Seed, Reps: cfg.Reps,
 		Machines: 5, Policy: "leastdemand", Mix: "heavy", CoreClasses: "8,8,4",
-		Epochs: 8, ArrivalRate: 3, MeanSessionEpochs: 4,
-		MTBFEpochs: 5, MTTREpochs: 1,
-		RetryAttempts: 3, RetryBackoffEpochs: 1, Degrade: true,
+		Epochs: 8, Rate: 3, Duration: 4, Migrate: &static,
+		MTBF: 5, MTTR: 1, Retries: 3, Backoff: 1, Degrade: true,
 	}
 	for i := 0; i < b.N; i++ {
-		rs := core.RunFaultComparison(shape, cfg)
-		drop, resilient := rs[1], rs[2]
+		out, err := core.RunSpec(spec, cfg.Parallel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		drop, resilient := out.Churn[1], out.Churn[2]
 		if drop.Crashes == 0 {
 			b.Fatal("fault schedule injected no crashes")
 		}

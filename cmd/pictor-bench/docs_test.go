@@ -15,7 +15,7 @@ var updateExperiments = flag.Bool("update-experiments", false, "rewrite the repo
 // vocabulary the binary actually accepts.
 func TestExperimentsDoc(t *testing.T) {
 	// Descriptions only — the run closures are never invoked.
-	all := experimentRegistry(nil, nil, nil)
+	all := experimentRegistry(nil)
 	want := experimentsMarkdown(all)
 	path := filepath.Join("..", "..", "EXPERIMENTS.md")
 	if *updateExperiments {
@@ -36,7 +36,7 @@ func TestExperimentsDoc(t *testing.T) {
 // resolves, every entry has a description, and the natural order puts
 // fig6 before fig10 (string sort would not).
 func TestExperimentRegistryComplete(t *testing.T) {
-	all := experimentRegistry(nil, nil, nil)
+	all := experimentRegistry(nil)
 	ids := experimentIDs(all)
 	if len(ids) != len(all) {
 		t.Fatalf("experimentIDs lists %d of %d registry entries", len(ids), len(all))

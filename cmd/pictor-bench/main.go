@@ -71,48 +71,16 @@ func main() {
 	instances := flag.Int("max-instances", 4, "sweep upper bound for figs 10–17")
 	parallel := flag.Int("parallel", 0, "experiment-runner workers (0 = all cores); applies to batched experiments (grid, sweeps, multi-trial figures) and across -reps")
 	reps := flag.Int("reps", 1, "repetitions per trial with derived seeds")
-	machines := flag.Int("machines", 4, "fleet/churn experiments: server machine count")
-	policy := flag.String("policy", fleet.PolicyBinPack, fmt.Sprintf("fleet experiment: placement policy to detail %v", fleet.PolicyNames()))
-	mix := flag.String("mix", string(fleet.MixSuite), fmt.Sprintf("fleet/churn experiments: arrival mix %v", fleet.Mixes()))
-	requests := flag.Int("requests", 0, "fleet experiment: instance-request stream length (0 = 3 per machine)")
-	cores := flag.String("cores", "", "fleet/churn experiments: per-machine core classes, comma-separated and cycled (e.g. 8,4); empty = all 8")
-	rate := flag.Float64("rate", 1.6, "churn experiment: mean Poisson arrivals per epoch")
-	duration := flag.Float64("duration", 5, "churn experiment: mean session length in epochs (exponential)")
-	epochs := flag.Int("epochs", 10, "churn experiment: epoch count")
-	migrate := flag.Bool("migrate", true, "churn experiment: enable the RTT-driven migration controller in the detailed run")
-	schedule := flag.String("schedule", "", fmt.Sprintf("churn/faults experiments: arrival-rate schedule %v (empty = constant)", fleet.Schedules()))
-	peak := flag.Float64("peak", 0, "churn/faults experiments: diurnal peak / flash spike arrival rate (sessions/epoch; requires a non-constant -schedule)")
-	period := flag.Int("period", 0, "churn/faults experiments: diurnal period / flash spike width in epochs (requires a non-constant -schedule)")
-	stream := flag.Bool("stream", false, "churn/faults experiments: stream per-epoch rows through the aggregate-only sink (rollups only, O(machines) memory — for million-session sweeps)")
-	mtbf := flag.Float64("mtbf", 0, "churn/faults experiments: mean epochs between machine crashes (0 = no faults for churn, 5 for faults)")
-	mttr := flag.Float64("mttr", 0, "churn/faults experiments: mean epochs to repair a crashed machine (0 = 1 for faults; requires -mtbf)")
-	retries := flag.Int("retries", 0, "churn/faults experiments: failover retry attempts per evicted/rejected session (0 = drop on failure)")
-	backoff := flag.Int("backoff", 1, "churn/faults experiments: base retry backoff in epochs (doubles per attempt)")
-	degrade := flag.Bool("degrade", false, "churn/faults experiments: enable brown-out QoS tiers (degrade resolution before evicting)")
-	fidelity := flag.Int("fidelity", -1, "churn/faults experiments: full-simulation machine cohort size; machines beyond it run the calibrated surrogate engine (-1 = full fidelity everywhere, 0 = all-surrogate)")
-	occupancy := flag.Bool("occupancy", false, "churn/faults experiments: record and print per-(machine, epoch) occupancy rows (placement heatmap feed)")
 	profiles := flag.String("profiles", "", fmt.Sprintf("workload set: comma-separated profile names, \"all\" for every registered profile, empty for the paper's six (registered: %s)", strings.Join(app.Names(), ",")))
+
+	sf := newSpecFlags(flag.CommandLine)
 
 	// The dispatch registry is built before -exp so its usage string —
 	// and the generated EXPERIMENTS.md table — are derived from the
-	// registry itself and cannot drift from the vocabulary (the closures
-	// dereference flag pointers only when invoked, after flag.Parse
-	// below).
-	all := experimentRegistry(
-		func(cfg core.ExperimentConfig) {
-			fleetExp(cfg, *machines, *policy, *mix, *requests, *cores, *profiles)
-		},
-		func(cfg core.ExperimentConfig) {
-			churnExp(cfg, *machines, *policy, *mix, *cores, *profiles, *rate, *duration, *epochs, *migrate,
-				*mtbf, *mttr, *retries, *backoff, *degrade, *fidelity, *occupancy,
-				*schedule, *peak, *period, *stream)
-		},
-		func(cfg core.ExperimentConfig) {
-			faultsExp(cfg, *machines, *policy, *mix, *cores, *profiles, *rate, *duration, *epochs, *migrate,
-				*mtbf, *mttr, *retries, *backoff, *degrade, *fidelity, *occupancy,
-				*schedule, *peak, *period, *stream)
-		},
-	)
+	// registry itself and cannot drift from the vocabulary (the fleet,
+	// churn and faults runners read the flag values only when invoked,
+	// after flag.Parse below).
+	all := experimentRegistry(sf)
 	order := []string{"tab2", "tab4", "fig6", "tab3", "fig7", "overhead",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22"}
@@ -162,10 +130,13 @@ type experiment struct {
 	run  func(core.ExperimentConfig)
 }
 
-// experimentRegistry builds the -exp dispatch registry. The fleet-shape
-// experiments take their flag closures as parameters so the registry —
-// and everything generated from it — lives in one place.
-func experimentRegistry(fleetRun, churnRun, faultsRun func(core.ExperimentConfig)) map[string]experiment {
+// experimentRegistry builds the -exp dispatch registry. The fleet,
+// churn and faults experiments run the spec sf's flags build, so the
+// registry — and everything generated from it — lives in one place.
+func experimentRegistry(sf *specFlags) map[string]experiment {
+	specRun := func(kind string) func(core.ExperimentConfig) {
+		return func(cfg core.ExperimentConfig) { sf.run(kind, cfg) }
+	}
 	return map[string]experiment{
 		"tab2":     {"Table 2: the benchmark suite (application areas, sources)", tab2},
 		"tab3":     {"Table 3: mean-RTT error of each driving methodology vs the human baseline", tab3},
@@ -189,9 +160,9 @@ func experimentRegistry(fleetRun, churnRun, faultsRun func(core.ExperimentConfig
 		"fig21":    {"Figure 21: frame-copy optimization (FC stage time)", fig21},
 		"fig22":    {"Figure 22: optimization gains (server/client FPS, RTT)", fig22},
 		"grid":     {"The complete evaluation as one flat trial grid on the parallel runner", grid},
-		"fleet":    {"Multi-machine consolidation: one request stream under every placement policy", fleetRun},
-		"churn":    {"Epoch-based churn (Poisson arrivals, departures): static vs RTT-driven migration; supports rate schedules, fidelity tiers, occupancy detail and streaming rollups", churnRun},
-		"faults":   {"Machine crash injection: healthy vs drop-on-failure vs retry+degrade failover; supports rate schedules, fidelity tiers, occupancy detail and streaming rollups", faultsRun},
+		"fleet":    {"Multi-machine consolidation: one request stream under every placement policy", specRun(core.SpecFleet)},
+		"churn":    {"Epoch-based churn (Poisson arrivals, departures): static vs RTT-driven migration; supports rate schedules, fidelity tiers, occupancy detail and streaming rollups", specRun(core.SpecChurn)},
+		"faults":   {"Machine crash injection: healthy vs drop-on-failure vs retry+degrade failover; supports rate schedules, fidelity tiers, occupancy detail and streaming rollups", specRun(core.SpecFaults)},
 	}
 }
 
@@ -534,28 +505,173 @@ func profilesDesc(profiles string) string {
 	return "profiles " + profiles
 }
 
-// fleetExp consolidates an instance-request stream across a
-// multi-machine fleet: a detailed per-machine breakdown under the
-// selected policy, then the same shape under every placement policy as
-// one batch on the parallel runner. The -profiles selection picks the
-// workload set the arrival mix draws from (e.g. "all" sweeps every
-// registered scenario family through the fleet).
-func fleetExp(cfg core.ExperimentConfig, machines int, policy, mix string, requests int, cores, profiles string) {
-	norm, err := core.ExperimentSpec{
-		Kind: core.SpecFleet, Profiles: profiles,
+// specFlags holds the flags that shape the fleet, churn and faults
+// experiments.
+type specFlags struct {
+	machines, requests, epochs, retries, backoff, fidelity, period int
+	policy, mix, cores, schedule                                   string
+	rate, duration, peak, mtbf, mttr                               float64
+	migrate, degrade, occupancy, stream                            bool
+}
+
+// newSpecFlags registers the fleet, churn and faults flags on fs.
+func newSpecFlags(fs *flag.FlagSet) *specFlags {
+	f := &specFlags{}
+	fs.IntVar(&f.machines, "machines", 4, "fleet/churn experiments: server machine count")
+	fs.StringVar(&f.policy, "policy", fleet.PolicyBinPack, fmt.Sprintf("fleet experiment: placement policy to detail %v", fleet.PolicyNames()))
+	fs.StringVar(&f.mix, "mix", string(fleet.MixSuite), fmt.Sprintf("fleet/churn experiments: arrival mix %v", fleet.Mixes()))
+	fs.IntVar(&f.requests, "requests", 0, "fleet experiment: instance-request stream length (0 = 3 per machine)")
+	fs.StringVar(&f.cores, "cores", "", "fleet/churn experiments: per-machine core classes, comma-separated and cycled (e.g. 8,4); empty = all 8")
+	fs.Float64Var(&f.rate, "rate", 1.6, "churn experiment: mean Poisson arrivals per epoch")
+	fs.Float64Var(&f.duration, "duration", 5, "churn experiment: mean session length in epochs (exponential)")
+	fs.IntVar(&f.epochs, "epochs", 10, "churn experiment: epoch count")
+	fs.BoolVar(&f.migrate, "migrate", true, "churn experiment: enable the RTT-driven migration controller in the detailed run")
+	fs.StringVar(&f.schedule, "schedule", "", fmt.Sprintf("churn/faults experiments: arrival-rate schedule %v (empty = constant)", fleet.Schedules()))
+	fs.Float64Var(&f.peak, "peak", 0, "churn/faults experiments: diurnal peak / flash spike arrival rate (sessions/epoch; requires a non-constant -schedule)")
+	fs.IntVar(&f.period, "period", 0, "churn/faults experiments: diurnal period / flash spike width in epochs (requires a non-constant -schedule)")
+	fs.BoolVar(&f.stream, "stream", false, "churn/faults experiments: stream per-epoch rows through the aggregate-only sink (rollups only, O(machines) memory — for million-session sweeps)")
+	fs.Float64Var(&f.mtbf, "mtbf", 0, "churn/faults experiments: mean epochs between machine crashes (0 = no faults for churn, 5 for faults)")
+	fs.Float64Var(&f.mttr, "mttr", 0, "churn/faults experiments: mean epochs to repair a crashed machine (0 = 1 for faults; requires -mtbf)")
+	fs.IntVar(&f.retries, "retries", 0, "churn/faults experiments: failover retry attempts per evicted/rejected session (0 = drop on failure)")
+	fs.IntVar(&f.backoff, "backoff", 1, "churn/faults experiments: base retry backoff in epochs (doubles per attempt)")
+	fs.BoolVar(&f.degrade, "degrade", false, "churn/faults experiments: enable brown-out QoS tiers (degrade resolution before evicting)")
+	fs.IntVar(&f.fidelity, "fidelity", -1, "churn/faults experiments: full-simulation machine cohort size; machines beyond it run the calibrated surrogate engine (-1 = full fidelity everywhere, 0 = all-surrogate)")
+	fs.BoolVar(&f.occupancy, "occupancy", false, "churn/faults experiments: record and print per-(machine, epoch) occupancy rows (placement heatmap feed)")
+	return f
+}
+
+// spec builds the experiment spec of one fleet-scope kind from the
+// flags; cfg carries the shared -seconds, -seed, -reps and -profiles.
+// A fleet spec carries the fleet-scope knobs only (Normalize rejects
+// churn knobs on it). The spec is not normalized: core.RunSpec applies
+// the same defaults and validation the pictor-server control plane
+// does, so the two frontends cannot drift.
+func (f *specFlags) spec(kind string, cfg core.ExperimentConfig) core.ExperimentSpec {
+	s := core.ExperimentSpec{
+		Kind: kind, Profiles: cfg.Profiles,
 		Seconds: cfg.Seconds, Warmup: cfg.WarmupSeconds, Seed: &cfg.Seed, Reps: cfg.Reps,
-		Machines: machines, Policy: policy, Mix: mix, Requests: requests, CoreClasses: cores,
-	}.Normalize()
+		Machines: f.machines, Policy: f.policy, Mix: f.mix, CoreClasses: f.cores,
+	}
+	if kind == core.SpecFleet {
+		s.Requests = f.requests
+		return s
+	}
+	migrate := f.migrate
+	s.Rate, s.Duration, s.Epochs, s.Migrate = f.rate, f.duration, f.epochs, &migrate
+	s.MTBF, s.MTTR, s.Retries, s.Backoff, s.Degrade = f.mtbf, f.mttr, f.retries, f.backoff, f.degrade
+	s.Schedule, s.Peak, s.Period, s.Stream = f.schedule, f.peak, f.period, f.stream
+	s.Occupancy = f.occupancy
+	// -fidelity -1 is the CLI's "unset": full per-frame simulation
+	// everywhere. Any value >= 0 enables the surrogate tail with that
+	// full-simulation cohort size.
+	if f.fidelity >= 0 {
+		fidelity := f.fidelity
+		s.Fidelity = &fidelity
+	}
+	return s
+}
+
+// run is the fleet, churn and faults experiment: build the spec from
+// the flags, print what will run, run it through core.RunSpec and print
+// the outcome. An invalid spec exits 2 before anything runs.
+func (f *specFlags) run(kind string, cfg core.ExperimentConfig) {
+	spec, err := f.spec(kind, cfg).Normalize()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	shape := norm.Shape()
+	printHeader(spec, cfg.Parallel)
+	start := time.Now()
+	out, err := core.RunSpec(spec, cfg.Parallel)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	printOutcome(out)
+	fmt.Printf("complete in %s (wall)\n", time.Since(start).Round(time.Millisecond))
+}
 
-	fmt.Printf("fleet: %d machines × %s, %d requests (%s mix over %s), %d workers, %d rep(s)\n\n",
-		norm.Machines, coreDesc(norm.CoreClasses), norm.Requests, norm.Mix, profilesDesc(profiles),
-		exp.EffectiveParallel(cfg.Parallel), exp.EffectiveReps(cfg.Reps))
+// printHeader describes a normalized fleet, churn or faults spec: the
+// fleet, the workload and the knobs that shape the run.
+func printHeader(s core.ExperimentSpec, parallel int) {
+	if s.Kind == core.SpecFleet {
+		fmt.Printf("fleet: %d machines × %s, %d requests (%s mix over %s), %d workers, %d rep(s)\n\n",
+			s.Machines, coreDesc(s.CoreClasses), s.Requests, s.Mix, profilesDesc(s.Profiles),
+			exp.EffectiveParallel(parallel), s.Reps)
+		return
+	}
+	mode := fmt.Sprintf("MTBF %g MTTR %g", s.MTBF, s.MTTR)
+	if s.Kind == core.SpecChurn {
+		mode = "static"
+		if *s.Migrate {
+			mode = "RTT-driven migration"
+		}
+		if s.Shape().Scheduled() {
+			mode += fmt.Sprintf(", %s schedule (peak %g, period %d)", s.Schedule, s.Peak, s.Period)
+		}
+		if s.MTBF > 0 {
+			mode += fmt.Sprintf(", faults mtbf=%g mttr=%g", s.MTBF, s.MTTR)
+		}
+		if s.Fidelity != nil {
+			mode += fmt.Sprintf(", surrogate tail (full-sim cohort %d)", *s.Fidelity)
+		}
+		if s.Stream {
+			mode += ", streaming rollups"
+		}
+	}
+	fmt.Printf("%s: %d machines × %s, %s policy, %s mix over %s, rate %g/epoch, mean session %g epochs, %d epochs, %s\n\n",
+		s.Kind, s.Machines, coreDesc(s.CoreClasses), s.Policy, s.Mix, profilesDesc(s.Profiles),
+		s.Rate, s.Duration, s.Epochs, mode)
+}
 
-	r := core.RunFleetConsolidation(shape, cfg)
+// printOutcome prints a fleet, churn or faults outcome: the detailed
+// view of one variant — the -policy placement, the -migrate side, or
+// the resilient run — then the comparison table of the whole batch.
+func printOutcome(out core.SpecOutcome) {
+	s := out.Spec
+	if s.Kind == core.SpecFleet {
+		policy := s.Policy
+		if policy == "" {
+			policy = fleet.PolicyRoundRobin
+		}
+		for _, r := range out.Fleet {
+			if r.Policy == policy {
+				printFleetDetail(r)
+			}
+		}
+		fmt.Printf("\npolicy comparison (same fleet, same stream):\n")
+		fmt.Print(core.FleetComparisonTable(out.Fleet))
+		return
+	}
+	var r core.ChurnResult
+	var occupancy, comparison string
+	if s.Kind == core.SpecChurn {
+		r = out.Churn[0]
+		if *s.Migrate {
+			r = out.Churn[1]
+		}
+		fmt.Printf("policy %s: %d arrivals, %d departures, %d migrations, %d rejected, %d QoS violations\n",
+			r.Policy, r.Arrivals, r.Departures, r.Migrations, r.Rejected, r.QoSViolations)
+		occupancy = "\noccupancy (machine × epoch):\n"
+		comparison = "\nstatic vs migrate (same tenant population):\n"
+	} else {
+		r = out.Churn[2]
+		fmt.Printf("resilient run: %d crashes, %d evicted, %d retried, %d recovered, %d lost, availability %.1f%%\n",
+			r.Crashes, r.Evicted, r.Retried, r.Recovered, r.Lost, 100*r.Availability)
+		occupancy = "\noccupancy (machine × epoch, resilient run):\n"
+		comparison = "\nhealthy vs drop-on-failure vs retry+degrade (same tenants, same failure schedule):\n"
+	}
+	fmt.Print(core.ChurnTable(r))
+	// Streamed runs drop the occupancy rows as epochs close; only the
+	// table's rollup line survives.
+	if s.Occupancy && !s.Stream {
+		fmt.Print(occupancy)
+		fmt.Print(core.OccupancyTable(r))
+	}
+	fmt.Print(comparison)
+	fmt.Print(core.ChurnComparisonTable(out.Churn))
+}
+
+// printFleetDetail prints one policy's placement machine by machine.
+func printFleetDetail(r core.FleetResult) {
 	fmt.Printf("policy %s: placed %d, rejected %d, QoS violations %d, fleet power %.1f W\n",
 		r.Policy, r.Placed, r.Rejected, r.QoSViolations, r.TotalPowerWatts)
 	for _, m := range r.Machines {
@@ -574,124 +690,4 @@ func fleetExp(cfg core.ExperimentConfig, machines int, policy, mix string, reque
 				ir.Benchmark, ir.ServerFPS, ir.ClientFPS, ir.RTT.Mean, qos)
 		}
 	}
-
-	fmt.Printf("\npolicy comparison (same fleet, same stream):\n")
-	start := time.Now()
-	rs := core.RunFleetComparison(shape, cfg)
-	fmt.Print(core.FleetComparisonTable(rs))
-	fmt.Printf("comparison complete in %s (wall)\n", time.Since(start).Round(time.Millisecond))
-}
-
-// churnExp drives the fleet through an epoch-based churn simulation —
-// Poisson arrivals, exponential session lengths, departures — printing
-// the detailed per-epoch table for the selected migration setting, then
-// the static-vs-migrate comparison over the identical tenant
-// population.
-func churnExp(cfg core.ExperimentConfig, machines int, policy, mix, cores, profiles string, rate, duration float64, epochs int, migrate bool, mtbf, mttr float64, retries, backoff int, degrade bool, fidelity int, occupancy bool, schedule string, peak float64, period int, stream bool) {
-	norm := churnSpec(core.SpecChurn, cfg, machines, policy, mix, cores, profiles, rate, duration, epochs, migrate,
-		mtbf, mttr, retries, backoff, degrade, fidelity, occupancy, schedule, peak, period, stream)
-	shape := norm.Shape()
-
-	mode := "static"
-	if migrate {
-		mode = "RTT-driven migration"
-	}
-	if shape.Scheduled() {
-		mode += fmt.Sprintf(", %s schedule (peak %g, period %d)", norm.Schedule, norm.Peak, norm.Period)
-	}
-	if shape.Faulty() {
-		mode += fmt.Sprintf(", faults mtbf=%g mttr=%g", norm.MTBF, norm.MTTR)
-	}
-	if shape.SurrogateTail {
-		mode += fmt.Sprintf(", surrogate tail (full-sim cohort %d)", shape.FidelitySampled)
-	}
-	if stream {
-		mode += ", streaming rollups"
-	}
-	fmt.Printf("churn: %d machines × %s, %s policy, %s mix over %s, rate %g/epoch, mean session %g epochs, %d epochs, %s\n\n",
-		norm.Machines, coreDesc(norm.CoreClasses), norm.Policy, norm.Mix, profilesDesc(profiles),
-		norm.Rate, norm.Duration, norm.Epochs, mode)
-
-	// One comparison batch covers both displays: the detailed per-epoch
-	// view picks the -migrate side out of it (re-running RunFleetChurn
-	// first would simulate the identical trial twice).
-	start := time.Now()
-	rs := core.RunChurnComparison(shape, cfg)
-	r := rs[0]
-	if migrate {
-		r = rs[1]
-	}
-	fmt.Printf("policy %s: %d arrivals, %d departures, %d migrations, %d rejected, %d QoS violations\n",
-		r.Policy, r.Arrivals, r.Departures, r.Migrations, r.Rejected, r.QoSViolations)
-	fmt.Print(core.ChurnTable(r))
-	if occupancy && !stream {
-		// Streamed runs drop the rows as epochs close; only the rollup
-		// line above survives.
-		fmt.Printf("\noccupancy (machine × epoch):\n")
-		fmt.Print(core.OccupancyTable(r))
-	}
-
-	fmt.Printf("\nstatic vs migrate (same tenant population):\n")
-	fmt.Print(core.ChurnComparisonTable(rs))
-	fmt.Printf("complete in %s (wall)\n", time.Since(start).Round(time.Millisecond))
-}
-
-// churnSpec assembles and normalizes the shared churn/faults flag
-// vocabulary through core.ExperimentSpec — the exact validation the
-// pictor-server control plane applies — so a typo fails before anything
-// runs and the two frontends cannot drift.
-func churnSpec(kind string, cfg core.ExperimentConfig, machines int, policy, mix, cores, profiles string, rate, duration float64, epochs int, migrate bool, mtbf, mttr float64, retries, backoff int, degrade bool, fidelity int, occupancy bool, schedule string, peak float64, period int, stream bool) core.ExperimentSpec {
-	spec := core.ExperimentSpec{
-		Kind: kind, Profiles: profiles,
-		Seconds: cfg.Seconds, Warmup: cfg.WarmupSeconds, Seed: &cfg.Seed, Reps: cfg.Reps,
-		Machines: machines, Policy: policy, Mix: mix, CoreClasses: cores,
-		Rate: rate, Duration: duration, Epochs: epochs, Migrate: &migrate,
-		MTBF: mtbf, MTTR: mttr, Retries: retries, Backoff: backoff, Degrade: degrade,
-		Occupancy: occupancy,
-		Schedule:  schedule, Peak: peak, Period: period, Stream: stream,
-	}
-	// -fidelity -1 is the CLI's "unset": full per-frame simulation
-	// everywhere, the historical default. Any value >= 0 enables the
-	// surrogate tail with that full-simulation cohort size.
-	if fidelity >= 0 {
-		spec.Fidelity = &fidelity
-	}
-	norm, err := spec.Normalize()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return norm
-}
-
-// faultsExp injects machine crashes into the churn simulation and
-// compares three recovery postures over the identical tenant
-// population and failure schedule: no faults, drop-on-failure, and
-// session failover with retry/backoff plus brown-out degradation.
-func faultsExp(cfg core.ExperimentConfig, machines int, policy, mix, cores, profiles string, rate, duration float64, epochs int, migrate bool, mtbf, mttr float64, retries, backoff int, degrade bool, fidelity int, occupancy bool, schedule string, peak float64, period int, stream bool) {
-	// Normalize defaults the fault knobs independently (mtbf 5, mttr 1
-	// when unset), so an explicit -mttr survives an unset -mtbf default
-	// instead of being clobbered to the pair.
-	norm := churnSpec(core.SpecFaults, cfg, machines, policy, mix, cores, profiles, rate, duration, epochs, migrate,
-		mtbf, mttr, retries, backoff, degrade, fidelity, occupancy, schedule, peak, period, stream)
-	shape := norm.Shape()
-
-	fmt.Printf("faults: %d machines × %s, %s policy, %s mix over %s, rate %g/epoch, mean session %g epochs, %d epochs, MTBF %g MTTR %g\n\n",
-		norm.Machines, coreDesc(norm.CoreClasses), norm.Policy, norm.Mix, profilesDesc(profiles),
-		norm.Rate, norm.Duration, norm.Epochs, norm.MTBF, norm.MTTR)
-
-	start := time.Now()
-	rs := core.RunFaultComparison(shape, cfg)
-	resilient := rs[2]
-	fmt.Printf("resilient run: %d crashes, %d evicted, %d retried, %d recovered, %d lost, availability %.1f%%\n",
-		resilient.Crashes, resilient.Evicted, resilient.Retried, resilient.Recovered, resilient.Lost,
-		100*resilient.Availability)
-	fmt.Print(core.ChurnTable(resilient))
-	if occupancy && !stream {
-		fmt.Printf("\noccupancy (machine × epoch, resilient run):\n")
-		fmt.Print(core.OccupancyTable(resilient))
-	}
-
-	fmt.Printf("\nhealthy vs drop-on-failure vs retry+degrade (same tenants, same failure schedule):\n")
-	fmt.Print(core.ChurnComparisonTable(rs))
-	fmt.Printf("complete in %s (wall)\n", time.Since(start).Round(time.Millisecond))
 }

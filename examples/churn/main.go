@@ -35,24 +35,27 @@ func main() {
 	parallel := flag.Int("parallel", 0, "runner workers (0 = all cores)")
 	flag.Parse()
 
-	cfg := pictor.DefaultExperimentConfig()
-	cfg.Seconds = *seconds
-	cfg.Parallel = *parallel
-
-	shape := pictor.FleetShape{
-		Machines:          *machines,
-		Policy:            *policy,
-		Mix:               *mix,
-		CoreClasses:       *cores,
-		Epochs:            *epochs,
-		ArrivalRate:       *rate,
-		MeanSessionEpochs: *duration,
+	spec := pictor.ExperimentSpec{
+		Kind:        "churn",
+		Seconds:     *seconds,
+		Machines:    *machines,
+		Policy:      *policy,
+		Mix:         *mix,
+		CoreClasses: *cores,
+		Epochs:      *epochs,
+		Rate:        *rate,
+		Duration:    *duration,
 	}
 
 	fmt.Printf("churning %d machines for %d epochs (%s mix, %s placement, rate %g, mean session %g epochs)...\n\n",
 		*machines, *epochs, *mix, *policy, *rate, *duration)
 	start := time.Now()
-	rs := pictor.RunChurnComparison(shape, cfg)
+	out, err := pictor.RunSpec(spec, *parallel)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	rs := out.Churn
 	static, migrated := rs[0], rs[1]
 	fmt.Print(pictor.ChurnComparisonTable(rs))
 	fmt.Printf("\ndone in %s\n", time.Since(start).Round(time.Millisecond))

@@ -42,29 +42,35 @@ func main() {
 	parallel := flag.Int("parallel", 0, "runner workers (0 = all cores)")
 	flag.Parse()
 
-	cfg := pictor.DefaultExperimentConfig()
-	cfg.WarmupSeconds, cfg.Seconds = 1, *seconds
-	cfg.Parallel = *parallel
-
-	shape := pictor.FleetShape{
-		Machines:           *machines,
-		Policy:             *policy,
-		Mix:                *mix,
-		CoreClasses:        *cores,
-		Epochs:             *epochs,
-		ArrivalRate:        *rate,
-		MeanSessionEpochs:  *duration,
-		MTBFEpochs:         *mtbf,
-		MTTREpochs:         *mttr,
-		RetryAttempts:      *retries,
-		RetryBackoffEpochs: *backoff,
-		Degrade:            *degrade,
+	static := false // isolate the recovery mechanisms: no migration controller
+	spec := pictor.ExperimentSpec{
+		Kind:        "faults",
+		Seconds:     *seconds,
+		Warmup:      1,
+		Machines:    *machines,
+		Policy:      *policy,
+		Mix:         *mix,
+		CoreClasses: *cores,
+		Epochs:      *epochs,
+		Rate:        *rate,
+		Duration:    *duration,
+		Migrate:     &static,
+		MTBF:        *mtbf,
+		MTTR:        *mttr,
+		Retries:     *retries,
+		Backoff:     *backoff,
+		Degrade:     *degrade,
 	}
 
 	fmt.Printf("crashing %d machines (MTBF %g, MTTR %g epochs) under churn for %d epochs (%s mix, %s placement, rate %g)...\n\n",
 		*machines, *mtbf, *mttr, *epochs, *mix, *policy, *rate)
 	start := time.Now()
-	rs := pictor.RunFaultComparison(shape, cfg)
+	out, err := pictor.RunSpec(spec, *parallel)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	rs := out.Churn
 	healthy, drop, resilient := rs[0], rs[1], rs[2]
 	fmt.Print(pictor.ChurnComparisonTable(rs))
 	fmt.Printf("\ndone in %s\n", time.Since(start).Round(time.Millisecond))

@@ -26,16 +26,23 @@ func main() {
 	parallel := flag.Int("parallel", 0, "runner workers (0 = all cores)")
 	flag.Parse()
 
-	cfg := pictor.DefaultExperimentConfig()
-	cfg.Seconds = *seconds
-	cfg.Parallel = *parallel
-
-	shape := pictor.FleetShape{Machines: *machines, Mix: *mix, Requests: *requests}
+	spec := pictor.ExperimentSpec{
+		Kind:     "fleet",
+		Seconds:  *seconds,
+		Machines: *machines,
+		Mix:      *mix,
+		Requests: *requests,
+	}
 
 	fmt.Printf("consolidating %d requests (%s mix) onto %d machines, all %d policies...\n\n",
 		*requests, *mix, *machines, len(pictor.FleetPolicyNames()))
 	start := time.Now()
-	rs := pictor.RunFleetComparison(shape, cfg)
+	out, err := pictor.RunSpec(spec, *parallel)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	rs := out.Fleet
 	fmt.Print(pictor.FleetComparisonTable(rs))
 	fmt.Printf("\ndone in %s\n\n", time.Since(start).Round(time.Millisecond))
 

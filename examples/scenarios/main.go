@@ -40,21 +40,24 @@ func main() {
 			p.Name, p.FullName, p.Genre, p.Width, p.Height, p.Mem.FootprintMB, p.HeavyWeight)
 	}
 
-	cfg := pictor.DefaultExperimentConfig()
-	cfg.Seconds = *seconds
-	cfg.Parallel = *parallel
-
-	shape := pictor.FleetShape{
+	spec := pictor.ExperimentSpec{
+		Kind:     "fleet",
+		Profiles: *profiles,
+		Seconds:  *seconds,
 		Machines: *machines,
 		Mix:      *mix,
 		Requests: *requests,
-		Profiles: *profiles,
 	}
 
 	fmt.Printf("\nconsolidating %d requests (%s mix) onto %d machines, all %d policies...\n\n",
 		*requests, *mix, *machines, len(pictor.FleetPolicyNames()))
 	start := time.Now()
-	rs := pictor.RunFleetComparison(shape, cfg)
+	out, err := pictor.RunSpec(spec, *parallel)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	rs := out.Fleet
 	fmt.Print(pictor.FleetComparisonTable(rs))
 	fmt.Printf("\ndone in %s\n", time.Since(start).Round(time.Millisecond))
 

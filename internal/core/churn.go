@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"pictor/internal/engine"
 	"pictor/internal/exp"
 	"pictor/internal/fleet"
 	"pictor/internal/stats"
@@ -129,16 +128,15 @@ type ChurnResult struct {
 	RepsMerged int
 }
 
-// executeFleetChurn runs a churn-shaped trial through engine.RunChurn:
-// the churnPortal implements the fleet lifecycle (depart, fault,
-// retry, arrive, gauge, collect, react) and the fidelity dispatch, and
-// the epoch loop drives it through the horizon in the exact order the
-// historical nested loop ran — so full-fidelity runs are byte-identical
-// to it, while shapes with SurrogateTail execute their tail machines on
-// calibrated predictors instead of per-frame simulation. The loop runs
-// sequentially inside the one execution unit — the runner already
-// shards trials across workers — so churn sweeps stay byte-identical
-// at any parallelism level.
+// executeFleetChurn runs a churn-shaped trial: it draws the arrival and
+// fault schedules, assembles a churnPortal — the fleet lifecycle plus
+// the fidelity dispatch — and runs its epoch loop through the horizon
+// in the exact order the historical nested loop ran, so full-fidelity
+// runs are byte-identical to it, while shapes with SurrogateTail
+// execute their tail machines on calibrated predictors instead of
+// per-frame simulation. The loop runs sequentially inside the one
+// execution unit — the runner already shards trials across workers —
+// so churn sweeps stay byte-identical at any parallelism level.
 func executeFleetChurn(t exp.Trial, u exp.Unit) *ChurnResult {
 	sh := *t.Fleet
 	// Like the one-shot stream, the arrival schedule must be derived
@@ -226,7 +224,7 @@ func executeFleetChurn(t exp.Trial, u exp.Unit) *ChurnResult {
 	// streamed run never materializes the schedule to compute it.
 	sink, streaming := resolveChurnSink(t.Sink, sh.RollupOnly, u.Rep, u.Seed, out)
 
-	// Assemble the portal and drive it through the loop. The fidelity
+	// Assemble the portal and run its epoch loop. The fidelity
 	// split normalizes here: without SurrogateTail every machine runs
 	// full fidelity; with it, machines [0, sampled) stay full and the
 	// tail runs the calibrated surrogate (sampled clamps to the fleet).
@@ -249,7 +247,7 @@ func executeFleetChurn(t exp.Trial, u exp.Unit) *ChurnResult {
 		}
 		portal.surrogate = newSurrogateEngine(portal, suite)
 	}
-	engine.RunChurn(portal, portal)
+	portal.run()
 
 	out.Lost = c.Lost
 	if out.OfferedSessionEpochs > 0 {
@@ -424,31 +422,60 @@ func RunFleetChurn(shape exp.FleetShape, cfg ExperimentConfig) ChurnResult {
 	return mergeChurn(RunTrials([]exp.Trial{churnTrial(shape, cfg)}, cfg)[0])
 }
 
-// RunChurnComparison runs the shape twice as one batch on the parallel
-// runner — static placement (no migration) and with the migration
-// controller — and returns {static, migrated}. Both trials churn the
+// churnComparisonTrials is the "churn" kind's trial batch — static
+// placement (no migration) and with the migration controller, over the
 // identical tenant population (the arrival schedule is derived from the
 // config seed and the schedule parameters only), so the delta is the
 // controller's doing, not stream luck.
-func RunChurnComparison(shape exp.FleetShape, cfg ExperimentConfig) []ChurnResult {
-	if !shape.Churn() {
-		panic(fmt.Sprintf("core: RunChurnComparison needs a churn shape (Epochs >= 1, got %d); use RunFleetComparison for one-shot admission", shape.Epochs))
-	}
-	validateFleetShape(shape)
-	trials := churnComparisonTrials(shape, cfg)
-	all := RunTrials(trials, cfg)
-	return []ChurnResult{mergeChurn(all[0]), mergeChurn(all[1])}
-}
-
-// churnComparisonTrials is the comparison's trial batch — {static,
-// migrated} over the identical tenant population. Shared with the
-// benchmark service's spec lowering so a served "churn" job runs
-// exactly the CLI's batch.
 func churnComparisonTrials(shape exp.FleetShape, cfg ExperimentConfig) []exp.Trial {
 	static, migrated := shape, shape
 	static.Migrate = false
 	migrated.Migrate = true
 	return []exp.Trial{churnTrial(static, cfg), churnTrial(migrated, cfg)}
+}
+
+// faultComparisonTrials is the "faults" kind's trial batch. It answers
+// the robustness question — under the same deterministic failure
+// schedule, what do failover and graceful degradation buy? — by running
+// the shape three ways:
+//
+//  1. healthy — the shape with faults, failover and degradation all
+//     stripped (the no-crash baseline),
+//  2. faulty/drop — the failure schedule with the historical
+//     drop-on-failure behaviour (no retries, no tiers),
+//  3. faulty/resilient — the same failure schedule with the shape's
+//     failover and degradation knobs (defaults fill in when the shape
+//     enables faults but sets neither: 3 retry attempts at backoff 1,
+//     brown-out tiers on).
+//
+// All three churn the identical tenant population and execution noise,
+// and both faulty runs crash the identical machines at the identical
+// epochs (the arrival and fault schedules derive from the config seed
+// and their own parameters only — see executeFleetChurn), so the
+// availability deltas are the recovery mechanisms' doing, not stream
+// luck.
+func faultComparisonTrials(shape exp.FleetShape, cfg ExperimentConfig) []exp.Trial {
+	healthy := shape
+	healthy.MTBFEpochs, healthy.MTTREpochs = 0, 0
+	healthy.RetryAttempts, healthy.RetryBackoffEpochs = 0, 0
+	healthy.Degrade = false
+
+	drop := shape
+	drop.RetryAttempts, drop.RetryBackoffEpochs = 0, 0
+	drop.Degrade = false
+
+	resilient := shape
+	if resilient.RetryAttempts <= 0 && !resilient.Degrade {
+		resilient.RetryAttempts = 3
+		resilient.RetryBackoffEpochs = 1
+		resilient.Degrade = true
+	}
+
+	return []exp.Trial{
+		churnTrial(healthy, cfg),
+		churnTrial(drop, cfg),
+		churnTrial(resilient, cfg),
+	}
 }
 
 // ChurnTable renders one churn outcome as per-epoch rows — session

@@ -82,7 +82,7 @@ func TestRunFleetChurnShape(t *testing.T) {
 // unit seed encodes the Migrate flag, so the schedule must not derive
 // from it.
 func TestChurnComparisonSharesPopulation(t *testing.T) {
-	testChurnComparisonSharesPopulation(t, quickFleetConfig())
+	testChurnComparisonSharesPopulation(t, 1)
 }
 
 // TestChurnComparisonSharesPopulationSeedZero: "-seed 0" (derive
@@ -90,15 +90,17 @@ func TestChurnComparisonSharesPopulation(t *testing.T) {
 // stream base falls back to the grid's key-independent base seed, never
 // to the unit seed, which encodes the Migrate flag.
 func TestChurnComparisonSharesPopulationSeedZero(t *testing.T) {
-	cfg := quickFleetConfig()
-	cfg.Seed = 0
-	testChurnComparisonSharesPopulation(t, cfg)
+	testChurnComparisonSharesPopulation(t, 0)
 }
 
-func testChurnComparisonSharesPopulation(t *testing.T, cfg ExperimentConfig) {
+func testChurnComparisonSharesPopulation(t *testing.T, seed int64) {
 	t.Helper()
-	cfg.Reps = 2
-	rs := RunChurnComparison(quickChurnShape(), cfg)
+	sh := quickChurnShape()
+	rs := runSpecAt(t, ExperimentSpec{
+		Kind: SpecChurn, Warmup: 1, Seconds: 5, Seed: &seed, Reps: 2,
+		Machines: sh.Machines, Policy: sh.Policy, Mix: sh.Mix, CoreClasses: sh.CoreClasses,
+		Epochs: sh.Epochs, Rate: sh.ArrivalRate, Duration: sh.MeanSessionEpochs,
+	}, 0).Churn
 	if len(rs) != 2 {
 		t.Fatalf("got %d results, want {static, migrated}", len(rs))
 	}
@@ -191,9 +193,6 @@ func TestChurnShapeValidationPanicsEarly(t *testing.T) {
 	mustPanic("bad churn mix", func() {
 		RunFleetChurn(exp.FleetShape{Machines: 1, Epochs: 2, ArrivalRate: 1, MeanSessionEpochs: 1, Mix: "diurnal"}, cfg)
 	})
-	mustPanic("bad churn comparison", func() {
-		RunChurnComparison(exp.FleetShape{Machines: 1, Epochs: 0, ArrivalRate: 1, MeanSessionEpochs: 1, Requests: 0}, cfg)
-	})
 	// Entry points must reject a shape of the wrong kind up front — a
 	// one-shot shape reaching the churn merger (or vice versa) would
 	// otherwise nil-deref mid-run with an unattributable panic.
@@ -202,9 +201,6 @@ func TestChurnShapeValidationPanicsEarly(t *testing.T) {
 	})
 	mustPanic("churn shape on RunFleetConsolidation", func() {
 		RunFleetConsolidation(quickChurnShape(), cfg)
-	})
-	mustPanic("churn shape on RunFleetComparison", func() {
-		RunFleetComparison(quickChurnShape(), cfg)
 	})
 	// Fractional core classes below 1 would round to 0 cluster cores
 	// and silently execute as the 8-core default.

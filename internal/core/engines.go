@@ -3,21 +3,52 @@ package core
 import (
 	"sort"
 
-	"pictor/internal/engine"
 	"pictor/internal/exp"
 	"pictor/internal/fleet"
 	"pictor/internal/sim"
 	"pictor/internal/stats"
 )
 
-// churnPortal lowers one churn-shaped trial onto engine.RunChurn: it
-// implements engine.FleetPortal (the fleet lifecycle — departures,
-// faults, failover, arrivals, gauges, measurement collection and the
-// QoS controllers) and engine.EnginePicker (the fidelity dispatch —
-// full per-frame simulation for the sampled cohort, the calibrated
-// surrogate for the tail, nil for crashed machines). The epoch loop
-// calls its methods in the exact order the historical nested loop ran,
-// so a full-fidelity run through the portal is byte-identical to it.
+// SessionObs is one session's epoch measurement, whatever fidelity tier
+// produced it: its RTT distribution over the epoch and whether it fell
+// below the interactivity floor.
+type SessionObs struct {
+	// RTT is the session's round-trip-time distribution for the epoch
+	// (N == 0 means the session produced no observations).
+	RTT stats.Summary
+	// QoSViolation marks the session below the 25-FPS floor.
+	QoSViolation bool
+}
+
+// MachineEpoch is one machine's epoch outcome: the measurements of its
+// resident sessions plus machine-level rollups.
+type MachineEpoch struct {
+	// PowerWatts is the machine's modelled wall power over the epoch.
+	PowerWatts float64
+	// Demand echoes the predicted CPU demand the machine executed at.
+	Demand float64
+	// Sessions holds one observation per resident, in placement order.
+	// An engine may reuse the backing array: the slice is valid until
+	// the same engine's next AdvanceEpoch call.
+	Sessions []SessionObs
+}
+
+// SessionEngine advances one machine's resident sessions through one
+// epoch and reports what they measured. It is the fidelity boundary:
+// fullEngine builds and runs a per-frame simulated cluster,
+// surrogateEngine evaluates trained per-profile demand/RTT predictors —
+// both behind the same contract (advance one epoch, echo demand, sample
+// RTT per session).
+type SessionEngine interface {
+	AdvanceEpoch(epoch, machine int) MachineEpoch
+}
+
+// churnPortal executes one churn-shaped trial. Its run method is the
+// epoch loop; each phase of the loop is a method of its own (depart,
+// fault, retry, arrive, gauge, the fidelity dispatch EngineFor,
+// collect, react), so a profile charges every phase to a named frame.
+// The loop calls them in the exact order the historical nested loop
+// ran, so a full-fidelity run is byte-identical to it.
 type churnPortal struct {
 	t          exp.Trial
 	sh         exp.FleetShape
@@ -53,9 +84,28 @@ type churnPortal struct {
 	rollupRTTs []stats.Summary
 }
 
-// Machines and Epochs size the epoch loop.
-func (p *churnPortal) Machines() int { return len(p.f.Machines) }
-func (p *churnPortal) Epochs() int   { return p.sh.Epochs }
+// run drives the trial through its horizon. Every epoch runs the
+// fleet-scope phases in order (depart, fault, retry, arrive, gauge),
+// then advances each machine in index order through the engine its
+// fidelity tier selects and collects it at once (so pooled aggregates
+// are byte-stable), then reacts. The loop is sequential — the
+// experiment runner parallelizes across trials, never inside one — so
+// the call order is fixed by the horizon and the machine count alone.
+func (p *churnPortal) run() {
+	for e := 0; e < p.sh.Epochs; e++ {
+		p.Depart(e)
+		p.Fault(e)
+		p.Retry(e)
+		p.Arrive(e)
+		p.Gauge(e)
+		for mi := range p.f.Machines {
+			if eng := p.EngineFor(mi); eng != nil {
+				p.Collect(mi, eng.AdvanceEpoch(e, mi))
+			}
+		}
+		p.React(e)
+	}
+}
 
 // Depart opens the epoch: reset the epoch scratch and release every
 // session whose horizon elapsed.
@@ -139,7 +189,7 @@ func (p *churnPortal) Gauge(e int) {
 // (nil — they execute nothing, measure nothing and burn nothing), the
 // sampled cohort runs the per-frame simulator, and the tail runs the
 // surrogate when the shape enables it.
-func (p *churnPortal) EngineFor(_, mi int) engine.SessionEngine {
+func (p *churnPortal) EngineFor(mi int) SessionEngine {
 	if p.f.Machines[mi].State == fleet.MachineDown {
 		return nil
 	}
@@ -153,7 +203,7 @@ func (p *churnPortal) EngineFor(_, mi int) engine.SessionEngine {
 // scratch. The loop delivers machines in index order, so the pooled
 // aggregates are byte-stable; the machine's summaries are its own
 // sub-slice of epochRTTs.
-func (p *churnPortal) Collect(_, mi int, me engine.MachineEpoch) {
+func (p *churnPortal) Collect(mi int, me MachineEpoch) {
 	p.er.PowerWatts += me.PowerWatts
 	first := len(p.epochRTTs)
 	for _, s := range me.Sessions {
@@ -263,7 +313,7 @@ var machineEpochKey = exp.NewSeedKey("fleet/churn/m")
 // delta is the placement's doing. Mixing in u.Rep keeps repetitions
 // independent. Idle machines still run (an empty cluster burns idle
 // watts — consolidation's whole power argument rests on that).
-func (fe *fullEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
+func (fe *fullEngine) AdvanceEpoch(e, mi int) MachineEpoch {
 	p := fe.p
 	m := p.f.Machines[mi]
 	cl := NewCluster(Options{
@@ -274,14 +324,14 @@ func (fe *fullEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
 		cl.AddInstance(NewInstanceConfig(prof, HumanDriver()))
 	}
 	cl.Run(sim.DurationOfSeconds(p.t.Warmup), sim.DurationOfSeconds(p.t.Measure))
-	me := engine.MachineEpoch{
+	me := MachineEpoch{
 		PowerWatts: cl.TotalPowerWatts(),
 		Demand:     m.Demand,
-		Sessions:   make([]engine.SessionObs, 0, len(cl.Instances)),
+		Sessions:   make([]SessionObs, 0, len(cl.Instances)),
 	}
 	for _, inst := range cl.Instances {
 		r := inst.Result()
-		me.Sessions = append(me.Sessions, engine.SessionObs{
+		me.Sessions = append(me.Sessions, SessionObs{
 			RTT:          r.RTT,
 			QoSViolation: r.ClientFPS < fleet.QoSMinFPS,
 		})

@@ -465,31 +465,11 @@ func RunFleetConsolidation(shape exp.FleetShape, cfg ExperimentConfig) FleetResu
 	return mergeFleet(RunTrials([]exp.Trial{fleetTrial(shape, cfg)}, cfg)[0])
 }
 
-// RunFleetComparison runs the shape under every placement policy as one
-// batch on the parallel runner and returns the results in
-// fleet.PolicyNames order — the "which policy wins" table. Every policy
-// consolidates the identical arrival stream (it is derived from the
-// config seed and the stream parameters only), so rankings reflect
-// placement, not stream luck. Unknown mix names panic immediately.
-func RunFleetComparison(shape exp.FleetShape, cfg ExperimentConfig) []FleetResult {
-	if shape.Churn() {
-		panic(fmt.Sprintf("core: RunFleetComparison needs a one-shot shape (Epochs == 0, got %d); use RunChurnComparison for churn", shape.Epochs))
-	}
-	shape.Policy = ""
-	validateFleetShape(shape)
-	trials := fleetComparisonTrials(shape, cfg)
-	all := RunTrials(trials, cfg)
-	out := make([]FleetResult, len(trials))
-	for i, reps := range all {
-		out[i] = mergeFleet(reps)
-	}
-	return out
-}
-
-// fleetComparisonTrials is the comparison's trial batch — one trial per
-// placement policy in fleet.PolicyNames order, all consolidating the
-// identical arrival stream. Shared with the benchmark service's spec
-// lowering so a served "fleet" job runs exactly the CLI's batch.
+// fleetComparisonTrials is the "fleet" kind's trial batch — one trial
+// per placement policy in fleet.PolicyNames order, all consolidating
+// the identical arrival stream (it is derived from the config seed and
+// the stream parameters only), so rankings reflect placement, not
+// stream luck.
 func fleetComparisonTrials(shape exp.FleetShape, cfg ExperimentConfig) []exp.Trial {
 	names := fleet.PolicyNames()
 	trials := make([]exp.Trial, len(names))

@@ -48,12 +48,18 @@ func TestRunFleetConsolidationShape(t *testing.T) {
 	}
 }
 
-func TestRunFleetComparisonCoversAllPolicies(t *testing.T) {
+func TestRunSpecFleetCoversAllPolicies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binpack measures pair interference")
 	}
-	shape := exp.FleetShape{Machines: 2, Mix: string(fleet.MixShuffled), Requests: 5}
-	rs := RunFleetComparison(shape, quickFleetConfig())
+	out := runSpecAt(t, ExperimentSpec{
+		Kind: SpecFleet, Warmup: 1, Seconds: 5,
+		Machines: 2, Mix: string(fleet.MixShuffled), Requests: 5,
+	}, 0)
+	if out.Spec.Reps != 1 || out.Spec.Seed == nil || *out.Spec.Seed != 1 || out.Grid != nil || out.Churn != nil {
+		t.Fatalf("outcome must carry the normalized spec and only the fleet payload: %+v", out)
+	}
+	rs := out.Fleet
 	names := fleet.PolicyNames()
 	if len(rs) != len(names) {
 		t.Fatalf("got %d results, want %d", len(rs), len(names))
@@ -188,9 +194,6 @@ func TestFleetShapeValidationPanicsEarly(t *testing.T) {
 	})
 	mustPanic("bad mix", func() {
 		RunFleetConsolidation(exp.FleetShape{Machines: 1, Mix: "diurnal", Requests: 1}, cfg)
-	})
-	mustPanic("bad mix in comparison", func() {
-		RunFleetComparison(exp.FleetShape{Machines: 1, Mix: "diurnal", Requests: 1}, cfg)
 	})
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pictor/internal/app"
-	"pictor/internal/exp"
 	"pictor/internal/fleet"
 )
 
@@ -91,6 +90,17 @@ func TestGoldenMethodologyComparison(t *testing.T) {
 	checkGolden(t, goldenPath, seq)
 }
 
+// runSpecAt runs a spec through RunSpec at one parallelism level,
+// failing the test if the spec does not validate.
+func runSpecAt(t *testing.T, spec ExperimentSpec, parallel int) SpecOutcome {
+	t.Helper()
+	out, err := RunSpec(spec, parallel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // renderFleet produces a byte-stable rendering of a policy comparison:
 // every float prints via %v (shortest round-trip representation), so
 // two renderings are equal iff every result is bit-identical.
@@ -112,28 +122,24 @@ func renderFleet(rs []FleetResult) string {
 
 // TestGoldenFleetConsolidation pins the fleet experiment the same way
 // the methodology fixture pins the single-server path: a fixed-seed
-// RunFleetComparison — all four placement policies over a randomized
-// arrival mix, with repetitions so derived per-rep and per-machine
-// seeds are exercised — must be byte-identical at -parallel 1 and 8 and
-// must match the recorded fixture. The bin-packing policy pulls in the
-// pair-interference measurement, so its determinism is pinned here too.
+// "fleet" spec run through RunSpec — all four placement policies over
+// a randomized arrival mix, with repetitions so derived per-rep and
+// per-machine seeds are exercised — must be byte-identical at
+// -parallel 1 and 8 and must match the recorded fixture. The
+// bin-packing policy pulls in the pair-interference measurement, so
+// its determinism is pinned here too.
 func TestGoldenFleetConsolidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the pair-interference measurement and 4 fleet trials")
 	}
-	shape := exp.FleetShape{
+	spec := ExperimentSpec{
+		Kind: SpecFleet, Warmup: 1, Seconds: 5, Reps: 2,
 		Machines: 3,
 		Mix:      string(fleet.MixShuffled),
 		Requests: 8,
 	}
-	base := QuickExperimentConfig()
-	base.WarmupSeconds, base.Seconds = 1, 5
-	base.Reps = 2
-
 	render := func(parallel int) string {
-		cfg := base
-		cfg.Parallel = parallel
-		return renderFleet(RunFleetComparison(shape, cfg))
+		return renderFleet(runSpecAt(t, spec, parallel).Fleet)
 	}
 	seq := render(1)
 	par := render(8)
@@ -144,8 +150,8 @@ func TestGoldenFleetConsolidation(t *testing.T) {
 }
 
 // TestGoldenFleetScenarios pins the registry-wide workload path: a
-// fixed-seed RunFleetComparison over the full nine-profile registry
-// (shape.Profiles = "all", the CLI's `-exp fleet -profiles all`) — all
+// fixed-seed "fleet" spec over the full nine-profile registry
+// (Profiles = "all", the CLI's `-exp fleet -profiles all`) — all
 // four placement policies, which pulls in the 9-solo + 45-pair
 // interference measurement — must be byte-identical at -parallel 1 and
 // 8 and must match the recorded fixture. Together with the unchanged
@@ -155,20 +161,15 @@ func TestGoldenFleetScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the nine-profile pair-interference measurement and 4 fleet trials")
 	}
-	shape := exp.FleetShape{
+	spec := ExperimentSpec{
+		Kind: SpecFleet, Warmup: 1, Seconds: 5, Reps: 2,
 		Machines: 4,
 		Mix:      string(fleet.MixSuite),
 		Requests: 12,
 		Profiles: "all",
 	}
-	base := QuickExperimentConfig()
-	base.WarmupSeconds, base.Seconds = 1, 5
-	base.Reps = 2
-
 	render := func(parallel int) string {
-		cfg := base
-		cfg.Parallel = parallel
-		return renderFleet(RunFleetComparison(shape, cfg))
+		return renderFleet(runSpecAt(t, spec, parallel).Fleet)
 	}
 	seq := render(1)
 	par := render(8)
@@ -205,8 +206,8 @@ func renderChurn(rs []ChurnResult) string {
 }
 
 // TestGoldenFleetChurn pins the epoch-based churn simulation the way
-// the fleet fixture pins one-shot admission: a fixed-seed
-// RunChurnComparison — Poisson arrivals with departures over a
+// the fleet fixture pins one-shot admission: a fixed-seed "churn" spec
+// run through RunSpec — Poisson arrivals with departures over a
 // heterogeneous (8,4-core) fleet, migration off and on, with
 // repetitions so derived per-rep, per-epoch and per-machine seeds are
 // all exercised — must be byte-identical at -parallel 1 and 8 and must
@@ -215,23 +216,18 @@ func TestGoldenFleetChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 2 churn trials × 2 reps × 2 parallelism levels")
 	}
-	shape := exp.FleetShape{
-		Machines:          3,
-		Policy:            fleet.PolicyRoundRobin,
-		Mix:               string(fleet.MixHeavy),
-		CoreClasses:       "8,4",
-		Epochs:            6,
-		ArrivalRate:       2,
-		MeanSessionEpochs: 3,
+	spec := ExperimentSpec{
+		Kind: SpecChurn, Warmup: 1, Seconds: 5, Reps: 2,
+		Machines:    3,
+		Policy:      fleet.PolicyRoundRobin,
+		Mix:         string(fleet.MixHeavy),
+		CoreClasses: "8,4",
+		Epochs:      6,
+		Rate:        2,
+		Duration:    3,
 	}
-	base := QuickExperimentConfig()
-	base.WarmupSeconds, base.Seconds = 1, 5
-	base.Reps = 2
-
 	render := func(parallel int) string {
-		cfg := base
-		cfg.Parallel = parallel
-		return renderChurn(RunChurnComparison(shape, cfg))
+		return renderChurn(runSpecAt(t, spec, parallel).Churn)
 	}
 	seq := render(1)
 	par := render(8)
@@ -264,7 +260,8 @@ func renderFaults(rs []ChurnResult) string {
 }
 
 // TestGoldenFleetFaults pins the fault-injection path the way the churn
-// fixture pins fault-free churn: a fixed-seed RunFaultComparison —
+// fixture pins fault-free churn: a fixed-seed "faults" spec run through
+// RunSpec —
 // healthy baseline, drop-on-failure, and retry+degrade recovery over a
 // heterogeneous heavy-mix fleet, with repetitions so the derived fault
 // schedule, retry queue and brown-out tiers are all exercised across
@@ -277,28 +274,25 @@ func TestGoldenFleetFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 3 churn trials × 2 reps × 2 parallelism levels")
 	}
-	shape := exp.FleetShape{
-		Machines:           5,
-		Policy:             fleet.PolicyLeastDemand,
-		Mix:                string(fleet.MixHeavy),
-		CoreClasses:        "8,8,4",
-		Epochs:             8,
-		ArrivalRate:        3,
-		MeanSessionEpochs:  4,
-		MTBFEpochs:         5,
-		MTTREpochs:         1,
-		RetryAttempts:      3,
-		RetryBackoffEpochs: 1,
-		Degrade:            true,
+	static := false // the fixture runs without the migration controller
+	spec := ExperimentSpec{
+		Kind: SpecFaults, Warmup: 1, Seconds: 5, Reps: 2,
+		Machines:    5,
+		Policy:      fleet.PolicyLeastDemand,
+		Mix:         string(fleet.MixHeavy),
+		CoreClasses: "8,8,4",
+		Epochs:      8,
+		Rate:        3,
+		Duration:    4,
+		Migrate:     &static,
+		MTBF:        5,
+		MTTR:        1,
+		Retries:     3,
+		Backoff:     1,
+		Degrade:     true,
 	}
-	base := QuickExperimentConfig()
-	base.WarmupSeconds, base.Seconds = 1, 5
-	base.Reps = 2
-
 	run := func(parallel int) []ChurnResult {
-		cfg := base
-		cfg.Parallel = parallel
-		return RunFaultComparison(shape, cfg)
+		return runSpecAt(t, spec, parallel).Churn
 	}
 	rsSeq := run(1)
 	seq, par := renderFaults(rsSeq), renderFaults(run(8))

@@ -1,13 +1,7 @@
 package core
 
-import "fmt"
-
 // SpecOutcome is RunSpec's result envelope: the as-executed spec plus
-// exactly one populated payload, selected by the spec's kind. The
-// typed Run* entry points remain thin sugar over the same lowering —
-// RunSpec exists so callers holding a declarative spec (a config file,
-// a service request, a sweep generator) can execute it without
-// switching on the kind themselves.
+// exactly one populated payload, selected by the spec's kind.
 type SpecOutcome struct {
 	// Spec is the normalized, as-executed spec.
 	Spec ExperimentSpec
@@ -21,14 +15,15 @@ type SpecOutcome struct {
 	Churn []ChurnResult
 }
 
-// RunSpec normalizes and executes a declarative experiment spec — the
-// one entry point over the whole experiment vocabulary. It runs
-// exactly the comparison batch the typed entry points run (RunSuiteGrid,
-// RunFleetComparison, RunChurnComparison, RunFaultComparison — each a
-// thin wrapper over the same trial lowering), with cfg's Parallel
-// carried through as execution policy. A spec that fails validation
-// returns the error instead of panicking: specs arrive from config
-// files and network requests, not fixed vocabulary.
+// RunSpec normalizes and executes a declarative experiment spec. It is
+// the one path from a spec to a result: the CLI, the examples and the
+// library all run their fleet, churn and faults comparisons through it.
+// The spec lowers through Trials — the same batch the benchmark server
+// executes — which runs as one batch on the parallel runner (parallel
+// is execution policy: <= 0 means every core), and each trial's
+// repetitions merge into one result. A spec that fails validation
+// returns Normalize's error instead of panicking: specs arrive from
+// flags, config files and network requests, not fixed vocabulary.
 func RunSpec(spec ExperimentSpec, parallel int) (SpecOutcome, error) {
 	s, err := spec.Normalize()
 	if err != nil {
@@ -36,20 +31,17 @@ func RunSpec(spec ExperimentSpec, parallel int) (SpecOutcome, error) {
 	}
 	cfg := s.Config()
 	cfg.Parallel = parallel
-	out := SpecOutcome{Spec: s}
-	switch s.Kind {
-	case SpecGrid:
+	if s.Kind == SpecGrid {
 		g := RunSuiteGrid(cfg)
-		out.Grid = &g
-	case SpecFleet:
-		// RunFleetComparison sweeps every policy itself.
-		out.Fleet = RunFleetComparison(s.Shape(), cfg)
-	case SpecChurn:
-		out.Churn = RunChurnComparison(s.Shape(), cfg)
-	case SpecFaults:
-		out.Churn = RunFaultComparison(s.Shape(), cfg)
-	default:
-		return SpecOutcome{}, fmt.Errorf("core: unknown spec kind %q", s.Kind)
+		return SpecOutcome{Spec: s, Grid: &g}, nil
+	}
+	out := SpecOutcome{Spec: s}
+	for _, reps := range RunTrials(s.Trials(), cfg) {
+		if s.Kind == SpecFleet {
+			out.Fleet = append(out.Fleet, mergeFleet(reps))
+		} else {
+			out.Churn = append(out.Churn, mergeChurn(reps))
+		}
 	}
 	return out, nil
 }

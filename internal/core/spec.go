@@ -348,30 +348,28 @@ func (s ExperimentSpec) Shape() exp.FleetShape {
 	return sh
 }
 
-// Trials lowers a normalized spec onto the exact trial batch the CLI's
-// comparison views run: the full evaluation grid, one trial per
-// placement policy (fleet), {static, migrated} (churn), or {healthy,
-// drop, resilient} (faults). Call Normalize first — Trials assumes a
-// validated spec and panics on an invalid one, like the Run* entry
-// points.
+// Trials lowers a normalized spec onto its comparison batch: the full
+// evaluation grid, one trial per placement policy (fleet), {static,
+// migrated} (churn), or {healthy, drop, resilient} (faults). RunSpec
+// runs this batch, and the benchmark server runs it unit by unit. Call
+// Normalize first — Trials assumes a validated spec and panics on an
+// invalid one.
 func (s ExperimentSpec) Trials() []exp.Trial {
 	cfg := s.Config()
+	var batch func(exp.FleetShape, ExperimentConfig) []exp.Trial
 	switch s.Kind {
 	case SpecGrid:
 		return SuiteGridTrials(cfg)
 	case SpecFleet:
-		shape := s.Shape()
-		shape.Policy = ""
-		validateFleetShape(shape)
-		return fleetComparisonTrials(shape, cfg)
+		batch = fleetComparisonTrials
 	case SpecChurn:
-		shape := s.Shape()
-		validateFleetShape(shape)
-		return churnComparisonTrials(shape, cfg)
+		batch = churnComparisonTrials
 	case SpecFaults:
-		shape := s.Shape()
-		validateFleetShape(shape)
-		return faultComparisonTrials(shape, cfg)
+		batch = faultComparisonTrials
+	default:
+		panic(fmt.Sprintf("core: unknown spec kind %q (normalize first)", s.Kind))
 	}
-	panic(fmt.Sprintf("core: unknown spec kind %q (normalize first)", s.Kind))
+	shape := s.Shape()
+	validateFleetShape(shape)
+	return batch(shape, cfg)
 }

@@ -29,8 +29,8 @@ func diurnalShape() exp.FleetShape {
 }
 
 // TestGoldenDiurnalChurn pins the scheduled-arrival path the way the
-// churn fixture pins flat-rate churn: a fixed-seed RunChurnComparison
-// under a diurnal curve — with repetitions, so the schedule-qualified
+// churn fixture pins flat-rate churn: a fixed-seed "churn" spec under
+// diurnalShape's curve, run through RunSpec — with repetitions, so the schedule-qualified
 // stream seeds are exercised — must be byte-identical at -parallel 1
 // and 8 and must match the recorded fixture. The renderer includes the
 // offered-session-epoch denominator, so the portal's incremental
@@ -39,15 +39,15 @@ func TestGoldenDiurnalChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 2 churn trials × 2 reps × 2 parallelism levels")
 	}
-	shape := diurnalShape()
-	base := QuickExperimentConfig()
-	base.WarmupSeconds, base.Seconds = 1, 5
-	base.Reps = 2
-
+	sh := diurnalShape()
+	spec := ExperimentSpec{
+		Kind: SpecChurn, Warmup: 1, Seconds: 5, Reps: 2,
+		Machines: sh.Machines, Policy: sh.Policy, Mix: sh.Mix, CoreClasses: sh.CoreClasses,
+		Epochs: sh.Epochs, Rate: sh.ArrivalRate, Duration: sh.MeanSessionEpochs,
+		Schedule: sh.RateSchedule, Peak: sh.PeakRate, Period: sh.PeriodEpochs,
+	}
 	run := func(parallel int) []ChurnResult {
-		cfg := base
-		cfg.Parallel = parallel
-		return RunChurnComparison(shape, cfg)
+		return runSpecAt(t, spec, parallel).Churn
 	}
 	rs := run(1)
 	seq, par := renderFaults(rs), renderFaults(run(8))

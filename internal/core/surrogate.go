@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"pictor/internal/app"
-	"pictor/internal/engine"
 	"pictor/internal/exp"
 	"pictor/internal/fleet"
 	"pictor/internal/hw/power"
@@ -170,7 +169,7 @@ func (cv surrogateCurve) at(L float64) (rtt stats.Summary, fps, cpu, gpu float64
 // "fleet/surrogate/s<id>/e<epoch>".
 var surrogateKey = exp.NewSeedKey("fleet/surrogate/s")
 
-// surrogateEngine is the cheap fidelity tier: engine.SessionEngine
+// surrogateEngine is the cheap fidelity tier: a SessionEngine
 // backed by the calibrated curves. Degraded (brown-out) residents are
 // served through their full-resolution curve at the machine's reduced
 // load — the tier's demand relief is modelled, the per-session
@@ -188,7 +187,7 @@ type surrogateEngine struct {
 	batch map[string]surrogateEval
 	// sessions backs every MachineEpoch.Sessions this engine returns;
 	// the portal folds it in Collect before the next AdvanceEpoch.
-	sessions []engine.SessionObs
+	sessions []SessionObs
 }
 
 // surrogateEval is one interpolated curve point — the (profile,
@@ -213,7 +212,7 @@ func newSurrogateEngine(p *churnPortal, suite []app.Profile) *surrogateEngine {
 // the machine's power is modelled from the summed predicted
 // utilizations (capped at physical capacity, like the full engine's
 // wall meter) — idle machines burn exactly the idle floor.
-func (se *surrogateEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
+func (se *surrogateEngine) AdvanceEpoch(e, mi int) MachineEpoch {
 	p := se.p
 	m := p.f.Machines[mi]
 	residents := p.c.Resident(mi)
@@ -221,7 +220,7 @@ func (se *surrogateEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
 	if m.Cores > 0 {
 		L = m.Demand / m.Cores
 	}
-	me := engine.MachineEpoch{
+	me := MachineEpoch{
 		Demand:   m.Demand,
 		Sessions: se.sessions[:0],
 	}
@@ -260,7 +259,7 @@ func (se *surrogateEngine) AdvanceEpoch(e, mi int) engine.MachineEpoch {
 		if rtt.N < 1 {
 			rtt.N = 1
 		}
-		me.Sessions = append(me.Sessions, engine.SessionObs{
+		me.Sessions = append(me.Sessions, SessionObs{
 			RTT:          rtt,
 			QoSViolation: fps < fleet.QoSMinFPS,
 		})

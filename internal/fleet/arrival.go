@@ -9,15 +9,14 @@ import (
 )
 
 // Streaming arrival API: the churn layer historically materialized the
-// whole [][]*Session horizon up front (ChurnStream), which is fine at
-// thousands of sessions and fatal at a million — the 10k-machine
-// diurnal sweep would hold every tenant of a 200-epoch day in memory
-// before the first epoch executes. ArrivalSource inverts that: the
-// epoch loop pulls each epoch's arrivals on demand, the source draws
-// them from exactly the same RNG discipline the materialized stream
-// used (so constant-rate schedules stay byte-identical), and finished
-// sessions flow back into a free list owned by the source instead of
-// the garbage collector.
+// whole [][]*Session horizon up front, which is fine at thousands of
+// sessions and fatal at a million — the 10k-machine diurnal sweep would
+// hold every tenant of a 200-epoch day in memory before the first epoch
+// executes. ArrivalSource inverts that: the epoch loop pulls each
+// epoch's arrivals on demand, the source draws them from exactly the
+// same RNG discipline the materialized stream used (so constant-rate
+// schedules stay byte-identical), and finished sessions flow back into
+// a free list owned by the source instead of the garbage collector.
 
 // ArrivalSource produces each epoch's arriving sessions on demand.
 // Epochs must be requested strictly in order starting at 0 — the
@@ -124,18 +123,21 @@ type ArrivalConfig struct {
 	MeanSessionEpochs float64
 	// Epochs is the horizon; Next returns nil past it.
 	Epochs int
-	// Seed pins the whole schedule (same discipline as ChurnStream).
+	// Seed pins the whole schedule: arrivals, durations and profiles
+	// draw from independent forks of it.
 	Seed int64
 }
 
-// ChurnSource is the streaming Poisson arrival source: the lazy,
-// schedule-aware equivalent of ChurnStreamFrom. It draws arrivals,
-// durations and profiles from the identical RNG forks and in the
-// identical order as the materialized stream, one epoch at a time, so
-// a constant-schedule source reproduces ChurnStream byte for byte.
-// Recycled sessions come back out of Next with every field
-// overwritten; the free list makes a million-session sweep allocate
-// O(peak concurrent sessions), not O(total arrivals).
+// ChurnSource is the streaming Poisson arrival source. Each epoch's
+// arrival count is Poisson at the schedule's rate, profiles are drawn
+// from the named mix, and session lengths are exponential with mean
+// MeanSessionEpochs (rounded up, so every session runs at least one
+// epoch). Arrivals, durations and profiles draw from independent RNG
+// forks in the historical materialized stream's order, one epoch at a
+// time, so a constant-schedule source reproduces the historical
+// schedules byte for byte. Recycled sessions come back out of Next
+// with every field overwritten; the free list makes a million-session
+// sweep allocate O(peak concurrent sessions), not O(total arrivals).
 type ChurnSource struct {
 	cfg       ArrivalConfig
 	suite     []app.Profile // the set draw indexes

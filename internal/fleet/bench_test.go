@@ -13,9 +13,14 @@ import (
 // subsystem adds to every churn trial, so it is pinned in benchguard.
 func BenchmarkFaultChurnBookkeeping(b *testing.B) {
 	const epochs = 16
-	stream, err := ChurnStream(MixHeavy, 3.0, 2.5, epochs, 1)
+	src, err := NewChurnSource(ArrivalConfig{Mix: MixHeavy, Rate: 3, MeanSessionEpochs: 2.5, Epochs: epochs, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
+	}
+	// The schedule is drawn once and replayed every iteration.
+	stream := make([][]*Session, epochs)
+	for e := range stream {
+		stream[e] = append([]*Session(nil), src.Next(e)...)
 	}
 	timeline, err := FaultStream(4, 3.0, 1.0, epochs, 1)
 	if err != nil {

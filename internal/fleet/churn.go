@@ -11,9 +11,9 @@ import (
 // never looked back, but real cloud-gaming fleets face tenants that
 // arrive (Poisson), stay (exponential session lengths) and leave — and
 // must be re-placed when a machine's measured interactivity degrades.
-// This file owns the deterministic arrival schedule and the placement
-// bookkeeping over time; it deliberately knows nothing about executing
-// a machine — the assembly layer (internal/core.RunFleetChurn) drives
+// This file owns the placement bookkeeping over time (arrival.go owns
+// the arrival schedule); it deliberately knows nothing about executing
+// a machine — the assembly layer (internal/core's churn portal) drives
 // the epoch loop and feeds measured RTTs back into MigrateOff.
 
 // Session is one churn tenant: a benchmark instance that arrives in
@@ -46,8 +46,8 @@ type Session struct {
 func (s *Session) Served() app.Profile { return DegradedProfile(s.Profile, s.Tier) }
 
 // ValidateChurnParams checks the churn-shape vocabulary with actionable
-// messages. It is shared by ChurnStream and the shape validators, so a
-// typo fails identically whether it arrives via the CLI or the API.
+// messages. It is shared by NewChurnSource and the shape validators, so
+// a typo fails identically whether it arrives via the CLI or the API.
 func ValidateChurnParams(rate, meanEpochs float64, epochs int) error {
 	if epochs < 1 {
 		return fmt.Errorf("fleet: churn needs at least 1 epoch, got %d", epochs)
@@ -59,42 +59,6 @@ func ValidateChurnParams(rate, meanEpochs float64, epochs int) error {
 		return fmt.Errorf("fleet: churn mean session length must be > 0 epochs, got %g", meanEpochs)
 	}
 	return nil
-}
-
-// ChurnStream generates the deterministic arrival schedule over the
-// paper's six-benchmark suite (the historical default). See
-// ChurnStreamFrom for an explicit workload set.
-func ChurnStream(mix Mix, rate, meanEpochs float64, epochs int, seed int64) ([][]*Session, error) {
-	return ChurnStreamFrom(nil, mix, rate, meanEpochs, epochs, seed)
-}
-
-// ChurnStreamFrom generates the deterministic arrival schedule: for
-// each of the epochs, the sessions arriving in it, with profiles drawn
-// from the given workload set (nil means the paper's six, keeping every
-// pre-registry schedule byte-identical). Arrival counts are
-// Poisson(rate) per epoch, profiles are drawn from the named mix, and
-// session lengths are exponential with mean meanEpochs (rounded up, so
-// every session runs at least one epoch). The schedule is a pure
-// function of (suite, mix, rate, meanEpochs, epochs, seed): arrivals,
-// durations and profiles draw from independent sim.RNG forks, so the
-// same shape always churns identically on the parallel runner.
-func ChurnStreamFrom(suite []app.Profile, mix Mix, rate, meanEpochs float64, epochs int, seed int64) ([][]*Session, error) {
-	src, err := NewChurnSource(ArrivalConfig{
-		Suite: suite, Mix: mix,
-		Rate: rate, MeanSessionEpochs: meanEpochs, Epochs: epochs, Seed: seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]*Session, epochs)
-	for e := range out {
-		// Next reuses its batch slice; a materialized stream owns its
-		// sessions, so copy. Empty epochs stay nil, as they always have.
-		if batch := src.Next(e); len(batch) > 0 {
-			out[e] = append([]*Session(nil), batch...)
-		}
-	}
-	return out, nil
 }
 
 // Churn drives a fleet through arrivals, departures and migrations. It

@@ -8,24 +8,27 @@ import (
 	"pictor/internal/sim"
 )
 
+// TestChurnStreamDeterministicAndShaped: two sources over one config
+// yield the identical schedule, session IDs are the arrival sequence,
+// and every session is unplaced, arrives in the epoch that yields it
+// and runs at least one epoch.
 func TestChurnStreamDeterministicAndShaped(t *testing.T) {
 	for _, mix := range Mixes() {
-		a, err := ChurnStream(mix, 2.0, 3.0, 10, 7)
+		cfg := ArrivalConfig{Mix: mix, Rate: 2, MeanSessionEpochs: 3, Epochs: 10, Seed: 7}
+		a, err := NewChurnSource(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", mix, err)
 		}
-		b, _ := ChurnStream(mix, 2.0, 3.0, 10, 7)
-		if len(a) != 10 {
-			t.Fatalf("%s: got %d epochs, want 10", mix, len(a))
-		}
+		b, _ := NewChurnSource(cfg)
 		total := 0
 		id := 0
-		for e := range a {
-			if len(a[e]) != len(b[e]) {
-				t.Fatalf("%s: epoch %d arrival counts differ across identical calls", mix, e)
+		for e := 0; e < cfg.Epochs; e++ {
+			ae, be := a.Next(e), b.Next(e)
+			if len(ae) != len(be) {
+				t.Fatalf("%s: epoch %d arrival counts differ across identical sources", mix, e)
 			}
-			for i, s := range a[e] {
-				o := b[e][i]
+			for i, s := range ae {
+				o := be[i]
 				if s.ID != o.ID || s.Profile.Name != o.Profile.Name || s.Departs != o.Departs {
 					t.Fatalf("%s: epoch %d session %d not deterministic: %+v vs %+v", mix, e, i, s, o)
 				}
@@ -43,7 +46,7 @@ func TestChurnStreamDeterministicAndShaped(t *testing.T) {
 					t.Fatalf("%s: generated sessions must be unplaced", mix)
 				}
 			}
-			total += len(a[e])
+			total += len(ae)
 		}
 		if total == 0 {
 			t.Fatalf("%s: rate 2.0 over 10 epochs produced no arrivals", mix)
@@ -64,11 +67,11 @@ func TestChurnStreamRejectsBadParams(t *testing.T) {
 		{"zero duration", 1, 0, 4},
 	}
 	for _, c := range cases {
-		if _, err := ChurnStream(MixSuite, c.rate, c.mean, c.epochs, 1); err == nil {
+		if _, err := NewChurnSource(ArrivalConfig{Mix: MixSuite, Rate: c.rate, MeanSessionEpochs: c.mean, Epochs: c.epochs, Seed: 1}); err == nil {
 			t.Fatalf("%s: expected an error", c.name)
 		}
 	}
-	if _, err := ChurnStream("diurnal", 1, 1, 4, 1); err == nil {
+	if _, err := NewChurnSource(ArrivalConfig{Mix: "diurnal", Rate: 1, MeanSessionEpochs: 1, Epochs: 4, Seed: 1}); err == nil {
 		t.Fatal("unknown mix must error")
 	}
 }
@@ -113,7 +116,8 @@ func TestPoissonMeanAndDeterminism(t *testing.T) {
 // bit-exactly empty.
 func TestChurnBookkeepingProperty(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
-		stream, err := ChurnStream(MixHeavy, 3.0, 2.5, 8, seed)
+		const epochs = 8
+		src, err := NewChurnSource(ArrivalConfig{Mix: MixHeavy, Rate: 3, MeanSessionEpochs: 2.5, Epochs: epochs, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,10 +154,12 @@ func TestChurnBookkeepingProperty(t *testing.T) {
 			}
 		}
 
-		for e := 0; e < len(stream); e++ {
+		last := 0
+		for e := 0; e < epochs; e++ {
 			c.DepartDue(e)
 			check("after departures", e)
-			for _, s := range stream[e] {
+			for _, s := range src.Next(e) {
+				last = max(last, s.Departs)
 				c.Arrive(s)
 				check("after arrival", e)
 			}
@@ -166,14 +172,6 @@ func TestChurnBookkeepingProperty(t *testing.T) {
 			}
 		}
 		// Run the horizon out: everything departs eventually.
-		last := 0
-		for _, arr := range stream {
-			for _, s := range arr {
-				if s.Departs > last {
-					last = s.Departs
-				}
-			}
-		}
 		c.DepartDue(last)
 		if c.Active != 0 {
 			t.Fatalf("seed %d: %d sessions still active after the last departure epoch", seed, c.Active)

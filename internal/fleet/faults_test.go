@@ -366,7 +366,7 @@ func TestDegradeToFitShedsTowardNominal(t *testing.T) {
 func TestFaultRecoveryBookkeepingProperty(t *testing.T) {
 	const epochs = 8
 	for seed := int64(1); seed <= 30; seed++ {
-		stream, err := ChurnStream(MixHeavy, 3.0, 2.5, epochs, seed)
+		src, err := NewChurnSource(ArrivalConfig{Mix: MixHeavy, Rate: 3, MeanSessionEpochs: 2.5, Epochs: epochs, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,6 +417,7 @@ func TestFaultRecoveryBookkeepingProperty(t *testing.T) {
 			}
 		}
 
+		last, total := 0, 0
 		for e := 0; e < epochs; e++ {
 			c.DepartDue(e)
 			check("after departures", e)
@@ -432,7 +433,9 @@ func TestFaultRecoveryBookkeepingProperty(t *testing.T) {
 			}
 			c.RetryDue(e)
 			check("after retries", e)
-			for _, s := range stream[e] {
+			for _, s := range src.Next(e) {
+				last = max(last, s.Departs)
+				total++
 				c.Offer(s, e)
 				check("after offer", e)
 			}
@@ -453,16 +456,6 @@ func TestFaultRecoveryBookkeepingProperty(t *testing.T) {
 			}
 		}
 		// Run the horizon out: everything departs or drains as lost.
-		last := 0
-		total := 0
-		for _, arr := range stream {
-			total += len(arr)
-			for _, s := range arr {
-				if s.Departs > last {
-					last = s.Departs
-				}
-			}
-		}
 		c.DepartDue(last)
 		c.RetryDue(last) // purges every queued tenant as departed
 		if c.Active != 0 || c.QueuedRetries() != 0 {

@@ -342,13 +342,6 @@ func ValidateMix(mix Mix) error {
 	return fmt.Errorf("fleet: unknown mix %q (have %v)", mix, Mixes())
 }
 
-// RequestStream generates n instance requests for the named mix, drawn
-// from the paper's six-benchmark suite (the historical default). See
-// RequestStreamFrom for an explicit workload set.
-func RequestStream(mix Mix, n int, seed int64) ([]app.Profile, error) {
-	return RequestStreamFrom(nil, mix, n, seed)
-}
-
 // RequestStreamFrom generates n instance requests for the named mix,
 // drawn from the given workload set (nil means the paper's six, keeping
 // every pre-registry stream byte-identical). The stream is a pure
@@ -373,7 +366,7 @@ func RequestStreamFrom(suite []app.Profile, mix Mix, n int, seed int64) ([]app.P
 
 // profileDrawer returns a deterministic profile generator for the named
 // mix over the given workload set — the single source of arrival
-// randomness shared by the one-shot RequestStream and the churn model's
+// randomness shared by the one-shot RequestStreamFrom and the churn model's
 // per-epoch arrivals. It returns the set it draws from (a nil suite
 // draws from the paper's six) and a draw function yielding indices into
 // it, so callers copy each profile once, straight into its destination.

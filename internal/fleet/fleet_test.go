@@ -34,11 +34,11 @@ func TestPredictedCPUDemandOrdersSuite(t *testing.T) {
 
 func TestRequestStreamDeterministicAndSized(t *testing.T) {
 	for _, mix := range Mixes() {
-		a, err := RequestStream(mix, 24, 7)
+		a, err := RequestStreamFrom(nil, mix, 24, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", mix, err)
 		}
-		b, _ := RequestStream(mix, 24, 7)
+		b, _ := RequestStreamFrom(nil, mix, 24, 7)
 		if !reflect.DeepEqual(names(a), names(b)) {
 			t.Fatalf("%s: stream not deterministic", mix)
 		}
@@ -46,7 +46,7 @@ func TestRequestStreamDeterministicAndSized(t *testing.T) {
 			t.Fatalf("%s: got %d requests, want 24", mix, len(a))
 		}
 	}
-	if _, err := RequestStream("nope", 4, 1); err == nil {
+	if _, err := RequestStreamFrom(nil, "nope", 4, 1); err == nil {
 		t.Fatal("unknown mix must error")
 	}
 }
@@ -64,8 +64,8 @@ func TestValidateMix(t *testing.T) {
 		if ok != (err == nil) {
 			t.Fatalf("ValidateMix(%q) = %v, want ok=%v", mix, err, ok)
 		}
-		if _, serr := RequestStream(mix, 1, 1); fmt.Sprint(serr) != fmt.Sprint(err) {
-			t.Fatalf("mix %q: ValidateMix says %v, RequestStream says %v", mix, err, serr)
+		if _, serr := RequestStreamFrom(nil, mix, 1, 1); fmt.Sprint(serr) != fmt.Sprint(err) {
+			t.Fatalf("mix %q: ValidateMix says %v, RequestStreamFrom says %v", mix, err, serr)
 		}
 	}
 }
@@ -75,14 +75,14 @@ func TestValidateMix(t *testing.T) {
 // single-instance fleet; it must fail loudly like an unknown mix does.
 func TestRequestStreamRejectsNonPositiveLength(t *testing.T) {
 	for _, n := range []int{0, -1, -100} {
-		if _, err := RequestStream(MixSuite, n, 1); err == nil {
+		if _, err := RequestStreamFrom(nil, MixSuite, n, 1); err == nil {
 			t.Fatalf("n = %d must error, not clamp to 1", n)
 		}
 	}
 }
 
 func TestRequestStreamSuiteCycles(t *testing.T) {
-	reqs, err := RequestStream(MixSuite, 13, 99)
+	reqs, err := RequestStreamFrom(nil, MixSuite, 13, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +148,15 @@ func TestChurnStreamFromDrawsActiveSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := ChurnStreamFrom(suite, MixShuffled, 3, 2, 12, 7)
+	const epochs = 12
+	src, err := NewChurnSource(ArrivalConfig{Suite: suite, Mix: MixShuffled, Rate: 3, MeanSessionEpochs: 2, Epochs: epochs, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	allowed := map[string]bool{"CAD": true, "VV": true, "CZ": true}
 	arrivals := 0
-	for _, epoch := range stream {
-		for _, s := range epoch {
+	for e := 0; e < epochs; e++ {
+		for _, s := range src.Next(e) {
 			arrivals++
 			if !allowed[s.Profile.Name] {
 				t.Fatalf("churn drew %s, not in the active suite", s.Profile.Name)
@@ -168,7 +169,7 @@ func TestChurnStreamFromDrawsActiveSuite(t *testing.T) {
 }
 
 func TestRequestStreamHeavyIsHeavy(t *testing.T) {
-	reqs, err := RequestStream(MixHeavy, 600, 3)
+	reqs, err := RequestStreamFrom(nil, MixHeavy, 600, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestRequestStreamHeavyIsHeavy(t *testing.T) {
 
 func TestRoundRobinCycles(t *testing.T) {
 	f := New(3, 8)
-	reqs, _ := RequestStream(MixSuite, 6, 1)
+	reqs, _ := RequestStreamFrom(nil, MixSuite, 6, 1)
 	f.Admit(reqs, &RoundRobin{})
 	for i, m := range f.Machines {
 		if len(m.Placed) != 2 {
@@ -197,7 +198,7 @@ func TestRoundRobinCycles(t *testing.T) {
 
 func TestLeastLoadedCountBalances(t *testing.T) {
 	f := New(4, 8)
-	reqs, _ := RequestStream(MixShuffled, 8, 5)
+	reqs, _ := RequestStreamFrom(nil, MixShuffled, 8, 5)
 	f.Admit(reqs, LeastLoadedCount{})
 	for i, m := range f.Machines {
 		if len(m.Placed) != 2 {
@@ -221,7 +222,7 @@ func TestLeastLoadedDemandPicksLightestMachine(t *testing.T) {
 func TestAdmissionRejectsWhenFull(t *testing.T) {
 	f := New(1, 1) // one tiny machine
 	f.Overcommit = 1
-	reqs, _ := RequestStream(MixSuite, 5, 1)
+	reqs, _ := RequestStreamFrom(nil, MixSuite, 5, 1)
 	f.Admit(reqs, LeastLoadedCount{})
 	placed := len(f.Machines[0].Placed)
 	if placed+len(f.Rejected) != 5 {
@@ -389,7 +390,7 @@ func TestNewPolicyRegistry(t *testing.T) {
 func TestAdmitDeterministic(t *testing.T) {
 	run := func() [][]string {
 		f := New(4, 8)
-		reqs, _ := RequestStream(MixHeavy, 20, 11)
+		reqs, _ := RequestStreamFrom(nil, MixHeavy, 20, 11)
 		pol, _ := NewPolicy(PolicyBinPack, nil)
 		f.Admit(reqs, pol)
 		out := make([][]string, len(f.Machines))

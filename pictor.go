@@ -343,12 +343,6 @@ func RunFleetConsolidation(shape FleetShape, cfg ExperimentConfig) FleetResult {
 	return core.RunFleetConsolidation(shape, cfg)
 }
 
-// RunFleetComparison runs the shape under every placement policy as one
-// batch on the parallel runner, in FleetPolicyNames order.
-func RunFleetComparison(shape FleetShape, cfg ExperimentConfig) []FleetResult {
-	return core.RunFleetComparison(shape, cfg)
-}
-
 // FleetComparisonTable renders the policy-comparison rows as an aligned
 // text table.
 func FleetComparisonTable(rs []FleetResult) string {
@@ -370,13 +364,6 @@ func RunFleetChurn(shape FleetShape, cfg ExperimentConfig) ChurnResult {
 	return core.RunFleetChurn(shape, cfg)
 }
 
-// RunChurnComparison runs the shape's churn twice as one batch — static
-// placement and with the migration controller — over the identical
-// tenant population, returning {static, migrated}.
-func RunChurnComparison(shape FleetShape, cfg ExperimentConfig) []ChurnResult {
-	return core.RunChurnComparison(shape, cfg)
-}
-
 // ChurnTable renders one churn outcome as per-epoch rows (lifecycle,
 // QoS, interactivity, power).
 func ChurnTable(r ChurnResult) string { return core.ChurnTable(r) }
@@ -390,22 +377,13 @@ func OccupancyTable(r ChurnResult) string { return core.OccupancyTable(r) }
 // migrate).
 func ChurnComparisonTable(rs []ChurnResult) string { return core.ChurnComparisonTable(rs) }
 
-// RunFaultComparison runs a faulty churn shape (MTBFEpochs > 0) three
-// ways as one batch — no faults, faults with drop-on-failure, and
-// faults with the shape's retry/degradation policy (defaulted to
-// 3 attempts, 1-epoch backoff and brown-out tiers when unset) — over
-// the identical tenant population, execution noise and failure
-// schedule, returning {healthy, drop, resilient}.
-func RunFaultComparison(shape FleetShape, cfg ExperimentConfig) []ChurnResult {
-	return core.RunFaultComparison(shape, cfg)
-}
-
-// RunSpec normalizes and executes a declarative experiment spec — the
-// one entry point over the whole experiment vocabulary, running exactly
-// the comparison batch the typed Run* entry points run (each of those
-// is thin sugar over the same trial lowering). parallel shards the
-// batch's independent trials across cores (<= 0 means every core).
-// Exactly one field of the outcome is populated, selected by the
+// RunSpec normalizes and executes a declarative experiment spec: the
+// one way to run a fleet (every placement policy over one request
+// stream), churn ({static, migrated}) or faults ({healthy, drop,
+// resilient}) comparison, and the whole evaluation grid. The spec
+// lowers onto the same trial batch the benchmark server runs. parallel
+// shards the batch's independent trials across cores (<= 0 means every
+// core). Exactly one field of the outcome is populated, selected by the
 // spec's kind; invalid specs return Normalize's error.
 func RunSpec(spec ExperimentSpec, parallel int) (SpecOutcome, error) {
 	return core.RunSpec(spec, parallel)

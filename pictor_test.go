@@ -211,7 +211,15 @@ func TestPublicChurnExperiment(t *testing.T) {
 	if r.MeanPowerWatts <= 0 {
 		t.Fatalf("churn rollups missing: %+v", r)
 	}
-	rs := pictor.RunChurnComparison(shape, cfg)
+	cmp, err := pictor.RunSpec(pictor.ExperimentSpec{
+		Kind: "churn", Warmup: 1, Seconds: 5,
+		Machines: shape.Machines, Policy: shape.Policy, Mix: shape.Mix, CoreClasses: shape.CoreClasses,
+		Epochs: shape.Epochs, Rate: shape.ArrivalRate, Duration: shape.MeanSessionEpochs,
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := cmp.Churn
 	if len(rs) != 2 || rs[0].Migrate || !rs[1].Migrate {
 		t.Fatalf("comparison must return {static, migrated}, got %+v", rs)
 	}
@@ -231,23 +239,27 @@ func TestPublicChurnExperiment(t *testing.T) {
 }
 
 func TestPublicFaultExperiment(t *testing.T) {
-	cfg := pictor.DefaultExperimentConfig()
-	cfg.WarmupSeconds, cfg.Seconds = 1, 5
-	shape := pictor.FleetShape{
-		Machines:           3,
-		Policy:             pictor.PolicyLeastDemand,
-		Mix:                pictor.MixHeavy,
-		CoreClasses:        "8,8,4",
-		Epochs:             4,
-		ArrivalRate:        2,
-		MeanSessionEpochs:  3,
-		MTBFEpochs:         3,
-		MTTREpochs:         1,
-		RetryAttempts:      3,
-		RetryBackoffEpochs: 1,
-		Degrade:            true,
+	static := false // no migration controller: isolate the recovery mechanisms
+	out, err := pictor.RunSpec(pictor.ExperimentSpec{
+		Kind: "faults", Warmup: 1, Seconds: 5,
+		Machines:    3,
+		Policy:      pictor.PolicyLeastDemand,
+		Mix:         pictor.MixHeavy,
+		CoreClasses: "8,8,4",
+		Epochs:      4,
+		Rate:        2,
+		Duration:    3,
+		Migrate:     &static,
+		MTBF:        3,
+		MTTR:        1,
+		Retries:     3,
+		Backoff:     1,
+		Degrade:     true,
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rs := pictor.RunFaultComparison(shape, cfg)
+	rs := out.Churn
 	if len(rs) != 3 {
 		t.Fatalf("fault comparison must return {healthy, drop, resilient}, got %d rows", len(rs))
 	}
