@@ -370,38 +370,26 @@ func churnTrial(shape exp.FleetShape, cfg ExperimentConfig) exp.Trial {
 	if mix == "" {
 		mix = string(fleet.MixSuite)
 	}
-	mode := "static"
-	if shape.Migrate {
-		mode = "migrate"
-	}
-	if shape.Faulty() {
-		mode += "+faults"
-	}
-	if shape.RetryAttempts > 0 {
-		mode += "+retry"
-	}
-	if shape.Degrade {
-		mode += "+degrade"
-	}
+	mode := churnMode(shape.Migrate, shape.Faulty(), shape.RetryAttempts > 0, shape.Degrade)
 	t.ID = fmt.Sprintf("churn/%s/%s/m%d×e%d/%s", pol, mix, shape.Machines, shape.Epochs, mode)
 	return t
 }
 
-// churnModeLabel names an executed churn variant from the result's
-// echoed knobs, matching churnTrial's ID suffix: placement mode first,
-// then the robustness knobs that were on.
-func churnModeLabel(r ChurnResult) string {
+// churnMode names a churn variant by its knobs, as churnTrial's ID
+// suffix and ChurnComparisonTable's mode column both print it:
+// placement mode first, then the robustness knobs that are on.
+func churnMode(migrate, faulty, retry, degrade bool) string {
 	mode := "static"
-	if r.Migrate {
+	if migrate {
 		mode = "migrate"
 	}
-	if r.Faulty {
+	if faulty {
 		mode += "+faults"
 	}
-	if r.Retry {
+	if retry {
 		mode += "+retry"
 	}
-	if r.Degrade {
+	if degrade {
 		mode += "+degrade"
 	}
 	return mode
@@ -555,7 +543,7 @@ func ChurnComparisonTable(rs []ChurnResult) string {
 		"evicted", "retried", "recovered", "lost", "QoS-viol", "avail",
 		"RTT mean", "RTT p99", "mean W")
 	for _, r := range rs {
-		t.Row(churnModeLabel(r),
+		t.Row(churnMode(r.Migrate, r.Faulty, r.Retry, r.Degrade),
 			fmt.Sprintf("%d", r.Arrivals),
 			fmt.Sprintf("%d", r.Rejected),
 			fmt.Sprintf("%d", r.Migrations),

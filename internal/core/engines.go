@@ -5,7 +5,6 @@ import (
 
 	"pictor/internal/exp"
 	"pictor/internal/fleet"
-	"pictor/internal/sim"
 	"pictor/internal/stats"
 )
 
@@ -316,14 +315,7 @@ var machineEpochKey = exp.NewSeedKey("fleet/churn/m")
 func (fe *fullEngine) AdvanceEpoch(e, mi int) MachineEpoch {
 	p := fe.p
 	m := p.f.Machines[mi]
-	cl := NewCluster(Options{
-		Seed:  machineEpochKey.Int(mi).Str("/e").Int(e).Seed(p.streamBase, p.u.Rep),
-		Cores: int(m.Cores + 0.5),
-	})
-	for _, prof := range m.Placed {
-		cl.AddInstance(NewInstanceConfig(prof, HumanDriver()))
-	}
-	cl.Run(sim.DurationOfSeconds(p.t.Warmup), sim.DurationOfSeconds(p.t.Measure))
+	cl := runPlaced(p.t, m, machineEpochKey.Int(mi).Str("/e").Int(e).Seed(p.streamBase, p.u.Rep))
 	me := MachineEpoch{
 		PowerWatts: cl.TotalPowerWatts(),
 		Demand:     m.Demand,

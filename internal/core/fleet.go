@@ -131,14 +131,7 @@ func executeFleet(t exp.Trial, u exp.Unit) *FleetResult {
 	}
 	var fleetRTTs []stats.Summary
 	for mi, m := range f.Machines {
-		cl := NewCluster(Options{
-			Seed:  exp.DeriveSeed(u.Seed, "fleet/machine", mi),
-			Cores: int(m.Cores + 0.5),
-		})
-		for _, prof := range m.Placed {
-			cl.AddInstance(NewInstanceConfig(prof, HumanDriver()))
-		}
-		cl.Run(sim.DurationOfSeconds(t.Warmup), sim.DurationOfSeconds(t.Measure))
+		cl := runPlaced(t, m, exp.DeriveSeed(u.Seed, "fleet/machine", mi))
 
 		mr := MachineResult{
 			Machine:         mi,
@@ -169,6 +162,20 @@ func executeFleet(t exp.Trial, u exp.Unit) *FleetResult {
 	out.RTT = exp.PoolSummaries(fleetRTTs)
 	out.ExactRTT = exactPooledRTT([]*FleetResult{out})
 	return out
+}
+
+// runPlaced builds machine m's cluster from seed — its core class
+// rounded to whole cores, one human-driven instance per placed profile
+// in placement order — and runs it through t's warmup and measure
+// windows. One-shot fleets and full-fidelity churn epochs both execute
+// a placed machine this way.
+func runPlaced(t exp.Trial, m *fleet.Machine, seed int64) *Cluster {
+	cl := NewCluster(Options{Seed: seed, Cores: int(m.Cores + 0.5)})
+	for _, prof := range m.Placed {
+		cl.AddInstance(NewInstanceConfig(prof, HumanDriver()))
+	}
+	cl.Run(sim.DurationOfSeconds(t.Warmup), sim.DurationOfSeconds(t.Measure))
+	return cl
 }
 
 // exactPooledRTT pools every machine's raw RTT observations across the

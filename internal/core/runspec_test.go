@@ -1,12 +1,17 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestRunSpecRejectsInvalidSpecs: for every kind, an invalid spec makes
 // RunSpec return Normalize's error — no panic, no run, no payload — and
 // so does an unknown or missing kind. The fleet and churn cases include
 // the wrong-kind and bad-vocabulary shapes the typed comparison entry
-// points used to reject by panicking.
+// points used to reject by panicking, and every numeric knob set to NaN
+// or infinity (flag parsing accepts both; the churn ones would hang the
+// Poisson draw).
 func TestRunSpecRejectsInvalidSpecs(t *testing.T) {
 	three := 3
 	cases := []struct {
@@ -21,6 +26,17 @@ func TestRunSpecRejectsInvalidSpecs(t *testing.T) {
 		{"churn with a negative rate", ExperimentSpec{Kind: SpecChurn, Rate: -1}},
 		{"faults with mttr but no mtbf", ExperimentSpec{Kind: SpecFaults, MTTR: 2}},
 		{"faults with a cohort beyond the fleet", ExperimentSpec{Kind: SpecFaults, Machines: 2, Fidelity: &three}},
+		{"grid with NaN seconds", ExperimentSpec{Kind: SpecGrid, Seconds: math.NaN()}},
+		{"grid with NaN warmup", ExperimentSpec{Kind: SpecGrid, Warmup: math.NaN()}},
+		{"fleet with a NaN core class", ExperimentSpec{Kind: SpecFleet, CoreClasses: "8,NaN"}},
+		{"fleet with infinite cores", ExperimentSpec{Kind: SpecFleet, CoreClasses: "Inf"}},
+		{"fleet with cores too large for an int", ExperimentSpec{Kind: SpecFleet, CoreClasses: "1e300"}},
+		{"churn with a NaN rate", ExperimentSpec{Kind: SpecChurn, Rate: math.NaN()}},
+		{"churn with an infinite rate", ExperimentSpec{Kind: SpecChurn, Rate: math.Inf(1)}},
+		{"churn with a NaN duration", ExperimentSpec{Kind: SpecChurn, Duration: math.NaN()}},
+		{"churn with a NaN peak", ExperimentSpec{Kind: SpecChurn, Schedule: "diurnal", Peak: math.NaN(), Period: 4}},
+		{"faults with a NaN mtbf", ExperimentSpec{Kind: SpecFaults, MTBF: math.NaN()}},
+		{"faults with a NaN mttr", ExperimentSpec{Kind: SpecFaults, MTBF: 3, MTTR: math.NaN()}},
 		{"unknown kind", ExperimentSpec{Kind: "figs"}},
 		{"missing kind", ExperimentSpec{}},
 	}

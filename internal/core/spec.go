@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"pictor/internal/app"
@@ -148,8 +149,9 @@ func (s ExperimentSpec) Normalize() (ExperimentSpec, error) {
 	if _, err := app.Resolve(s.Profiles); err != nil {
 		return s, fmt.Errorf("spec: profiles: %v", err)
 	}
-	if s.Seconds < 0 || s.Warmup < 0 {
-		return s, fmt.Errorf("spec: seconds and warmup must be >= 0, got %g and %g", s.Seconds, s.Warmup)
+	// Written so that NaN, which fails every comparison, is rejected.
+	if !(s.Seconds >= 0 && s.Warmup >= 0) || math.IsInf(s.Seconds, 1) || math.IsInf(s.Warmup, 1) {
+		return s, fmt.Errorf("spec: seconds and warmup must be finite and >= 0, got %g and %g", s.Seconds, s.Warmup)
 	}
 	if s.Seconds == 0 {
 		s.Seconds = 45

@@ -69,8 +69,8 @@ func ValidateSchedule(schedule string, rate, peak float64, period int) error {
 	case "", ScheduleConstant:
 		return nil
 	case ScheduleDiurnal, ScheduleFlash:
-		if peak < rate {
-			return fmt.Errorf("fleet: %s schedule needs a peak rate >= the base rate %g sessions/epoch, got %g", schedule, rate, peak)
+		if !(peak >= rate) || math.IsInf(peak, 1) {
+			return fmt.Errorf("fleet: %s schedule needs a finite peak rate >= the base rate %g sessions/epoch, got %g", schedule, rate, peak)
 		}
 		if period < 1 {
 			return fmt.Errorf("fleet: %s schedule needs a period >= 1 epoch, got %d", schedule, period)

@@ -146,6 +146,8 @@ func TestValidateSchedule(t *testing.T) {
 		"unknown":        ValidateSchedule("wat", 2, 6, 10),
 		"peak below":     ValidateSchedule(ScheduleDiurnal, 5, 2, 10),
 		"missing period": ValidateSchedule(ScheduleFlash, 2, 6, 0),
+		"NaN peak":       ValidateSchedule(ScheduleDiurnal, 2, math.NaN(), 10),
+		"infinite peak":  ValidateSchedule(ScheduleFlash, 2, math.Inf(1), 10),
 	} {
 		if err == nil {
 			t.Fatalf("%s schedule must be rejected", name)

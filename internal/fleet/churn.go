@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pictor/internal/app"
@@ -52,11 +53,11 @@ func ValidateChurnParams(rate, meanEpochs float64, epochs int) error {
 	if epochs < 1 {
 		return fmt.Errorf("fleet: churn needs at least 1 epoch, got %d", epochs)
 	}
-	if rate <= 0 {
-		return fmt.Errorf("fleet: churn arrival rate must be > 0 sessions/epoch, got %g", rate)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("fleet: churn arrival rate must be a finite number > 0 sessions/epoch, got %g", rate)
 	}
-	if meanEpochs <= 0 {
-		return fmt.Errorf("fleet: churn mean session length must be > 0 epochs, got %g", meanEpochs)
+	if !(meanEpochs > 0) || math.IsInf(meanEpochs, 1) {
+		return fmt.Errorf("fleet: churn mean session length must be a finite number > 0 epochs, got %g", meanEpochs)
 	}
 	return nil
 }
@@ -114,23 +115,9 @@ func NewChurn(f *Fleet, p Placement) *Churn {
 	return &Churn{Fleet: f, Policy: p, sessions: make([][]*Session, len(f.Machines))}
 }
 
-// Arrive offers a session to the policy. A placed session joins its
-// machine's resident list; a rejected one keeps Machine == -1 and is
-// never retried (the tenant went elsewhere). Offer is the failover-
-// aware variant that enqueues rejections for retry.
-func (c *Churn) Arrive(s *Session) bool {
-	if c.admit(s) {
-		return true
-	}
-	s.Machine = -1
-	c.Rejected++
-	c.recycle(s)
-	return false
-}
-
 // admit offers a session to the policy at its current served fidelity
 // and records the placement. It is the single admission path shared by
-// Arrive, Offer and RetryDue, so every outcome reverses identically.
+// Offer and RetryDue, so every outcome reverses identically.
 func (c *Churn) admit(s *Session) bool {
 	prof := &s.Profile
 	if s.Tier > 0 {
@@ -180,7 +167,7 @@ func (c *Churn) releaseSlot(mi, i int) {
 // MigrateOff moves one session off machine mi, targeting by *measured*
 // interactivity: rttMs holds each machine's mean RTT from the previous
 // epoch's execution (0 for idle machines), and the destination is the
-// feasible machine with the lowest measured RTT (ties toward the lower
+// eligible machine with the lowest measured RTT (ties toward the lower
 // index). Placement policies rank by predicted demand, but prediction
 // missing an interference effect is exactly why a machine degrades —
 // the controller must trust the measurement on both ends, or it would

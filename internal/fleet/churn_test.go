@@ -65,6 +65,10 @@ func TestChurnStreamRejectsBadParams(t *testing.T) {
 		{"zero rate", 0, 1, 4},
 		{"negative rate", -1, 1, 4},
 		{"zero duration", 1, 0, 4},
+		{"NaN rate", math.NaN(), 1, 4},
+		{"infinite rate", math.Inf(1), 1, 4},
+		{"NaN duration", 1, math.NaN(), 4},
+		{"infinite duration", 1, math.Inf(1), 4},
 	}
 	for _, c := range cases {
 		if _, err := NewChurnSource(ArrivalConfig{Mix: MixSuite, Rate: c.rate, MeanSessionEpochs: c.mean, Epochs: c.epochs, Seed: 1}); err == nil {
@@ -160,7 +164,7 @@ func TestChurnBookkeepingProperty(t *testing.T) {
 			check("after departures", e)
 			for _, s := range src.Next(e) {
 				last = max(last, s.Departs)
-				c.Arrive(s)
+				c.Offer(s, e)
 				check("after arrival", e)
 			}
 			// Random migration pressure: poke arbitrary machines, not
@@ -195,13 +199,13 @@ func sumProfiles(ps []app.Profile) float64 {
 
 func TestChurnArriveRejectsWhenFull(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastDemand, nil)
-	f := New(1, 1)
+	f := NewHetero(1, []float64{1})
 	f.Overcommit = 1
 	c := NewChurn(f, pol)
 	d2, _ := app.ByName("D2")
 	placedAny := false
 	for i := 0; i < 5; i++ {
-		if c.Arrive(&Session{ID: i, Profile: d2, Departs: 100}) {
+		if c.Offer(&Session{ID: i, Profile: d2, Departs: 100}, 0) {
 			placedAny = true
 		}
 	}
@@ -216,16 +220,16 @@ func TestChurnArriveRejectsWhenFull(t *testing.T) {
 
 func TestChurnMigrateOffMovesHeaviestAndKeepsWhenNowhere(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastDemand, nil)
-	f := New(2, 8)
+	f := NewHetero(2, []float64{8})
 	c := NewChurn(f, pol)
 	d2, _ := app.ByName("D2")
 	re, _ := app.ByName("RE")
-	// Force both sessions onto machine 0 via a pinned policy: use
-	// Arrive with machine 1 full.
+	// Force both sessions onto machine 0: offer them with machine 1
+	// full.
 	f.Machines[1].Cores = 0.1 // nothing fits
 	s1 := &Session{ID: 0, Profile: re, Departs: 10}
 	s2 := &Session{ID: 1, Profile: d2, Departs: 10}
-	if !c.Arrive(s1) || !c.Arrive(s2) {
+	if !c.Offer(s1, 0) || !c.Offer(s2, 0) {
 		t.Fatal("both sessions must land on machine 0")
 	}
 	// Nowhere to go: machine 1 cannot hold anything.
@@ -255,11 +259,11 @@ func TestChurnMigrateOffMovesHeaviestAndKeepsWhenNowhere(t *testing.T) {
 // just moves (and worsens) the violation.
 func TestChurnMigrateOffRejectsHotTargets(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastCount, nil)
-	f := New(2, 8)
+	f := NewHetero(2, []float64{8})
 	c := NewChurn(f, pol)
 	re, _ := app.ByName("RE")
 	s := &Session{ID: 0, Profile: re, Departs: 10}
-	if !c.Arrive(s) {
+	if !c.Offer(s, 0) {
 		t.Fatal("arrival must place")
 	}
 	// Machine 1 is empty (plenty of headroom) but measures above the
@@ -300,7 +304,7 @@ func TestParseCoreClasses(t *testing.T) {
 	if out, err := ParseCoreClasses(""); err != nil || out != nil {
 		t.Fatal("empty input must parse to nil without error")
 	}
-	for _, bad := range []string{"8,zero", "8,,4", "0", "-4", "8;4", "0.4"} {
+	for _, bad := range []string{"8,zero", "8,,4", "0", "-4", "8;4", "0.4", "8,NaN", "Inf", "-Inf", "1e300", "9.3e18"} {
 		if _, err := ParseCoreClasses(bad); err == nil {
 			t.Fatalf("%q must fail to parse", bad)
 		}

@@ -27,7 +27,7 @@ const (
 	// placements or migrations target it, and it burns no power.
 	MachineDown
 	// MachineCold is the post-repair cold start: the machine is
-	// powered (idle watts) but not yet placement-feasible — caches,
+	// powered (idle watts) but takes no placements yet — caches,
 	// trained models and GPU state are still warming.
 	MachineCold
 )
@@ -39,11 +39,11 @@ const ColdStartEpochs = 1
 // ValidateFaultParams checks the fault-injection vocabulary with
 // actionable messages, shared by FaultStream and the shape validators.
 func ValidateFaultParams(mtbfEpochs, mttrEpochs float64) error {
-	if mtbfEpochs < 0 {
-		return fmt.Errorf("fleet: MTBF must be >= 0 epochs (0 disables faults), got %g", mtbfEpochs)
+	if !(mtbfEpochs >= 0) || math.IsInf(mtbfEpochs, 1) {
+		return fmt.Errorf("fleet: MTBF must be a finite number >= 0 epochs (0 disables faults), got %g", mtbfEpochs)
 	}
-	if mtbfEpochs > 0 && mttrEpochs <= 0 {
-		return fmt.Errorf("fleet: fault injection (MTBF %g) needs MTTR > 0 epochs, got %g", mtbfEpochs, mttrEpochs)
+	if mtbfEpochs > 0 && (!(mttrEpochs > 0) || math.IsInf(mttrEpochs, 1)) {
+		return fmt.Errorf("fleet: fault injection (MTBF %g) needs a finite MTTR > 0 epochs, got %g", mtbfEpochs, mttrEpochs)
 	}
 	return nil
 }
@@ -192,11 +192,13 @@ func (c *Churn) retrySlot(s *Session, epoch, attempt int) (retryEntry, bool) {
 	return retryEntry{s: s, attempt: attempt, next: next}, true
 }
 
-// Offer is the failover-aware arrival path: like Arrive, but a rejected
-// session enters the retry queue (first attempt matures after the base
-// backoff) instead of being dropped. With retries disabled it behaves
-// exactly like Arrive. Sessions that exhaust the policy — or would
-// depart before their next attempt matures — count as Lost.
+// Offer is the arrival path: it offers a session to the policy, and a
+// placed session joins its machine's resident list. A rejected session
+// keeps Machine == -1, counts as Rejected and enters the retry queue
+// (first attempt matures after the base backoff). With retries disabled
+// (the zero RetryPolicy), or when the session would depart before its
+// first attempt matures, it is dropped at once and also counts as Lost.
+// Sessions that later exhaust their attempts count as Lost too.
 func (c *Churn) Offer(s *Session, epoch int) bool {
 	if c.admit(s) {
 		return true

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"testing"
 
 	"pictor/internal/app"
@@ -74,6 +75,10 @@ func TestFaultStreamRejectsBadParams(t *testing.T) {
 		{"negative mttr", 2, 3, -2, 4},
 		{"zero machines", 0, 3, 1, 4},
 		{"zero epochs", 2, 3, 1, 0},
+		{"NaN mtbf", 2, math.NaN(), 1, 4},
+		{"infinite mtbf", 2, math.Inf(1), 1, 4},
+		{"NaN mttr", 2, 3, math.NaN(), 4},
+		{"infinite mttr", 2, 3, math.Inf(1), 4},
 	}
 	for _, c := range cases {
 		if _, err := FaultStream(c.machines, c.mtbf, c.mttr, c.epochs, 1); err == nil {
@@ -123,13 +128,13 @@ func TestDegradedProfile(t *testing.T) {
 
 func TestOfferRetryBackoffAndRecovery(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastDemand, nil)
-	f := New(1, 8)
+	f := NewHetero(1, []float64{8})
 	c := NewChurn(f, pol)
 	c.Retry = RetryPolicy{MaxAttempts: 2, BackoffEpochs: 1}
 	re, _ := app.ByName("RE")
 
 	blocker := &Session{ID: 0, Profile: re, Departs: 100}
-	if !c.Arrive(blocker) {
+	if !c.Offer(blocker, 0) {
 		t.Fatal("blocker must place on an empty 8-core machine")
 	}
 	// Choke the machine so nothing else fits, then offer.
@@ -166,11 +171,11 @@ func TestOfferRetryBackoffAndRecovery(t *testing.T) {
 
 func TestRetryExhaustionAndDepartedPurge(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastDemand, nil)
-	f := New(1, 8)
+	f := NewHetero(1, []float64{8})
 	c := NewChurn(f, pol)
 	c.Retry = RetryPolicy{MaxAttempts: 2, BackoffEpochs: 1}
 	re, _ := app.ByName("RE")
-	if !c.Arrive(&Session{ID: 0, Profile: re, Departs: 100}) {
+	if !c.Offer(&Session{ID: 0, Profile: re, Departs: 100}, 0) {
 		t.Fatal("blocker must place")
 	}
 	f.Machines[0].Cores = 0.01
@@ -207,8 +212,8 @@ func TestRetryExhaustionAndDepartedPurge(t *testing.T) {
 		t.Fatalf("hopeless retry must not enqueue: queued=%d lost=%d", c.QueuedRetries(), c.Lost)
 	}
 
-	// With retries disabled, Offer behaves like Arrive plus loss
-	// accounting.
+	// With retries disabled, Offer drops a rejection at once and counts
+	// it as lost.
 	c.Retry = RetryPolicy{}
 	c.Offer(&Session{ID: 4, Profile: re, Departs: 100}, 0)
 	if c.QueuedRetries() != 0 || c.Lost != 4 {
@@ -218,7 +223,7 @@ func TestRetryExhaustionAndDepartedPurge(t *testing.T) {
 
 func TestEvictAllReversesPlacementAndEnqueues(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastDemand, nil)
-	f := New(2, 8)
+	f := NewHetero(2, []float64{8})
 	c := NewChurn(f, pol)
 	c.Retry = RetryPolicy{MaxAttempts: 2, BackoffEpochs: 1}
 	d2, _ := app.ByName("D2")
@@ -227,7 +232,7 @@ func TestEvictAllReversesPlacementAndEnqueues(t *testing.T) {
 	f.Machines[1].Cores = 0.01
 	s1 := &Session{ID: 0, Profile: d2, Departs: 100}
 	s2 := &Session{ID: 1, Profile: re, Departs: 100}
-	if !c.Arrive(s1) || !c.Arrive(s2) {
+	if !c.Offer(s1, 0) || !c.Offer(s2, 0) {
 		t.Fatal("both sessions must place on machine 0")
 	}
 	c.DegradeOne(0) // give one session a tier to verify the reset
@@ -256,13 +261,13 @@ func TestEvictAllReversesPlacementAndEnqueues(t *testing.T) {
 
 func TestDegradeUpgradeRoundTripRestoresDemand(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastDemand, nil)
-	f := New(1, 8)
+	f := NewHetero(1, []float64{8})
 	c := NewChurn(f, pol)
 	d2, _ := app.ByName("D2")
 	re, _ := app.ByName("RE")
 	sHeavy := &Session{ID: 0, Profile: d2, Departs: 100}
 	sLight := &Session{ID: 1, Profile: re, Departs: 100}
-	if !c.Arrive(sHeavy) || !c.Arrive(sLight) {
+	if !c.Offer(sHeavy, 0) || !c.Offer(sLight, 0) {
 		t.Fatal("both sessions must place")
 	}
 	m := f.Machines[0]
@@ -304,11 +309,11 @@ func TestDegradeUpgradeRoundTripRestoresDemand(t *testing.T) {
 
 func TestUpgradeOneRespectsNominalCapacity(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastDemand, nil)
-	f := New(1, 8)
+	f := NewHetero(1, []float64{8})
 	c := NewChurn(f, pol)
 	d2, _ := app.ByName("D2")
 	s := &Session{ID: 0, Profile: d2, Departs: 100}
-	if !c.Arrive(s) {
+	if !c.Offer(s, 0) {
 		t.Fatal("session must place")
 	}
 	if !c.DegradeOne(0) {
@@ -328,11 +333,11 @@ func TestUpgradeOneRespectsNominalCapacity(t *testing.T) {
 
 func TestDegradeToFitShedsTowardNominal(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastDemand, nil)
-	f := New(1, 8)
+	f := NewHetero(1, []float64{8})
 	f.Overcommit = 3 // admit far past nominal capacity
 	c := NewChurn(f, pol)
 	d2, _ := app.ByName("D2")
-	for i := 0; c.Arrive(&Session{ID: i, Profile: d2, Departs: 100}); i++ {
+	for i := 0; c.Offer(&Session{ID: i, Profile: d2, Departs: 100}, 0); i++ {
 	}
 	m := f.Machines[0]
 	if m.Demand <= m.Cores {

@@ -16,6 +16,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -150,13 +151,6 @@ type Fleet struct {
 	Overcommit float64
 	// Rejected holds the request indices admission turned away.
 	Rejected []int
-	// scratch backs feasible's result between placements. At churn-sweep
-	// arrival rates the feasibility list is the placement path's only
-	// allocation, and it is discarded the moment the policy picks —
-	// reusing one buffer keeps a million-arrival sweep off the garbage
-	// collector. Placement is sequential per fleet (the epoch loop runs
-	// each trial single-threaded), so one buffer is safe.
-	scratch []*Machine
 	// index is the headroom index over Machines, built on first use
 	// (see headroom).
 	index *headroomIndex
@@ -170,15 +164,6 @@ func (f *Fleet) headroom() *headroomIndex {
 		f.index = newHeadroomIndex(f.Machines, f.Overcommit)
 	}
 	return f.index
-}
-
-// New builds a fleet of n identical machines with the given core count
-// (<= 0 selects DefaultMachineCores).
-func New(n int, cores float64) *Fleet {
-	if cores <= 0 {
-		cores = DefaultMachineCores
-	}
-	return NewHetero(n, []float64{cores})
 }
 
 // NewHetero builds a fleet of n machines whose core counts cycle
@@ -218,8 +203,14 @@ func ParseCoreClasses(s string) ([]float64, error) {
 		// assembly layer rounds a machine's class to whole cluster cores,
 		// and a fraction rounding to 0 would silently execute as the
 		// 8-core default while placement believes the machine is tiny.
-		if v < 1 {
+		// The test is written so that NaN fails it too.
+		if !(v >= 1) {
 			return nil, fmt.Errorf("fleet: core classes %q: entry %d must be a core count >= 1, got %g", s, i+1, v)
+		}
+		// A count too large to round to an int (+Inf included) would
+		// overflow into the same 8-core fallback.
+		if v >= math.MaxInt {
+			return nil, fmt.Errorf("fleet: core classes %q: entry %d is too large to round to whole cores, got %g", s, i+1, v)
 		}
 		out[i] = v
 	}
@@ -239,61 +230,21 @@ func (f *Fleet) Admit(reqs []app.Profile, p Placement) {
 	}
 }
 
-// placeOne offers one request to the policy over the feasible machines
-// and records the placement, returning the chosen machine's fleet index
-// or -1 when no machine can (or the policy will) hold it. Policies that
-// search the headroom index themselves (directPicker) skip
-// materializing the feasibility list entirely, and choose the machine
-// the full list would have selected anyway.
+// placeOne offers one request to the policy and records the placement,
+// returning the chosen machine's fleet index or -1 when no machine can
+// (or the policy will) hold it. When the headroom index rules every
+// machine out, the policy is not asked.
 func (f *Fleet) placeOne(req *app.Profile, p Placement) int {
 	d := PredictedCPUDemand(req)
-	if dp, ok := p.(directPicker); ok {
-		mi := dp.pickDirect(f, req, d)
-		if mi < 0 {
-			return -1
-		}
-		f.Machines[mi].place(req)
-		return mi
-	}
-	feasible := f.feasible(d)
-	if len(feasible) == 0 {
-		return -1
-	}
-	pick := p.Pick(feasible, *req)
-	if pick < 0 || pick >= len(feasible) {
-		return -1
-	}
-	feasible[pick].place(req)
-	return feasible[pick].Index
-}
-
-// feasible lists the machines that can hold one more request of demand
-// d, in index order. Machines that are down or cold-starting (fault
-// injection) take no placements. The returned slice is valid until the
-// next call (it reuses the fleet's scratch buffer). When the headroom
-// index rules every machine out, the scan is skipped.
-func (f *Fleet) feasible(d float64) []*Machine {
-	out := f.scratch[:0]
 	if !f.headroom().mayFit(d) {
-		return out
+		return -1
 	}
-	for _, m := range f.Machines {
-		if m.admits(d, f.Overcommit) {
-			out = append(out, m)
-		}
+	mi := p.Pick(f, req, d)
+	if mi < 0 {
+		return -1
 	}
-	f.scratch = out
-	return out
-}
-
-// Placements returns each machine's placed profiles (index-aligned with
-// Machines).
-func (f *Fleet) Placements() [][]app.Profile {
-	out := make([][]app.Profile, len(f.Machines))
-	for i, m := range f.Machines {
-		out[i] = m.Placed
-	}
-	return out
+	f.Machines[mi].place(req)
+	return mi
 }
 
 // PredictedCPUDemand estimates the cores one instance of a profile will

@@ -183,7 +183,7 @@ func TestRequestStreamHeavyIsHeavy(t *testing.T) {
 }
 
 func TestRoundRobinCycles(t *testing.T) {
-	f := New(3, 8)
+	f := NewHetero(3, []float64{8})
 	reqs, _ := RequestStreamFrom(nil, MixSuite, 6, 1)
 	f.Admit(reqs, &RoundRobin{})
 	for i, m := range f.Machines {
@@ -197,7 +197,7 @@ func TestRoundRobinCycles(t *testing.T) {
 }
 
 func TestLeastLoadedCountBalances(t *testing.T) {
-	f := New(4, 8)
+	f := NewHetero(4, []float64{8})
 	reqs, _ := RequestStreamFrom(nil, MixShuffled, 8, 5)
 	f.Admit(reqs, LeastLoadedCount{})
 	for i, m := range f.Machines {
@@ -208,7 +208,7 @@ func TestLeastLoadedCountBalances(t *testing.T) {
 }
 
 func TestLeastLoadedDemandPicksLightestMachine(t *testing.T) {
-	f := New(2, 8)
+	f := NewHetero(2, []float64{8})
 	d2, _ := app.ByName("D2")
 	re, _ := app.ByName("RE")
 	// D2 on machine 0, then two REs: the first RE goes to the empty
@@ -220,7 +220,7 @@ func TestLeastLoadedDemandPicksLightestMachine(t *testing.T) {
 }
 
 func TestAdmissionRejectsWhenFull(t *testing.T) {
-	f := New(1, 1) // one tiny machine
+	f := NewHetero(1, []float64{1}) // one tiny machine
 	f.Overcommit = 1
 	reqs, _ := RequestStreamFrom(nil, MixSuite, 5, 1)
 	f.Admit(reqs, LeastLoadedCount{})
@@ -240,7 +240,7 @@ func TestBinPackSeparatesHostileProfiles(t *testing.T) {
 	it.Set("STK", "STK", 0.5) // STK is hostile to itself
 	it.Set("STK", "RE", 0.0)  // but compatible with RE
 
-	f := New(2, 8)
+	f := NewHetero(2, []float64{8})
 	pol := &BinPack{Interference: it}
 	f.Admit([]app.Profile{stk, stk, re, re}, pol)
 	stks := make([]int, len(f.Machines))
@@ -260,7 +260,7 @@ func TestBinPackSeparatesHostileProfiles(t *testing.T) {
 
 func TestBinPackPacksCompatibleProfilesTightly(t *testing.T) {
 	re, _ := app.ByName("RE")
-	f := New(3, 8)
+	f := NewHetero(3, []float64{8})
 	// No interference data: everything is compatible, so binpack must
 	// fill machine 0 before touching the others (keeping machines free).
 	f.Admit([]app.Profile{re, re, re}, &BinPack{})
@@ -284,17 +284,21 @@ func TestBinPackTieBreakRobustToAccumulationOrder(t *testing.T) {
 	it.Set("IM", "RE", 0.2)
 	it.Set("IM", "D2", 0.3)
 
-	mk := func(index int, order []app.Profile) *Machine {
-		m := &Machine{Index: index, Cores: 64}
-		for _, p := range order {
-			m.place(&p)
+	// fleetOf builds a fleet of roomy machines holding the given
+	// residents, in placement order.
+	fleetOf := func(orders ...[]app.Profile) *Fleet {
+		f := NewHetero(len(orders), []float64{64})
+		for i, order := range orders {
+			for _, p := range order {
+				f.Machines[i].place(&p)
+			}
 		}
-		return m
+		return f
 	}
 	// Same multiset, opposite accumulation orders: costs differ by one
 	// ulp, demands are the same sum reordered.
-	a := mk(0, []app.Profile{stk, re, d2})
-	b := mk(1, []app.Profile{d2, re, stk})
+	forward, backward := []app.Profile{stk, re, d2}, []app.Profile{d2, re, stk}
+	f := fleetOf(forward, backward)
 	costOf := func(m *Machine) float64 {
 		c := 0.0
 		for _, p := range m.Placed {
@@ -302,38 +306,37 @@ func TestBinPackTieBreakRobustToAccumulationOrder(t *testing.T) {
 		}
 		return c
 	}
-	if costOf(a) == costOf(b) {
+	if costOf(f.Machines[0]) == costOf(f.Machines[1]) {
 		t.Skip("float accumulation happens to agree on this platform; tie-break not exercised")
 	}
 	pol := &BinPack{Interference: it}
-	if got := pol.Pick([]*Machine{a, b}, im); got != 0 {
+	d := PredictedCPUDemand(&im)
+	if got := pol.Pick(f, &im, d); got != 0 {
 		t.Fatalf("ulp-level cost difference broke the lower-index tie-break: picked %d", got)
 	}
-	// Order mustn't matter: with b first, b (the new lower index) wins.
-	b.Index, a.Index = 0, 1
-	if got := pol.Pick([]*Machine{b, a}, im); got != 0 {
+	// Order mustn't matter: with the orders swapped, machine 0 still wins.
+	if got := pol.Pick(fleetOf(backward, forward), &im, d); got != 0 {
 		t.Fatalf("tie-break must pick the first (lowest-index) machine, picked %d", got)
 	}
 }
 
 // TestBinPackPrefersFullerOnCostTie pins the documented second key:
-// among cost-tied machines, the fuller one wins even when it appears
-// later in the feasible slice.
+// among cost-tied machines, the fuller one wins even when it has the
+// higher index.
 func TestBinPackPrefersFullerOnCostTie(t *testing.T) {
 	re, _ := app.ByName("RE")
 	d2, _ := app.ByName("D2")
-	empty := &Machine{Index: 0, Cores: 64}
-	fuller := &Machine{Index: 1, Cores: 64}
-	fuller.place(&d2)
+	f := NewHetero(2, []float64{64})
+	f.Machines[1].place(&d2)
 	// No interference table: every cost is 0 — a pure tie.
 	pol := &BinPack{}
-	if got := pol.Pick([]*Machine{empty, fuller}, re); got != 1 {
+	if got := pol.Pick(f, &re, PredictedCPUDemand(&re)); got != 1 {
 		t.Fatalf("cost tie must prefer the fuller machine, picked %d", got)
 	}
 }
 
 func TestRoundRobinSkipsFullMachines(t *testing.T) {
-	f := New(2, 8)
+	f := NewHetero(2, []float64{8})
 	f.Overcommit = 1
 	d2, _ := app.ByName("D2")
 	// More D2s than two 8-core machines can hold at overcommit 1: the
@@ -389,13 +392,13 @@ func TestNewPolicyRegistry(t *testing.T) {
 
 func TestAdmitDeterministic(t *testing.T) {
 	run := func() [][]string {
-		f := New(4, 8)
+		f := NewHetero(4, []float64{8})
 		reqs, _ := RequestStreamFrom(nil, MixHeavy, 20, 11)
 		pol, _ := NewPolicy(PolicyBinPack, nil)
 		f.Admit(reqs, pol)
 		out := make([][]string, len(f.Machines))
-		for i, ps := range f.Placements() {
-			out[i] = names(ps)
+		for i, m := range f.Machines {
+			out[i] = names(m.Placed)
 		}
 		return out
 	}

@@ -84,6 +84,11 @@ func (ix *headroomIndex) update(m *Machine) {
 // reads as "might fit", as it does throughout the tree.)
 func (ix *headroomIndex) mayFit(d float64) bool { return !(ix.tree[1] < d) }
 
+// leaves returns every machine's padded headroom, by fleet index. A
+// policy that must rank every admitting machine scans them in order,
+// asking the exact test only where a leaf is not below the demand.
+func (ix *headroomIndex) leaves() []float64 { return ix.tree[ix.size : ix.size+ix.n] }
+
 // next returns the first position >= from whose leaf admits demand d,
 // or -1 when none does. It climbs from the leaf until a right-hand
 // subtree admits d, then descends into that subtree's leftmost

@@ -36,32 +36,18 @@ func linearFeasible(f *Fleet, d float64) []int {
 	return out
 }
 
-func indices(ms []*Machine) []int {
-	var out []int
-	for _, m := range ms {
-		out = append(out, m.Index)
+// linearLeast is the least-loaded pick the leaf scans replaced: over
+// linearFeasible, the machine with the least load, ties toward the
+// lower index. It is the reference leastcount and leastdemand must
+// reproduce exactly.
+func linearLeast(f *Fleet, d float64, load func(*Machine) float64) int {
+	best := -1
+	for _, i := range linearFeasible(f, d) {
+		if best < 0 || load(f.Machines[i]) < load(f.Machines[best]) {
+			best = i
+		}
 	}
-	return out
-}
-
-// checkedRoundRobin checks every index-backed pick — arrivals and
-// failover retries alike — against the linear scan from the same
-// cursor.
-type checkedRoundRobin struct {
-	*RoundRobin
-	t     *testing.T
-	picks *int
-}
-
-func (p checkedRoundRobin) pickDirect(f *Fleet, req *app.Profile, d float64) int {
-	p.t.Helper()
-	want := linearPick(f, p.next, d)
-	got := p.RoundRobin.pickDirect(f, req, d)
-	if got != want {
-		p.t.Fatalf("round-robin pick from cursor %d for demand %v: index chose %d, linear scan %d", p.next, d, got, want)
-	}
-	*p.picks++
-	return got
+	return best
 }
 
 // refKey is the name-pair key of a reference interference map.
@@ -72,11 +58,11 @@ func refKey(a, b string) [2]string {
 	return [2]string{a, b}
 }
 
-// linearBinPack is the bin-packing pick the direct scan replaced: Pick
-// over linearFeasible, each machine's cost the left-to-right sum, over
-// its residents, of the request's score in ref, a name-pair map (a nil
-// map scores every pair 0). It returns a fleet index. It is the
-// reference the direct path must reproduce exactly.
+// linearBinPack is the bin-packing pick the leaf scan replaced: over
+// linearFeasible, each machine's cost the left-to-right sum, over its
+// residents, of the request's score in ref, a name-pair map (a nil map
+// scores every pair 0). It is the reference bin-packing must reproduce
+// exactly.
 func linearBinPack(f *Fleet, ref map[[2]string]float64, req *app.Profile, d float64) int {
 	best, bestCost, bestDemand := -1, 0.0, 0.0
 	for _, i := range linearFeasible(f, d) {
@@ -96,49 +82,49 @@ func linearBinPack(f *Fleet, ref map[[2]string]float64, req *app.Profile, d floa
 	return best
 }
 
-// checkedBinPack checks every direct bin-packing pick — arrivals and
-// failover retries alike — against the linear reference over ref, the
-// name-pair copy of the policy's table, and checks that the exported
-// Pick over the feasibility list chooses the same machine.
-type checkedBinPack struct {
-	*BinPack
-	t     *testing.T
-	ref   map[[2]string]float64
-	picks *int
-}
-
-func (p checkedBinPack) pickDirect(f *Fleet, req *app.Profile, d float64) int {
-	p.t.Helper()
-	want := linearBinPack(f, p.ref, req, d)
-	got := p.BinPack.pickDirect(f, req, d)
-	if got != want {
-		p.t.Fatalf("bin-packing %s (demand %v): direct scan chose %d, linear scan %d", req.Name, d, got, want)
-	}
-	if feasible := f.feasible(d); len(feasible) > 0 {
-		if pick := p.BinPack.Pick(feasible, *req); pick < 0 || feasible[pick].Index != want {
-			p.t.Fatalf("bin-packing %s (demand %v): Pick chose slot %d of %v, linear scan machine %d", req.Name, d, pick, indices(feasible), want)
+// linearReference returns the linear scan policy p must match pick for
+// pick. Round-robin's reads p's cursor, so it must run before p picks;
+// ref is bin-packing's name-pair table.
+func linearReference(p Placement, ref map[[2]string]float64) func(f *Fleet, req *app.Profile, d float64) int {
+	switch p := p.(type) {
+	case *RoundRobin:
+		return func(f *Fleet, _ *app.Profile, d float64) int { return linearPick(f, p.next, d) }
+	case LeastLoadedCount:
+		return func(f *Fleet, _ *app.Profile, d float64) int {
+			return linearLeast(f, d, func(m *Machine) float64 { return float64(len(m.Placed)) })
 		}
+	case LeastLoadedDemand:
+		return func(f *Fleet, _ *app.Profile, d float64) int {
+			return linearLeast(f, d, func(m *Machine) float64 { return m.Demand })
+		}
+	case *BinPack:
+		return func(f *Fleet, req *app.Profile, d float64) int { return linearBinPack(f, ref, req, d) }
 	}
-	*p.picks++
-	return got
+	panic("no linear reference for policy " + p.Name())
 }
 
-// checkedPick checks every non-empty feasibility list a full-scan
-// policy receives against the linear reference.
+// checkedPick checks every pick of a policy — arrivals and failover
+// retries alike — against its linear reference.
 type checkedPick struct {
 	Placement
 	t     *testing.T
-	f     *Fleet
+	want  func(f *Fleet, req *app.Profile, d float64) int
 	picks *int
 }
 
-func (p checkedPick) Pick(feasible []*Machine, req app.Profile) int {
+func checked(t *testing.T, p Placement, ref map[[2]string]float64, picks *int) checkedPick {
+	return checkedPick{Placement: p, t: t, want: linearReference(p, ref), picks: picks}
+}
+
+func (p checkedPick) Pick(f *Fleet, req *app.Profile, d float64) int {
 	p.t.Helper()
-	if want := linearFeasible(p.f, PredictedCPUDemand(&req)); !slices.Equal(indices(feasible), want) {
-		p.t.Fatalf("%s: feasible %v, linear scan %v", p.Name(), indices(feasible), want)
+	want := p.want(f, req, d)
+	got := p.Placement.Pick(f, req, d)
+	if got != want {
+		p.t.Fatalf("%s %s (demand %v): picked %d, linear scan %d", p.Name(), req.Name, d, got, want)
 	}
 	*p.picks++
-	return p.Placement.Pick(feasible, req)
+	return got
 }
 
 // checkIndex verifies the index mirrors the fleet: every leaf holds its
@@ -169,9 +155,8 @@ func checkIndex(t *testing.T, f *Fleet) {
 // availability — arrivals, departures, direct State writes through
 // Down→Cold→Up with crash evictions, failover retries, brown-out
 // degrade/upgrade, migration and a mid-run Overcommit change — and
-// checks offer by offer that the index-backed round-robin and
-// bin-packing picks and the feasibility list are exactly the linear
-// scan's. Bin-packing runs without a table here; see
+// checks offer by offer that every policy's index-backed pick is
+// exactly its linear scan's. Bin-packing runs without a table here; see
 // TestBinPackMatchesLinearScan for its scoring.
 func TestIndexedPlacementMatchesLinearScan(t *testing.T) {
 	for _, policy := range PolicyNames() {
@@ -180,14 +165,7 @@ func TestIndexedPlacementMatchesLinearScan(t *testing.T) {
 			f := NewHetero(1+rng.Intn(40), []float64{8, 4})
 			base, _ := NewPolicy(policy, nil)
 			picks := 0
-			var pol Placement = checkedPick{Placement: base, t: t, f: f, picks: &picks}
-			switch p := base.(type) {
-			case *RoundRobin:
-				pol = checkedRoundRobin{RoundRobin: p, t: t, picks: &picks}
-			case *BinPack:
-				pol = checkedBinPack{BinPack: p, t: t, picks: &picks}
-			}
-			runIndexedChurn(t, f, pol, rng, seed, 3, nil)
+			runIndexedChurn(t, f, checked(t, base, nil, &picks), rng, seed, 3, nil)
 			if picks == 0 {
 				t.Fatalf("%s seed %d: no pick was checked", policy, seed)
 			}
@@ -195,9 +173,9 @@ func TestIndexedPlacementMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestBinPackMatchesLinearScan checks the bin-packing direct path —
-// the leaf scan and the per-(machine, profile) cost memo — offer by
-// offer against the linear reference, through the same random churn as
+// TestBinPackMatchesLinearScan checks bin-packing's pick — the leaf
+// scan and the per-(machine, profile) cost memo — offer by offer
+// against the linear reference, through the same random churn as
 // TestIndexedPlacementMatchesLinearScan, with tables that hold cost
 // near-ties within binPackEps, profiles they have never seen, and none
 // at all. A third of the way in, Set changes the table between two
@@ -209,7 +187,7 @@ func TestBinPackMatchesLinearScan(t *testing.T) {
 			it, ref := testTable(table)
 			bp := &BinPack{Interference: it}
 			picks := 0
-			pol := checkedBinPack{BinPack: bp, t: t, ref: ref, picks: &picks}
+			pol := checked(t, bp, ref, &picks)
 			rng := rand.New(rand.NewSource(seed))
 			machines := 1 + rng.Intn(40)
 			retune := func() {
@@ -245,7 +223,7 @@ func TestBinPackMemoFollowsFleet(t *testing.T) {
 	it.Set("STK", "STK", 0.5)
 	it.Set("STK", "RE", 0)
 	fleetOf := func(residents ...app.Profile) *Fleet {
-		f := New(len(residents), 64)
+		f := NewHetero(len(residents), []float64{64})
 		for i := range residents {
 			f.Machines[i].place(&residents[i])
 		}
@@ -253,10 +231,10 @@ func TestBinPackMemoFollowsFleet(t *testing.T) {
 	}
 	bp := &BinPack{Interference: it}
 	d := PredictedCPUDemand(&stk)
-	if got := bp.pickDirect(fleetOf(stk, re), &stk, d); got != 1 {
+	if got := bp.Pick(fleetOf(stk, re), &stk, d); got != 1 {
 		t.Fatalf("STK offered beside STK and RE: picked machine %d, want 1 (RE)", got)
 	}
-	if got := bp.pickDirect(fleetOf(re, stk), &stk, d); got != 0 {
+	if got := bp.Pick(fleetOf(re, stk), &stk, d); got != 0 {
 		t.Fatalf("STK offered to a second fleet, residents swapped: picked machine %d, want 0 (RE)", got)
 	}
 }
@@ -283,7 +261,7 @@ func TestBinPackSharedTableRace(t *testing.T) {
 		for e := 0; e < epochs; e++ {
 			c.DepartDue(e)
 			for _, s := range src.Next(e) {
-				c.Arrive(s)
+				c.Offer(s, e)
 				out = append(out, s.Machine)
 			}
 		}
@@ -389,9 +367,9 @@ func runIndexedChurn(t *testing.T, f *Fleet, pol Placement, rng *rand.Rand, seed
 			if e == epochs/3 && i == len(batch)/2 && midway != nil {
 				midway()
 			}
-			d := PredictedCPUDemand(&s.Profile)
-			if want := linearFeasible(f, d); !slices.Equal(indices(f.feasible(d)), want) {
-				t.Fatalf("%s seed %d epoch %d: feasible %v, linear scan %v", pol.Name(), seed, e, indices(f.feasible(d)), want)
+			// The root's "nothing fits" skips the policy, so check it here.
+			if d := PredictedCPUDemand(&s.Profile); !f.headroom().mayFit(d) && linearFeasible(f, d) != nil {
+				t.Fatalf("%s seed %d epoch %d: the index rules out demand %v, linear scan fits %v", pol.Name(), seed, e, d, linearFeasible(f, d))
 			}
 			c.Offer(s, e)
 		}
@@ -416,7 +394,9 @@ func runIndexedChurn(t *testing.T, f *Fleet, pol Placement, rng *rand.Rand, seed
 // TestIndexExactAtCapacityEdges places copies of one profile on
 // machines whose overcommitted capacity sits within a few ulps of a
 // whole number of copies, so the last copy fits or misses by a rounding
-// step: the index must never prune a machine the exact test accepts.
+// step: the index must never prune a machine the exact test accepts,
+// so every policy's placement, rejections included, is its linear
+// reference's.
 func TestIndexExactAtCapacityEdges(t *testing.T) {
 	for _, oc := range []float64{1, 1.3, DefaultOvercommit} {
 		for _, p := range app.PaperSuite() {
@@ -436,29 +416,16 @@ func TestIndexExactAtCapacityEdges(t *testing.T) {
 					cores = math.Nextafter(cores, math.Inf(1))
 				}
 			}
-			for _, policy := range []string{PolicyRoundRobin, PolicyLeastCount, PolicyBinPack} {
+			for _, policy := range PolicyNames() {
 				f := NewHetero(len(classes), classes)
 				f.Overcommit = oc
-				rr := &RoundRobin{}
 				pol, _ := NewPolicy(policy, nil)
-				if policy == PolicyRoundRobin {
-					pol = rr
-				}
+				linear := linearReference(pol, nil)
 				for offers := 0; ; offers++ {
-					want := linearFeasible(f, d)
-					if got := indices(f.feasible(d)); !slices.Equal(got, want) {
-						t.Fatalf("%s oc %v offer %d: feasible %v, linear scan %v", p.Name, oc, offers, got, want)
-					}
-					var wantPick int
-					switch policy {
-					case PolicyRoundRobin:
-						wantPick = linearPick(f, rr.next, d)
-					case PolicyBinPack:
-						wantPick = linearBinPack(f, nil, &p, d)
-					}
+					want := linear(f, &p, d)
 					got := f.placeOne(&p, pol)
-					if policy != PolicyLeastCount && got != wantPick {
-						t.Fatalf("%s %s oc %v offer %d: picked %d, linear scan %d", policy, p.Name, oc, offers, got, wantPick)
+					if got != want {
+						t.Fatalf("%s %s oc %v offer %d: picked %d, linear scan %d", policy, p.Name, oc, offers, got, want)
 					}
 					if got < 0 {
 						break

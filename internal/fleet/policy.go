@@ -6,15 +6,17 @@ import (
 	"pictor/internal/app"
 )
 
-// Placement decides where an admitted request lands. Pick receives the
-// feasible machines (those with remaining overcommitted capacity, in
-// index order, never empty) and returns the index *into that slice* of
-// the chosen machine, or -1 to reject the request anyway. Policies must
-// be deterministic: placement feeds the deterministic experiment
-// runner, so equal inputs must always produce equal choices.
+// Placement decides where an admitted request lands. Pick returns the
+// fleet index of the machine chosen for req, whose predicted demand is
+// d, or -1 when no up machine fits d; it does not place. Policies read
+// their candidates from the fleet's headroom index and apply the exact
+// admission test (up, and Fits under the fleet's Overcommit) before
+// choosing one. Policies must be deterministic: placement feeds the
+// deterministic experiment runner, so equal inputs must always produce
+// equal choices.
 type Placement interface {
 	Name() string
-	Pick(feasible []*Machine, req app.Profile) int
+	Pick(f *Fleet, req *app.Profile, d float64) int
 }
 
 // Policy names, as accepted by NewPolicy and the CLI's -policy flag.
@@ -47,65 +49,29 @@ func NewPolicy(name string, it *Interference) (Placement, error) {
 	return nil, fmt.Errorf("fleet: unknown policy %q (have %v)", name, PolicyNames())
 }
 
-// RoundRobin cycles machines in index order, skipping full ones (the
-// feasibility filter already removed those). It balances instance
-// counts without looking at the workload at all — the baseline every
-// load balancer starts from.
+// RoundRobin cycles machines in index order, skipping full ones. It
+// balances instance counts without looking at the workload at all —
+// the baseline every load balancer starts from.
+//
+// The cursor advances over machine indices, so a temporarily-full
+// machine does not shift everyone else's turn: Pick takes the first
+// fitting machine at or after the cursor, wrapping once. The headroom
+// index yields the candidates in that order, skipping whole runs of
+// full machines (O(log n) per arrival on a 10k-machine sweep), and each
+// candidate passes the exact admission test before it is chosen. The
+// cursor only advances on a successful pick.
 type RoundRobin struct {
 	next int
 }
 
 func (*RoundRobin) Name() string { return PolicyRoundRobin }
 
-func (p *RoundRobin) Pick(feasible []*Machine, _ app.Profile) int {
-	// The cursor advances over machine indices, not the feasible slice,
-	// so a temporarily-full machine does not shift everyone else's turn.
-	best, bestKey := 0, -1
-	for i, m := range feasible {
-		// Key orders machines by distance from the cursor, wrapping.
-		key := m.Index - p.next
-		if key < 0 {
-			key += 1 << 30
-		}
-		if bestKey == -1 || key < bestKey {
-			best, bestKey = i, key
-		}
-	}
-	p.next = feasible[best].Index + 1
-	return best
-}
-
-// directPicker is the fast path for policies that find their machine
-// themselves, through the fleet's headroom index, instead of receiving
-// the materialized feasibility list: round-robin walks from its cursor
-// and stops at the first fit (O(log n) per arrival on a 10k-machine
-// sweep), bin-packing scores the fitting machines where they stand. An
-// implementation must select exactly the machine its Pick would select
-// from the full feasible list, or schedule goldens diverge by policy
-// dispatch path.
-type directPicker interface {
-	// pickDirect returns the fleet index of the machine chosen for req,
-	// whose predicted demand is d (without placing on it), or -1 when
-	// no up machine fits d.
-	pickDirect(f *Fleet, req *app.Profile, d float64) int
-}
-
-// pickDirect: Pick minimizes wrapping cursor distance over the feasible
-// list, which is exactly "the first fitting index at or after the
-// cursor, wrapping once". The headroom index yields the candidates in
-// that order, skipping whole runs of full machines, and each candidate
-// passes the exact feasibility test before it is chosen. The cursor
-// only advances on a successful placement, matching the slow path (an
-// empty feasibility list never reaches Pick).
-func (p *RoundRobin) pickDirect(f *Fleet, _ *app.Profile, d float64) int {
+func (p *RoundRobin) Pick(f *Fleet, _ *app.Profile, d float64) int {
 	n := len(f.Machines)
 	if n == 0 {
 		return -1
 	}
 	ix := f.headroom()
-	if !ix.mayFit(d) {
-		return -1
-	}
 	start := p.next % n
 	for i := ix.next(start, d); i >= 0; i = ix.next(i+1, d) {
 		if p.take(f, i, d) {
@@ -120,8 +86,8 @@ func (p *RoundRobin) pickDirect(f *Fleet, _ *app.Profile, d float64) int {
 	return -1
 }
 
-// take applies the exact feasibility test to a candidate from the
-// index and, when it passes, moves the cursor past it.
+// take applies the exact admission test to a candidate from the index
+// and, when it passes, moves the cursor past it.
 func (p *RoundRobin) take(f *Fleet, i int, d float64) bool {
 	if !f.Machines[i].admits(d, f.Overcommit) {
 		return false
@@ -130,37 +96,54 @@ func (p *RoundRobin) take(f *Fleet, i int, d float64) bool {
 	return true
 }
 
-// LeastLoadedCount places on the feasible machine hosting the fewest
-// instances (ties break toward the lower index). Blind to what those
-// instances are — the classic "least connections" balancer.
+// LeastLoadedCount places on the machine hosting the fewest instances
+// among those that admit the request (ties break toward the lower
+// index). Blind to what those instances are — the classic "least
+// connections" balancer. Pick scans the headroom index's leaves in
+// machine order and asks the exact admission test only of machines
+// whose headroom might hold d.
 type LeastLoadedCount struct{}
 
 func (LeastLoadedCount) Name() string { return PolicyLeastCount }
 
-func (LeastLoadedCount) Pick(feasible []*Machine, _ app.Profile) int {
-	best := 0
-	for i, m := range feasible {
-		if len(m.Placed) < len(feasible[best].Placed) {
-			best = i
+func (LeastLoadedCount) Pick(f *Fleet, _ *app.Profile, d float64) int {
+	best, fewest := -1, 0
+	for i, headroom := range f.headroom().leaves() {
+		if headroom < d {
+			continue
+		}
+		m := f.Machines[i]
+		if !m.admits(d, f.Overcommit) {
+			continue
+		}
+		if best < 0 || len(m.Placed) < fewest {
+			best, fewest = i, len(m.Placed)
 		}
 	}
 	return best
 }
 
-// LeastLoadedDemand places on the feasible machine with the lowest
+// LeastLoadedDemand places on the admitting machine with the lowest
 // predicted CPU demand (PredictedCPUDemand over its placed profiles,
-// ties toward the lower index). Unlike LeastLoadedCount it knows a
-// Dota2 costs more than a Red Eclipse, so heterogeneous mixes spread by
-// weight rather than by headcount.
+// ties toward the lower index), scanning like LeastLoadedCount. Unlike
+// LeastLoadedCount it knows a Dota2 costs more than a Red Eclipse, so
+// heterogeneous mixes spread by weight rather than by headcount.
 type LeastLoadedDemand struct{}
 
 func (LeastLoadedDemand) Name() string { return PolicyLeastDemand }
 
-func (LeastLoadedDemand) Pick(feasible []*Machine, _ app.Profile) int {
-	best := 0
-	for i, m := range feasible {
-		if m.Demand < feasible[best].Demand {
-			best = i
+func (LeastLoadedDemand) Pick(f *Fleet, _ *app.Profile, d float64) int {
+	best, lightest := -1, 0.0
+	for i, headroom := range f.headroom().leaves() {
+		if headroom < d {
+			continue
+		}
+		m := f.Machines[i]
+		if !m.admits(d, f.Overcommit) {
+			continue
+		}
+		if best < 0 || m.Demand < lightest {
+			best, lightest = i, m.Demand
 		}
 	}
 	return best
@@ -173,15 +156,14 @@ func (LeastLoadedDemand) Pick(feasible []*Machine, _ app.Profile) int {
 // workloads tightly so the fleet keeps whole machines free (and near
 // idle power) for as long as possible.
 //
-// Admission takes the direct path (pickDirect): one pass over the
-// headroom index's leaves in machine order, with no feasibility list,
-// reading each fitting machine's interference cost from a memo the
-// policy keeps per (machine, profile). A memo entry is recomputed only
-// after that machine's placements change, the table changes (Set), or
-// the policy moves to another fleet, so an offer costs one lookup per
-// fitting machine instead of a sum over its residents. The exported
-// Pick computes the same costs unmemoized; both choose by the same
-// comparison, so the two paths pick the same machine bit for bit.
+// Pick makes one pass over the headroom index's leaves in machine
+// order, skipping machines whose headroom is below the request's
+// demand and applying the exact admission test to the rest. Each
+// admitting machine's interference cost comes from a memo the policy
+// keeps per (machine, profile). A memo entry is recomputed only after
+// that machine's placements change, the table changes (Set), or the
+// policy moves to another fleet, so an offer costs one lookup per
+// admitting machine instead of a sum over its residents.
 type BinPack struct {
 	// Interference scores co-location penalties; nil falls back to pure
 	// demand-based packing (every pair scores zero).
@@ -223,25 +205,8 @@ func (c *binPackChoice) consider(i int, cost, demand float64) {
 	c.best, c.cost, c.demand = i, cost, demand
 }
 
-func (p *BinPack) Pick(feasible []*Machine, req app.Profile) int {
-	_, row := p.Interference.row(req.Name)
-	choice := binPackChoice{best: -1}
-	for i, m := range feasible {
-		choice.consider(i, p.Interference.cost(row, m.Placed), m.Demand)
-	}
-	return choice.best
-}
-
-// pickDirect is Pick over the feasibility list, without the list: the
-// headroom index's leaves, in machine order, rule out every machine
-// whose padded headroom is below d, and the rest pass the exact
-// MachineUp && Fits test the list is built with — so the candidates,
-// their order and their costs are Pick's, and so is the choice.
-func (p *BinPack) pickDirect(f *Fleet, req *app.Profile, d float64) int {
-	ix := f.headroom()
-	if !ix.mayFit(d) {
-		return -1
-	}
+func (p *BinPack) Pick(f *Fleet, req *app.Profile, d float64) int {
+	leaves := f.headroom().leaves()
 	it := p.Interference
 	r, row := it.row(req.Name)
 	var memo []costEntry // the request's cost on each machine; nil when all are 0
@@ -249,7 +214,7 @@ func (p *BinPack) pickDirect(f *Fleet, req *app.Profile, d float64) int {
 		memo = p.memo.of(f, it, r)
 	}
 	choice := binPackChoice{best: -1}
-	for i, headroom := range ix.tree[ix.size : ix.size+ix.n] {
+	for i, headroom := range leaves {
 		if headroom < d {
 			continue
 		}
