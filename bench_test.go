@@ -574,7 +574,7 @@ func BenchmarkFaultChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkGlobalKernelSweep is the scale headline of the fidelity
+// BenchmarkSurrogateSweep is the scale headline of the fidelity
 // tiers: a 1000-machine heterogeneous fleet offered ~100k sessions
 // over 20 epochs, every machine on the calibrated surrogate tier
 // (SurrogateTail with a zero sampled cohort), driven through the churn
@@ -584,7 +584,7 @@ func BenchmarkFaultChurn(b *testing.B) {
 // internal/core bounds how far the cheap tier may drift. Calibration
 // is warmed outside the timed region: it is a once-per-process cost
 // shared by fingerprint, not part of the sweep.
-func BenchmarkGlobalKernelSweep(b *testing.B) {
+func BenchmarkSurrogateSweep(b *testing.B) {
 	cfg := benchCfg()
 	cfg.WarmupSeconds, cfg.Seconds = 1, 5
 	shape := exp.FleetShape{
@@ -606,7 +606,7 @@ func BenchmarkGlobalKernelSweep(b *testing.B) {
 			b.Fatalf("sweep produced no execution: active %.1f, %.1f W", r.MeanActive, r.MeanPowerWatts)
 		}
 		b.ReportMetric(float64(r.Arrivals), "sessions/op")
-		if show := printHeader("Kernel", "churn epoch loop: 100k-session surrogate-tier sweep"); show {
+		if show := printHeader("Surrogate", "churn epoch loop: 100k-session surrogate-tier sweep"); show {
 			fmt.Printf("1000 machines × 20 epochs: %d sessions offered, %d rejected, mean active %.0f, %.1f%% available, %.0f kW mean\n",
 				r.Arrivals, r.Rejected, r.MeanActive, 100*r.Availability, r.MeanPowerWatts/1000)
 		}

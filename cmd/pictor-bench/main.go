@@ -66,7 +66,7 @@ import (
 )
 
 func main() {
-	seconds := flag.Float64("seconds", 45, "measurement window (simulated seconds)")
+	seconds := flag.Float64("seconds", 45, "measurement window (simulated seconds; 0 = the 45 s default)")
 	seed := flag.Int64("seed", 1, "simulation seed (0 switches to per-trial derived seeds)")
 	instances := flag.Int("max-instances", 4, "sweep upper bound for figs 10–17")
 	parallel := flag.Int("parallel", 0, "experiment-runner workers (0 = all cores); applies to batched experiments (grid, sweeps, multi-trial figures) and across -reps")
@@ -93,7 +93,12 @@ func main() {
 	}
 
 	cfg := core.DefaultExperimentConfig()
-	cfg.Seconds = *seconds
+	// Every experiment's windows pass Normalize's rule before anything
+	// runs: a paper experiment never reaches Normalize otherwise.
+	var err error
+	if cfg.Seconds, cfg.WarmupSeconds, err = core.NormalizeWindows(*seconds, cfg.WarmupSeconds); err != nil {
+		fatalf("%v", err)
+	}
 	cfg.Seed = *seed
 	cfg.MaxInstances = *instances
 	if cfg.MaxInstances < 1 {

@@ -1,4 +1,4 @@
-// Kernelsweep: churn a fleet far past what per-frame simulation can
+// Surrogatesweep: churn a fleet far past what per-frame simulation can
 // afford, by running most of it on the surrogate fidelity tier.
 //
 // The churn and faults demos simulate every session frame by frame —

@@ -245,7 +245,7 @@ func executeFleetChurn(t exp.Trial, u exp.Unit) *ChurnResult {
 		if portal.sampled > len(f.Machines) {
 			portal.sampled = len(f.Machines)
 		}
-		portal.surrogate = newSurrogateEngine(portal, suite)
+		portal.surrogate = newSurrogateEngine(portal, suite, src.Catalog())
 	}
 	portal.run()
 

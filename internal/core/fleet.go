@@ -127,7 +127,7 @@ func executeFleet(t exp.Trial, u exp.Unit) *FleetResult {
 		out.Mix = string(fleet.MixSuite)
 	}
 	for i, r := range reqs {
-		out.Requests[i] = r.Name
+		out.Requests[i] = r.Profile.Name
 	}
 	var fleetRTTs []stats.Summary
 	for mi, m := range f.Machines {
@@ -171,8 +171,8 @@ func executeFleet(t exp.Trial, u exp.Unit) *FleetResult {
 // a placed machine this way.
 func runPlaced(t exp.Trial, m *fleet.Machine, seed int64) *Cluster {
 	cl := NewCluster(Options{Seed: seed, Cores: int(m.Cores + 0.5)})
-	for _, prof := range m.Placed {
-		cl.AddInstance(NewInstanceConfig(prof, HumanDriver()))
+	for _, v := range m.Placed {
+		cl.AddInstance(NewInstanceConfig(v.Profile, HumanDriver()))
 	}
 	cl.Run(sim.DurationOfSeconds(t.Warmup), sim.DurationOfSeconds(t.Measure))
 	return cl

@@ -121,6 +121,25 @@ func firstSetField(fields ...specField) string {
 	return ""
 }
 
+// NormalizeWindows applies the measurement-window rule every frontend
+// shares: seconds and warmup must be finite and >= 0, and 0 selects the
+// default (45 s measured, DefaultExperimentConfig's warmup). Normalize
+// applies it to a spec, and the CLI to its paper experiments' windows,
+// before anything runs.
+func NormalizeWindows(seconds, warmup float64) (float64, float64, error) {
+	// Written so that NaN, which fails every comparison, is rejected.
+	if !(seconds >= 0 && warmup >= 0) || math.IsInf(seconds, 1) || math.IsInf(warmup, 1) {
+		return seconds, warmup, fmt.Errorf("spec: seconds and warmup must be finite and >= 0, got %g and %g", seconds, warmup)
+	}
+	if seconds == 0 {
+		seconds = 45
+	}
+	if warmup == 0 {
+		warmup = DefaultExperimentConfig().WarmupSeconds
+	}
+	return seconds, warmup, nil
+}
+
 // Normalize validates the spec and fills defaults, returning the
 // as-executed spec. It is the one place the experiment vocabulary is
 // checked: the CLI calls it before running, the server calls it before
@@ -149,15 +168,9 @@ func (s ExperimentSpec) Normalize() (ExperimentSpec, error) {
 	if _, err := app.Resolve(s.Profiles); err != nil {
 		return s, fmt.Errorf("spec: profiles: %v", err)
 	}
-	// Written so that NaN, which fails every comparison, is rejected.
-	if !(s.Seconds >= 0 && s.Warmup >= 0) || math.IsInf(s.Seconds, 1) || math.IsInf(s.Warmup, 1) {
-		return s, fmt.Errorf("spec: seconds and warmup must be finite and >= 0, got %g and %g", s.Seconds, s.Warmup)
-	}
-	if s.Seconds == 0 {
-		s.Seconds = 45
-	}
-	if s.Warmup == 0 {
-		s.Warmup = DefaultExperimentConfig().WarmupSeconds
+	var err error
+	if s.Seconds, s.Warmup, err = NormalizeWindows(s.Seconds, s.Warmup); err != nil {
+		return s, err
 	}
 	if s.Seed == nil {
 		one := int64(1)

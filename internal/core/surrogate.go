@@ -115,12 +115,13 @@ func surrogateTableFor(suite []app.Profile) surrogateTable {
 	return entry.table
 }
 
-// at evaluates the curve at machine load L: clamped to the first
+// at evaluates kind k's curve at machine load L: clamped to the first
 // calibration point below it (an underloaded machine serves at least
 // as well as the lightest measured), interpolated between bracketing
 // points, and extrapolated linearly beyond the deepest one (RTT keeps
 // growing with load; FPS keeps falling, floored at 1).
-func (cv surrogateCurve) at(L float64) (rtt stats.Summary, fps, cpu, gpu float64) {
+func (se *surrogateEngine) at(k int, L float64) (rtt stats.Summary, fps, cpu, gpu float64) {
+	cv := &se.curves[k]
 	pts := cv.load
 	i := len(pts) - 1
 	for j := 1; j < len(pts); j++ {
@@ -169,22 +170,26 @@ func (cv surrogateCurve) at(L float64) (rtt stats.Summary, fps, cpu, gpu float64
 // "fleet/surrogate/s<id>/e<epoch>".
 var surrogateKey = exp.NewSeedKey("fleet/surrogate/s")
 
-// surrogateEngine is the cheap fidelity tier: a SessionEngine
-// backed by the calibrated curves. Degraded (brown-out) residents are
-// served through their full-resolution curve at the machine's reduced
-// load — the tier's demand relief is modelled, the per-session
-// resolution change is approximated; the fidelity-error fixture pins
-// how closely the whole tier tracks full simulation.
+// surrogateEngine is the cheap fidelity tier: a SessionEngine backed
+// by the calibrated curves, looked up by name once and then indexed by
+// the kinds of the trial's fleet.Catalog. Degraded (brown-out)
+// residents are served through their full-resolution curve (their
+// kind's) at the machine's reduced load — the tier's demand relief is
+// modelled, the per-session resolution change is approximated; the
+// fidelity-error fixture pins how closely the whole tier tracks full
+// simulation.
 type surrogateEngine struct {
-	p     *churnPortal
-	table surrogateTable
-	model power.Model
-	// batch caches one curve evaluation per profile within a single
-	// AdvanceEpoch call: the machine's load is fixed for the epoch, so
-	// every resident of a profile shares the same interpolated point
-	// and only the per-session jitter differs. The epoch loop executes
-	// one trial's machines sequentially, so the scratch never races.
-	batch map[string]surrogateEval
+	p      *churnPortal
+	curves []surrogateCurve // by catalog kind
+	model  power.Model
+	// batch caches one curve evaluation per kind within a single
+	// AdvanceEpoch call (an entry stamped with an older call is stale):
+	// the machine's load is fixed for the epoch, so every resident of a
+	// profile shares the same interpolated point and only the
+	// per-session jitter differs. The epoch loop executes one trial's
+	// machines sequentially, so the scratch never races.
+	batch []surrogateEval
+	call  uint64
 	// sessions backs every MachineEpoch.Sessions this engine returns;
 	// the portal folds it in Collect before the next AdvanceEpoch.
 	sessions []SessionObs
@@ -196,12 +201,23 @@ type surrogateEngine struct {
 type surrogateEval struct {
 	rtt           stats.Summary
 	fps, cpu, gpu float64
+	call          uint64
 }
 
 // newSurrogateEngine calibrates (or reuses) the response curves for
-// the trial's workload set.
-func newSurrogateEngine(p *churnPortal, suite []app.Profile) *surrogateEngine {
-	return &surrogateEngine{p: p, table: surrogateTableFor(suite), model: power.Default()}
+// the trial's workload set, laid out by the kinds of cat.
+func newSurrogateEngine(p *churnPortal, suite []app.Profile, cat *fleet.Catalog) *surrogateEngine {
+	table := surrogateTableFor(suite)
+	se := &surrogateEngine{p: p, model: power.Default(), batch: make([]surrogateEval, cat.Kinds())}
+	for k := range se.batch {
+		name := cat.Variant(k, 0).Profile.Name
+		cv, ok := table[name]
+		if !ok {
+			panic(fmt.Sprintf("core: surrogate has no calibrated curve for profile %q (trial %q)", name, p.t.ID))
+		}
+		se.curves = append(se.curves, cv)
+	}
+	return se
 }
 
 // AdvanceEpoch predicts machine mi's epoch from the curves: every
@@ -224,21 +240,13 @@ func (se *surrogateEngine) AdvanceEpoch(e, mi int) MachineEpoch {
 		Demand:   m.Demand,
 		Sessions: se.sessions[:0],
 	}
-	if se.batch == nil {
-		se.batch = make(map[string]surrogateEval, 8)
-	} else {
-		clear(se.batch)
-	}
+	se.call++
 	var cpu, gpu float64
 	for _, s := range residents {
-		ev, ok := se.batch[s.Profile.Name]
-		if !ok {
-			cv, cok := se.table[s.Profile.Name]
-			if !cok {
-				panic(fmt.Sprintf("core: surrogate has no calibrated curve for profile %q (trial %q)", s.Profile.Name, p.t.ID))
-			}
-			ev.rtt, ev.fps, ev.cpu, ev.gpu = cv.at(L)
-			se.batch[s.Profile.Name] = ev
+		ev := &se.batch[s.Variant.Kind]
+		if ev.call != se.call {
+			ev.rtt, ev.fps, ev.cpu, ev.gpu = se.at(s.Variant.Kind, L)
+			ev.call = se.call
 		}
 		rtt, fps, c1, g1 := ev.rtt, ev.fps, ev.cpu, ev.gpu
 		// One lognormal draw per (session, epoch, rep) seed; FirstLogNormal

@@ -178,10 +178,11 @@ type FleetShape struct {
 	// <= 0 executes as 1.
 	RetryBackoffEpochs int
 	// Degrade enables brown-out quality tiers: machines over the QoS
-	// ceiling downgrade their heaviest resident's served resolution
-	// (see fleet.DegradedProfile) before the migration controller — or
-	// an eviction — runs, and upgrade back once measured RTT clears
-	// fleet.QoSClearRTTMs.
+	// ceiling downgrade their heaviest resident's served resolution to
+	// the next tier of the trial's fleet.Catalog (each tier a
+	// fleet.DegradedProfile, computed once per trial) before the
+	// migration controller — or an eviction — runs, and upgrade back
+	// once measured RTT clears fleet.QoSClearRTTMs.
 	Degrade bool
 
 	// Fidelity-tier fields: a churn shape with SurrogateTail set runs

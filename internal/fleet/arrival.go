@@ -23,7 +23,9 @@ import (
 // schedule is drawn from sequential RNG state, so random access would
 // change it. The returned slice is valid until the next call to Next
 // (sources may reuse the backing array); callers that retain it must
-// copy. Past the source's horizon, Next returns nil forever.
+// copy. Past the source's horizon, Next returns nil forever. Each
+// session's Variant is a handle into a catalog the source owns, which
+// outlives every session it hands out.
 type ArrivalSource interface {
 	SessionPool
 	// Next returns the sessions arriving in the given epoch.
@@ -138,9 +140,11 @@ type ArrivalConfig struct {
 // schedules byte for byte. Recycled sessions come back out of Next
 // with every field overwritten; the free list makes a million-session
 // sweep allocate O(peak concurrent sessions), not O(total arrivals).
+// Sessions point into the source's catalog over ArrivalConfig.Suite,
+// so an arrival copies no profile.
 type ChurnSource struct {
 	cfg       ArrivalConfig
-	suite     []app.Profile // the set draw indexes
+	cat       *Catalog // over the set draw indexes
 	draw      func() int
 	arrivals  *sim.RNG
 	durations *sim.RNG
@@ -172,7 +176,7 @@ func NewChurnSource(cfg ArrivalConfig) (*ChurnSource, error) {
 	}
 	return &ChurnSource{
 		cfg:       cfg,
-		suite:     suite,
+		cat:       NewCatalog(suite),
 		draw:      draw,
 		arrivals:  sim.NewRNG(cfg.Seed).Fork("fleet/churn/arrivals"),
 		durations: sim.NewRNG(cfg.Seed).Fork("fleet/churn/durations"),
@@ -200,16 +204,12 @@ func (src *ChurnSource) Next(epoch int) []*Session {
 			d = 1
 		}
 		s := src.take()
-		// Assigning field by field copies the profile once, from the
-		// suite into the session. Every field is assigned, so a recycled
-		// session leaks nothing of its previous tenant (brown-out tier,
-		// placement).
-		s.ID = src.id
-		s.Profile = src.suite[src.draw()]
-		s.Arrive = epoch
-		s.Departs = epoch + d
-		s.Machine = -1
-		s.Tier = 0
+		// Every field is assigned, so a recycled session leaks nothing
+		// of its previous tenant (brown-out tier, placement).
+		*s = Session{
+			ID: src.id, Variant: src.cat.Variant(src.draw(), 0),
+			Arrive: epoch, Departs: epoch + d, Machine: -1,
+		}
 		src.batch = append(src.batch, s)
 		src.id++
 	}
@@ -218,6 +218,9 @@ func (src *ChurnSource) Next(epoch int) []*Session {
 	}
 	return src.batch
 }
+
+// Catalog returns the catalog the source's sessions point into.
+func (src *ChurnSource) Catalog() *Catalog { return src.cat }
 
 // take pops the free list, falling back to slab allocation.
 func (src *ChurnSource) take() *Session {

@@ -78,14 +78,14 @@ func TestChurnSourceRecyclesSessions(t *testing.T) {
 	}
 	recycled := first[0]
 	recycled.Machine = 7
-	recycled.Tier = 2
+	recycled.Variant = recycled.Variant.AtTier(2)
 	src.Recycle(recycled)
 	for e := 1; e < 8; e++ {
 		for _, s := range src.Next(e) {
 			if s != recycled {
 				continue
 			}
-			if s.Arrive != e || s.Machine != -1 || s.Tier != 0 {
+			if s.Arrive != e || s.Machine != -1 || s.Variant.Tier != 0 {
 				t.Fatalf("recycled session not fully overwritten: %+v", *s)
 			}
 			return

@@ -1,9 +1,8 @@
 package fleet
 
 import (
+	"math"
 	"testing"
-
-	"pictor/internal/app"
 )
 
 // BenchmarkFaultChurnBookkeeping measures the pure fault-tolerance
@@ -34,7 +33,7 @@ func BenchmarkFaultChurnBookkeeping(b *testing.B) {
 		// lifecycle state so every iteration does identical work.
 		for _, arr := range stream {
 			for _, s := range arr {
-				s.Machine, s.Tier = -1, 0
+				s.Machine, s.Variant = -1, s.Variant.AtTier(0)
 			}
 		}
 		f := NewHetero(4, []float64{8, 4})
@@ -64,6 +63,30 @@ func BenchmarkFaultChurnBookkeeping(b *testing.B) {
 	}
 }
 
+// BenchmarkArrivalSource is the arrival layer of the diurnal
+// million-session sweep in isolation: a ChurnSource at the sweep's peak
+// (heavy mix, 20k arrivals per epoch, mean stay one epoch) pulling
+// Next epoch after epoch, with every session recycled as soon as it
+// arrives, so past the first epoch the free list serves every arrival.
+// One op is one session: ns/op and B/op are per session.
+func BenchmarkArrivalSource(b *testing.B) {
+	src, err := NewChurnSource(ArrivalConfig{
+		Mix: MixHeavy, Rate: 20_000, MeanSessionEpochs: 1, Epochs: math.MaxInt, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n, e := 0, 0; n < b.N; e++ {
+		batch := src.Next(e)
+		for _, s := range batch {
+			src.Recycle(s)
+		}
+		n += len(batch)
+	}
+}
+
 // BenchmarkPlacementSaturated is the placement layer of the diurnal
 // million-session sweep in isolation: one offer (ns/op) to a
 // 10k-machine (8,4) fleet held at the sweep's peak of 20k heavy-mix
@@ -83,7 +106,7 @@ func BenchmarkPlacementSaturated(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mi := f.placeOne(&offers[i%len(offers)], pol)
+				mi := f.placeOne(offers[i%len(offers)], pol)
 				if mi < 0 {
 					rejects++
 					continue
@@ -98,10 +121,9 @@ func BenchmarkPlacementSaturated(b *testing.B) {
 
 // saturatedFleet runs round-robin churn at the diurnal sweep's peak
 // rate for a few epochs, stopping just after one epoch's admissions,
-// and returns the fleet with the next epoch's arrival profiles to
-// offer: the point in a peak epoch where late arrivals find the fleet
-// full.
-func saturatedFleet(b *testing.B) (*Fleet, []app.Profile) {
+// and returns the fleet with the next epoch's arrivals to offer: the
+// point in a peak epoch where late arrivals find the fleet full.
+func saturatedFleet(b *testing.B) (*Fleet, []*Variant) {
 	const (
 		machines = 10_000
 		peak     = 20_000
@@ -121,9 +143,9 @@ func saturatedFleet(b *testing.B) (*Fleet, []app.Profile) {
 			c.Offer(s, e)
 		}
 	}
-	var offers []app.Profile
+	var offers []*Variant
 	for _, s := range src.Next(warm) {
-		offers = append(offers, s.Profile)
+		offers = append(offers, s.Variant)
 	}
 	return f, offers
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"pictor/internal/app"
 )
 
 // Churn bookkeeping: the fleet admitted a fixed-length stream once and
@@ -19,13 +17,17 @@ import (
 
 // Session is one churn tenant: a benchmark instance that arrives in
 // some epoch, runs on one machine, and departs when its exponential
-// session length elapses.
+// session length elapses. It is 40 bytes: the profile it runs is a
+// handle into its source's catalog, not a copy.
 type Session struct {
 	// ID is the arrival sequence number (stable identity; migration
 	// victims tie-break toward the lower ID).
 	ID int
-	// Profile is the benchmark the tenant runs.
-	Profile app.Profile
+	// Variant is the benchmark the tenant runs at its current brown-out
+	// tier (Variant.Tier): 0 is full fidelity, higher tiers serve a
+	// reduced resolution (see DegradedProfile). Evictions reset the
+	// tier — a re-admitted session starts at full fidelity again.
+	Variant *Variant
 	// Arrive is the epoch the session arrives in.
 	Arrive int
 	// Departs is the first epoch the session is gone (Arrive + its
@@ -34,17 +36,7 @@ type Session struct {
 	// Machine is the session's current machine index; -1 while
 	// unplaced or after a rejection.
 	Machine int
-	// Tier is the session's brown-out quality tier: 0 is full
-	// fidelity, higher tiers serve a reduced resolution (see
-	// DegradedProfile). Evictions reset the tier — a re-admitted
-	// session starts at full fidelity again.
-	Tier int
 }
-
-// Served returns the profile the session currently runs at: its
-// declared Profile scaled down by its brown-out tier. At tier 0 this
-// is the Profile itself, bit-identical.
-func (s *Session) Served() app.Profile { return DegradedProfile(s.Profile, s.Tier) }
 
 // ValidateChurnParams checks the churn-shape vocabulary with actionable
 // messages. It is shared by NewChurnSource and the shape validators, so
@@ -119,12 +111,7 @@ func NewChurn(f *Fleet, p Placement) *Churn {
 // and records the placement. It is the single admission path shared by
 // Offer and RetryDue, so every outcome reverses identically.
 func (c *Churn) admit(s *Session) bool {
-	prof := &s.Profile
-	if s.Tier > 0 {
-		served := s.Served()
-		prof = &served
-	}
-	mi := c.Fleet.placeOne(prof, c.Policy)
+	mi := c.Fleet.placeOne(s.Variant, c.Policy)
 	if mi < 0 {
 		return false
 	}
@@ -182,19 +169,19 @@ func (c *Churn) releaseSlot(mi, i int) {
 // measuring no better than the source), nothing moves — migration must
 // never turn into an eviction or a swap of one hot machine for another.
 func (c *Churn) MigrateOff(mi int, rttMs []float64) bool {
-	// The source's slot demands are each resident's served demand
-	// (slots align with sessions).
-	demand := c.Fleet.Machines[mi].slotDemand
-	order := make([]int, len(c.sessions[mi]))
+	// The source's placed variants are its residents at their served
+	// tiers (slots align with sessions).
+	placed := c.Fleet.Machines[mi].Placed
+	order := make([]int, len(placed))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return demand[order[a]] > demand[order[b]]
+		return placed[order[a]].Demand > placed[order[b]].Demand
 	})
 	for _, victim := range order {
 		s := c.sessions[mi][victim]
-		d := demand[victim]
+		d := placed[victim].Demand
 		target := -1
 		for _, m := range c.Fleet.Machines {
 			// Targets must be up and must hold the session *without*
@@ -220,9 +207,8 @@ func (c *Churn) MigrateOff(mi int, rttMs []float64) bool {
 		if target < 0 {
 			continue
 		}
-		served := c.Fleet.Machines[mi].Placed[victim]
 		c.releaseSlot(mi, victim)
-		c.Fleet.Machines[target].place(&served)
+		c.Fleet.Machines[target].place(s.Variant)
 		c.sessions[target] = append(c.sessions[target], s)
 		s.Machine = target
 		c.Migrations++

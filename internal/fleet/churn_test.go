@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"pictor/internal/app"
 	"pictor/internal/sim"
 )
 
@@ -29,7 +28,7 @@ func TestChurnStreamDeterministicAndShaped(t *testing.T) {
 			}
 			for i, s := range ae {
 				o := be[i]
-				if s.ID != o.ID || s.Profile.Name != o.Profile.Name || s.Departs != o.Departs {
+				if s.ID != o.ID || s.Variant.Profile.Name != o.Variant.Profile.Name || s.Departs != o.Departs {
 					t.Fatalf("%s: epoch %d session %d not deterministic: %+v vs %+v", mix, e, i, s, o)
 				}
 				if s.ID != id {
@@ -146,9 +145,9 @@ func TestChurnBookkeepingProperty(t *testing.T) {
 						seed, epoch, when, mi, len(c.Resident(mi)), len(m.Placed))
 				}
 				for slot, s := range c.Resident(mi) {
-					if s.Profile.Name != m.Placed[slot].Name {
+					if s.Variant != m.Placed[slot] {
 						t.Fatalf("seed %d epoch %d (%s): machine %d slot %d holds %s, session says %s",
-							seed, epoch, when, mi, slot, m.Placed[slot].Name, s.Profile.Name)
+							seed, epoch, when, mi, slot, m.Placed[slot].Profile.Name, s.Variant.Profile.Name)
 					}
 					if s.Machine != mi {
 						t.Fatalf("seed %d epoch %d (%s): session %d thinks it is on %d, found on %d",
@@ -189,10 +188,12 @@ func TestChurnBookkeepingProperty(t *testing.T) {
 	}
 }
 
-func sumProfiles(ps []app.Profile) float64 {
+// sumProfiles recomputes the predicted demand of the placed variants'
+// profiles, left to right.
+func sumProfiles(vs []*Variant) float64 {
 	d := 0.0
-	for _, p := range ps {
-		d += PredictedCPUDemand(&p)
+	for _, v := range vs {
+		d += PredictedCPUDemand(&v.Profile)
 	}
 	return d
 }
@@ -202,10 +203,10 @@ func TestChurnArriveRejectsWhenFull(t *testing.T) {
 	f := NewHetero(1, []float64{1})
 	f.Overcommit = 1
 	c := NewChurn(f, pol)
-	d2, _ := app.ByName("D2")
+	d2 := variantOf("D2")
 	placedAny := false
 	for i := 0; i < 5; i++ {
-		if c.Offer(&Session{ID: i, Profile: d2, Departs: 100}, 0) {
+		if c.Offer(&Session{ID: i, Variant: d2, Departs: 100}, 0) {
 			placedAny = true
 		}
 	}
@@ -222,13 +223,13 @@ func TestChurnMigrateOffMovesHeaviestAndKeepsWhenNowhere(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastDemand, nil)
 	f := NewHetero(2, []float64{8})
 	c := NewChurn(f, pol)
-	d2, _ := app.ByName("D2")
-	re, _ := app.ByName("RE")
+	d2 := variantOf("D2")
+	re := variantOf("RE")
 	// Force both sessions onto machine 0: offer them with machine 1
 	// full.
 	f.Machines[1].Cores = 0.1 // nothing fits
-	s1 := &Session{ID: 0, Profile: re, Departs: 10}
-	s2 := &Session{ID: 1, Profile: d2, Departs: 10}
+	s1 := &Session{ID: 0, Variant: re, Departs: 10}
+	s2 := &Session{ID: 1, Variant: d2, Departs: 10}
 	if !c.Offer(s1, 0) || !c.Offer(s2, 0) {
 		t.Fatal("both sessions must land on machine 0")
 	}
@@ -248,7 +249,7 @@ func TestChurnMigrateOffMovesHeaviestAndKeepsWhenNowhere(t *testing.T) {
 	if c.Migrations != 1 {
 		t.Fatalf("Migrations = %d, want 1", c.Migrations)
 	}
-	if got := len(f.Machines[1].Placed); got != 1 || f.Machines[1].Placed[0].Name != "D2" {
+	if got := len(f.Machines[1].Placed); got != 1 || f.Machines[1].Placed[0].Profile.Name != "D2" {
 		t.Fatalf("machine 1 placement wrong after migration: %v", names(f.Machines[1].Placed))
 	}
 }
@@ -261,8 +262,8 @@ func TestChurnMigrateOffRejectsHotTargets(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastCount, nil)
 	f := NewHetero(2, []float64{8})
 	c := NewChurn(f, pol)
-	re, _ := app.ByName("RE")
-	s := &Session{ID: 0, Profile: re, Departs: 10}
+	re := variantOf("RE")
+	s := &Session{ID: 0, Variant: re, Departs: 10}
 	if !c.Offer(s, 0) {
 		t.Fatal("arrival must place")
 	}

@@ -224,7 +224,7 @@ func (c *Churn) EvictAll(mi, epoch int) int {
 		s := c.sessions[mi][slot]
 		c.releaseSlot(mi, slot)
 		s.Machine = -1
-		s.Tier = 0
+		s.Variant = s.Variant.AtTier(0)
 		c.Active--
 		c.Evicted++
 		if e, ok := c.retrySlot(s, epoch, 1); ok {
@@ -293,12 +293,11 @@ func (c *Churn) QueuedRetries() int { return len(c.retryQ) }
 // relief for minimum fidelity loss across the machine.
 func (c *Churn) DegradeOne(mi int) bool {
 	best, bestDemand := -1, 0.0
-	demand := c.Fleet.Machines[mi].slotDemand
 	for i, s := range c.sessions[mi] {
-		if s.Tier >= MaxDegradeTier {
+		if s.Variant.Tier >= MaxDegradeTier {
 			continue
 		}
-		if d := demand[i]; best < 0 || d > bestDemand {
+		if d := s.Variant.Demand; best < 0 || d > bestDemand {
 			best, bestDemand = i, d
 		}
 	}
@@ -306,9 +305,8 @@ func (c *Churn) DegradeOne(mi int) bool {
 		return false
 	}
 	s := c.sessions[mi][best]
-	s.Tier++
-	served := s.Served()
-	c.Fleet.Machines[mi].replace(best, &served)
+	s.Variant = s.Variant.AtTier(s.Variant.Tier + 1)
+	c.Fleet.Machines[mi].replace(best, s.Variant)
 	return true
 }
 
@@ -341,10 +339,10 @@ func (c *Churn) DegradeToFit(mi int) int {
 func (c *Churn) UpgradeOne(mi int) bool {
 	best := -1
 	for i, s := range c.sessions[mi] {
-		if s.Tier <= 0 {
+		if s.Variant.Tier <= 0 {
 			continue
 		}
-		if best < 0 || s.Tier > c.sessions[mi][best].Tier {
+		if best < 0 || s.Variant.Tier > c.sessions[mi][best].Variant.Tier {
 			best = i
 		}
 	}
@@ -353,13 +351,12 @@ func (c *Churn) UpgradeOne(mi int) bool {
 	}
 	s := c.sessions[mi][best]
 	m := c.Fleet.Machines[mi]
-	restored := DegradedProfile(s.Profile, s.Tier-1)
-	added := PredictedCPUDemand(&restored) - m.slotDemand[best]
-	if !m.Fits(added, 1) {
+	restored := s.Variant.AtTier(s.Variant.Tier - 1)
+	if !m.Fits(restored.Demand-s.Variant.Demand, 1) {
 		return false
 	}
-	s.Tier--
-	m.replace(best, &restored)
+	s.Variant = restored
+	m.replace(best, restored)
 	return true
 }
 
@@ -368,7 +365,7 @@ func (c *Churn) UpgradeOne(mi int) bool {
 func (c *Churn) DegradedResidents(mi int) int {
 	n := 0
 	for _, s := range c.sessions[mi] {
-		if s.Tier > 0 {
+		if s.Variant.Tier > 0 {
 			n++
 		}
 	}

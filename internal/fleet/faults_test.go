@@ -131,15 +131,15 @@ func TestOfferRetryBackoffAndRecovery(t *testing.T) {
 	f := NewHetero(1, []float64{8})
 	c := NewChurn(f, pol)
 	c.Retry = RetryPolicy{MaxAttempts: 2, BackoffEpochs: 1}
-	re, _ := app.ByName("RE")
+	re := variantOf("RE")
 
-	blocker := &Session{ID: 0, Profile: re, Departs: 100}
+	blocker := &Session{ID: 0, Variant: re, Departs: 100}
 	if !c.Offer(blocker, 0) {
 		t.Fatal("blocker must place on an empty 8-core machine")
 	}
 	// Choke the machine so nothing else fits, then offer.
 	f.Machines[0].Cores = 0.01
-	s := &Session{ID: 1, Profile: re, Departs: 100}
+	s := &Session{ID: 1, Variant: re, Departs: 100}
 	if c.Offer(s, 0) {
 		t.Fatal("a choked machine must reject the offer")
 	}
@@ -174,14 +174,14 @@ func TestRetryExhaustionAndDepartedPurge(t *testing.T) {
 	f := NewHetero(1, []float64{8})
 	c := NewChurn(f, pol)
 	c.Retry = RetryPolicy{MaxAttempts: 2, BackoffEpochs: 1}
-	re, _ := app.ByName("RE")
-	if !c.Offer(&Session{ID: 0, Profile: re, Departs: 100}, 0) {
+	re := variantOf("RE")
+	if !c.Offer(&Session{ID: 0, Variant: re, Departs: 100}, 0) {
 		t.Fatal("blocker must place")
 	}
 	f.Machines[0].Cores = 0.01
 
 	// Exhaustion: both attempts fail, the third never runs.
-	s := &Session{ID: 1, Profile: re, Departs: 100}
+	s := &Session{ID: 1, Variant: re, Departs: 100}
 	c.Offer(s, 0)
 	c.RetryDue(1) // attempt 1 fails, re-enqueues for epoch 3
 	c.RetryDue(3) // attempt 2 fails, attempts exhausted
@@ -191,7 +191,7 @@ func TestRetryExhaustionAndDepartedPurge(t *testing.T) {
 
 	// Departure purge: a queued session whose tenant leaves is dropped
 	// without burning an attempt.
-	gone := &Session{ID: 2, Profile: re, Departs: 2}
+	gone := &Session{ID: 2, Variant: re, Departs: 2}
 	c.Offer(gone, 0)
 	if c.QueuedRetries() != 1 {
 		t.Fatal("offer must enqueue")
@@ -206,7 +206,7 @@ func TestRetryExhaustionAndDepartedPurge(t *testing.T) {
 
 	// A session that would depart before its first attempt matures is
 	// lost at offer time, not queued.
-	eager := &Session{ID: 3, Profile: re, Departs: 1}
+	eager := &Session{ID: 3, Variant: re, Departs: 1}
 	c.Offer(eager, 0)
 	if c.QueuedRetries() != 0 || c.Lost != 3 {
 		t.Fatalf("hopeless retry must not enqueue: queued=%d lost=%d", c.QueuedRetries(), c.Lost)
@@ -215,7 +215,7 @@ func TestRetryExhaustionAndDepartedPurge(t *testing.T) {
 	// With retries disabled, Offer drops a rejection at once and counts
 	// it as lost.
 	c.Retry = RetryPolicy{}
-	c.Offer(&Session{ID: 4, Profile: re, Departs: 100}, 0)
+	c.Offer(&Session{ID: 4, Variant: re, Departs: 100}, 0)
 	if c.QueuedRetries() != 0 || c.Lost != 4 {
 		t.Fatalf("retry-disabled rejection must drop: queued=%d lost=%d", c.QueuedRetries(), c.Lost)
 	}
@@ -226,12 +226,12 @@ func TestEvictAllReversesPlacementAndEnqueues(t *testing.T) {
 	f := NewHetero(2, []float64{8})
 	c := NewChurn(f, pol)
 	c.Retry = RetryPolicy{MaxAttempts: 2, BackoffEpochs: 1}
-	d2, _ := app.ByName("D2")
-	re, _ := app.ByName("RE")
+	d2 := variantOf("D2")
+	re := variantOf("RE")
 	// Choke machine 1 so both sessions land on machine 0.
 	f.Machines[1].Cores = 0.01
-	s1 := &Session{ID: 0, Profile: d2, Departs: 100}
-	s2 := &Session{ID: 1, Profile: re, Departs: 100}
+	s1 := &Session{ID: 0, Variant: d2, Departs: 100}
+	s2 := &Session{ID: 1, Variant: re, Departs: 100}
 	if !c.Offer(s1, 0) || !c.Offer(s2, 0) {
 		t.Fatal("both sessions must place on machine 0")
 	}
@@ -246,7 +246,7 @@ func TestEvictAllReversesPlacementAndEnqueues(t *testing.T) {
 	if c.Active != 0 || c.Evicted != 2 || c.QueuedRetries() != 2 {
 		t.Fatalf("eviction bookkeeping: active=%d evicted=%d queued=%d", c.Active, c.Evicted, c.QueuedRetries())
 	}
-	if s1.Machine != -1 || s2.Machine != -1 || s1.Tier != 0 || s2.Tier != 0 {
+	if s1.Machine != -1 || s2.Machine != -1 || s1.Variant.Tier != 0 || s2.Variant.Tier != 0 {
 		t.Fatalf("evicted sessions must be unplaced at full fidelity: %+v %+v", s1, s2)
 	}
 	// Recovery after repair: both re-admit and the machine's demand is
@@ -263,10 +263,10 @@ func TestDegradeUpgradeRoundTripRestoresDemand(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastDemand, nil)
 	f := NewHetero(1, []float64{8})
 	c := NewChurn(f, pol)
-	d2, _ := app.ByName("D2")
-	re, _ := app.ByName("RE")
-	sHeavy := &Session{ID: 0, Profile: d2, Departs: 100}
-	sLight := &Session{ID: 1, Profile: re, Departs: 100}
+	d2 := variantOf("D2")
+	re := variantOf("RE")
+	sHeavy := &Session{ID: 0, Variant: d2, Departs: 100}
+	sLight := &Session{ID: 1, Variant: re, Departs: 100}
 	if !c.Offer(sHeavy, 0) || !c.Offer(sLight, 0) {
 		t.Fatal("both sessions must place")
 	}
@@ -274,13 +274,13 @@ func TestDegradeUpgradeRoundTripRestoresDemand(t *testing.T) {
 	orig := m.Demand
 
 	// The heaviest resident degrades first.
-	if !c.DegradeOne(0) || sHeavy.Tier != 1 || sLight.Tier != 0 {
-		t.Fatalf("heaviest session must degrade first: heavy=%d light=%d", sHeavy.Tier, sLight.Tier)
+	if !c.DegradeOne(0) || sHeavy.Variant.Tier != 1 || sLight.Variant.Tier != 0 {
+		t.Fatalf("heaviest session must degrade first: heavy=%d light=%d", sHeavy.Variant.Tier, sLight.Variant.Tier)
 	}
 	if m.Demand >= orig {
 		t.Fatalf("degrading must shed demand: %g >= %g", m.Demand, orig)
 	}
-	if m.Placed[0].Width >= d2.Width {
+	if m.Placed[0].Profile.Width >= d2.Profile.Width {
 		t.Fatal("the machine must serve the degraded resolution")
 	}
 	if got := c.DegradedResidents(0); got != 1 {
@@ -290,14 +290,14 @@ func TestDegradeUpgradeRoundTripRestoresDemand(t *testing.T) {
 	// the deepest tier, then refuses.
 	for c.DegradeOne(0) {
 	}
-	if sHeavy.Tier != MaxDegradeTier || sLight.Tier != MaxDegradeTier {
-		t.Fatalf("degrade floor: heavy=%d light=%d", sHeavy.Tier, sLight.Tier)
+	if sHeavy.Variant.Tier != MaxDegradeTier || sLight.Variant.Tier != MaxDegradeTier {
+		t.Fatalf("degrade floor: heavy=%d light=%d", sHeavy.Variant.Tier, sLight.Variant.Tier)
 	}
 	// Upgrade back up: demand must restore bit-identically.
 	for c.UpgradeOne(0) {
 	}
-	if sHeavy.Tier != 0 || sLight.Tier != 0 {
-		t.Fatalf("upgrades must restore full fidelity: heavy=%d light=%d", sHeavy.Tier, sLight.Tier)
+	if sHeavy.Variant.Tier != 0 || sLight.Variant.Tier != 0 {
+		t.Fatalf("upgrades must restore full fidelity: heavy=%d light=%d", sHeavy.Variant.Tier, sLight.Variant.Tier)
 	}
 	if m.Demand != orig {
 		t.Fatalf("degrade→upgrade round trip must restore demand bit-identically: %g != %g", m.Demand, orig)
@@ -311,8 +311,8 @@ func TestUpgradeOneRespectsNominalCapacity(t *testing.T) {
 	pol, _ := NewPolicy(PolicyLeastDemand, nil)
 	f := NewHetero(1, []float64{8})
 	c := NewChurn(f, pol)
-	d2, _ := app.ByName("D2")
-	s := &Session{ID: 0, Profile: d2, Departs: 100}
+	d2 := variantOf("D2")
+	s := &Session{ID: 0, Variant: d2, Departs: 100}
 	if !c.Offer(s, 0) {
 		t.Fatal("session must place")
 	}
@@ -326,8 +326,8 @@ func TestUpgradeOneRespectsNominalCapacity(t *testing.T) {
 	if c.UpgradeOne(0) {
 		t.Fatal("upgrade must refuse when the restored demand does not fit nominal capacity")
 	}
-	if s.Tier != 1 {
-		t.Fatalf("refused upgrade must not change the tier: %d", s.Tier)
+	if s.Variant.Tier != 1 {
+		t.Fatalf("refused upgrade must not change the tier: %d", s.Variant.Tier)
 	}
 }
 
@@ -336,8 +336,8 @@ func TestDegradeToFitShedsTowardNominal(t *testing.T) {
 	f := NewHetero(1, []float64{8})
 	f.Overcommit = 3 // admit far past nominal capacity
 	c := NewChurn(f, pol)
-	d2, _ := app.ByName("D2")
-	for i := 0; c.Offer(&Session{ID: i, Profile: d2, Departs: 100}, 0); i++ {
+	d2 := variantOf("D2")
+	for i := 0; c.Offer(&Session{ID: i, Variant: d2, Departs: 100}, 0); i++ {
 	}
 	m := f.Machines[0]
 	if m.Demand <= m.Cores {
@@ -352,9 +352,10 @@ func TestDegradeToFitShedsTowardNominal(t *testing.T) {
 	}
 	// Every resident is still aligned and served at its recorded tier.
 	for slot, s := range c.Resident(0) {
-		if m.Placed[slot].Width != DegradedProfile(s.Profile, s.Tier).Width {
+		want := DegradedProfile(d2.Profile, s.Variant.Tier).Width
+		if m.Placed[slot] != s.Variant || m.Placed[slot].Profile.Width != want {
 			t.Fatalf("slot %d serves width %d, tier %d says %d",
-				slot, m.Placed[slot].Width, s.Tier, DegradedProfile(s.Profile, s.Tier).Width)
+				slot, m.Placed[slot].Profile.Width, s.Variant.Tier, want)
 		}
 	}
 }
@@ -405,14 +406,10 @@ func TestFaultRecoveryBookkeepingProperty(t *testing.T) {
 						seed, epoch, when, mi, len(c.Resident(mi)), len(m.Placed))
 				}
 				for slot, s := range c.Resident(mi) {
-					if s.Profile.Name != m.Placed[slot].Name {
-						t.Fatalf("seed %d epoch %d (%s): machine %d slot %d holds %s, session says %s",
-							seed, epoch, when, mi, slot, m.Placed[slot].Name, s.Profile.Name)
-					}
-					if m.Placed[slot].Width != DegradedProfile(s.Profile, s.Tier).Width {
-						t.Fatalf("seed %d epoch %d (%s): machine %d slot %d serves width %d, tier %d says %d",
-							seed, epoch, when, mi, slot, m.Placed[slot].Width, s.Tier,
-							DegradedProfile(s.Profile, s.Tier).Width)
+					if s.Variant != m.Placed[slot] {
+						t.Fatalf("seed %d epoch %d (%s): machine %d slot %d holds %s at tier %d, session says %s at tier %d",
+							seed, epoch, when, mi, slot, m.Placed[slot].Profile.Name, m.Placed[slot].Tier,
+							s.Variant.Profile.Name, s.Variant.Tier)
 					}
 					if s.Machine != mi {
 						t.Fatalf("seed %d epoch %d (%s): session %d thinks it is on %d, found on %d",

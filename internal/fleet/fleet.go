@@ -63,18 +63,15 @@ type Machine struct {
 	// until then (a decrease is safe — the exact Fits test still
 	// applies).
 	Cores float64
-	// Placed holds the profiles placed on this machine, in admission
-	// order.
-	Placed []app.Profile
-	// Demand is the summed predicted CPU demand of the placed profiles.
+	// Placed holds the variants placed on this machine, in admission
+	// order: handles into their catalog, never copies of the profile.
+	Placed []*Variant
+	// Demand is the summed predicted CPU demand of the placed variants.
 	Demand float64
 	// State is the machine's availability (fault injection): the
 	// zero value MachineUp keeps every fault-free fleet byte-identical
 	// to the pre-fault implementation.
 	State MachineState
-	// slotDemand caches PredictedCPUDemand of each placed profile,
-	// index-aligned with Placed.
-	slotDemand []float64
 	// index is the fleet's headroom index, kept current on every
 	// placement change (nil for a machine outside an indexed fleet).
 	index *headroomIndex
@@ -99,9 +96,8 @@ func (m *Machine) admits(d, overcommit float64) bool {
 // left-to-right sum over the placed list (identical to incremental
 // accumulation for append-only admission), so release can reverse the
 // bookkeeping exactly.
-func (m *Machine) place(p *app.Profile) {
-	m.Placed = append(m.Placed, *p)
-	m.slotDemand = append(m.slotDemand, PredictedCPUDemand(p))
+func (m *Machine) place(v *Variant) {
+	m.Placed = append(m.Placed, v)
 	m.updateDemand()
 }
 
@@ -112,29 +108,28 @@ func (m *Machine) place(p *app.Profile) {
 // could drift negative on an empty machine.
 func (m *Machine) release(i int) {
 	m.Placed = append(m.Placed[:i], m.Placed[i+1:]...)
-	m.slotDemand = append(m.slotDemand[:i], m.slotDemand[i+1:]...)
 	m.updateDemand()
 }
 
-// replace swaps the profile at slot i for p (a brown-out tier change:
+// replace swaps the variant at slot i for v (a brown-out tier change:
 // same tenant, different served fidelity) and recomputes demand the
 // same left-to-right way place/release do, so a degrade followed by an
 // upgrade restores Demand bit-identically.
-func (m *Machine) replace(i int, p *app.Profile) {
-	m.Placed[i] = *p
-	m.slotDemand[i] = PredictedCPUDemand(p)
+func (m *Machine) replace(i int, v *Variant) {
+	m.Placed[i] = v
 	m.updateDemand()
 }
 
-// updateDemand re-sums the slot demands left to right — the same
-// additions, in the same order, as summing PredictedCPUDemand over
-// Placed — advances the placement generation and refreshes the
-// machine's headroom leaf. place, release and replace all end here, so
-// it is the one point where a machine's residents change.
+// updateDemand re-sums the placed variants' demands left to right —
+// the same additions, in the same order, as summing PredictedCPUDemand
+// over their profiles — advances the placement generation and
+// refreshes the machine's headroom leaf. place, release and replace
+// all end here, so it is the one point where a machine's residents
+// change.
 func (m *Machine) updateDemand() {
 	d := 0.0
-	for _, s := range m.slotDemand {
-		d += s
+	for _, v := range m.Placed {
+		d += v.Demand
 	}
 	m.Demand = d
 	m.gen++
@@ -222,9 +217,9 @@ func ParseCoreClasses(s string) ([]float64, error) {
 // Requests no machine can hold are recorded in f.Rejected. The loop is
 // fully deterministic: same fleet, stream and policy always produce the
 // same placement.
-func (f *Fleet) Admit(reqs []app.Profile, p Placement) {
-	for i := range reqs {
-		if f.placeOne(&reqs[i], p) < 0 {
+func (f *Fleet) Admit(reqs []*Variant, p Placement) {
+	for i, req := range reqs {
+		if f.placeOne(req, p) < 0 {
 			f.Rejected = append(f.Rejected, i)
 		}
 	}
@@ -234,8 +229,8 @@ func (f *Fleet) Admit(reqs []app.Profile, p Placement) {
 // returning the chosen machine's fleet index or -1 when no machine can
 // (or the policy will) hold it. When the headroom index rules every
 // machine out, the policy is not asked.
-func (f *Fleet) placeOne(req *app.Profile, p Placement) int {
-	d := PredictedCPUDemand(req)
+func (f *Fleet) placeOne(req *Variant, p Placement) int {
+	d := req.Demand
 	if !f.headroom().mayFit(d) {
 		return -1
 	}
@@ -254,8 +249,8 @@ func (f *Fleet) placeOne(req *app.Profile, p Placement) int {
 // measures the truth — but it orders the suite correctly (D2's worker
 // threads and STK's encode volume are the heavyweights, RE is the
 // lightest), which is all a least-loaded or bin-packing policy needs.
-// The profile is passed by pointer: placement evaluates this per offer,
-// and copying a whole app.Profile for five fields showed in profiles.
+// A Catalog evaluates it once per profile and tier; placement reads
+// the variant's Demand.
 func PredictedCPUDemand(p *app.Profile) float64 {
 	const targetFPS = 60
 	frameMB := float64(p.Width*p.Height) * 4 / 1e6 // raw RGBA readback
@@ -295,12 +290,13 @@ func ValidateMix(mix Mix) error {
 
 // RequestStreamFrom generates n instance requests for the named mix,
 // drawn from the given workload set (nil means the paper's six, keeping
-// every pre-registry stream byte-identical). The stream is a pure
-// function of (suite, mix, n, seed), so fleet trials stay deterministic
-// on the parallel runner. A non-positive n is an error — silently
-// clamping it to 1 (the old behaviour) made "-requests 0" quietly run
-// one request instead of failing loudly.
-func RequestStreamFrom(suite []app.Profile, mix Mix, n int, seed int64) ([]app.Profile, error) {
+// every pre-registry stream byte-identical). Each request is a
+// full-fidelity handle into one catalog built over the set. The stream
+// is a pure function of (suite, mix, n, seed), so fleet trials stay
+// deterministic on the parallel runner. A non-positive n is an error —
+// silently clamping it to 1 (the old behaviour) made "-requests 0"
+// quietly run one request instead of failing loudly.
+func RequestStreamFrom(suite []app.Profile, mix Mix, n int, seed int64) ([]*Variant, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fleet: request stream needs at least 1 request, got %d", n)
 	}
@@ -308,9 +304,10 @@ func RequestStreamFrom(suite []app.Profile, mix Mix, n int, seed int64) ([]app.P
 	if err != nil {
 		return nil, err
 	}
-	out := make([]app.Profile, n)
+	cat := NewCatalog(suite)
+	out := make([]*Variant, n)
 	for i := range out {
-		out[i] = suite[draw()]
+		out[i] = cat.Variant(draw(), 0)
 	}
 	return out, nil
 }
@@ -320,7 +317,7 @@ func RequestStreamFrom(suite []app.Profile, mix Mix, n int, seed int64) ([]app.P
 // randomness shared by the one-shot RequestStreamFrom and the churn model's
 // per-epoch arrivals. It returns the set it draws from (a nil suite
 // draws from the paper's six) and a draw function yielding indices into
-// it, so callers copy each profile once, straight into its destination.
+// it, which are the kinds of a catalog built over that set.
 // The fork labels (and, over the default set, the random streams) match
 // the original fixed-suite implementation exactly. The heavy mix weights
 // each profile by its declared HeavyWeight (unset weights count as 1),

@@ -8,12 +8,22 @@ import (
 	"pictor/internal/app"
 )
 
-func names(ps []app.Profile) []string {
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name
+func names(vs []*Variant) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.Profile.Name
 	}
 	return out
+}
+
+// variantOf returns the full-fidelity variant of a registered profile,
+// from a catalog of its own.
+func variantOf(name string) *Variant {
+	p, ok := app.ByName(name)
+	if !ok {
+		panic("profile " + name + " not registered")
+	}
+	return NewCatalog([]app.Profile{p}).Variant(0, 0)
 }
 
 func TestPredictedCPUDemandOrdersSuite(t *testing.T) {
@@ -90,8 +100,8 @@ func TestRequestStreamSuiteCycles(t *testing.T) {
 	// registry — pre-registry streams must stay byte-identical.
 	suite := app.PaperSuite()
 	for i, r := range reqs {
-		if r.Name != suite[i%len(suite)].Name {
-			t.Fatalf("request %d = %s, want %s", i, r.Name, suite[i%len(suite)].Name)
+		if r.Profile.Name != suite[i%len(suite)].Name {
+			t.Fatalf("request %d = %s, want %s", i, r.Profile.Name, suite[i%len(suite)].Name)
 		}
 	}
 }
@@ -115,10 +125,10 @@ func TestRequestStreamFromDrawsActiveSuite(t *testing.T) {
 		}
 		seen := map[string]bool{}
 		for _, r := range reqs {
-			if !allowed[r.Name] {
-				t.Fatalf("%s: drew %s, not in the active suite", mix, r.Name)
+			if !allowed[r.Profile.Name] {
+				t.Fatalf("%s: drew %s, not in the active suite", mix, r.Profile.Name)
 			}
-			seen[r.Name] = true
+			seen[r.Profile.Name] = true
 		}
 		for _, name := range []string{"CAD", "VV", "CZ"} {
 			if !seen[name] {
@@ -134,7 +144,7 @@ func TestRequestStreamFromDrawsActiveSuite(t *testing.T) {
 	}
 	count := map[string]int{}
 	for _, r := range reqs {
-		count[r.Name]++
+		count[r.Profile.Name]++
 	}
 	if count["VV"] <= count["CZ"] {
 		t.Fatalf("heavy mix must favor VV over CZ by declared weight: VV=%d CZ=%d", count["VV"], count["CZ"])
@@ -158,8 +168,8 @@ func TestChurnStreamFromDrawsActiveSuite(t *testing.T) {
 	for e := 0; e < epochs; e++ {
 		for _, s := range src.Next(e) {
 			arrivals++
-			if !allowed[s.Profile.Name] {
-				t.Fatalf("churn drew %s, not in the active suite", s.Profile.Name)
+			if !allowed[s.Variant.Profile.Name] {
+				t.Fatalf("churn drew %s, not in the active suite", s.Variant.Profile.Name)
 			}
 		}
 	}
@@ -175,7 +185,7 @@ func TestRequestStreamHeavyIsHeavy(t *testing.T) {
 	}
 	count := map[string]int{}
 	for _, r := range reqs {
-		count[r.Name]++
+		count[r.Profile.Name]++
 	}
 	if count["D2"] <= count["RE"] {
 		t.Fatalf("heavy mix must favor D2 over RE: D2=%d RE=%d", count["D2"], count["RE"])
@@ -209,11 +219,11 @@ func TestLeastLoadedCountBalances(t *testing.T) {
 
 func TestLeastLoadedDemandPicksLightestMachine(t *testing.T) {
 	f := NewHetero(2, []float64{8})
-	d2, _ := app.ByName("D2")
-	re, _ := app.ByName("RE")
+	d2 := variantOf("D2")
+	re := variantOf("RE")
 	// D2 on machine 0, then two REs: the first RE goes to the empty
 	// machine 1, the second must also go to 1 (D2 outweighs one RE).
-	f.Admit([]app.Profile{d2, re, re}, LeastLoadedDemand{})
+	f.Admit([]*Variant{d2, re, re}, LeastLoadedDemand{})
 	if got := len(f.Machines[1].Placed); got != 2 {
 		t.Fatalf("machine 1 got %d instances, want 2 (demand-aware spread)", got)
 	}
@@ -234,19 +244,19 @@ func TestAdmissionRejectsWhenFull(t *testing.T) {
 }
 
 func TestBinPackSeparatesHostileProfiles(t *testing.T) {
-	stk, _ := app.ByName("STK")
-	re, _ := app.ByName("RE")
+	stk := variantOf("STK")
+	re := variantOf("RE")
 	it := NewInterference()
 	it.Set("STK", "STK", 0.5) // STK is hostile to itself
 	it.Set("STK", "RE", 0.0)  // but compatible with RE
 
 	f := NewHetero(2, []float64{8})
 	pol := &BinPack{Interference: it}
-	f.Admit([]app.Profile{stk, stk, re, re}, pol)
+	f.Admit([]*Variant{stk, stk, re, re}, pol)
 	stks := make([]int, len(f.Machines))
 	for i, m := range f.Machines {
-		for _, p := range m.Placed {
-			if p.Name == "STK" {
+		for _, v := range m.Placed {
+			if v.Profile.Name == "STK" {
 				stks[i]++
 			}
 		}
@@ -259,11 +269,11 @@ func TestBinPackSeparatesHostileProfiles(t *testing.T) {
 }
 
 func TestBinPackPacksCompatibleProfilesTightly(t *testing.T) {
-	re, _ := app.ByName("RE")
+	re := variantOf("RE")
 	f := NewHetero(3, []float64{8})
 	// No interference data: everything is compatible, so binpack must
 	// fill machine 0 before touching the others (keeping machines free).
-	f.Admit([]app.Profile{re, re, re}, &BinPack{})
+	f.Admit([]*Variant{re, re, re}, &BinPack{})
 	if got := len(f.Machines[0].Placed); got != 3 {
 		t.Fatalf("machine 0 got %d of 3 compatible instances; binpack must pack, not spread", got)
 	}
@@ -275,10 +285,10 @@ func TestBinPackPacksCompatibleProfilesTightly(t *testing.T) {
 // ((0.1+0.2)+0.3 != 0.3+(0.2+0.1)). The documented tie-break — equal
 // cost, equal demand → lower index — must still treat that as a tie.
 func TestBinPackTieBreakRobustToAccumulationOrder(t *testing.T) {
-	stk, _ := app.ByName("STK")
-	re, _ := app.ByName("RE")
-	d2, _ := app.ByName("D2")
-	im, _ := app.ByName("IM")
+	stk := variantOf("STK")
+	re := variantOf("RE")
+	d2 := variantOf("D2")
+	im := variantOf("IM")
 	it := NewInterference()
 	it.Set("IM", "STK", 0.1)
 	it.Set("IM", "RE", 0.2)
@@ -286,23 +296,23 @@ func TestBinPackTieBreakRobustToAccumulationOrder(t *testing.T) {
 
 	// fleetOf builds a fleet of roomy machines holding the given
 	// residents, in placement order.
-	fleetOf := func(orders ...[]app.Profile) *Fleet {
+	fleetOf := func(orders ...[]*Variant) *Fleet {
 		f := NewHetero(len(orders), []float64{64})
 		for i, order := range orders {
-			for _, p := range order {
-				f.Machines[i].place(&p)
+			for _, v := range order {
+				f.Machines[i].place(v)
 			}
 		}
 		return f
 	}
 	// Same multiset, opposite accumulation orders: costs differ by one
 	// ulp, demands are the same sum reordered.
-	forward, backward := []app.Profile{stk, re, d2}, []app.Profile{d2, re, stk}
+	forward, backward := []*Variant{stk, re, d2}, []*Variant{d2, re, stk}
 	f := fleetOf(forward, backward)
 	costOf := func(m *Machine) float64 {
 		c := 0.0
-		for _, p := range m.Placed {
-			c += it.Score("IM", p.Name)
+		for _, v := range m.Placed {
+			c += it.Score("IM", v.Profile.Name)
 		}
 		return c
 	}
@@ -310,12 +320,12 @@ func TestBinPackTieBreakRobustToAccumulationOrder(t *testing.T) {
 		t.Skip("float accumulation happens to agree on this platform; tie-break not exercised")
 	}
 	pol := &BinPack{Interference: it}
-	d := PredictedCPUDemand(&im)
-	if got := pol.Pick(f, &im, d); got != 0 {
+	d := im.Demand
+	if got := pol.Pick(f, im, d); got != 0 {
 		t.Fatalf("ulp-level cost difference broke the lower-index tie-break: picked %d", got)
 	}
 	// Order mustn't matter: with the orders swapped, machine 0 still wins.
-	if got := pol.Pick(fleetOf(backward, forward), &im, d); got != 0 {
+	if got := pol.Pick(fleetOf(backward, forward), im, d); got != 0 {
 		t.Fatalf("tie-break must pick the first (lowest-index) machine, picked %d", got)
 	}
 }
@@ -324,13 +334,13 @@ func TestBinPackTieBreakRobustToAccumulationOrder(t *testing.T) {
 // among cost-tied machines, the fuller one wins even when it has the
 // higher index.
 func TestBinPackPrefersFullerOnCostTie(t *testing.T) {
-	re, _ := app.ByName("RE")
-	d2, _ := app.ByName("D2")
+	re := variantOf("RE")
+	d2 := variantOf("D2")
 	f := NewHetero(2, []float64{64})
-	f.Machines[1].place(&d2)
+	f.Machines[1].place(d2)
 	// No interference table: every cost is 0 — a pure tie.
 	pol := &BinPack{}
-	if got := pol.Pick(f, &re, PredictedCPUDemand(&re)); got != 1 {
+	if got := pol.Pick(f, re, re.Demand); got != 1 {
 		t.Fatalf("cost tie must prefer the fuller machine, picked %d", got)
 	}
 }
@@ -338,11 +348,11 @@ func TestBinPackPrefersFullerOnCostTie(t *testing.T) {
 func TestRoundRobinSkipsFullMachines(t *testing.T) {
 	f := NewHetero(2, []float64{8})
 	f.Overcommit = 1
-	d2, _ := app.ByName("D2")
+	d2 := variantOf("D2")
 	// More D2s than two 8-core machines can hold at overcommit 1: the
 	// cursor must keep cycling over whatever still fits, and the excess
 	// is rejected — never misplaced.
-	reqs := []app.Profile{d2, d2, d2, d2, d2, d2}
+	reqs := []*Variant{d2, d2, d2, d2, d2, d2}
 	f.Admit(reqs, &RoundRobin{})
 	total := len(f.Machines[0].Placed) + len(f.Machines[1].Placed)
 	if total+len(f.Rejected) != len(reqs) {

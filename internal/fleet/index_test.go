@@ -63,13 +63,13 @@ func refKey(a, b string) [2]string {
 // residents, of the request's score in ref, a name-pair map (a nil map
 // scores every pair 0). It is the reference bin-packing must reproduce
 // exactly.
-func linearBinPack(f *Fleet, ref map[[2]string]float64, req *app.Profile, d float64) int {
+func linearBinPack(f *Fleet, ref map[[2]string]float64, req *Variant, d float64) int {
 	best, bestCost, bestDemand := -1, 0.0, 0.0
 	for _, i := range linearFeasible(f, d) {
 		m := f.Machines[i]
 		cost := 0.0
 		for _, placed := range m.Placed {
-			cost += ref[refKey(req.Name, placed.Name)]
+			cost += ref[refKey(req.Profile.Name, placed.Profile.Name)]
 		}
 		switch {
 		case best < 0 || cost < bestCost-binPackEps:
@@ -85,20 +85,20 @@ func linearBinPack(f *Fleet, ref map[[2]string]float64, req *app.Profile, d floa
 // linearReference returns the linear scan policy p must match pick for
 // pick. Round-robin's reads p's cursor, so it must run before p picks;
 // ref is bin-packing's name-pair table.
-func linearReference(p Placement, ref map[[2]string]float64) func(f *Fleet, req *app.Profile, d float64) int {
+func linearReference(p Placement, ref map[[2]string]float64) func(f *Fleet, req *Variant, d float64) int {
 	switch p := p.(type) {
 	case *RoundRobin:
-		return func(f *Fleet, _ *app.Profile, d float64) int { return linearPick(f, p.next, d) }
+		return func(f *Fleet, _ *Variant, d float64) int { return linearPick(f, p.next, d) }
 	case LeastLoadedCount:
-		return func(f *Fleet, _ *app.Profile, d float64) int {
+		return func(f *Fleet, _ *Variant, d float64) int {
 			return linearLeast(f, d, func(m *Machine) float64 { return float64(len(m.Placed)) })
 		}
 	case LeastLoadedDemand:
-		return func(f *Fleet, _ *app.Profile, d float64) int {
+		return func(f *Fleet, _ *Variant, d float64) int {
 			return linearLeast(f, d, func(m *Machine) float64 { return m.Demand })
 		}
 	case *BinPack:
-		return func(f *Fleet, req *app.Profile, d float64) int { return linearBinPack(f, ref, req, d) }
+		return func(f *Fleet, req *Variant, d float64) int { return linearBinPack(f, ref, req, d) }
 	}
 	panic("no linear reference for policy " + p.Name())
 }
@@ -108,7 +108,7 @@ func linearReference(p Placement, ref map[[2]string]float64) func(f *Fleet, req 
 type checkedPick struct {
 	Placement
 	t     *testing.T
-	want  func(f *Fleet, req *app.Profile, d float64) int
+	want  func(f *Fleet, req *Variant, d float64) int
 	picks *int
 }
 
@@ -116,12 +116,12 @@ func checked(t *testing.T, p Placement, ref map[[2]string]float64, picks *int) c
 	return checkedPick{Placement: p, t: t, want: linearReference(p, ref), picks: picks}
 }
 
-func (p checkedPick) Pick(f *Fleet, req *app.Profile, d float64) int {
+func (p checkedPick) Pick(f *Fleet, req *Variant, d float64) int {
 	p.t.Helper()
 	want := p.want(f, req, d)
 	got := p.Placement.Pick(f, req, d)
 	if got != want {
-		p.t.Fatalf("%s %s (demand %v): picked %d, linear scan %d", p.Name(), req.Name, d, got, want)
+		p.t.Fatalf("%s %s (demand %v): picked %d, linear scan %d", p.Name(), req.Profile.Name, d, got, want)
 	}
 	*p.picks++
 	return got
@@ -174,13 +174,13 @@ func TestIndexedPlacementMatchesLinearScan(t *testing.T) {
 }
 
 // TestBinPackMatchesLinearScan checks bin-packing's pick — the leaf
-// scan and the per-(machine, profile) cost memo — offer by offer
-// against the linear reference, through the same random churn as
-// TestIndexedPlacementMatchesLinearScan, with tables that hold cost
-// near-ties within binPackEps, profiles they have never seen, and none
-// at all. A third of the way in, Set changes the table between two
-// offers; afterwards the same policy places on a second fleet of the
-// same size.
+// scan, the per-(machine, profile) cost memo and the catalog's table
+// ids — offer by offer against the linear reference, through the same
+// random churn as TestIndexedPlacementMatchesLinearScan, with tables
+// that hold cost near-ties within binPackEps, profiles they have never
+// seen, and none at all. A third of the way in, Set changes the table
+// between two offers; afterwards the same policy places on a second
+// fleet of the same size.
 func TestBinPackMatchesLinearScan(t *testing.T) {
 	for _, table := range []string{"none", "near-ties", "sparse"} {
 		for seed := int64(1); seed <= 8; seed++ {
@@ -194,10 +194,16 @@ func TestBinPackMatchesLinearScan(t *testing.T) {
 				if it == nil {
 					return
 				}
-				// Pairs the table already holds turn hostile, so its width
-				// stays and memoized costs go stale without the table's
-				// generation.
-				for _, pr := range [][2]string{{"STK", "D2"}, {"RE", "RE"}, {"IM", "D2"}} {
+				// Pairs the near-ties table already holds turn hostile, so
+				// its width stays and memoized costs go stale without the
+				// table's generation. The sparse table also learns
+				// profiles it has never seen (STK, IM, 0AD), whose ids the
+				// catalog resolved as unknown before the Set.
+				pairs := [][2]string{{"STK", "D2"}, {"RE", "RE"}, {"IM", "D2"}}
+				if table == "sparse" {
+					pairs = append(pairs, [2]string{"0AD", "RE"})
+				}
+				for _, pr := range pairs {
 					it.Set(pr[0], pr[1], 2)
 					ref[refKey(pr[0], pr[1])] = 2
 				}
@@ -217,33 +223,33 @@ func TestBinPackMatchesLinearScan(t *testing.T) {
 // fleets can hold different residents at equal generations, and a
 // policy moving from one to the other must not carry costs across.
 func TestBinPackMemoFollowsFleet(t *testing.T) {
-	stk, _ := app.ByName("STK")
-	re, _ := app.ByName("RE")
+	stk, re := variantOf("STK"), variantOf("RE")
 	it := NewInterference()
 	it.Set("STK", "STK", 0.5)
 	it.Set("STK", "RE", 0)
-	fleetOf := func(residents ...app.Profile) *Fleet {
+	fleetOf := func(residents ...*Variant) *Fleet {
 		f := NewHetero(len(residents), []float64{64})
-		for i := range residents {
-			f.Machines[i].place(&residents[i])
+		for i, v := range residents {
+			f.Machines[i].place(v)
 		}
 		return f
 	}
 	bp := &BinPack{Interference: it}
-	d := PredictedCPUDemand(&stk)
-	if got := bp.Pick(fleetOf(stk, re), &stk, d); got != 1 {
+	d := stk.Demand
+	if got := bp.Pick(fleetOf(stk, re), stk, d); got != 1 {
 		t.Fatalf("STK offered beside STK and RE: picked machine %d, want 1 (RE)", got)
 	}
-	if got := bp.Pick(fleetOf(re, stk), &stk, d); got != 0 {
+	if got := bp.Pick(fleetOf(re, stk), stk, d); got != 0 {
 		t.Fatalf("STK offered to a second fleet, residents swapped: picked machine %d, want 0 (RE)", got)
 	}
 }
 
 // TestBinPackSharedTableRace runs two bin-packing churn trials at once
 // over one freshly built table, the way concurrent fleet trials share
-// the table PairInterferenceAmong caches, and checks that each places
-// exactly as it does alone. Run under -race, it also fails if reading
-// the table writes to it.
+// the table PairInterferenceAmong caches, each with its own source and
+// so its own catalog, and checks that each places exactly as it does
+// alone. Run under -race, it also fails if reading the table writes to
+// it.
 func TestBinPackSharedTableRace(t *testing.T) {
 	const epochs = 12
 	source := func(seed int64) *ChurnSource {
@@ -368,7 +374,7 @@ func runIndexedChurn(t *testing.T, f *Fleet, pol Placement, rng *rand.Rand, seed
 				midway()
 			}
 			// The root's "nothing fits" skips the policy, so check it here.
-			if d := PredictedCPUDemand(&s.Profile); !f.headroom().mayFit(d) && linearFeasible(f, d) != nil {
+			if d := s.Variant.Demand; !f.headroom().mayFit(d) && linearFeasible(f, d) != nil {
 				t.Fatalf("%s seed %d epoch %d: the index rules out demand %v, linear scan fits %v", pol.Name(), seed, e, d, linearFeasible(f, d))
 			}
 			c.Offer(s, e)
@@ -398,9 +404,11 @@ func runIndexedChurn(t *testing.T, f *Fleet, pol Placement, rng *rand.Rand, seed
 // so every policy's placement, rejections included, is its linear
 // reference's.
 func TestIndexExactAtCapacityEdges(t *testing.T) {
+	cat := NewCatalog(app.PaperSuite())
 	for _, oc := range []float64{1, 1.3, DefaultOvercommit} {
-		for _, p := range app.PaperSuite() {
-			d := PredictedCPUDemand(&p)
+		for k := 0; k < cat.Kinds(); k++ {
+			v := cat.Variant(k, 0)
+			d := v.Demand
 			var classes []float64
 			for n := 1; n <= 4; n++ {
 				sum := 0.0
@@ -422,10 +430,10 @@ func TestIndexExactAtCapacityEdges(t *testing.T) {
 				pol, _ := NewPolicy(policy, nil)
 				linear := linearReference(pol, nil)
 				for offers := 0; ; offers++ {
-					want := linear(f, &p, d)
-					got := f.placeOne(&p, pol)
+					want := linear(f, v, d)
+					got := f.placeOne(v, pol)
 					if got != want {
-						t.Fatalf("%s %s oc %v offer %d: picked %d, linear scan %d", policy, p.Name, oc, offers, got, want)
+						t.Fatalf("%s %s oc %v offer %d: picked %d, linear scan %d", policy, v.Profile.Name, oc, offers, got, want)
 					}
 					if got < 0 {
 						break

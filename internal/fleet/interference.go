@@ -1,7 +1,5 @@
 package fleet
 
-import "pictor/internal/app"
-
 // Interference is a symmetric pair-compatibility table: Score(a, b) is
 // the predicted performance penalty of co-locating benchmarks a and b,
 // as a fraction (0 = fully compatible, 0.3 = ~30% FPS loss each). The
@@ -15,8 +13,9 @@ import "pictor/internal/app"
 // path — Score, and the per-resident sums behind BinPack — indexes a
 // row by id instead of hashing a name pair, and builds nothing: one
 // table is shared by concurrent trials (PairInterferenceAmong caches it
-// per process), which may all read it once it is filled. Set must not
-// run concurrently with reads.
+// per process), which may all read it once it is filled; each trial's
+// catalog keeps its own copy of the ids of its kinds. Set must not run
+// concurrently with reads.
 type Interference struct {
 	ids map[string]int // name → its row and column
 	// scores is row-major, len(ids)² entries; unrecorded pairs hold 0.
@@ -61,15 +60,15 @@ func (it *Interference) intern(name string) int {
 	return n
 }
 
-// row returns name's id and its scores against every id, or (-1, nil)
-// when the table is nil or has never seen name (every pair with it
+// row returns v's id and its scores against every id, or (-1, nil)
+// when the table is nil or has never seen v's name (every pair with it
 // scores 0).
-func (it *Interference) row(name string) (int, []float64) {
+func (it *Interference) row(v *Variant) (int, []float64) {
 	if it == nil {
 		return -1, nil
 	}
-	i, ok := it.ids[name]
-	if !ok {
+	i := v.cat.ids(it)[v.Kind]
+	if i < 0 {
 		return -1, nil
 	}
 	n := len(it.ids)
@@ -79,31 +78,31 @@ func (it *Interference) row(name string) (int, []float64) {
 // Score reports the penalty for co-locating a with b; unknown pairs
 // (and a nil table) score 0.
 func (it *Interference) Score(a, b string) float64 {
-	_, row := it.row(a)
-	if row == nil {
+	if it == nil {
 		return 0
 	}
-	j, ok := it.ids[b]
-	if !ok {
+	i, iok := it.ids[a]
+	j, jok := it.ids[b]
+	if !iok || !jok {
 		return 0
 	}
-	return row[j]
+	return it.scores[i*len(it.ids)+j]
 }
 
 // cost is the interference a request whose table row is row (see row)
 // adds on a machine holding placed: its scores with each resident,
-// summed left to right in placement order. A resident the table has no
+// summed left to right in placement order. Each resident's id comes
+// from its catalog, so no name is hashed. A resident the table has no
 // id for scores 0, and is skipped: adding +0 to a sum begun at +0 never
-// changes its bits. Every BinPack decision
-// goes through this one sum, so the memoized and the exported paths
-// agree to the bit.
-func (it *Interference) cost(row []float64, placed []app.Profile) float64 {
+// changes its bits. Every BinPack decision goes through this one sum,
+// so the memoized and the exported paths agree to the bit.
+func (it *Interference) cost(row []float64, placed []*Variant) float64 {
 	if row == nil {
 		return 0
 	}
 	c := 0.0
-	for i := range placed {
-		if j, ok := it.ids[placed[i].Name]; ok {
+	for _, v := range placed {
+		if j := v.cat.ids(it)[v.Kind]; j >= 0 {
 			c += row[j]
 		}
 	}

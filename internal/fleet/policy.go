@@ -1,14 +1,11 @@
 package fleet
 
-import (
-	"fmt"
-
-	"pictor/internal/app"
-)
+import "fmt"
 
 // Placement decides where an admitted request lands. Pick returns the
-// fleet index of the machine chosen for req, whose predicted demand is
-// d, or -1 when no up machine fits d; it does not place. Policies read
+// fleet index of the machine chosen for req, a handle into its
+// catalog whose predicted demand is d (req.Demand), or -1 when no up
+// machine fits d; it does not place. Policies read
 // their candidates from the fleet's headroom index and apply the exact
 // admission test (up, and Fits under the fleet's Overcommit) before
 // choosing one. Policies must be deterministic: placement feeds the
@@ -16,7 +13,7 @@ import (
 // equal choices.
 type Placement interface {
 	Name() string
-	Pick(f *Fleet, req *app.Profile, d float64) int
+	Pick(f *Fleet, req *Variant, d float64) int
 }
 
 // Policy names, as accepted by NewPolicy and the CLI's -policy flag.
@@ -66,7 +63,7 @@ type RoundRobin struct {
 
 func (*RoundRobin) Name() string { return PolicyRoundRobin }
 
-func (p *RoundRobin) Pick(f *Fleet, _ *app.Profile, d float64) int {
+func (p *RoundRobin) Pick(f *Fleet, _ *Variant, d float64) int {
 	n := len(f.Machines)
 	if n == 0 {
 		return -1
@@ -106,7 +103,7 @@ type LeastLoadedCount struct{}
 
 func (LeastLoadedCount) Name() string { return PolicyLeastCount }
 
-func (LeastLoadedCount) Pick(f *Fleet, _ *app.Profile, d float64) int {
+func (LeastLoadedCount) Pick(f *Fleet, _ *Variant, d float64) int {
 	best, fewest := -1, 0
 	for i, headroom := range f.headroom().leaves() {
 		if headroom < d {
@@ -132,7 +129,7 @@ type LeastLoadedDemand struct{}
 
 func (LeastLoadedDemand) Name() string { return PolicyLeastDemand }
 
-func (LeastLoadedDemand) Pick(f *Fleet, _ *app.Profile, d float64) int {
+func (LeastLoadedDemand) Pick(f *Fleet, _ *Variant, d float64) int {
 	best, lightest := -1, 0.0
 	for i, headroom := range f.headroom().leaves() {
 		if headroom < d {
@@ -163,7 +160,9 @@ func (LeastLoadedDemand) Pick(f *Fleet, _ *app.Profile, d float64) int {
 // keeps per (machine, profile). A memo entry is recomputed only after
 // that machine's placements change, the table changes (Set), or the
 // policy moves to another fleet, so an offer costs one lookup per
-// admitting machine instead of a sum over its residents.
+// admitting machine instead of a sum over its residents. Table ids
+// come from the variants' catalog, which resolves each kind's name once
+// per table generation, so an offer hashes no name.
 type BinPack struct {
 	// Interference scores co-location penalties; nil falls back to pure
 	// demand-based packing (every pair scores zero).
@@ -205,10 +204,10 @@ func (c *binPackChoice) consider(i int, cost, demand float64) {
 	c.best, c.cost, c.demand = i, cost, demand
 }
 
-func (p *BinPack) Pick(f *Fleet, req *app.Profile, d float64) int {
+func (p *BinPack) Pick(f *Fleet, req *Variant, d float64) int {
 	leaves := f.headroom().leaves()
 	it := p.Interference
-	r, row := it.row(req.Name)
+	r, row := it.row(req)
 	var memo []costEntry // the request's cost on each machine; nil when all are 0
 	if row != nil {
 		memo = p.memo.of(f, it, r)

@@ -28,11 +28,14 @@ go test -run '^$' -bench 'BenchmarkSuiteGridSequential' \
     -benchtime "$GRID_BENCHTIME" . | tee -a "$TMP"
 
 # Fleet-scale sweeps pinned by benchguard: the per-epoch fault
-# bookkeeping loop and the kernel/streaming scale contracts (one
-# iteration each — they assert their own scale internally).
-go test -run '^$' -bench 'BenchmarkFaultChurnBookkeeping$|BenchmarkPlacementSaturated' \
+# bookkeeping loop, the diurnal sweep's arrival, placement and
+# surrogate layers in isolation, and the surrogate/streaming scale
+# contracts (one iteration each — they assert their own scale
+# internally).
+go test -run '^$' -bench 'BenchmarkFaultChurnBookkeeping$|BenchmarkPlacementSaturated|BenchmarkArrivalSource$' \
     -benchmem ./internal/fleet/ | tee -a "$TMP"
-go test -run '^$' -bench 'BenchmarkGlobalKernelSweep$|BenchmarkDiurnalMillionSweep$' \
+go test -run '^$' -bench 'BenchmarkSurrogateEpoch$' -benchmem ./internal/core/ | tee -a "$TMP"
+go test -run '^$' -bench 'BenchmarkSurrogateSweep$|BenchmarkDiurnalMillionSweep$' \
     -benchtime 1x -benchmem . | tee -a "$TMP"
 
 python3 scripts/benchjson.py "$TMP" "$OUT" "$SECTION"

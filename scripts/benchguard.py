@@ -12,15 +12,17 @@ pinned benchmark's ns/op regressed by more than the tolerance
 Only the pinned set below is enforced: these are the per-frame hot
 leaves whose cost the evaluation's wall-clock floor is built on (plus
 the fault-churn bookkeeping loop, the per-epoch overhead every fault
-trial pays; the global-kernel and diurnal-million sweeps, the scale
+trial pays; the surrogate and diurnal-million sweeps, the scale
 contracts of the fidelity tiers and the streaming arrival API: ~100k
 sessions over 1000 machines and ~1M sessions over 10k machines must
 stay in whole-seconds territory; the round-robin offer on a
 saturated 10k-machine fleet, which the headroom index keeps at
-O(log n) instead of a probe of every machine; and the bin-packing offer
+O(log n) instead of a probe of every machine; the bin-packing offer
 on that fleet, scored against a fixed six-profile interference table,
 which the leaf scan and per-(machine, profile) cost memo keep from
-summing every resident's score on every fitting machine), and they are
+summing every resident's score on every fitting machine; and two
+layers of the diurnal-million sweep in isolation, the arrival source's
+cost per session and the surrogate's cost per machine-epoch), and they are
 stable enough (no allocation churn, no I/O) that a >20% move is a code
 regression, not noise.
 
@@ -48,10 +50,12 @@ PINNED = [
     "BenchmarkDenseForward",
     "BenchmarkTracerFramePath",
     "BenchmarkFaultChurnBookkeeping",
-    "BenchmarkGlobalKernelSweep",
+    "BenchmarkSurrogateSweep",
     "BenchmarkDiurnalMillionSweep",
     "BenchmarkPlacementSaturated/roundrobin",
     "BenchmarkPlacementSaturated/binpack",
+    "BenchmarkArrivalSource",
+    "BenchmarkSurrogateEpoch",
 ]
 
 
