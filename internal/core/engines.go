@@ -56,7 +56,7 @@ type churnPortal struct {
 
 	c        *fleet.Churn
 	f        *fleet.Fleet
-	src      fleet.ArrivalSource
+	src      *fleet.ChurnSource
 	timeline [][]fleet.MachineState
 
 	// sink observes each finished epoch; streaming marks that rows are
@@ -272,9 +272,6 @@ func (p *churnPortal) React(e int) {
 		}
 	}
 
-	if p.er.Occupancy != nil {
-		p.sink.ObserveOccupancy(e, p.er.Occupancy)
-	}
 	p.sink.ObserveEpoch(p.er)
 
 	out := p.out

@@ -31,7 +31,7 @@ type TrialResult struct {
 }
 
 // ExecuteTrial builds a cluster for the trial, runs it, and snapshots
-// every instance. It is the exp.Runner executor: a pure function of
+// every instance. It is the exp.RunChecked executor: a pure function of
 // (Trial, Unit) — each call owns a private kernel and RNG seeded from
 // the unit, so trials can run on any worker in any order and still
 // produce byte-identical results.

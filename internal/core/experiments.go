@@ -19,11 +19,10 @@ import (
 // confidence intervals across independent seeds, and Parallel to shard
 // trials across cores.
 type ExperimentConfig struct {
-	WarmupSeconds  float64
-	Seconds        float64
-	Seed           int64
-	MaxInstances   int // Figures 10–17 sweep 1..MaxInstances
-	TrainedSeconds float64
+	WarmupSeconds float64
+	Seconds       float64
+	Seed          int64
+	MaxInstances  int // Figures 10–17 sweep 1..MaxInstances
 	// Parallel is the experiment runner's worker count; <= 0 uses
 	// every available core (runtime.GOMAXPROCS).
 	Parallel int
@@ -508,9 +507,8 @@ type SuiteGridResult struct {
 // optimization × framework overhead, over every benchmark of the
 // selected suite (cfg.Profiles; the paper's six by default) — into
 // one flat trial grid and executes it on the parallel runner. Trials
-// with identical canonical keys (e.g. the single-instance human
-// baseline that several experiments share) run once and fan out to
-// every consumer.
+// with identical keys (e.g. the single-instance human baseline that
+// several experiments share) run once and fan out to every consumer.
 func RunSuiteGrid(cfg ExperimentConfig) SuiteGridResult {
 	out, trials, finishers := suiteGridPlan(cfg)
 	all := RunTrials(trials, cfg)
@@ -531,8 +529,8 @@ func SuiteGridTrials(cfg ExperimentConfig) []exp.Trial {
 // suiteGridPlan builds the grid: the (empty) result holder, the
 // deduplicated trial list, and one finisher per constituent experiment
 // that folds that experiment's rows into the holder once results exist.
-// Dedup keys on exp.Trial.CanonicalKey — the as-executed identity — so
-// two spellings the executor runs identically share one execution.
+// Dedup keys on exp.Trial.Key, so a trial two experiments both plan
+// runs once for both.
 func suiteGridPlan(cfg ExperimentConfig) (*SuiteGridResult, []exp.Trial, []func(all [][]TrialResult)) {
 	if cfg.MaxInstances < 1 {
 		cfg.MaxInstances = 1
@@ -550,7 +548,7 @@ func suiteGridPlan(cfg ExperimentConfig) (*SuiteGridResult, []exp.Trial, []func(
 	var trials []exp.Trial
 	index := map[string]int{}
 	add := func(t exp.Trial) int {
-		k := t.CanonicalKey()
+		k := t.Key()
 		if i, ok := index[k]; ok {
 			// Deduplicated trials run once for all consumers; if any
 			// consumer needs the executed system, the shared run keeps it.

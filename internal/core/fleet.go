@@ -114,20 +114,26 @@ func executeFleet(t exp.Trial, u exp.Unit) *FleetResult {
 	}
 	pol := fleetPolicy(t.ID, sh.Policy, suite)
 	f := buildFleet(t.ID, sh)
-	f.Admit(reqs, pol)
 
 	out := &FleetResult{
 		Policy:   pol.Name(),
 		Mix:      string(sh.Mix),
 		Requests: make([]string, len(reqs)),
 		Machines: make([]MachineResult, len(f.Machines)),
-		Rejected: len(f.Rejected),
 	}
 	if out.Mix == "" {
 		out.Mix = string(fleet.MixSuite)
 	}
+	// One-shot admission is churn admission at epoch 0 without
+	// failover: each request is offered once, in stream order.
+	c := fleet.NewChurn(f, pol)
+	sessions := make([]fleet.Session, len(reqs))
 	for i, r := range reqs {
 		out.Requests[i] = r.Profile.Name
+		sessions[i] = fleet.Session{ID: i, Variant: r, Departs: 1}
+		if !c.Offer(&sessions[i], 0) {
+			out.Rejected++
+		}
 	}
 	var fleetRTTs []stats.Summary
 	for mi, m := range f.Machines {
@@ -165,14 +171,14 @@ func executeFleet(t exp.Trial, u exp.Unit) *FleetResult {
 }
 
 // runPlaced builds machine m's cluster from seed — its core class
-// rounded to whole cores, one human-driven instance per placed profile
-// in placement order — and runs it through t's warmup and measure
-// windows. One-shot fleets and full-fidelity churn epochs both execute
-// a placed machine this way.
+// rounded to whole cores, one human-driven instance per resident at its
+// served profile, in placement order — and runs it through t's warmup
+// and measure windows. One-shot fleets and full-fidelity churn epochs
+// both execute a placed machine this way.
 func runPlaced(t exp.Trial, m *fleet.Machine, seed int64) *Cluster {
 	cl := NewCluster(Options{Seed: seed, Cores: int(m.Cores + 0.5)})
-	for _, v := range m.Placed {
-		cl.AddInstance(NewInstanceConfig(v.Profile, HumanDriver()))
+	for _, s := range m.Placed {
+		cl.AddInstance(NewInstanceConfig(s.Variant.Profile, HumanDriver()))
 	}
 	cl.Run(sim.DurationOfSeconds(t.Warmup), sim.DurationOfSeconds(t.Measure))
 	return cl

@@ -13,18 +13,13 @@ package core
 // where the rows land.
 
 // ChurnSink observes one churn execution's per-epoch results as they
-// close. The portal calls ObserveOccupancy (when the shape records
-// occupancy rows) and then ObserveEpoch exactly once per epoch, in
-// epoch order, after the epoch's controllers have reacted — the
-// EpochResult is final when observed. Implementations must not retain
-// the occupancy slice beyond the call unless they own a copy; the
-// epoch result's embedded Occupancy field aliases it.
+// close. The portal calls ObserveEpoch exactly once per epoch, in epoch
+// order, after the epoch's controllers have reacted — the EpochResult
+// is final when observed. When the shape sets OccupancyDetail the
+// epoch's per-machine rows ride in EpochResult.Occupancy.
 type ChurnSink interface {
 	// ObserveEpoch receives the epoch's finished fleet-wide row.
 	ObserveEpoch(e EpochResult)
-	// ObserveOccupancy receives the epoch's per-machine rows when the
-	// shape sets OccupancyDetail; it is never called otherwise.
-	ObserveOccupancy(epoch int, rows []MachineOccupancy)
 }
 
 // ChurnSinkFactory hands out one ChurnSink per execution unit. Churn
@@ -39,14 +34,13 @@ type ChurnSinkFactory interface {
 
 // memorySink is the default: retain every epoch row in the result,
 // exactly the historical ChurnResult shape. Occupancy rows ride inside
-// the epoch row (EpochResult.Occupancy), so ObserveOccupancy is a
-// no-op — retaining the row retains them.
+// the epoch row (EpochResult.Occupancy), so retaining the row retains
+// them.
 type memorySink struct {
 	out *ChurnResult
 }
 
-func (s *memorySink) ObserveEpoch(e EpochResult)               { s.out.Epochs = append(s.out.Epochs, e) }
-func (s *memorySink) ObserveOccupancy(int, []MachineOccupancy) {}
+func (s *memorySink) ObserveEpoch(e EpochResult) { s.out.Epochs = append(s.out.Epochs, e) }
 
 // rollupSink is the aggregate-only sink behind FleetShape.RollupOnly:
 // per-epoch rows and occupancy snapshots are dropped as they close,
@@ -56,8 +50,7 @@ func (s *memorySink) ObserveOccupancy(int, []MachineOccupancy) {}
 // itself, so dropping here loses nothing the rollups need.
 type rollupSink struct{}
 
-func (rollupSink) ObserveEpoch(EpochResult)                 {}
-func (rollupSink) ObserveOccupancy(int, []MachineOccupancy) {}
+func (rollupSink) ObserveEpoch(EpochResult) {}
 
 // resolveChurnSink picks the execution's sink: an executor-provided
 // Sink (factory or sink) wins and implies streaming — the caller asked

@@ -133,8 +133,8 @@ func TestSpecTrialsMatchComparisonBatches(t *testing.T) {
 }
 
 // TestSuiteGridTrialsDedupCanonically: the exported grid trial list is
-// deduplicated on canonical keys, so no two entries can share an
-// as-executed identity — the property the server's result cache keys on.
+// deduplicated on trial keys, so no two entries can share the identity
+// the server's result cache keys on.
 func TestSuiteGridTrialsDedupCanonically(t *testing.T) {
 	cfg := QuickExperimentConfig()
 	cfg.Profiles = "STK"
@@ -144,9 +144,9 @@ func TestSuiteGridTrialsDedupCanonically(t *testing.T) {
 	}
 	seen := map[string]string{}
 	for _, tr := range trials {
-		k := tr.CanonicalKey()
+		k := tr.Key()
 		if prev, dup := seen[k]; dup {
-			t.Fatalf("trials %q and %q share canonical key %q", prev, tr.ID, k)
+			t.Fatalf("trials %q and %q share key %q", prev, tr.ID, k)
 		}
 		seen[k] = tr.ID
 	}

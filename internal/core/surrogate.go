@@ -231,7 +231,6 @@ func newSurrogateEngine(p *churnPortal, suite []app.Profile, cat *fleet.Catalog)
 func (se *surrogateEngine) AdvanceEpoch(e, mi int) MachineEpoch {
 	p := se.p
 	m := p.f.Machines[mi]
-	residents := p.c.Resident(mi)
 	L := 0.0
 	if m.Cores > 0 {
 		L = m.Demand / m.Cores
@@ -242,7 +241,7 @@ func (se *surrogateEngine) AdvanceEpoch(e, mi int) MachineEpoch {
 	}
 	se.call++
 	var cpu, gpu float64
-	for _, s := range residents {
+	for _, s := range m.Placed {
 		ev := &se.batch[s.Variant.Kind]
 		if ev.call != se.call {
 			ev.rtt, ev.fps, ev.cpu, ev.gpu = se.at(s.Variant.Kind, L)
@@ -277,7 +276,7 @@ func (se *surrogateEngine) AdvanceEpoch(e, mi int) MachineEpoch {
 	if maxUtil := m.Cores * 100; cpu > maxUtil {
 		cpu = maxUtil
 	}
-	me.PowerWatts = se.model.TotalWatts(cpu, gpu, len(residents))
+	me.PowerWatts = se.model.TotalWatts(cpu, gpu, len(m.Placed))
 	se.sessions = me.Sessions
 	return me
 }

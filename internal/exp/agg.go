@@ -4,28 +4,8 @@ import (
 	"pictor/internal/stats"
 )
 
-// Aggregate is one metric summarized across a trial's repetitions.
-type Aggregate struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	// CI95 is the half-width of the 95% confidence interval of the
-	// mean (Student's t for small repetition counts).
-	CI95 float64
-}
-
-// AggregateOf extracts metric from each repetition's result and
-// summarizes it with a confidence interval.
-func AggregateOf[T any](reps []T, metric func(T) float64) Aggregate {
-	var s stats.Sample
-	for _, r := range reps {
-		s.Add(metric(r))
-	}
-	mean, half := s.MeanCI95()
-	return Aggregate{N: s.N(), Mean: mean, StdDev: s.StdDev(), CI95: half}
-}
-
-// MeanOf is AggregateOf when only the mean matters.
+// MeanOf extracts metric from each repetition's result and averages
+// it across the repetitions (0 for none).
 func MeanOf[T any](reps []T, metric func(T) float64) float64 {
 	if len(reps) == 0 {
 		return 0

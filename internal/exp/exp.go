@@ -6,7 +6,7 @@
 // driver × instance count × interposer × container × tracing} — and
 // each session owns a private simulation kernel and seeded RNG, so the
 // grid is embarrassingly parallel. This package turns "an experiment"
-// into data: a Trial says *what* to run, the Runner decides *how* —
+// into data: a Trial says *what* to run, RunChecked decides *how* —
 // sharding trials across a worker pool, deriving a deterministic seed
 // for every (trial, repetition) unit, and collecting results in input
 // order so output is byte-identical at any parallelism level.
@@ -148,7 +148,7 @@ type FleetShape struct {
 	// keeps its exact historical key, seeds and fixtures.
 	RateSchedule string
 	// PeakRate is the diurnal peak / flash spike arrival rate; ignored
-	// — normalized away — for constant schedules.
+	// for constant schedules.
 	PeakRate float64
 	// PeriodEpochs is the diurnal period / flash spike width in
 	// epochs; ignored for constant schedules.
@@ -195,7 +195,7 @@ type FleetShape struct {
 	// FidelitySampled is the size of the full-fidelity machine cohort
 	// (machines [0, FidelitySampled) run the per-frame simulator) when
 	// SurrogateTail is set; it is clamped to [0, Machines] and ignored
-	// — normalized away — without SurrogateTail.
+	// without SurrogateTail.
 	FidelitySampled int
 	// SurrogateTail runs every machine outside the sampled cohort on
 	// the calibrated surrogate engine instead of full simulation. With

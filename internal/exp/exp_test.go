@@ -141,7 +141,7 @@ func TestSeedDerivationPropertyFullGrid(t *testing.T) {
 	for i, tr := range trials {
 		reversed[len(trials)-1-i] = tr
 	}
-	out := Run(reversed, func(tr Trial, u Unit) int64 { return u.Seed }, RunOptions{Parallel: 4, Reps: reps, BaseSeed: 1})
+	out, _ := RunChecked(reversed, func(tr Trial, u Unit) int64 { return u.Seed }, RunOptions{Parallel: 4, Reps: reps, BaseSeed: 1})
 	for i, tr := range reversed {
 		want := forward[tr.Key()]
 		for r := 0; r < reps; r++ {
@@ -243,10 +243,13 @@ func TestRunOrderedAndComplete(t *testing.T) {
 		TrialIndex, Rep int
 		Seed            int64
 	}
-	out := Run(trials, func(tr Trial, u Unit) res {
+	out, errs := RunChecked(trials, func(tr Trial, u Unit) res {
 		calls.Add(1)
 		return res{u.TrialIndex, u.Rep, u.Seed}
 	}, opts)
+	if len(errs) != 0 {
+		t.Fatalf("no unit panicked, got %v", errs)
+	}
 	if got := calls.Load(); got != int64(len(trials)*3) {
 		t.Fatalf("executed %d units, want %d", got, len(trials)*3)
 	}
@@ -272,36 +275,10 @@ func TestRunParallelismInvariant(t *testing.T) {
 	exec := func(tr Trial, u Unit) string {
 		return fmt.Sprintf("%s@%d", tr.Key(), u.Seed)
 	}
-	seq := Run(trials, exec, RunOptions{Parallel: 1, Reps: 4, BaseSeed: 3})
-	par := Run(trials, exec, RunOptions{Parallel: 8, Reps: 4, BaseSeed: 3})
+	seq, _ := RunChecked(trials, exec, RunOptions{Parallel: 1, Reps: 4, BaseSeed: 3})
+	par, _ := RunChecked(trials, exec, RunOptions{Parallel: 8, Reps: 4, BaseSeed: 3})
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel run diverged:\nseq: %v\npar: %v", seq, par)
-	}
-}
-
-func TestRunPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("worker panic was swallowed")
-		}
-	}()
-	trials := []Trial{Single(app.STK(), DriverHuman), Single(app.RE(), DriverHuman)}
-	Run(trials, func(tr Trial, u Unit) int { panic("boom") },
-		RunOptions{Parallel: 2})
-}
-
-func TestAggregateOf(t *testing.T) {
-	reps := []float64{10, 12, 14}
-	a := AggregateOf(reps, func(x float64) float64 { return x })
-	if a.N != 3 || a.Mean != 12 {
-		t.Fatalf("aggregate = %+v", a)
-	}
-	if a.CI95 <= 0 {
-		t.Fatal("repetitions must yield a confidence interval")
-	}
-	one := AggregateOf(reps[:1], func(x float64) float64 { return x })
-	if one.CI95 != 0 {
-		t.Fatal("single repetition cannot have a confidence interval")
 	}
 }
 

@@ -19,9 +19,9 @@ type RunOptions struct {
 	BaseSeed int64
 }
 
-// EffectiveParallel resolves a worker-count setting the way Run does:
-// <= 0 means every available core. Exported so CLIs and examples can
-// report what the runner will actually do from one source of truth.
+// EffectiveParallel resolves a worker-count setting the way RunChecked
+// does: <= 0 means every available core. Exported so CLIs and examples
+// can report what the runner will actually do from one source of truth.
 func EffectiveParallel(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -29,7 +29,7 @@ func EffectiveParallel(n int) int {
 	return n
 }
 
-// EffectiveReps resolves a repetition setting the way Run does.
+// EffectiveReps resolves a repetition setting the way RunChecked does.
 func EffectiveReps(n int) int {
 	if n <= 0 {
 		return 1
@@ -72,8 +72,7 @@ func UnitSeed(t Trial, rep int, base int64) int64 {
 // PanicError is a panic recovered from one (trial, repetition)
 // execution unit, carrying enough identity — the trial's ID, its full
 // Key() and the repetition index — to re-run the poisoned unit in
-// isolation. RunChecked returns these; Run re-raises the original
-// panic value for legacy callers.
+// isolation. RunChecked returns these.
 type PanicError struct {
 	// TrialIndex is the trial's position in the submitted grid.
 	TrialIndex int
@@ -101,28 +100,13 @@ func (e *PanicError) Error() string {
 		id, e.Rep, e.Value, e.TrialKey, e.Stack)
 }
 
-// Run executes every (trial, repetition) unit of the grid on a worker
-// pool and returns results indexed [trial][rep], in input order
+// RunChecked executes every (trial, repetition) unit of the grid on a
+// worker pool and returns results indexed [trial][rep], in input order
 // regardless of scheduling. Each unit gets a deterministic seed via
 // UnitSeed, so results are byte-identical at any parallelism level as
 // long as exec is a pure function of (Trial, Unit).
 //
-// exec runs concurrently from multiple goroutines; a panicking exec
-// fails the run and the first unit's original panic value (grid order)
-// is re-raised on the caller's goroutine. Callers that want a poisoned
-// trial to fail *actionably* — as an error naming the unit, with every
-// other unit's result intact — should use RunChecked instead.
-func Run[T any](trials []Trial, exec func(Trial, Unit) T, opts RunOptions) [][]T {
-	out, errs := RunChecked(trials, exec, opts)
-	if len(errs) > 0 {
-		// Re-raise the original value so callers can still inspect a
-		// typed panic (stringifying it here would discard the type).
-		panic(errs[0].Value)
-	}
-	return out
-}
-
-// RunChecked is Run with per-unit panic isolation: a panicking exec
+// exec runs concurrently from multiple goroutines. A panicking exec
 // fails only its own (trial, repetition) unit — recovered into a
 // PanicError carrying the trial's ID, Key() and repetition — while
 // every other unit runs to completion and keeps its result. The zero

@@ -8,37 +8,15 @@ import (
 	"pictor/internal/sim"
 )
 
-// Streaming arrival API: the churn layer historically materialized the
+// Streaming arrivals: the churn layer historically materialized the
 // whole [][]*Session horizon up front, which is fine at thousands of
 // sessions and fatal at a million — the 10k-machine diurnal sweep would
 // hold every tenant of a 200-epoch day in memory before the first epoch
-// executes. ArrivalSource inverts that: the epoch loop pulls each
-// epoch's arrivals on demand, the source draws them from exactly the
-// same RNG discipline the materialized stream used (so constant-rate
-// schedules stay byte-identical), and finished sessions flow back into
-// a free list owned by the source instead of the garbage collector.
-
-// ArrivalSource produces each epoch's arriving sessions on demand.
-// Epochs must be requested strictly in order starting at 0 — the
-// schedule is drawn from sequential RNG state, so random access would
-// change it. The returned slice is valid until the next call to Next
-// (sources may reuse the backing array); callers that retain it must
-// copy. Past the source's horizon, Next returns nil forever. Each
-// session's Variant is a handle into a catalog the source owns, which
-// outlives every session it hands out.
-type ArrivalSource interface {
-	SessionPool
-	// Next returns the sessions arriving in the given epoch.
-	Next(epoch int) []*Session
-}
-
-// SessionPool recycles sessions whose lifecycle has terminally ended
-// (departed, or lost with no retry pending). Implementations may hand
-// the same *Session back out from a later Next; callers must not touch
-// a session after recycling it.
-type SessionPool interface {
-	Recycle(s *Session)
-}
+// executes. ChurnSource inverts that: the epoch loop pulls each epoch's
+// arrivals on demand, the source draws them from exactly the same RNG
+// discipline the materialized stream used (so constant-rate schedules
+// stay byte-identical), and finished sessions flow back into a free
+// list owned by the source instead of the garbage collector.
 
 // Rate-schedule names for ArrivalConfig.Schedule (and the
 // exp.FleetShape.RateSchedule knob). The empty string means constant.
@@ -141,7 +119,8 @@ type ArrivalConfig struct {
 // with every field overwritten; the free list makes a million-session
 // sweep allocate O(peak concurrent sessions), not O(total arrivals).
 // Sessions point into the source's catalog over ArrivalConfig.Suite,
-// so an arrival copies no profile.
+// which outlives every session the source hands out, so an arrival
+// copies no profile.
 type ChurnSource struct {
 	cfg       ArrivalConfig
 	cat       *Catalog // over the set draw indexes
@@ -185,9 +164,10 @@ func NewChurnSource(cfg ArrivalConfig) (*ChurnSource, error) {
 
 // Next returns the sessions arriving in the given epoch. Epochs must
 // be consumed strictly in order from 0 (the churn epoch loop
-// guarantees this); anything else panics, because serving it would
-// silently change the schedule. The returned slice is reused by the
-// following call.
+// guarantees this): the schedule is drawn from sequential RNG state,
+// so anything else panics rather than silently change it. The returned
+// slice is reused by the following call, and past the horizon Next
+// returns nil.
 func (src *ChurnSource) Next(epoch int) []*Session {
 	if epoch != src.cursor {
 		panic(fmt.Sprintf("fleet: ChurnSource.Next(%d) out of order, want epoch %d", epoch, src.cursor))
@@ -205,10 +185,10 @@ func (src *ChurnSource) Next(epoch int) []*Session {
 		}
 		s := src.take()
 		// Every field is assigned, so a recycled session leaks nothing
-		// of its previous tenant (brown-out tier, placement).
+		// of its previous tenant (brown-out tier, identity).
 		*s = Session{
 			ID: src.id, Variant: src.cat.Variant(src.draw(), 0),
-			Arrive: epoch, Departs: epoch + d, Machine: -1,
+			Arrive: epoch, Departs: epoch + d,
 		}
 		src.batch = append(src.batch, s)
 		src.id++

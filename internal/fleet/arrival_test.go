@@ -63,8 +63,7 @@ func TestChurnSourceOutOfOrderPanics(t *testing.T) {
 
 // TestChurnSourceRecyclesSessions pins the free list: a recycled
 // session's storage is handed back out by a later Next with every field
-// overwritten — no tier, placement or identity leaks from the previous
-// tenant.
+// overwritten — no tier or identity leaks from the previous tenant.
 func TestChurnSourceRecyclesSessions(t *testing.T) {
 	src, err := NewChurnSource(ArrivalConfig{
 		Mix: MixHeavy, Rate: 4, MeanSessionEpochs: 2, Epochs: 8, Seed: 3,
@@ -77,7 +76,6 @@ func TestChurnSourceRecyclesSessions(t *testing.T) {
 		t.Skip("seed produced an empty first epoch")
 	}
 	recycled := first[0]
-	recycled.Machine = 7
 	recycled.Variant = recycled.Variant.AtTier(2)
 	src.Recycle(recycled)
 	for e := 1; e < 8; e++ {
@@ -85,7 +83,7 @@ func TestChurnSourceRecyclesSessions(t *testing.T) {
 			if s != recycled {
 				continue
 			}
-			if s.Arrive != e || s.Machine != -1 || s.Variant.Tier != 0 {
+			if s.Arrive != e || s.Variant.Tier != 0 {
 				t.Fatalf("recycled session not fully overwritten: %+v", *s)
 			}
 			return

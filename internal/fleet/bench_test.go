@@ -33,7 +33,7 @@ func BenchmarkFaultChurnBookkeeping(b *testing.B) {
 		// lifecycle state so every iteration does identical work.
 		for _, arr := range stream {
 			for _, s := range arr {
-				s.Machine, s.Variant = -1, s.Variant.AtTier(0)
+				s.Variant = s.Variant.AtTier(0)
 			}
 		}
 		f := NewHetero(4, []float64{8, 4})
@@ -123,7 +123,7 @@ func BenchmarkPlacementSaturated(b *testing.B) {
 // rate for a few epochs, stopping just after one epoch's admissions,
 // and returns the fleet with the next epoch's arrivals to offer: the
 // point in a peak epoch where late arrivals find the fleet full.
-func saturatedFleet(b *testing.B) (*Fleet, []*Variant) {
+func saturatedFleet(b *testing.B) (*Fleet, []*Session) {
 	const (
 		machines = 10_000
 		peak     = 20_000
@@ -143,11 +143,7 @@ func saturatedFleet(b *testing.B) (*Fleet, []*Variant) {
 			c.Offer(s, e)
 		}
 	}
-	var offers []*Variant
-	for _, s := range src.Next(warm) {
-		offers = append(offers, s.Variant)
-	}
-	return f, offers
+	return f, append([]*Session(nil), src.Next(warm)...)
 }
 
 // benchTable is a fixed interference table over the paper's six: the

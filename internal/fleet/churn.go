@@ -6,19 +6,21 @@ import (
 	"sort"
 )
 
-// Churn bookkeeping: the fleet admitted a fixed-length stream once and
-// never looked back, but real cloud-gaming fleets face tenants that
+// Churn bookkeeping: a one-shot fleet admits a fixed-length stream once
+// and never looks back, but real cloud-gaming fleets face tenants that
 // arrive (Poisson), stay (exponential session lengths) and leave — and
 // must be re-placed when a machine's measured interactivity degrades.
 // This file owns the placement bookkeeping over time (arrival.go owns
 // the arrival schedule); it deliberately knows nothing about executing
 // a machine — the assembly layer (internal/core's churn portal) drives
-// the epoch loop and feeds measured RTTs back into MigrateOff.
+// the epoch loop and feeds measured RTTs back into MigrateOff. The
+// one-shot fleet admits through the same Offer, at epoch 0.
 
 // Session is one churn tenant: a benchmark instance that arrives in
 // some epoch, runs on one machine, and departs when its exponential
-// session length elapses. It is 40 bytes: the profile it runs is a
-// handle into its source's catalog, not a copy.
+// session length elapses. Where it runs is recorded once, by the
+// machine whose Placed list holds it. It is 32 bytes: the profile it
+// runs is a handle into its source's catalog, not a copy.
 type Session struct {
 	// ID is the arrival sequence number (stable identity; migration
 	// victims tie-break toward the lower ID).
@@ -33,9 +35,6 @@ type Session struct {
 	// Departs is the first epoch the session is gone (Arrive + its
 	// sampled duration, always >= Arrive + 1).
 	Departs int
-	// Machine is the session's current machine index; -1 while
-	// unplaced or after a rejection.
-	Machine int
 }
 
 // ValidateChurnParams checks the churn-shape vocabulary with actionable
@@ -54,41 +53,33 @@ func ValidateChurnParams(rate, meanEpochs float64, epochs int) error {
 	return nil
 }
 
-// Churn drives a fleet through arrivals, departures and migrations. It
-// maintains the invariant that sessions[mi] is index-aligned with
-// Fleet.Machines[mi].Placed (same order), so every release maps a
-// session to exactly the placement slot it occupies.
+// Churn drives a fleet through arrivals, departures and migrations.
+// Each machine's Placed list is the record of its residents; every
+// operation here reads and edits those lists directly. Per-epoch event
+// counts come back from the calls that cause them (Offer, DepartDue,
+// RetryDue, EvictAll, MigrateOff); Churn itself counts only what no
+// call returns.
 type Churn struct {
 	Fleet  *Fleet
 	Policy Placement
-	// sessions holds each machine's resident sessions in placement
-	// order, index-aligned with Fleet.Machines.
-	sessions [][]*Session
 	// Active counts the sessions currently placed fleet-wide.
 	Active int
-	// Rejected, Departed and Migrations count lifecycle events since
-	// construction.
-	Rejected   int
-	Departed   int
-	Migrations int
 	// Retry configures failover for evicted and admission-rejected
 	// sessions; the zero value keeps the historical drop-on-failure
 	// behaviour (see faults.go).
 	Retry RetryPolicy
-	// Evicted, Retried, Recovered and Lost count failover lifecycle
-	// events since construction (see faults.go).
-	Evicted   int
-	Retried   int
-	Recovered int
-	Lost      int
+	// Lost counts sessions whose lifecycle ended without service: a
+	// rejection or eviction with no retry left, or a tenant that
+	// departed while queued (see faults.go).
+	Lost int
 	// retryQ holds sessions waiting for a failover attempt, in enqueue
 	// order (deterministic: the epoch loop drains it front to back).
 	retryQ []retryEntry
 	// Pool, when set, receives every session whose lifecycle has
 	// terminally ended — departed, rejected with no retry pending, or
-	// lost — so a streaming source can reuse the allocation. Nil keeps
+	// lost — so the source can hand the allocation out again. Nil keeps
 	// the historical leave-it-to-the-GC behaviour.
-	Pool SessionPool
+	Pool *ChurnSource
 }
 
 // recycle hands a terminally-finished session back to the pool. Every
@@ -104,19 +95,16 @@ func (c *Churn) recycle(s *Session) {
 // admission. The policy persists across epochs (stateful policies like
 // round-robin keep their cursor).
 func NewChurn(f *Fleet, p Placement) *Churn {
-	return &Churn{Fleet: f, Policy: p, sessions: make([][]*Session, len(f.Machines))}
+	return &Churn{Fleet: f, Policy: p}
 }
 
 // admit offers a session to the policy at its current served fidelity
 // and records the placement. It is the single admission path shared by
 // Offer and RetryDue, so every outcome reverses identically.
 func (c *Churn) admit(s *Session) bool {
-	mi := c.Fleet.placeOne(s.Variant, c.Policy)
-	if mi < 0 {
+	if c.Fleet.placeOne(s, c.Policy) < 0 {
 		return false
 	}
-	s.Machine = mi
-	c.sessions[mi] = append(c.sessions[mi], s)
 	c.Active++
 	return true
 }
@@ -127,28 +115,19 @@ func (c *Churn) admit(s *Session) bool {
 // reverses the session's place bookkeeping exactly.
 func (c *Churn) DepartDue(epoch int) int {
 	departed := 0
-	for mi := range c.sessions {
-		for slot := len(c.sessions[mi]) - 1; slot >= 0; slot-- {
-			s := c.sessions[mi][slot]
+	for _, m := range c.Fleet.Machines {
+		for slot := len(m.Placed) - 1; slot >= 0; slot-- {
+			s := m.Placed[slot]
 			if s.Departs > epoch {
 				continue
 			}
-			c.releaseSlot(mi, slot)
-			s.Machine = -1
+			m.release(slot)
 			departed++
 			c.recycle(s)
 		}
 	}
-	c.Departed += departed
 	c.Active -= departed
 	return departed
-}
-
-// releaseSlot removes slot i from machine mi on both sides of the
-// session↔placement alignment.
-func (c *Churn) releaseSlot(mi, i int) {
-	c.Fleet.Machines[mi].release(i)
-	c.sessions[mi] = append(c.sessions[mi][:i], c.sessions[mi][i+1:]...)
 }
 
 // MigrateOff moves one session off machine mi, targeting by *measured*
@@ -164,24 +143,25 @@ func (c *Churn) releaseSlot(mi, i int) {
 // (ties toward the earlier slot, i.e. the lower session ID), falling
 // back to lighter sessions: the heaviest tenant is exactly the one
 // hardest to re-place, and an overloaded machine is still relieved by
-// shedding its heaviest *movable* tenant. It reports whether a
-// migration happened; when the rest of the fleet has no room (or is
-// measuring no better than the source), nothing moves — migration must
-// never turn into an eviction or a swap of one hot machine for another.
+// shedding its heaviest *movable* tenant. A move releases the victim
+// from mi's Placed list and appends it to the target's. It reports
+// whether a migration happened; when the rest of the fleet has no room
+// (or is measuring no better than the source), nothing moves —
+// migration must never turn into an eviction or a swap of one hot
+// machine for another.
 func (c *Churn) MigrateOff(mi int, rttMs []float64) bool {
-	// The source's placed variants are its residents at their served
-	// tiers (slots align with sessions).
-	placed := c.Fleet.Machines[mi].Placed
+	src := c.Fleet.Machines[mi]
+	placed := src.Placed
 	order := make([]int, len(placed))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return placed[order[a]].Demand > placed[order[b]].Demand
+		return placed[order[a]].Variant.Demand > placed[order[b]].Variant.Demand
 	})
 	for _, victim := range order {
-		s := c.sessions[mi][victim]
-		d := placed[victim].Demand
+		s := placed[victim]
+		d := s.Variant.Demand
 		target := -1
 		for _, m := range c.Fleet.Machines {
 			// Targets must be up and must hold the session *without*
@@ -207,16 +187,9 @@ func (c *Churn) MigrateOff(mi int, rttMs []float64) bool {
 		if target < 0 {
 			continue
 		}
-		c.releaseSlot(mi, victim)
-		c.Fleet.Machines[target].place(s.Variant)
-		c.sessions[target] = append(c.sessions[target], s)
-		s.Machine = target
-		c.Migrations++
+		src.release(victim)
+		c.Fleet.Machines[target].place(s)
 		return true
 	}
 	return false
 }
-
-// Resident returns machine mi's sessions in placement order (aliases
-// internal state; callers must not mutate).
-func (c *Churn) Resident(mi int) []*Session { return c.sessions[mi] }

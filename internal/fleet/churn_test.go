@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 
 // TestChurnStreamDeterministicAndShaped: two sources over one config
 // yield the identical schedule, session IDs are the arrival sequence,
-// and every session is unplaced, arrives in the epoch that yields it
-// and runs at least one epoch.
+// and every session arrives in the epoch that yields it and runs at
+// least one epoch.
 func TestChurnStreamDeterministicAndShaped(t *testing.T) {
 	for _, mix := range Mixes() {
 		cfg := ArrivalConfig{Mix: mix, Rate: 2, MeanSessionEpochs: 3, Epochs: 10, Seed: 7}
@@ -40,9 +41,6 @@ func TestChurnStreamDeterministicAndShaped(t *testing.T) {
 				}
 				if s.Departs <= s.Arrive {
 					t.Fatalf("%s: session %d departs at %d, arrives at %d — must run >= 1 epoch", mix, s.ID, s.Departs, s.Arrive)
-				}
-				if s.Machine != -1 {
-					t.Fatalf("%s: generated sessions must be unplaced", mix)
 				}
 			}
 			total += len(ae)
@@ -111,12 +109,47 @@ func TestPoissonMeanAndDeterminism(t *testing.T) {
 	}
 }
 
-// TestChurnBookkeepingProperty is the satellite property test: over
-// randomized arrival/departure/migration sequences, (a) no machine's
-// demand ever goes negative, (b) a machine's demand always equals the
-// sum over its placed profiles (departures exactly reverse place
-// bookkeeping), and (c) once every session has departed the fleet is
-// bit-exactly empty.
+// checkOneRecord checks the fleet's one record of who runs where — the
+// machines' Placed lists — against the churn's counts, returning the
+// first violation or "" when none is found: no session sits on two
+// machines, or twice on one; c.Active is the number of residents; and
+// the sessions offered so far equal departed (summed from DepartDue's
+// returns) + c.Lost + c.Active + c.QueuedRetries(). Each machine's
+// demand must also be the left-to-right sum over its residents' served
+// profiles (so departures, evictions and tier changes reverse the
+// bookkeeping exactly), and never negative.
+func checkOneRecord(c *Churn, offered, departed int) string {
+	seen := map[*Session]int{}
+	residents := 0
+	for mi, m := range c.Fleet.Machines {
+		for _, s := range m.Placed {
+			if prev, dup := seen[s]; dup {
+				return fmt.Sprintf("session %d sits on machine %d and on machine %d", s.ID, prev, mi)
+			}
+			seen[s] = mi
+		}
+		residents += len(m.Placed)
+		if m.Demand < 0 {
+			return fmt.Sprintf("machine %d demand negative: %g", mi, m.Demand)
+		}
+		if want := sumProfiles(m.Placed); m.Demand != want {
+			return fmt.Sprintf("machine %d demand %g != placed sum %g", mi, m.Demand, want)
+		}
+	}
+	if c.Active != residents {
+		return fmt.Sprintf("Active %d, but the machines hold %d residents", c.Active, residents)
+	}
+	if got := departed + c.Lost + c.Active + c.QueuedRetries(); got != offered {
+		return fmt.Sprintf("%d offered, but departed %d + lost %d + active %d + queued %d = %d",
+			offered, departed, c.Lost, c.Active, c.QueuedRetries(), got)
+	}
+	return ""
+}
+
+// TestChurnBookkeepingProperty is the churn property test: over
+// randomized arrival/departure/migration sequences, checkOneRecord
+// holds at every checkpoint, and once every session has departed the
+// fleet is bit-exactly empty.
 func TestChurnBookkeepingProperty(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		const epochs = 8
@@ -130,39 +163,21 @@ func TestChurnBookkeepingProperty(t *testing.T) {
 		rng := sim.NewRNG(seed).Fork("test/migrations")
 		rtts := []float64{150, 120, 100}
 
+		offered, departed := 0, 0
 		check := func(when string, epoch int) {
 			t.Helper()
-			for mi, m := range f.Machines {
-				if m.Demand < 0 {
-					t.Fatalf("seed %d epoch %d (%s): machine %d demand negative: %g", seed, epoch, when, mi, m.Demand)
-				}
-				if want := sumProfiles(m.Placed); m.Demand != want {
-					t.Fatalf("seed %d epoch %d (%s): machine %d demand %g != placed sum %g",
-						seed, epoch, when, mi, m.Demand, want)
-				}
-				if len(c.Resident(mi)) != len(m.Placed) {
-					t.Fatalf("seed %d epoch %d (%s): machine %d session/placement misalignment: %d vs %d",
-						seed, epoch, when, mi, len(c.Resident(mi)), len(m.Placed))
-				}
-				for slot, s := range c.Resident(mi) {
-					if s.Variant != m.Placed[slot] {
-						t.Fatalf("seed %d epoch %d (%s): machine %d slot %d holds %s, session says %s",
-							seed, epoch, when, mi, slot, m.Placed[slot].Profile.Name, s.Variant.Profile.Name)
-					}
-					if s.Machine != mi {
-						t.Fatalf("seed %d epoch %d (%s): session %d thinks it is on %d, found on %d",
-							seed, epoch, when, s.ID, s.Machine, mi)
-					}
-				}
+			if msg := checkOneRecord(c, offered, departed); msg != "" {
+				t.Fatalf("seed %d epoch %d (%s): %s", seed, epoch, when, msg)
 			}
 		}
 
 		last := 0
 		for e := 0; e < epochs; e++ {
-			c.DepartDue(e)
+			departed += c.DepartDue(e)
 			check("after departures", e)
 			for _, s := range src.Next(e) {
 				last = max(last, s.Departs)
+				offered++
 				c.Offer(s, e)
 				check("after arrival", e)
 			}
@@ -175,7 +190,8 @@ func TestChurnBookkeepingProperty(t *testing.T) {
 			}
 		}
 		// Run the horizon out: everything departs eventually.
-		c.DepartDue(last)
+		departed += c.DepartDue(last)
+		check("after the last departures", last)
 		if c.Active != 0 {
 			t.Fatalf("seed %d: %d sessions still active after the last departure epoch", seed, c.Active)
 		}
@@ -188,12 +204,12 @@ func TestChurnBookkeepingProperty(t *testing.T) {
 	}
 }
 
-// sumProfiles recomputes the predicted demand of the placed variants'
+// sumProfiles recomputes the predicted demand of the residents' served
 // profiles, left to right.
-func sumProfiles(vs []*Variant) float64 {
+func sumProfiles(placed []*Session) float64 {
 	d := 0.0
-	for _, v := range vs {
-		d += PredictedCPUDemand(&v.Profile)
+	for _, s := range placed {
+		d += PredictedCPUDemand(&s.Variant.Profile)
 	}
 	return d
 }
@@ -204,19 +220,18 @@ func TestChurnArriveRejectsWhenFull(t *testing.T) {
 	f.Overcommit = 1
 	c := NewChurn(f, pol)
 	d2 := variantOf("D2")
-	placedAny := false
+	rejected := 0
 	for i := 0; i < 5; i++ {
-		if c.Offer(&Session{ID: i, Variant: d2, Departs: 100}, 0) {
-			placedAny = true
+		if !c.Offer(&Session{ID: i, Variant: d2, Departs: 100}, 0) {
+			rejected++
 		}
 	}
-	if c.Active+c.Rejected != 5 {
-		t.Fatalf("active %d + rejected %d must account for 5 arrivals", c.Active, c.Rejected)
+	if c.Active+rejected != 5 {
+		t.Fatalf("active %d + rejected %d must account for 5 arrivals", c.Active, rejected)
 	}
-	if c.Rejected == 0 {
+	if rejected == 0 {
 		t.Fatal("a 1-core machine cannot hold five D2s")
 	}
-	_ = placedAny
 }
 
 func TestChurnMigrateOffMovesHeaviestAndKeepsWhenNowhere(t *testing.T) {
@@ -243,14 +258,14 @@ func TestChurnMigrateOffMovesHeaviestAndKeepsWhenNowhere(t *testing.T) {
 	if !c.MigrateOff(0, rtts) {
 		t.Fatal("migration must fire once a target is feasible")
 	}
-	if s2.Machine != 1 || s1.Machine != 0 {
-		t.Fatalf("the highest-demand session must move: RE on %d, D2 on %d", s1.Machine, s2.Machine)
+	if on1, on2 := machineOf(f, s1), machineOf(f, s2); on2 != 1 || on1 != 0 {
+		t.Fatalf("the highest-demand session must move: RE on %d, D2 on %d", on1, on2)
 	}
-	if c.Migrations != 1 {
-		t.Fatalf("Migrations = %d, want 1", c.Migrations)
+	if got := residentNames(f.Machines[1]); len(got) != 1 || got[0] != "D2" {
+		t.Fatalf("machine 1 placement wrong after migration: %v", got)
 	}
-	if got := len(f.Machines[1].Placed); got != 1 || f.Machines[1].Placed[0].Profile.Name != "D2" {
-		t.Fatalf("machine 1 placement wrong after migration: %v", names(f.Machines[1].Placed))
+	if got := residentNames(f.Machines[0]); len(got) != 1 || got[0] != "RE" {
+		t.Fatalf("machine 0 placement wrong after migration: %v", got)
 	}
 }
 
@@ -276,8 +291,8 @@ func TestChurnMigrateOffRejectsHotTargets(t *testing.T) {
 	if !c.MigrateOff(0, []float64{QoSMaxRTTMs + 40, QoSMaxRTTMs - 30}) {
 		t.Fatal("must migrate once the target measures within the ceiling")
 	}
-	if s.Machine != 1 {
-		t.Fatalf("session on machine %d, want 1", s.Machine)
+	if got := machineOf(f, s); got != 1 {
+		t.Fatalf("session on machine %d, want 1", got)
 	}
 }
 

@@ -192,47 +192,47 @@ func (c *Churn) retrySlot(s *Session, epoch, attempt int) (retryEntry, bool) {
 	return retryEntry{s: s, attempt: attempt, next: next}, true
 }
 
-// Offer is the arrival path: it offers a session to the policy, and a
-// placed session joins its machine's resident list. A rejected session
-// keeps Machine == -1, counts as Rejected and enters the retry queue
-// (first attempt matures after the base backoff). With retries disabled
-// (the zero RetryPolicy), or when the session would depart before its
-// first attempt matures, it is dropped at once and also counts as Lost.
-// Sessions that later exhaust their attempts count as Lost too.
+// Offer is the arrival path, and with epoch 0 and no failover the
+// one-shot fleet's admission too: it offers a session to the policy,
+// and a placed session joins its machine's Placed list. A rejected
+// session enters the retry queue (first attempt matures after the base
+// backoff). With retries disabled (the zero RetryPolicy), or when the
+// session would depart before its first attempt matures, it is dropped
+// at once and counts as Lost. Sessions that later exhaust their
+// attempts count as Lost too.
 func (c *Churn) Offer(s *Session, epoch int) bool {
 	if c.admit(s) {
 		return true
 	}
-	s.Machine = -1
-	c.Rejected++
-	if e, ok := c.retrySlot(s, epoch, 1); ok {
-		c.retryQ = append(c.retryQ, e)
-	} else {
-		c.Lost++
-		c.recycle(s)
-	}
+	c.requeue(s, epoch, 1)
 	return false
 }
 
+// requeue enqueues failover attempt number attempt for s, or, when
+// retrySlot refuses it, counts s as Lost and recycles it.
+func (c *Churn) requeue(s *Session, epoch, attempt int) {
+	if e, ok := c.retrySlot(s, epoch, attempt); ok {
+		c.retryQ = append(c.retryQ, e)
+		return
+	}
+	c.Lost++
+	c.recycle(s)
+}
+
 // EvictAll force-releases every resident of machine mi (a crash),
-// reversing each placement exactly like a departure and enqueueing the
-// evicted sessions for failover. Tiers reset: a re-admitted session
-// starts back at full fidelity. Returns how many sessions were evicted.
+// emptying its Placed list back to front exactly as departures would
+// and enqueueing the evicted sessions for failover. Tiers reset: a
+// re-admitted session starts back at full fidelity. Returns how many
+// sessions were evicted.
 func (c *Churn) EvictAll(mi, epoch int) int {
-	n := len(c.sessions[mi])
+	m := c.Fleet.Machines[mi]
+	n := len(m.Placed)
 	for slot := n - 1; slot >= 0; slot-- {
-		s := c.sessions[mi][slot]
-		c.releaseSlot(mi, slot)
-		s.Machine = -1
+		s := m.Placed[slot]
+		m.release(slot)
 		s.Variant = s.Variant.AtTier(0)
 		c.Active--
-		c.Evicted++
-		if e, ok := c.retrySlot(s, epoch, 1); ok {
-			c.retryQ = append(c.retryQ, e)
-		} else {
-			c.Lost++
-			c.recycle(s)
-		}
+		c.requeue(s, epoch, 1)
 	}
 	return n
 }
@@ -247,35 +247,26 @@ func (c *Churn) RetryDue(epoch int) (retried, recovered int) {
 	if len(c.retryQ) == 0 {
 		return 0, 0
 	}
+	// The surviving entries refill the queue's own array from the front:
+	// each entry read adds at most one, so none is overwritten unread.
 	q := c.retryQ
-	keep := c.retryQ[:0]
-	for i := 0; i < len(q); i++ {
-		e := q[i]
-		if e.s.Departs <= epoch {
+	c.retryQ = c.retryQ[:0]
+	for _, e := range q {
+		switch {
+		case e.s.Departs <= epoch:
 			c.Lost++
 			c.recycle(e.s)
-			continue
-		}
-		if e.next > epoch {
-			keep = append(keep, e)
-			continue
-		}
-		retried++
-		c.Retried++
-		if c.admit(e.s) {
-			recovered++
-			c.Recovered++
-			continue
-		}
-		c.Rejected++
-		if ne, ok := c.retrySlot(e.s, epoch, e.attempt+1); ok {
-			keep = append(keep, ne)
-		} else {
-			c.Lost++
-			c.recycle(e.s)
+		case e.next > epoch:
+			c.retryQ = append(c.retryQ, e)
+		default:
+			retried++
+			if c.admit(e.s) {
+				recovered++
+			} else {
+				c.requeue(e.s, epoch, e.attempt+1)
+			}
 		}
 	}
-	c.retryQ = keep
 	return retried, recovered
 }
 
@@ -292,21 +283,21 @@ func (c *Churn) QueuedRetries() int { return len(c.retryQ) }
 // most demand per tier step — the point of a brown-out is maximum
 // relief for minimum fidelity loss across the machine.
 func (c *Churn) DegradeOne(mi int) bool {
-	best, bestDemand := -1, 0.0
-	for i, s := range c.sessions[mi] {
+	m := c.Fleet.Machines[mi]
+	var best *Session
+	for _, s := range m.Placed {
 		if s.Variant.Tier >= MaxDegradeTier {
 			continue
 		}
-		if d := s.Variant.Demand; best < 0 || d > bestDemand {
-			best, bestDemand = i, d
+		if best == nil || s.Variant.Demand > best.Variant.Demand {
+			best = s
 		}
 	}
-	if best < 0 {
+	if best == nil {
 		return false
 	}
-	s := c.sessions[mi][best]
-	s.Variant = s.Variant.AtTier(s.Variant.Tier + 1)
-	c.Fleet.Machines[mi].replace(best, s.Variant)
+	best.Variant = best.Variant.AtTier(best.Variant.Tier + 1)
+	m.updateDemand()
 	return true
 }
 
@@ -337,26 +328,22 @@ func (c *Churn) DegradeToFit(mi int) int {
 // recovering machine straight back over the ceiling. Reports whether
 // anyone was upgraded.
 func (c *Churn) UpgradeOne(mi int) bool {
-	best := -1
-	for i, s := range c.sessions[mi] {
-		if s.Variant.Tier <= 0 {
-			continue
-		}
-		if best < 0 || s.Variant.Tier > c.sessions[mi][best].Variant.Tier {
-			best = i
-		}
-	}
-	if best < 0 {
-		return false
-	}
-	s := c.sessions[mi][best]
 	m := c.Fleet.Machines[mi]
-	restored := s.Variant.AtTier(s.Variant.Tier - 1)
-	if !m.Fits(restored.Demand-s.Variant.Demand, 1) {
+	var best *Session
+	for _, s := range m.Placed {
+		if s.Variant.Tier > 0 && (best == nil || s.Variant.Tier > best.Variant.Tier) {
+			best = s
+		}
+	}
+	if best == nil {
 		return false
 	}
-	s.Variant = restored
-	m.replace(best, restored)
+	restored := best.Variant.AtTier(best.Variant.Tier - 1)
+	if !m.Fits(restored.Demand-best.Variant.Demand, 1) {
+		return false
+	}
+	best.Variant = restored
+	m.updateDemand()
 	return true
 }
 
@@ -364,7 +351,7 @@ func (c *Churn) UpgradeOne(mi int) bool {
 // below full fidelity.
 func (c *Churn) DegradedResidents(mi int) int {
 	n := 0
-	for _, s := range c.sessions[mi] {
+	for _, s := range c.Fleet.Machines[mi].Placed {
 		if s.Variant.Tier > 0 {
 			n++
 		}

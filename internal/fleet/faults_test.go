@@ -143,8 +143,8 @@ func TestOfferRetryBackoffAndRecovery(t *testing.T) {
 	if c.Offer(s, 0) {
 		t.Fatal("a choked machine must reject the offer")
 	}
-	if c.Rejected != 1 || c.QueuedRetries() != 1 {
-		t.Fatalf("rejection must enqueue a retry: rejected=%d queued=%d", c.Rejected, c.QueuedRetries())
+	if c.QueuedRetries() != 1 {
+		t.Fatalf("rejection must enqueue a retry: queued=%d", c.QueuedRetries())
 	}
 	// Attempt 1 matures one backoff epoch later, not immediately.
 	if r, _ := c.RetryDue(0); r != 0 {
@@ -161,11 +161,11 @@ func TestOfferRetryBackoffAndRecovery(t *testing.T) {
 	if r, rec := c.RetryDue(3); r != 1 || rec != 1 {
 		t.Fatalf("attempt 2 must recover once the machine has room: retried=%d recovered=%d", r, rec)
 	}
-	if s.Machine != 0 || c.Active != 2 || c.QueuedRetries() != 0 {
-		t.Fatalf("recovered session not placed: machine=%d active=%d queued=%d", s.Machine, c.Active, c.QueuedRetries())
+	if on := machineOf(f, s); on != 0 || c.Active != 2 || c.QueuedRetries() != 0 {
+		t.Fatalf("recovered session not placed: machine=%d active=%d queued=%d", on, c.Active, c.QueuedRetries())
 	}
-	if c.Retried != 2 || c.Recovered != 1 || c.Lost != 0 {
-		t.Fatalf("counters: retried=%d recovered=%d lost=%d", c.Retried, c.Recovered, c.Lost)
+	if c.Lost != 0 {
+		t.Fatalf("a recovered session is not lost: lost=%d", c.Lost)
 	}
 }
 
@@ -196,11 +196,10 @@ func TestRetryExhaustionAndDepartedPurge(t *testing.T) {
 	if c.QueuedRetries() != 1 {
 		t.Fatal("offer must enqueue")
 	}
-	retriedBefore := c.Retried
 	if r, _ := c.RetryDue(2); r != 0 {
 		t.Fatal("a departed tenant must not burn a retry attempt")
 	}
-	if c.QueuedRetries() != 0 || c.Lost != 2 || c.Retried != retriedBefore {
+	if c.QueuedRetries() != 0 || c.Lost != 2 {
 		t.Fatalf("departed tenant must purge as lost: queued=%d lost=%d", c.QueuedRetries(), c.Lost)
 	}
 
@@ -243,10 +242,10 @@ func TestEvictAllReversesPlacementAndEnqueues(t *testing.T) {
 	if len(m.Placed) != 0 || m.Demand != 0 {
 		t.Fatalf("crashed machine not bit-exactly empty: placed=%d demand=%g", len(m.Placed), m.Demand)
 	}
-	if c.Active != 0 || c.Evicted != 2 || c.QueuedRetries() != 2 {
-		t.Fatalf("eviction bookkeeping: active=%d evicted=%d queued=%d", c.Active, c.Evicted, c.QueuedRetries())
+	if c.Active != 0 || c.QueuedRetries() != 2 {
+		t.Fatalf("eviction bookkeeping: active=%d queued=%d", c.Active, c.QueuedRetries())
 	}
-	if s1.Machine != -1 || s2.Machine != -1 || s1.Variant.Tier != 0 || s2.Variant.Tier != 0 {
+	if machineOf(f, s1) != -1 || machineOf(f, s2) != -1 || s1.Variant.Tier != 0 || s2.Variant.Tier != 0 {
 		t.Fatalf("evicted sessions must be unplaced at full fidelity: %+v %+v", s1, s2)
 	}
 	// Recovery after repair: both re-admit and the machine's demand is
@@ -280,7 +279,7 @@ func TestDegradeUpgradeRoundTripRestoresDemand(t *testing.T) {
 	if m.Demand >= orig {
 		t.Fatalf("degrading must shed demand: %g >= %g", m.Demand, orig)
 	}
-	if m.Placed[0].Profile.Width >= d2.Profile.Width {
+	if m.Placed[0].Variant.Profile.Width >= d2.Profile.Width {
 		t.Fatal("the machine must serve the degraded resolution")
 	}
 	if got := c.DegradedResidents(0); got != 1 {
@@ -350,25 +349,24 @@ func TestDegradeToFitShedsTowardNominal(t *testing.T) {
 	if m.Demand > m.Cores && c.DegradeToFit(0) != 0 {
 		t.Fatal("DegradeToFit must stop only at nominal fit or the tier floor")
 	}
-	// Every resident is still aligned and served at its recorded tier.
-	for slot, s := range c.Resident(0) {
-		want := DegradedProfile(d2.Profile, s.Variant.Tier).Width
-		if m.Placed[slot] != s.Variant || m.Placed[slot].Profile.Width != want {
+	// Every resident is served at its recorded tier.
+	for slot, s := range m.Placed {
+		if want := DegradedProfile(d2.Profile, s.Variant.Tier).Width; s.Variant.Profile.Width != want {
 			t.Fatalf("slot %d serves width %d, tier %d says %d",
-				slot, m.Placed[slot].Profile.Width, s.Variant.Tier, want)
+				slot, s.Variant.Profile.Width, s.Variant.Tier, want)
 		}
 	}
 }
 
-// TestFaultRecoveryBookkeepingProperty is the satellite property test,
-// mirroring TestChurnBookkeepingProperty over randomized *failure*
-// schedules: across ≥30 seeds of crash→evict→retry→re-admit (with
-// brown-out and migration pressure mixed in), every machine's demand
-// always equals the left-to-right recomputation over its placed
-// profiles — i.e. recovery reverses bookkeeping exactly, leaving state
-// identical to a history in which the crash never happened — and the
-// fleet drains bit-exactly empty, with every session accounted for as
-// departed or lost.
+// TestFaultRecoveryBookkeepingProperty mirrors
+// TestChurnBookkeepingProperty over randomized *failure* schedules:
+// across 30 seeds of crash→evict→retry→re-admit (with brown-out and
+// migration pressure mixed in), checkOneRecord holds at every
+// checkpoint — so recovery reverses bookkeeping exactly, leaving state
+// identical to a history in which the crash never happened — no
+// unavailable machine holds a resident, and the fleet drains
+// bit-exactly empty, with every session accounted for as departed or
+// lost.
 func TestFaultRecoveryBookkeepingProperty(t *testing.T) {
 	const epochs = 8
 	for seed := int64(1); seed <= 30; seed++ {
@@ -387,41 +385,23 @@ func TestFaultRecoveryBookkeepingProperty(t *testing.T) {
 		rng := sim.NewRNG(seed).Fork("test/fault-pressure")
 		rtts := []float64{150, 120, 100}
 
+		offered, departed := 0, 0
 		check := func(when string, epoch int) {
 			t.Helper()
+			if msg := checkOneRecord(c, offered, departed); msg != "" {
+				t.Fatalf("seed %d epoch %d (%s): %s", seed, epoch, when, msg)
+			}
 			for mi, m := range f.Machines {
-				if m.Demand < 0 {
-					t.Fatalf("seed %d epoch %d (%s): machine %d demand negative: %g", seed, epoch, when, mi, m.Demand)
-				}
-				if want := sumProfiles(m.Placed); m.Demand != want {
-					t.Fatalf("seed %d epoch %d (%s): machine %d demand %g != placed sum %g",
-						seed, epoch, when, mi, m.Demand, want)
-				}
 				if m.State != MachineUp && len(m.Placed) != 0 {
 					t.Fatalf("seed %d epoch %d (%s): unavailable machine %d holds %d placements",
 						seed, epoch, when, mi, len(m.Placed))
 				}
-				if len(c.Resident(mi)) != len(m.Placed) {
-					t.Fatalf("seed %d epoch %d (%s): machine %d session/placement misalignment: %d vs %d",
-						seed, epoch, when, mi, len(c.Resident(mi)), len(m.Placed))
-				}
-				for slot, s := range c.Resident(mi) {
-					if s.Variant != m.Placed[slot] {
-						t.Fatalf("seed %d epoch %d (%s): machine %d slot %d holds %s at tier %d, session says %s at tier %d",
-							seed, epoch, when, mi, slot, m.Placed[slot].Profile.Name, m.Placed[slot].Tier,
-							s.Variant.Profile.Name, s.Variant.Tier)
-					}
-					if s.Machine != mi {
-						t.Fatalf("seed %d epoch %d (%s): session %d thinks it is on %d, found on %d",
-							seed, epoch, when, s.ID, s.Machine, mi)
-					}
-				}
 			}
 		}
 
-		last, total := 0, 0
+		last := 0
 		for e := 0; e < epochs; e++ {
-			c.DepartDue(e)
+			departed += c.DepartDue(e)
 			check("after departures", e)
 			for mi, m := range f.Machines {
 				st := timeline[mi][e]
@@ -437,7 +417,7 @@ func TestFaultRecoveryBookkeepingProperty(t *testing.T) {
 			check("after retries", e)
 			for _, s := range src.Next(e) {
 				last = max(last, s.Departs)
-				total++
+				offered++
 				c.Offer(s, e)
 				check("after offer", e)
 			}
@@ -458,8 +438,9 @@ func TestFaultRecoveryBookkeepingProperty(t *testing.T) {
 			}
 		}
 		// Run the horizon out: everything departs or drains as lost.
-		c.DepartDue(last)
+		departed += c.DepartDue(last)
 		c.RetryDue(last) // purges every queued tenant as departed
+		check("after the horizon", last)
 		if c.Active != 0 || c.QueuedRetries() != 0 {
 			t.Fatalf("seed %d: %d active, %d queued after the last departure epoch", seed, c.Active, c.QueuedRetries())
 		}
@@ -468,10 +449,6 @@ func TestFaultRecoveryBookkeepingProperty(t *testing.T) {
 				t.Fatalf("seed %d: machine %d not bit-exactly empty after full churn: placed=%d demand=%g",
 					seed, mi, len(m.Placed), m.Demand)
 			}
-		}
-		if c.Departed+c.Lost != total {
-			t.Fatalf("seed %d: session conservation broken: departed %d + lost %d != %d arrivals",
-				seed, c.Departed, c.Lost, total)
 		}
 	}
 }

@@ -63,10 +63,13 @@ type Machine struct {
 	// until then (a decrease is safe — the exact Fits test still
 	// applies).
 	Cores float64
-	// Placed holds the variants placed on this machine, in admission
-	// order: handles into their catalog, never copies of the profile.
-	Placed []*Variant
-	// Demand is the summed predicted CPU demand of the placed variants.
+	// Placed holds the sessions resident on this machine, in admission
+	// order. It is the one record of who runs where: every admission,
+	// departure, eviction, tier change and migration edits it, and each
+	// session's Variant is the profile it is served at.
+	Placed []*Session
+	// Demand is the summed predicted CPU demand of the residents'
+	// variants.
 	Demand float64
 	// State is the machine's availability (fault injection): the
 	// zero value MachineUp keeps every fault-free fleet byte-identical
@@ -92,44 +95,37 @@ func (m *Machine) admits(d, overcommit float64) bool {
 	return m.State == MachineUp && m.Fits(d, overcommit)
 }
 
-// place records a request on the machine. Demand is recomputed as the
+// place records a session on the machine. Demand is recomputed as the
 // left-to-right sum over the placed list (identical to incremental
 // accumulation for append-only admission), so release can reverse the
 // bookkeeping exactly.
-func (m *Machine) place(v *Variant) {
-	m.Placed = append(m.Placed, v)
+func (m *Machine) place(s *Session) {
+	m.Placed = append(m.Placed, s)
 	m.updateDemand()
 }
 
-// release removes the placed instance at slot i (reversing place).
-// Demand is recomputed over the survivors in order, so releasing a
-// session leaves Demand bit-identical to a history in which it was
-// never placed — float subtraction would instead accumulate error and
-// could drift negative on an empty machine.
+// release removes the resident at slot i (reversing place). Demand is
+// recomputed over the survivors in order, so releasing a session
+// leaves Demand bit-identical to a history in which it was never
+// placed — float subtraction would instead accumulate error and could
+// drift negative on an empty machine.
 func (m *Machine) release(i int) {
 	m.Placed = append(m.Placed[:i], m.Placed[i+1:]...)
 	m.updateDemand()
 }
 
-// replace swaps the variant at slot i for v (a brown-out tier change:
-// same tenant, different served fidelity) and recomputes demand the
-// same left-to-right way place/release do, so a degrade followed by an
-// upgrade restores Demand bit-identically.
-func (m *Machine) replace(i int, v *Variant) {
-	m.Placed[i] = v
-	m.updateDemand()
-}
-
-// updateDemand re-sums the placed variants' demands left to right —
+// updateDemand re-sums the residents' variant demands left to right —
 // the same additions, in the same order, as summing PredictedCPUDemand
 // over their profiles — advances the placement generation and
-// refreshes the machine's headroom leaf. place, release and replace
-// all end here, so it is the one point where a machine's residents
-// change.
+// refreshes the machine's headroom leaf. place and release end here,
+// and so does a brown-out tier change (which swaps a resident's
+// Variant in place), so it is the one point where a machine's load
+// changes; a degrade followed by an upgrade restores Demand
+// bit-identically.
 func (m *Machine) updateDemand() {
 	d := 0.0
-	for _, v := range m.Placed {
-		d += v.Demand
+	for _, s := range m.Placed {
+		d += s.Variant.Demand
 	}
 	m.Demand = d
 	m.gen++
@@ -144,8 +140,6 @@ type Fleet struct {
 	// Overcommit caps each machine's predicted demand at Overcommit ×
 	// cores; requests that fit nowhere are rejected.
 	Overcommit float64
-	// Rejected holds the request indices admission turned away.
-	Rejected []int
 	// index is the headroom index over Machines, built on first use
 	// (see headroom).
 	index *headroomIndex
@@ -212,33 +206,20 @@ func ParseCoreClasses(s string) ([]float64, error) {
 	return out, nil
 }
 
-// Admit runs the admission loop: each request in turn is offered to the
-// policy, restricted to machines with remaining overcommitted capacity.
-// Requests no machine can hold are recorded in f.Rejected. The loop is
-// fully deterministic: same fleet, stream and policy always produce the
-// same placement.
-func (f *Fleet) Admit(reqs []*Variant, p Placement) {
-	for i, req := range reqs {
-		if f.placeOne(req, p) < 0 {
-			f.Rejected = append(f.Rejected, i)
-		}
-	}
-}
-
-// placeOne offers one request to the policy and records the placement,
-// returning the chosen machine's fleet index or -1 when no machine can
-// (or the policy will) hold it. When the headroom index rules every
-// machine out, the policy is not asked.
-func (f *Fleet) placeOne(req *Variant, p Placement) int {
-	d := req.Demand
+// placeOne offers session s to the policy at its served variant and
+// records the placement, returning the chosen machine's fleet index or
+// -1 when no machine can (or the policy will) hold it. When the
+// headroom index rules every machine out, the policy is not asked.
+func (f *Fleet) placeOne(s *Session, p Placement) int {
+	d := s.Variant.Demand
 	if !f.headroom().mayFit(d) {
 		return -1
 	}
-	mi := p.Pick(f, req, d)
+	mi := p.Pick(f, s.Variant, d)
 	if mi < 0 {
 		return -1
 	}
-	f.Machines[mi].place(req)
+	f.Machines[mi].place(s)
 	return mi
 }
 

@@ -16,6 +16,41 @@ func names(vs []*Variant) []string {
 	return out
 }
 
+// residentNames lists the profiles machine m serves, in placement order.
+func residentNames(m *Machine) []string {
+	out := make([]string, len(m.Placed))
+	for i, s := range m.Placed {
+		out[i] = s.Variant.Profile.Name
+	}
+	return out
+}
+
+// admitAll offers each request once, at epoch 0 with no failover — the
+// one-shot fleet's admission — and returns how many were rejected.
+func admitAll(f *Fleet, reqs []*Variant, p Placement) int {
+	c := NewChurn(f, p)
+	rejected := 0
+	for i, v := range reqs {
+		if !c.Offer(&Session{ID: i, Variant: v, Departs: 1}, 0) {
+			rejected++
+		}
+	}
+	return rejected
+}
+
+// machineOf returns the index of the machine whose Placed list holds s,
+// or -1 when none does.
+func machineOf(f *Fleet, s *Session) int {
+	for _, m := range f.Machines {
+		for _, r := range m.Placed {
+			if r == s {
+				return m.Index
+			}
+		}
+	}
+	return -1
+}
+
 // variantOf returns the full-fidelity variant of a registered profile,
 // from a catalog of its own.
 func variantOf(name string) *Variant {
@@ -195,21 +230,21 @@ func TestRequestStreamHeavyIsHeavy(t *testing.T) {
 func TestRoundRobinCycles(t *testing.T) {
 	f := NewHetero(3, []float64{8})
 	reqs, _ := RequestStreamFrom(nil, MixSuite, 6, 1)
-	f.Admit(reqs, &RoundRobin{})
+	rejected := admitAll(f, reqs, &RoundRobin{})
 	for i, m := range f.Machines {
 		if len(m.Placed) != 2 {
 			t.Fatalf("machine %d got %d instances, want 2", i, len(m.Placed))
 		}
 	}
-	if len(f.Rejected) != 0 {
-		t.Fatalf("nothing should be rejected, got %v", f.Rejected)
+	if rejected != 0 {
+		t.Fatalf("nothing should be rejected, got %d", rejected)
 	}
 }
 
 func TestLeastLoadedCountBalances(t *testing.T) {
 	f := NewHetero(4, []float64{8})
 	reqs, _ := RequestStreamFrom(nil, MixShuffled, 8, 5)
-	f.Admit(reqs, LeastLoadedCount{})
+	admitAll(f, reqs, LeastLoadedCount{})
 	for i, m := range f.Machines {
 		if len(m.Placed) != 2 {
 			t.Fatalf("machine %d got %d instances, want 2", i, len(m.Placed))
@@ -223,7 +258,7 @@ func TestLeastLoadedDemandPicksLightestMachine(t *testing.T) {
 	re := variantOf("RE")
 	// D2 on machine 0, then two REs: the first RE goes to the empty
 	// machine 1, the second must also go to 1 (D2 outweighs one RE).
-	f.Admit([]*Variant{d2, re, re}, LeastLoadedDemand{})
+	admitAll(f, []*Variant{d2, re, re}, LeastLoadedDemand{})
 	if got := len(f.Machines[1].Placed); got != 2 {
 		t.Fatalf("machine 1 got %d instances, want 2 (demand-aware spread)", got)
 	}
@@ -233,12 +268,12 @@ func TestAdmissionRejectsWhenFull(t *testing.T) {
 	f := NewHetero(1, []float64{1}) // one tiny machine
 	f.Overcommit = 1
 	reqs, _ := RequestStreamFrom(nil, MixSuite, 5, 1)
-	f.Admit(reqs, LeastLoadedCount{})
+	rejected := admitAll(f, reqs, LeastLoadedCount{})
 	placed := len(f.Machines[0].Placed)
-	if placed+len(f.Rejected) != 5 {
-		t.Fatalf("placed %d + rejected %d must account for all 5 requests", placed, len(f.Rejected))
+	if placed+rejected != 5 {
+		t.Fatalf("placed %d + rejected %d must account for all 5 requests", placed, rejected)
 	}
-	if len(f.Rejected) == 0 {
+	if rejected == 0 {
 		t.Fatal("a 1-core machine cannot hold the whole stream")
 	}
 }
@@ -252,11 +287,11 @@ func TestBinPackSeparatesHostileProfiles(t *testing.T) {
 
 	f := NewHetero(2, []float64{8})
 	pol := &BinPack{Interference: it}
-	f.Admit([]*Variant{stk, stk, re, re}, pol)
+	admitAll(f, []*Variant{stk, stk, re, re}, pol)
 	stks := make([]int, len(f.Machines))
 	for i, m := range f.Machines {
-		for _, v := range m.Placed {
-			if v.Profile.Name == "STK" {
+		for _, name := range residentNames(m) {
+			if name == "STK" {
 				stks[i]++
 			}
 		}
@@ -273,7 +308,7 @@ func TestBinPackPacksCompatibleProfilesTightly(t *testing.T) {
 	f := NewHetero(3, []float64{8})
 	// No interference data: everything is compatible, so binpack must
 	// fill machine 0 before touching the others (keeping machines free).
-	f.Admit([]*Variant{re, re, re}, &BinPack{})
+	admitAll(f, []*Variant{re, re, re}, &BinPack{})
 	if got := len(f.Machines[0].Placed); got != 3 {
 		t.Fatalf("machine 0 got %d of 3 compatible instances; binpack must pack, not spread", got)
 	}
@@ -300,7 +335,7 @@ func TestBinPackTieBreakRobustToAccumulationOrder(t *testing.T) {
 		f := NewHetero(len(orders), []float64{64})
 		for i, order := range orders {
 			for _, v := range order {
-				f.Machines[i].place(v)
+				f.Machines[i].place(&Session{Variant: v})
 			}
 		}
 		return f
@@ -311,8 +346,8 @@ func TestBinPackTieBreakRobustToAccumulationOrder(t *testing.T) {
 	f := fleetOf(forward, backward)
 	costOf := func(m *Machine) float64 {
 		c := 0.0
-		for _, v := range m.Placed {
-			c += it.Score("IM", v.Profile.Name)
+		for _, name := range residentNames(m) {
+			c += it.Score("IM", name)
 		}
 		return c
 	}
@@ -337,7 +372,7 @@ func TestBinPackPrefersFullerOnCostTie(t *testing.T) {
 	re := variantOf("RE")
 	d2 := variantOf("D2")
 	f := NewHetero(2, []float64{64})
-	f.Machines[1].place(d2)
+	f.Machines[1].place(&Session{Variant: d2})
 	// No interference table: every cost is 0 — a pure tie.
 	pol := &BinPack{}
 	if got := pol.Pick(f, re, re.Demand); got != 1 {
@@ -353,10 +388,10 @@ func TestRoundRobinSkipsFullMachines(t *testing.T) {
 	// cursor must keep cycling over whatever still fits, and the excess
 	// is rejected — never misplaced.
 	reqs := []*Variant{d2, d2, d2, d2, d2, d2}
-	f.Admit(reqs, &RoundRobin{})
+	rejected := admitAll(f, reqs, &RoundRobin{})
 	total := len(f.Machines[0].Placed) + len(f.Machines[1].Placed)
-	if total+len(f.Rejected) != len(reqs) {
-		t.Fatalf("accounting broken: %d placed + %d rejected != %d", total, len(f.Rejected), len(reqs))
+	if total+rejected != len(reqs) {
+		t.Fatalf("accounting broken: %d placed + %d rejected != %d", total, rejected, len(reqs))
 	}
 	if diff := len(f.Machines[0].Placed) - len(f.Machines[1].Placed); diff < -1 || diff > 1 {
 		t.Fatalf("round-robin must keep counts within 1: %d vs %d",
@@ -405,10 +440,10 @@ func TestAdmitDeterministic(t *testing.T) {
 		f := NewHetero(4, []float64{8})
 		reqs, _ := RequestStreamFrom(nil, MixHeavy, 20, 11)
 		pol, _ := NewPolicy(PolicyBinPack, nil)
-		f.Admit(reqs, pol)
+		admitAll(f, reqs, pol)
 		out := make([][]string, len(f.Machines))
 		for i, m := range f.Machines {
-			out[i] = names(m.Placed)
+			out[i] = residentNames(m)
 		}
 		return out
 	}

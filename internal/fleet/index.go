@@ -17,8 +17,8 @@ import "math"
 // resumes the search one position later. Placements are therefore the
 // ones the linear scan makes, bit for bit.
 //
-// Leaves update from Machine.place/release/replace, the only writers
-// of Demand. A machine's Cores is read only when its leaf updates (see
+// Leaves update from Machine.updateDemand, the only writer of Demand.
+// A machine's Cores is read only when its leaf updates (see
 // Machine.Cores); a Fleet whose Overcommit or machine count changes
 // gets a fresh index on its next query.
 type headroomIndex struct {

@@ -69,7 +69,7 @@ func linearBinPack(f *Fleet, ref map[[2]string]float64, req *Variant, d float64)
 		m := f.Machines[i]
 		cost := 0.0
 		for _, placed := range m.Placed {
-			cost += ref[refKey(req.Profile.Name, placed.Profile.Name)]
+			cost += ref[refKey(req.Profile.Name, placed.Variant.Profile.Name)]
 		}
 		switch {
 		case best < 0 || cost < bestCost-binPackEps:
@@ -230,7 +230,7 @@ func TestBinPackMemoFollowsFleet(t *testing.T) {
 	fleetOf := func(residents ...*Variant) *Fleet {
 		f := NewHetero(len(residents), []float64{64})
 		for i, v := range residents {
-			f.Machines[i].place(v)
+			f.Machines[i].place(&Session{Variant: v})
 		}
 		return f
 	}
@@ -262,13 +262,14 @@ func TestBinPackSharedTableRace(t *testing.T) {
 		return src
 	}
 	placements := func(it *Interference, src *ChurnSource) []int {
-		c := NewChurn(NewHetero(24, []float64{8, 4}), &BinPack{Interference: it})
+		f := NewHetero(24, []float64{8, 4})
+		c := NewChurn(f, &BinPack{Interference: it})
 		var out []int
 		for e := 0; e < epochs; e++ {
 			c.DepartDue(e)
 			for _, s := range src.Next(e) {
 				c.Offer(s, e)
-				out = append(out, s.Machine)
+				out = append(out, machineOf(f, s))
 			}
 		}
 		return out
@@ -431,7 +432,7 @@ func TestIndexExactAtCapacityEdges(t *testing.T) {
 				linear := linearReference(pol, nil)
 				for offers := 0; ; offers++ {
 					want := linear(f, v, d)
-					got := f.placeOne(v, pol)
+					got := f.placeOne(&Session{Variant: v}, pol)
 					if got != want {
 						t.Fatalf("%s %s oc %v offer %d: picked %d, linear scan %d", policy, v.Profile.Name, oc, offers, got, want)
 					}

@@ -90,18 +90,20 @@ func (it *Interference) Score(a, b string) float64 {
 }
 
 // cost is the interference a request whose table row is row (see row)
-// adds on a machine holding placed: its scores with each resident,
-// summed left to right in placement order. Each resident's id comes
-// from its catalog, so no name is hashed. A resident the table has no
-// id for scores 0, and is skipped: adding +0 to a sum begun at +0 never
-// changes its bits. Every BinPack decision goes through this one sum,
-// so the memoized and the exported paths agree to the bit.
-func (it *Interference) cost(row []float64, placed []*Variant) float64 {
+// adds on a machine holding placed: its scores with each resident's
+// served variant, summed left to right in placement order. Each
+// resident's id comes from its catalog, so no name is hashed. A
+// resident the table has no id for scores 0, and is skipped: adding +0
+// to a sum begun at +0 never changes its bits. Every BinPack decision
+// goes through this one sum, so the memoized and the exported paths
+// agree to the bit.
+func (it *Interference) cost(row []float64, placed []*Session) float64 {
 	if row == nil {
 		return 0
 	}
 	c := 0.0
-	for _, v := range placed {
+	for _, s := range placed {
+		v := s.Variant
 		if j := v.cat.ids(it)[v.Kind]; j >= 0 {
 			c += row[j]
 		}

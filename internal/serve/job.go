@@ -25,13 +25,13 @@ const (
 func (s JobState) terminal() bool { return s == StateDone || s == StateCancelled }
 
 // TrialRecord is one trial's outcome inside a job: its identity (human
-// ID, raw key, canonical cache key), whether the result cache answered
-// it, and the recorded repetitions.
+// ID and Key(), which with the job's reps and seed is also its result
+// cache key), whether the result cache answered it, and the recorded
+// repetitions.
 type TrialRecord struct {
-	Trial        string `json:"trial"`
-	Key          string `json:"key"`
-	CanonicalKey string `json:"canonicalKey"`
-	Cached       bool   `json:"cached"`
+	Trial  string `json:"trial"`
+	Key    string `json:"key"`
+	Cached bool   `json:"cached"`
 	// Reps holds the per-repetition results ([rep] order). A repetition
 	// poisoned by a panic is the zero value — the matching warning on
 	// the job names it.

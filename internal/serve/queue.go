@@ -126,11 +126,12 @@ func (q *queue) worker() {
 }
 
 // run executes one job trial-by-trial. Per trial: answer from the
-// result store when the canonical key hits, otherwise execute through
-// the runner and record. The job's ctx is checked between units — a
-// cancelled job stops there, keeping every already-completed unit. A
-// panicking unit becomes a job warning naming the poisoned trial (and
-// is not cached), never a worker crash: the server outlives any spec.
+// result store when the trial's store key hits, otherwise execute
+// through the runner and record. The job's ctx is checked between
+// units — a cancelled job stops there, keeping every already-completed
+// unit. A panicking unit becomes a job warning naming the poisoned
+// trial (and is not cached), never a worker crash: the server outlives
+// any spec.
 func (q *queue) run(j *Job) {
 	if !j.start() {
 		return // cancelled while queued
@@ -142,7 +143,7 @@ func (q *queue) run(j *Job) {
 			j.finish(StateCancelled)
 			return
 		}
-		rec := TrialRecord{Trial: t.ID, Key: t.Key(), CanonicalKey: t.CanonicalKey()}
+		rec := TrialRecord{Trial: t.ID, Key: t.Key()}
 		sk := storeKey(t, cfg)
 		if reps, ok := q.store.get(sk); ok {
 			rec.Cached = true

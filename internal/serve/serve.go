@@ -8,10 +8,10 @@
 // bounded worker pool. Progress streams over Server-Sent Events; jobs
 // cancel between trial units; per-unit panics surface as job warnings
 // naming the poisoned trial, never a server crash. Executed trials land
-// in a result store keyed by canonical (as-executed) Trial.Key(), so
-// re-submitting an identical spec — same reps, same seed — answers from
-// recorded results in milliseconds: the grid's dedup machinery, turned
-// into a cross-run cache.
+// in a result store keyed by Trial.Key(), so re-submitting an identical
+// spec — same reps, same seed — answers from recorded results in
+// milliseconds: the grid's dedup machinery, turned into a cross-run
+// cache.
 //
 // Endpoints:
 //

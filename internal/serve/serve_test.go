@@ -111,8 +111,8 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, v any) {
 
 // TestServerGridEndToEnd is the tentpole's contract in one flow: submit
 // a small real grid over HTTP, follow SSE to completion, export JSON
-// and CSV, then re-submit the identical spec and assert the canonical
-// result cache answers every trial without re-execution, byte-identical
+// and CSV, then re-submit the identical spec and assert the result
+// cache answers every trial without re-execution, byte-identical
 // to the first run.
 func TestServerGridEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -188,6 +188,42 @@ func TestServerGridEndToEnd(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("cached results for %q differ from the executed run", rec.Trial)
 		}
+	}
+}
+
+// TestServerCacheSeparatesMixSpellings: a churn spec that omits "mix"
+// and one that spells the default "suite" run different experiments —
+// unit seeds and the arrival stream derive from the raw trial key,
+// which carries the mix as written — so the second job must execute
+// rather than be served the first one's results.
+func TestServerCacheSeparatesMixSpellings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two real (small) churn simulations")
+	}
+	_, ts := newTestServer(t, Config{Parallel: 2})
+	const base = `"kind":"churn","machines":2,"epochs":3,"seed":1,"seconds":2,"warmup":1,"reps":2`
+	st1 := submit(t, ts, `{`+base+`}`)
+	if done := readSSE(t, ts, st1.ID, nil); done.State != StateDone || done.Executed != st1.Total {
+		t.Fatalf("first job: %+v", done)
+	}
+	st2 := submit(t, ts, `{`+base+`,"mix":"suite"}`)
+	if done := readSSE(t, ts, st2.ID, nil); done.State != StateDone || done.Cached != 0 || done.Executed != st2.Total {
+		t.Fatalf("a different spelling of the mix must execute, not hit the cache: %+v", done)
+	}
+	var ex1, ex2 exportJSON
+	getJSON(t, ts, "/jobs/"+st1.ID+"/results", &ex1)
+	getJSON(t, ts, "/jobs/"+st2.ID+"/results", &ex2)
+	differ := false
+	for i, rec := range ex2.Trials {
+		if rec.Cached {
+			t.Fatalf("record %q was served from the cache", rec.Trial)
+		}
+		a, _ := json.Marshal(ex1.Trials[i].Reps)
+		b, _ := json.Marshal(rec.Reps)
+		differ = differ || !bytes.Equal(a, b)
+	}
+	if !differ {
+		t.Fatal("the two spellings executed identically; the test no longer shows a cache collision")
 	}
 }
 
@@ -441,17 +477,18 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// TestStoreCanonicalKeySharing: two as-executed-identical trial
-// spellings share one cache line — the property that makes the store a
-// cache instead of a lookup table of spellings.
+// TestStoreCanonicalKeySharing: two spellings of one fleet that the
+// executor once treated as the same experiment (MachineCores 0 executes
+// as the testbed's 8) derive different unit seeds from their raw keys,
+// so they must not share a cache line; the repetition count is part of
+// the identity too.
 func TestStoreCanonicalKeySharing(t *testing.T) {
 	cfg := core.ExperimentConfig{Seed: 1, Reps: 1}
 	a := exp.FleetTrial(exp.FleetShape{Machines: 3, Policy: "binpack", Requests: 6, MachineCores: 0})
 	b := exp.FleetTrial(exp.FleetShape{Machines: 3, Policy: "binpack", Requests: 6, MachineCores: 8})
 	a.Warmup, a.Measure, b.Warmup, b.Measure = 1, 5, 1, 5
-	if storeKey(a, cfg) != storeKey(b, cfg) {
-		t.Fatalf("as-executed-identical spellings must share a store key:\n %q\n %q",
-			storeKey(a, cfg), storeKey(b, cfg))
+	if storeKey(a, cfg) == storeKey(b, cfg) {
+		t.Fatalf("differently-seeded spellings must not share a store key: both %q", storeKey(a, cfg))
 	}
 	reps2 := cfg
 	reps2.Reps = 2
@@ -460,12 +497,11 @@ func TestStoreCanonicalKeySharing(t *testing.T) {
 	}
 	st := newStore(0)
 	st.put(storeKey(a, cfg), []core.TrialResult{{Seed: 7}})
-	got, ok := st.get(storeKey(b, cfg))
-	if !ok || got[0].Seed != 7 {
-		t.Fatalf("spelling b must hit spelling a's entry: ok=%t got=%+v", ok, got)
+	if _, ok := st.get(storeKey(b, cfg)); ok {
+		t.Fatal("spelling b must not hit spelling a's entry")
 	}
-	if _, ok := st.get("missing"); ok {
-		t.Fatal("unexpected hit")
+	if got, ok := st.get(storeKey(a, cfg)); !ok || got[0].Seed != 7 {
+		t.Fatalf("spelling a must hit its own entry: ok=%t got=%+v", ok, got)
 	}
 	if entries, hits, misses, _ := st.stats(); entries != 1 || hits != 1 || misses != 1 {
 		t.Fatalf("stats = %d/%d/%d, want 1/1/1", entries, hits, misses)

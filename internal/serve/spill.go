@@ -70,8 +70,3 @@ func (s *spillSink) ObserveEpoch(e core.EpochResult) {
 	s.spill.rows[s.rep] = append(s.spill.rows[s.rep], row)
 	s.spill.mu.Unlock()
 }
-
-// ObserveOccupancy drops per-machine detail: the spill exists to keep
-// streamed sweeps bounded, and occupancy is the one O(machines) row set
-// per epoch. Callers wanting occupancy run without streaming.
-func (s *spillSink) ObserveOccupancy(int, []core.MachineOccupancy) {}

@@ -57,13 +57,14 @@ func newStore(max int) *store {
 }
 
 // storeKey is the cache identity of one trial under one run
-// configuration: the trial's canonical (as-executed) key — so two
-// spellings the executor runs identically share a cache line — plus
-// the repetition count and base seed, which select which executions
-// the repetitions actually are. Parallelism is deliberately absent:
-// results are byte-identical at any worker count.
+// configuration: the trial's raw Key() — the string its unit seeds and
+// arrival streams derive from, so two specs share a cache line only
+// when they run the same executions — plus the repetition count and
+// base seed, which select which executions the repetitions actually
+// are. Parallelism is deliberately absent: results are byte-identical
+// at any worker count.
 func storeKey(t exp.Trial, cfg core.ExperimentConfig) string {
-	return fmt.Sprintf("%s|reps=%d|base=%d", t.CanonicalKey(), exp.EffectiveReps(cfg.Reps), cfg.Seed)
+	return fmt.Sprintf("%s|reps=%d|base=%d", t.Key(), exp.EffectiveReps(cfg.Reps), cfg.Seed)
 }
 
 // get returns the recorded repetitions for a key, counting the lookup
