@@ -52,16 +52,18 @@ const QoSMaxRTTMs = 140.0
 // Machine is the placement-time view of one server: bookkeeping the
 // policies read (what is placed, predicted demand), not the simulated
 // hardware itself. The assembly layer pairs each Machine with a
-// core.Cluster when the fleet is executed.
+// core.Cluster when the fleet is executed. Every change to what it
+// holds goes through updateDemand, which keeps the fleet's headroom
+// index and ranking trees current.
 type Machine struct {
 	// Index is the machine's position in the fleet (stable identity;
 	// ties between equally-good machines break toward lower index).
 	Index int
 	// Cores is the machine's CPU capacity. The fleet's headroom index
-	// reads it only when the machine's placements change, so set it
-	// before placing: a later increase stays invisible to placement
-	// until then (a decrease is safe — the exact Fits test still
-	// applies).
+	// and its ranking trees read it only when the machine's placements
+	// change or a tree is built, so set it before placing: a later
+	// increase stays invisible to placement until then (a decrease is
+	// safe — the exact Fits test still applies).
 	Cores float64
 	// Placed holds the sessions resident on this machine, in admission
 	// order. It is the one record of who runs where: every admission,
@@ -78,9 +80,6 @@ type Machine struct {
 	// index is the fleet's headroom index, kept current on every
 	// placement change (nil for a machine outside an indexed fleet).
 	index *headroomIndex
-	// gen counts the machine's placement changes, so a cache over its
-	// residents (BinPack's cost memo) can tell when it went stale.
-	gen uint64
 }
 
 // Fits reports whether adding demand d keeps the machine within its
@@ -116,8 +115,8 @@ func (m *Machine) release(i int) {
 
 // updateDemand re-sums the residents' variant demands left to right —
 // the same additions, in the same order, as summing PredictedCPUDemand
-// over their profiles — advances the placement generation and
-// refreshes the machine's headroom leaf. place and release end here,
+// over their profiles — and refreshes the machine in the fleet's
+// headroom index and ranking trees. place and release end here,
 // and so does a brown-out tier change (which swaps a resident's
 // Variant in place), so it is the one point where a machine's load
 // changes; a degrade followed by an upgrade restores Demand
@@ -128,7 +127,6 @@ func (m *Machine) updateDemand() {
 		d += s.Variant.Demand
 	}
 	m.Demand = d
-	m.gen++
 	if m.index != nil {
 		m.index.update(m)
 	}
@@ -149,7 +147,7 @@ type Fleet struct {
 // fleet's Overcommit or machine count differs from the one it was built
 // for.
 func (f *Fleet) headroom() *headroomIndex {
-	if ix := f.index; ix == nil || ix.overcommit != f.Overcommit || ix.n != len(f.Machines) {
+	if ix := f.index; ix == nil || ix.overcommit != f.Overcommit || len(ix.machines) != len(f.Machines) {
 		f.index = newHeadroomIndex(f.Machines, f.Overcommit)
 	}
 	return f.index
@@ -211,11 +209,10 @@ func ParseCoreClasses(s string) ([]float64, error) {
 // -1 when no machine can (or the policy will) hold it. When the
 // headroom index rules every machine out, the policy is not asked.
 func (f *Fleet) placeOne(s *Session, p Placement) int {
-	d := s.Variant.Demand
-	if !f.headroom().mayFit(d) {
+	if !f.headroom().mayFit(s.Variant.Demand) {
 		return -1
 	}
-	mi := p.Pick(f, s.Variant, d)
+	mi := p.Pick(f, s.Variant)
 	if mi < 0 {
 		return -1
 	}

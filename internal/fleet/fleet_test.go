@@ -355,12 +355,11 @@ func TestBinPackTieBreakRobustToAccumulationOrder(t *testing.T) {
 		t.Skip("float accumulation happens to agree on this platform; tie-break not exercised")
 	}
 	pol := &BinPack{Interference: it}
-	d := im.Demand
-	if got := pol.Pick(f, im, d); got != 0 {
+	if got := pol.Pick(f, im); got != 0 {
 		t.Fatalf("ulp-level cost difference broke the lower-index tie-break: picked %d", got)
 	}
 	// Order mustn't matter: with the orders swapped, machine 0 still wins.
-	if got := pol.Pick(fleetOf(backward, forward), im, d); got != 0 {
+	if got := pol.Pick(fleetOf(backward, forward), im); got != 0 {
 		t.Fatalf("tie-break must pick the first (lowest-index) machine, picked %d", got)
 	}
 }
@@ -375,7 +374,7 @@ func TestBinPackPrefersFullerOnCostTie(t *testing.T) {
 	f.Machines[1].place(&Session{Variant: d2})
 	// No interference table: every cost is 0 — a pure tie.
 	pol := &BinPack{}
-	if got := pol.Pick(f, re, re.Demand); got != 1 {
+	if got := pol.Pick(f, re); got != 1 {
 		t.Fatalf("cost tie must prefer the fuller machine, picked %d", got)
 	}
 }

@@ -36,15 +36,18 @@ func linearFeasible(f *Fleet, d float64) []int {
 	return out
 }
 
-// linearLeast is the least-loaded pick the leaf scans replaced: over
-// linearFeasible, the machine with the least load, ties toward the
-// lower index. It is the reference leastcount and leastdemand must
-// reproduce exactly.
+// linearLeast is the least-loaded pick the ranking trees replaced: over
+// the up machines that fit demand d, in index order, the machine with
+// the least load, ties toward the lower index. It is the reference
+// leastcount and leastdemand must reproduce exactly.
 func linearLeast(f *Fleet, d float64, load func(*Machine) float64) int {
 	best := -1
-	for _, i := range linearFeasible(f, d) {
-		if best < 0 || load(f.Machines[i]) < load(f.Machines[best]) {
-			best = i
+	for _, m := range f.Machines {
+		if m.State != MachineUp || !m.Fits(d, f.Overcommit) {
+			continue
+		}
+		if best < 0 || load(m) < load(f.Machines[best]) {
+			best = m.Index
 		}
 	}
 	return best
@@ -58,15 +61,17 @@ func refKey(a, b string) [2]string {
 	return [2]string{a, b}
 }
 
-// linearBinPack is the bin-packing pick the leaf scan replaced: over
-// linearFeasible, each machine's cost the left-to-right sum, over its
-// residents, of the request's score in ref, a name-pair map (a nil map
-// scores every pair 0). It is the reference bin-packing must reproduce
-// exactly.
+// linearBinPack is the bin-packing pick the ranking trees replaced: over
+// the up machines that fit demand d, in index order, each machine's
+// cost the left-to-right sum, over its residents, of the request's
+// score in ref, a name-pair map (a nil map scores every pair 0). It is
+// the reference bin-packing must reproduce exactly.
 func linearBinPack(f *Fleet, ref map[[2]string]float64, req *Variant, d float64) int {
 	best, bestCost, bestDemand := -1, 0.0, 0.0
-	for _, i := range linearFeasible(f, d) {
-		m := f.Machines[i]
+	for _, m := range f.Machines {
+		if m.State != MachineUp || !m.Fits(d, f.Overcommit) {
+			continue
+		}
 		cost := 0.0
 		for _, placed := range m.Placed {
 			cost += ref[refKey(req.Profile.Name, placed.Variant.Profile.Name)]
@@ -77,7 +82,7 @@ func linearBinPack(f *Fleet, ref map[[2]string]float64, req *Variant, d float64)
 		default:
 			continue
 		}
-		best, bestCost, bestDemand = i, cost, m.Demand
+		best, bestCost, bestDemand = m.Index, cost, m.Demand
 	}
 	return best
 }
@@ -116,10 +121,11 @@ func checked(t *testing.T, p Placement, ref map[[2]string]float64, picks *int) c
 	return checkedPick{Placement: p, t: t, want: linearReference(p, ref), picks: picks}
 }
 
-func (p checkedPick) Pick(f *Fleet, req *Variant, d float64) int {
+func (p checkedPick) Pick(f *Fleet, req *Variant) int {
 	p.t.Helper()
+	d := req.Demand
 	want := p.want(f, req, d)
-	got := p.Placement.Pick(f, req, d)
+	got := p.Placement.Pick(f, req)
 	if got != want {
 		p.t.Fatalf("%s %s (demand %v): picked %d, linear scan %d", p.Name(), req.Profile.Name, d, got, want)
 	}
@@ -128,7 +134,9 @@ func (p checkedPick) Pick(f *Fleet, req *Variant, d float64) int {
 }
 
 // checkIndex verifies the index mirrors the fleet: every leaf holds its
-// machine's current key and every inner node the max of its children.
+// machine's current key, every inner node the max of its children, and
+// every live ranking tree what a rebuild from scratch holds (see
+// checkRankTree).
 func checkIndex(t *testing.T, f *Fleet) {
 	t.Helper()
 	ix := f.index
@@ -148,6 +156,68 @@ func checkIndex(t *testing.T, f *Fleet) {
 			t.Fatalf("node %d holds %v, not the max of its children", k, ix.tree[k])
 		}
 	}
+	for _, rt := range ix.trees {
+		if rt.live() {
+			checkRankTree(t, ix, rt)
+		}
+	}
+}
+
+// checkRankTree rebuilds ranking tree rt from the machines as they
+// stand and compares it node by node. Each machine's val must be its
+// objective if it Fits the tree's demand (+Inf if not), and each node's
+// minimum the least val of the machines below it, exactly. Each
+// near-tie bound must be at least the largest demand among the fitting
+// machines below its node whose val is within rt.near of the minimum.
+func checkRankTree(t *testing.T, ix *headroomIndex, rt *rankTree) {
+	t.Helper()
+	val := make([]float64, len(ix.machines))
+	for i, m := range ix.machines {
+		val[i] = math.Inf(1)
+		if m.Fits(rt.demand, ix.overcommit) {
+			var v float64
+			switch rt.by.kind {
+			case rankCount:
+				v = float64(len(m.Placed))
+			case rankDemand:
+				v = m.Demand
+			default:
+				v = rt.by.table.cost(rt.row, m.Placed)
+			}
+			switch {
+			case math.IsNaN(v):
+				v = math.Inf(-1)
+			case math.IsInf(v, 1):
+				v = math.MaxFloat64
+			}
+			val[i] = v
+		}
+		if rt.val[i] != val[i] {
+			t.Fatalf("tree %+v demand %v: machine %d val %v, want %v", rt.by, rt.demand, i, rt.val[i], val[i])
+		}
+	}
+	for k := 1; k < 2*rt.size; k++ {
+		first, last := k, k+1 // the leaves below node k: [first, last)
+		for first < rt.size {
+			first, last = 2*first, 2*last
+		}
+		lo, hi := (first-rt.size)*rankBlock, min((last-rt.size)*rankBlock, len(val))
+		wantMin, wantTie := math.Inf(1), math.Inf(-1)
+		for i := lo; i < hi; i++ {
+			wantMin = min(wantMin, val[i])
+		}
+		for i := lo; i < hi; i++ {
+			if val[i] < math.Inf(1) && val[i] <= wantMin+rt.near {
+				wantTie = max(wantTie, ix.machines[i].Demand)
+			}
+		}
+		if rt.min[k] != wantMin {
+			t.Fatalf("tree %+v demand %v: node %d minimum %v, want %v", rt.by, rt.demand, k, rt.min[k], wantMin)
+		}
+		if rt.tie != nil && !(rt.tie[k] >= wantTie) {
+			t.Fatalf("tree %+v demand %v: node %d near-tie bound %v below the near-tied demand %v", rt.by, rt.demand, k, rt.tie[k], wantTie)
+		}
+	}
 }
 
 // TestIndexedPlacementMatchesLinearScan drives random heterogeneous
@@ -157,15 +227,22 @@ func checkIndex(t *testing.T, f *Fleet) {
 // degrade/upgrade, migration and a mid-run Overcommit change — and
 // checks offer by offer that every policy's index-backed pick is
 // exactly its linear scan's. Bin-packing runs without a table here; see
-// TestBinPackMatchesLinearScan for its scoring.
+// TestBinPackMatchesLinearScan for its scoring. Seeds 1–8 hold up to 40
+// machines (5 ranking-tree blocks); seed 9 holds over 1,000, so the
+// descent prunes at inner nodes, and runs a third of the arrival rate
+// over 4 epochs, since every check is a linear scan.
 func TestIndexedPlacementMatchesLinearScan(t *testing.T) {
 	for _, policy := range PolicyNames() {
-		for seed := int64(1); seed <= 8; seed++ {
+		for seed := int64(1); seed <= 9; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			f := NewHetero(1+rng.Intn(40), []float64{8, 4})
+			machines, perMachine, epochs := 1+rng.Intn(40), 3.0, 24
+			if seed == 9 {
+				machines, perMachine, epochs = 1000+rng.Intn(200), 1, 4
+			}
+			f := NewHetero(machines, []float64{8, 4})
 			base, _ := NewPolicy(policy, nil)
 			picks := 0
-			runIndexedChurn(t, f, checked(t, base, nil, &picks), rng, seed, 3, nil)
+			runIndexedChurn(t, f, checked(t, base, nil, &picks), rng, seed, perMachine, epochs, nil)
 			if picks == 0 {
 				t.Fatalf("%s seed %d: no pick was checked", policy, seed)
 			}
@@ -173,23 +250,28 @@ func TestIndexedPlacementMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestBinPackMatchesLinearScan checks bin-packing's pick — the leaf
-// scan, the per-(machine, profile) cost memo and the catalog's table
-// ids — offer by offer against the linear reference, through the same
-// random churn as TestIndexedPlacementMatchesLinearScan, with tables
-// that hold cost near-ties within binPackEps, profiles they have never
-// seen, and none at all. A third of the way in, Set changes the table
-// between two offers; afterwards the same policy places on a second
-// fleet of the same size.
+// TestBinPackMatchesLinearScan checks bin-packing's pick — the ranking
+// tree descent, its near-tie pruning and the catalog's table ids —
+// offer by offer against the linear reference, through the same random
+// churn as TestIndexedPlacementMatchesLinearScan, with tables that hold
+// cost near-ties within binPackEps, exact ties, zero and negative
+// scores, profiles they have never seen, and none at all. A third of
+// the way in, Set changes the table between two offers; afterwards the
+// same policy places on a second fleet of the same size. Seed 9's
+// fleets hold over 1,000 machines, so the descent prunes at inner
+// nodes.
 func TestBinPackMatchesLinearScan(t *testing.T) {
-	for _, table := range []string{"none", "near-ties", "sparse"} {
-		for seed := int64(1); seed <= 8; seed++ {
+	for _, table := range []string{"none", "near-ties", "sparse", "signed"} {
+		for seed := int64(1); seed <= 9; seed++ {
 			it, ref := testTable(table)
 			bp := &BinPack{Interference: it}
 			picks := 0
 			pol := checked(t, bp, ref, &picks)
 			rng := rand.New(rand.NewSource(seed))
-			machines := 1 + rng.Intn(40)
+			machines, epochs := 1+rng.Intn(40), 24
+			if seed == 9 {
+				machines, epochs = 1000+rng.Intn(200), 4
+			}
 			retune := func() {
 				if it == nil {
 					return
@@ -210,8 +292,8 @@ func TestBinPackMatchesLinearScan(t *testing.T) {
 			}
 			// Half an arrival per machine and epoch keeps the fleets partly
 			// empty, so most offers score many machines.
-			runIndexedChurn(t, NewHetero(machines, []float64{8, 4}), pol, rng, seed, 0.5, retune)
-			runIndexedChurn(t, NewHetero(machines, []float64{8, 4}), pol, rng, seed+100, 0.5, nil)
+			runIndexedChurn(t, NewHetero(machines, []float64{8, 4}), pol, rng, seed, 0.5, epochs, retune)
+			runIndexedChurn(t, NewHetero(machines, []float64{8, 4}), pol, rng, seed+100, 0.5, epochs, nil)
 			if picks == 0 {
 				t.Fatalf("table %s seed %d: no pick was checked", table, seed)
 			}
@@ -219,27 +301,28 @@ func TestBinPackMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestBinPackMemoFollowsFleet: generations count per machine, so two
-// fleets can hold different residents at equal generations, and a
-// policy moving from one to the other must not carry costs across.
-func TestBinPackMemoFollowsFleet(t *testing.T) {
+// TestBinPackTreesFollowFleet: a fleet's ranking trees live in its own
+// index, so a policy moving from one fleet to another of the same size,
+// offering the same request, must not carry costs across. The fleets
+// hold one machine more than a block, so each pick descends a tree;
+// the machines past the residents stay empty.
+func TestBinPackTreesFollowFleet(t *testing.T) {
 	stk, re := variantOf("STK"), variantOf("RE")
 	it := NewInterference()
 	it.Set("STK", "STK", 0.5)
 	it.Set("STK", "RE", 0)
 	fleetOf := func(residents ...*Variant) *Fleet {
-		f := NewHetero(len(residents), []float64{64})
+		f := NewHetero(rankBlock+1, []float64{64})
 		for i, v := range residents {
 			f.Machines[i].place(&Session{Variant: v})
 		}
 		return f
 	}
 	bp := &BinPack{Interference: it}
-	d := stk.Demand
-	if got := bp.Pick(fleetOf(stk, re), stk, d); got != 1 {
+	if got := bp.Pick(fleetOf(stk, re), stk); got != 1 {
 		t.Fatalf("STK offered beside STK and RE: picked machine %d, want 1 (RE)", got)
 	}
-	if got := bp.Pick(fleetOf(re, stk), stk, d); got != 0 {
+	if got := bp.Pick(fleetOf(re, stk), stk); got != 0 {
 		t.Fatalf("STK offered to a second fleet, residents swapped: picked machine %d, want 0 (RE)", got)
 	}
 }
@@ -304,7 +387,9 @@ func TestBinPackSharedTableRace(t *testing.T) {
 // "near-ties" scores most pairs with values whose sums differ by
 // accumulation order and by less than binPackEps, leaves 0AD and ITP
 // out and knows a CAD the mix never draws; "sparse" knows only D2 and
-// RE and leaves most of their pairs unrecorded.
+// RE and leaves most of their pairs unrecorded; "signed" repeats scores
+// exactly and mixes zeros with negatives, so whole machines tie exactly
+// and a cost can fall as residents arrive.
 func testTable(name string) (*Interference, map[[2]string]float64) {
 	if name == "none" {
 		return nil, nil
@@ -331,16 +416,28 @@ func testTable(name string) (*Interference, map[[2]string]float64) {
 	case "sparse":
 		set("D2", "D2", 0.4)
 		set("RE", "D2", 0.05)
+	case "signed":
+		set("STK", "STK", 0.2)
+		set("STK", "RE", 0.2)
+		set("STK", "D2", 0)
+		set("RE", "RE", 0)
+		set("RE", "D2", -0.1)
+		set("D2", "D2", -0.1)
+		set("D2", "IM", 0.2)
+		set("IM", "IM", -0.25)
+		set("IM", "0AD", 0)
+		set("0AD", "0AD", -0.1)
+		set("ITP", "RE", 0.2)
+		set("ITP", "ITP", 0)
 	}
 	return it, ref
 }
 
-// runIndexedChurn drives fleet f through 24 epochs of random churn
-// under pol, with perMachine arrivals per machine and epoch, drawing
-// every random choice from rng. At a third of the run it calls midway,
-// when non-nil, half way through an epoch's offers.
-func runIndexedChurn(t *testing.T, f *Fleet, pol Placement, rng *rand.Rand, seed int64, perMachine float64, midway func()) {
-	const epochs = 24
+// runIndexedChurn drives fleet f through epochs of random churn under
+// pol, with perMachine arrivals per machine and epoch, drawing every
+// random choice from rng. At a third of the run it calls midway, when
+// non-nil, half way through an epoch's offers.
+func runIndexedChurn(t *testing.T, f *Fleet, pol Placement, rng *rand.Rand, seed int64, perMachine float64, epochs int, midway func()) {
 	machines := len(f.Machines)
 	c := NewChurn(f, pol)
 	c.Retry = RetryPolicy{MaxAttempts: 2, BackoffEpochs: 1}

@@ -22,8 +22,8 @@ type Interference struct {
 	scores []float64
 	// recorded marks the pairs Set has written, for Len.
 	recorded []bool
-	// gen counts Set calls, so a cost memo built on the table can tell
-	// that the table changed under it.
+	// gen counts Set calls, so bin-packing's ranking trees and the
+	// catalogs' id caches can tell that the table changed under them.
 	gen uint64
 }
 
@@ -94,9 +94,9 @@ func (it *Interference) Score(a, b string) float64 {
 // served variant, summed left to right in placement order. Each
 // resident's id comes from its catalog, so no name is hashed. A
 // resident the table has no id for scores 0, and is skipped: adding +0
-// to a sum begun at +0 never changes its bits. Every BinPack decision
-// goes through this one sum, so the memoized and the exported paths
-// agree to the bit.
+// to a sum begun at +0 never changes its bits. Every cost a bin-packing
+// tree holds is this one sum, so BinPack compares the costs a linear
+// scan would, to the bit.
 func (it *Interference) cost(row []float64, placed []*Session) float64 {
 	if row == nil {
 		return 0

@@ -17,12 +17,14 @@ contracts of the fidelity tiers and the streaming arrival API: ~100k
 sessions over 1000 machines and ~1M sessions over 10k machines must
 stay in whole-seconds territory; the round-robin offer on a
 saturated 10k-machine fleet, which the headroom index keeps at
-O(log n) instead of a probe of every machine; the bin-packing offer
-on that fleet, scored against a fixed six-profile interference table,
-which the leaf scan and per-(machine, profile) cost memo keep from
-summing every resident's score on every fitting machine; and two
-layers of the diurnal-million sweep in isolation, the arrival source's
-cost per session and the surrogate's cost per machine-epoch), and they are
+O(log n) instead of a probe of every machine; the least-count,
+least-demand and bin-packing offers on that fleet (bin-packing scored
+against a fixed six-profile interference table), which the fit-masked
+ranking trees keep at a descent that skips every subtree with no
+fitting machine or no machine that could beat the best so far, instead
+of a scan of every fitting machine; and two layers of the
+diurnal-million sweep in isolation, the arrival source's cost per
+session and the surrogate's cost per machine-epoch), and they are
 stable enough (no allocation churn, no I/O) that a >20% move is a code
 regression, not noise.
 
@@ -53,6 +55,8 @@ PINNED = [
     "BenchmarkSurrogateSweep",
     "BenchmarkDiurnalMillionSweep",
     "BenchmarkPlacementSaturated/roundrobin",
+    "BenchmarkPlacementSaturated/leastcount",
+    "BenchmarkPlacementSaturated/leastdemand",
     "BenchmarkPlacementSaturated/binpack",
     "BenchmarkArrivalSource",
     "BenchmarkSurrogateEpoch",
