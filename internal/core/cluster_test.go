@@ -168,6 +168,26 @@ func TestTagsSurviveIPCBoundary(t *testing.T) {
 	}
 }
 
+// TestNoPhantomTagRecords: hook8 must not read an untagged frame's
+// rendered pixels as tags. A phantom tag can equal a real tag not yet
+// issued and take its first Hook8–10 observations, so its RTT is never
+// recorded. Every record must name a tag the client issued.
+func TestNoPhantomTagRecords(t *testing.T) {
+	cl := NewCluster(Options{Seed: 7})
+	for _, prof := range app.PaperSuite() {
+		cl.AddInstance(NewInstanceConfig(prof, HumanDriver()))
+	}
+	cl.Run(sim.DurationOfSeconds(1), sim.DurationOfSeconds(5))
+	for _, inst := range cl.Instances {
+		next := inst.Tracer.NextTag() // one past the last tag issued
+		for _, rec := range inst.Tracer.Records() {
+			if rec.Tag >= next {
+				t.Fatalf("%s: record for tag %#x, never issued (last issued %d)", inst.Profile.Name, rec.Tag, next-1)
+			}
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() (float64, float64) {
 		cl := NewCluster(Options{Seed: 42})

@@ -20,13 +20,12 @@ func embeddedLen(n int) int { return 1 + 8*n }
 // EmbedTags writes the tags into the frame's leading pixels, returning
 // the displaced original values so hook8 can restore them. The backup
 // is appended to reuse (pass a recycled buffer sliced to length 0 to
-// avoid the per-frame allocation; nil also works). Frames too small for
-// the payload (or empty tag lists) return reuse unmodified and leave
-// the pixels untouched.
+// avoid the per-frame allocation; nil also works). The count is always
+// written, 0 for an empty tag list: otherwise hook8 would decode an
+// untagged frame's rendered pixels as a tag payload. Frames too small
+// for the payload return reuse unmodified and leave the pixels
+// untouched.
 func EmbedTags(pixels []float64, tags []uint64, reuse []float64) (saved []float64) {
-	if len(tags) == 0 {
-		return reuse
-	}
 	if len(tags) > MaxEmbeddedTags {
 		tags = tags[:MaxEmbeddedTags]
 	}

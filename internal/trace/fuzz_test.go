@@ -13,13 +13,16 @@ import (
 // payload, ExtractTagsAppend must read back exactly the embedded tags
 // and RestorePixels must return the frame to its original bytes — for
 // any tag values (all 64 bits), any frame size (including too-small
-// frames, which must leave pixels untouched), and recycled buffers.
+// frames, which must leave pixels untouched), and recycled buffers. An
+// empty tag list is a payload too: its count of 0 must read back as no
+// tags, whatever the pixels held.
 func FuzzEmbedTagsRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(32))
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0}, uint16(200))
 	f.Add(bytes.Repeat([]byte{0xAB}, 8*20), uint16(4)) // more tags than fit
 	f.Add(bytes.Repeat([]byte{7}, 8*(MaxEmbeddedTags+3)), uint16(1024))
+	f.Add([]byte{1, 2, 3}, uint16(64)) // no whole tag: an untagged frame
 
 	f.Fuzz(func(t *testing.T, raw []byte, pixCount uint16) {
 		var tags []uint64
@@ -29,8 +32,9 @@ func FuzzEmbedTagsRoundTrip(f *testing.F) {
 		pixels := make([]float64, pixCount)
 		for i := range pixels {
 			// Arbitrary but exactly-representable original values; the
-			// restore check is bit-exact.
-			pixels[i] = float64(i%257) / 256
+			// restore check is bit-exact. Pixel 0 is nonzero, so a count
+			// left unwritten would decode as a phantom tag.
+			pixels[i] = float64((i+1)%257) / 256
 		}
 		original := append([]float64(nil), pixels...)
 
@@ -41,7 +45,7 @@ func FuzzEmbedTagsRoundTrip(f *testing.F) {
 		if len(want) > MaxEmbeddedTags {
 			want = want[:MaxEmbeddedTags]
 		}
-		embedded := len(tags) > 0 && len(pixels) >= 1+8*len(want)
+		embedded := len(pixels) >= 1+8*len(want)
 
 		if !embedded {
 			// Declined embeds must leave the frame untouched and return

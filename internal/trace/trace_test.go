@@ -169,8 +169,15 @@ func TestEmbedExtractRoundTrip(t *testing.T) {
 }
 
 func TestEmbedEmptyAndTooSmall(t *testing.T) {
-	if EmbedTags(make([]float64, 100), nil, nil) != nil {
-		t.Fatal("embedding no tags should be a no-op")
+	// No tags still writes the count, so hook8 reads "none" instead of
+	// decoding the rendered pixels as a payload.
+	px := make([]float64, 100)
+	px[0] = 3.0 / 255
+	if saved := EmbedTags(px, nil, nil); len(saved) != 1 || saved[0] != 3.0/255 {
+		t.Fatalf("embedding no tags saved %v, want the one count pixel", saved)
+	}
+	if px[0] != 0 || ExtractTags(px) != nil {
+		t.Fatalf("embedding no tags left count pixel %v", px[0])
 	}
 	if EmbedTags(make([]float64, 3), []uint64{1}, nil) != nil {
 		t.Fatal("embedding into a tiny frame should fail")

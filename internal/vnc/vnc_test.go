@@ -4,11 +4,15 @@ import (
 	"testing"
 
 	"pictor/internal/codec"
+	"pictor/internal/gl"
 	"pictor/internal/hw/cpu"
+	"pictor/internal/hw/gpu"
+	"pictor/internal/hw/pcie"
 	"pictor/internal/netsim"
 	"pictor/internal/scene"
 	"pictor/internal/sim"
 	"pictor/internal/trace"
+	"pictor/internal/vgl"
 	"pictor/internal/x11"
 )
 
@@ -116,6 +120,39 @@ func TestTagRecoveryFromPixels(t *testing.T) {
 		if d.frames[0].Pixels[i] != 0 {
 			t.Fatalf("pixel %d not restored: %v", i, d.frames[0].Pixels[i])
 		}
+	}
+}
+
+// TestUntaggedFrameCarriesNoTags sends a frame that answers no input
+// through hook6 (vgl's CopyFrame) and hook8 (HandleFrame). Its scene is
+// empty, and its first pixel dithers to a value that reads as a tag
+// count, so the driver gets no tags only if hook6 wrote a count of 0.
+func TestUntaggedFrameCarriesNoTags(t *testing.T) {
+	d := &stubDriver{}
+	e := newEnv(d)
+	sc := scene.New(scene.Dynamics{Kinds: []scene.Type{scene.Item}}, sim.NewRNG(3)) // never spawns
+	var f *scene.Frame
+	for i := 0; i < 64 && (f == nil || trace.ExtractTags(f.Pixels) == nil); i++ {
+		sc.Step(scene.ActNone)
+		f = sc.Render(sc.Tick(), 1920, 1080)
+	}
+	if trace.ExtractTags(f.Pixels) == nil {
+		t.Fatal("no frame whose first pixel reads as a tag count")
+	}
+
+	g := gpu.New(e.k, sim.NewRNG(4))
+	gctx := g.NewContext("app", gpu.Profile{BaseRenderMs: 8})
+	gctx.SetActive(true)
+	glctx := gl.NewContext(e.k, gctx, pcie.New(e.k, 15.75e9).NewClient("app"))
+	proc := cpu.New(e.k, 8, sim.NewRNG(5)).NewProc("app", nil, 0)
+	ip := vgl.New(e.k, proc, e.display, e.tracer, vgl.DefaultOptions())
+	ip.CopyFrame(glctx.SwapBuffers(f, 0), func() {}, e.server.HandleFrame)
+	e.k.Run()
+	if len(d.frames) != 1 {
+		t.Fatalf("driver saw %d frames, want 1", len(d.frames))
+	}
+	if tags := d.frames[0].Tags; len(tags) != 0 {
+		t.Fatalf("untagged frame reached the driver with tags %v", tags)
 	}
 }
 
