@@ -22,7 +22,7 @@ func makeRecording(prof app.Profile, frames int, seed int64) *Recording {
 		}
 		sc.Step(act)
 		f := sc.Render(int64(i), prof.Width, prof.Height)
-		rec.Samples = append(rec.Samples, Sample{Pixels: f.Pixels, Cells: f.Cells, Action: act})
+		rec.Samples = append(rec.Samples, Sample{Pixels: f.Pixels(), Cells: f.Cells, Action: act})
 	}
 	return rec
 }

@@ -46,13 +46,13 @@ func TestBatchMatchesPerClientAllProfiles(t *testing.T) {
 						frames[i] = sc.Render(int64(round), prof.Width, prof.Height)
 					}
 					for i, s := range sessions {
-						s.SubmitFrame(frames[i].Pixels)
+						s.SubmitFrame(frames[i].Pixels())
 					}
 					// The first demand flushes the whole queue, like the
 					// earliest cv-latency continuation in the simulator.
 					for i, s := range sessions {
 						got := s.Detected()
-						want := solo[i].Detect(frames[i].Pixels)
+						want := solo[i].Detect(frames[i].Pixels())
 						for cell := range want {
 							if got[cell] != want[cell] {
 								t.Fatalf("round %d session %d cell %d: batch detected %v, per-client %v",
@@ -94,8 +94,8 @@ func TestNextActionLogitsAllMatchesPerSession(t *testing.T) {
 		one[i] = bmOne.NewSession()
 		sc.Step(scene.ActForward)
 		f := sc.Render(int64(i), prof.Width, prof.Height)
-		all[i].SubmitFrame(f.Pixels)
-		one[i].SubmitFrame(f.Pixels)
+		all[i].SubmitFrame(f.Pixels())
+		one[i].SubmitFrame(f.Pixels())
 		detecteds[i] = append([]scene.Type(nil), all[i].Detected()...)
 	}
 	for round := 0; round < 3; round++ {

@@ -31,18 +31,18 @@ func benchFrame() *scene.Frame {
 
 func BenchmarkDetect(b *testing.B) {
 	m := NewModels(1)
-	f := benchFrame()
+	px := benchFrame().Pixels()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Detect(f.Pixels)
+		m.Detect(px)
 	}
 }
 
 func BenchmarkNextActionLogits(b *testing.B) {
 	m := NewModels(1)
 	f := benchFrame()
-	detected := append([]scene.Type(nil), m.Detect(f.Pixels)...)
+	detected := append([]scene.Type(nil), m.Detect(f.Pixels())...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,16 +61,16 @@ func BenchmarkBatchDetect(b *testing.B) {
 		b.Run(fmt.Sprintf("B%d", size), func(b *testing.B) {
 			bm := NewBatchModels(NewModels(1))
 			sessions := make([]*BatchSession, size)
-			frames := make([]*scene.Frame, size)
+			frames := make([][]float64, size)
 			for i := range sessions {
 				sessions[i] = bm.NewSession()
-				frames[i] = benchFrame()
+				frames[i] = benchFrame().Pixels()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j, s := range sessions {
-					s.SubmitFrame(frames[j].Pixels)
+					s.SubmitFrame(frames[j])
 				}
 				sessions[0].Detected() // flushes the whole batch
 			}
@@ -82,12 +82,12 @@ func BenchmarkBatchDetect(b *testing.B) {
 // features, LSTM, head, softmax sample.
 func BenchmarkInferenceFrame(b *testing.B) {
 	m := NewModels(1)
-	f := benchFrame()
+	px := benchFrame().Pixels()
 	rng := sim.NewRNG(7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		detected := m.Detect(f.Pixels)
+		detected := m.Detect(px)
 		logits := m.NextActionLogits(detected)
 		SampleAction(logits, rng)
 	}

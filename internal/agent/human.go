@@ -80,8 +80,7 @@ type Recording struct {
 func NewRecorder(h *Human, benchmark string) *Recording {
 	rec := &Recording{Benchmark: benchmark}
 	h.Observer = func(f *scene.Frame, act scene.Action) {
-		px := make([]float64, len(f.Pixels))
-		copy(px, f.Pixels)
+		px := append([]float64(nil), f.Pixels()...)
 		cs := make([]scene.Cell, len(f.Cells))
 		copy(cs, f.Cells)
 		rec.Samples = append(rec.Samples, Sample{Pixels: px, Cells: cs, Action: act})

@@ -92,7 +92,7 @@ func (ic *IntelligentClient) maybeProcess() {
 	// recycled immediately; the CNN itself runs batched with the other
 	// sessions on this machine when the first result is demanded,
 	// within this client's simulated CV latency window.
-	ic.sess.SubmitFrame(f.Pixels)
+	ic.sess.SubmitFrame(f.Pixels())
 	f.Release()
 	cv := ic.rng.Jitter(sim.DurationOfSeconds(ic.prof.CVLatencyMs/1e3), 0.10)
 	ic.CVTimes.Add(float64(cv) / float64(sim.Millisecond))

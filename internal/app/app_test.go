@@ -103,7 +103,7 @@ func TestInputsFlowIntoFrames(t *testing.T) {
 	r.app.Stop()
 	found := false
 	for _, f := range r.frames {
-		for _, tag := range trace.ExtractTags(f.Pixels) {
+		for _, tag := range trace.ExtractTags(f.TagHeader) {
 			if tag == 9 {
 				found = true
 			}

@@ -93,7 +93,7 @@ func (d *DeskBench) OnFrame(f *scene.Frame) {
 	if d.k.Now() < d.armedAt {
 		return
 	}
-	similar := scene.Similarity(f.Pixels, d.acts[i].Pixels) >= d.Threshold
+	similar := scene.Similarity(f.Pixels(), d.acts[i].Pixels) >= d.Threshold
 	expired := d.k.Now().Sub(d.armedAt) > d.Timeout
 	if !similar && !expired {
 		return

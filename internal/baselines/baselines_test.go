@@ -11,11 +11,13 @@ import (
 	"pictor/internal/trace"
 )
 
-// replayRecording builds a small recording with a few acted frames.
-func replayRecording(prof app.Profile, frames int, seed int64) *agent.Recording {
+// replayRecording builds a small recording with a few acted frames,
+// and returns the rendered frames it was recorded from.
+func replayRecording(prof app.Profile, frames int, seed int64) (*agent.Recording, []*scene.Frame) {
 	rng := sim.NewRNG(seed)
 	sc := scene.New(prof.Dynamics, rng)
 	rec := &agent.Recording{Benchmark: prof.Name}
+	var rendered []*scene.Frame
 	for i := 0; i < frames; i++ {
 		act := scene.ActNone
 		if i%5 == 4 {
@@ -23,24 +25,24 @@ func replayRecording(prof app.Profile, frames int, seed int64) *agent.Recording 
 		}
 		sc.Step(act)
 		f := sc.Render(int64(i), prof.Width, prof.Height)
-		rec.Samples = append(rec.Samples, agent.Sample{Pixels: f.Pixels, Cells: f.Cells, Action: act})
+		rec.Samples = append(rec.Samples, agent.Sample{Pixels: f.Pixels(), Cells: f.Cells, Action: act})
+		rendered = append(rendered, f)
 	}
-	return rec
+	return rec, rendered
 }
 
 func TestDeskBenchReplaysOnExactMatch(t *testing.T) {
 	prof := app.IM()
-	rec := replayRecording(prof, 60, 1)
+	rec, frames := replayRecording(prof, 60, 1)
 	k := sim.NewKernel()
 	db := NewDeskBench(k, sim.NewRNG(2), rec, 33*sim.Millisecond)
 	var sent []scene.Action
 	db.Attach(func(a scene.Action) { sent = append(sent, a) })
 	// Feed the recording's own frames back: similarity is exact, so
 	// every recorded action replays.
-	for i, s := range rec.Samples {
-		px := s.Pixels
+	for i, f := range frames {
 		k.At(sim.Time(i)*sim.Time(33*sim.Millisecond)*40, func() {
-			db.OnFrame(&scene.Frame{Pixels: px})
+			db.OnFrame(f)
 		})
 	}
 	k.Run()
@@ -54,7 +56,7 @@ func TestDeskBenchReplaysOnExactMatch(t *testing.T) {
 
 func TestDeskBenchTimesOutOnForeignFrames(t *testing.T) {
 	prof := app.STK()
-	rec := replayRecording(prof, 60, 3)
+	rec, _ := replayRecording(prof, 60, 3)
 	k := sim.NewKernel()
 	db := NewDeskBench(k, sim.NewRNG(4), rec, 33*sim.Millisecond)
 	sent := 0
@@ -84,7 +86,7 @@ func TestDeskBenchEmptyRecordingSafe(t *testing.T) {
 	k := sim.NewKernel()
 	db := NewDeskBench(k, sim.NewRNG(5), &agent.Recording{}, 33*sim.Millisecond)
 	db.Attach(func(a scene.Action) { t.Fatal("empty recording sent an action") })
-	db.OnFrame(&scene.Frame{Pixels: make([]float64, 4)})
+	db.OnFrame(&scene.Frame{})
 	k.Run()
 }
 
@@ -153,7 +155,7 @@ func TestSlowMotionPacerOneOutstanding(t *testing.T) {
 		// would.
 		k.After(20*sim.Millisecond, func() {
 			outstanding--
-			p.OnFrame(&scene.Frame{Pixels: make([]float64, 4)})
+			p.OnFrame(&scene.Frame{})
 		})
 	})
 	k.RunUntil(sim.Time(2 * sim.Second))
@@ -173,7 +175,7 @@ func TestSlowMotionWatchdogKeepsFeeding(t *testing.T) {
 	p.Attach(func(a scene.Action) {
 		sent++
 		k.After(15*sim.Millisecond, func() {
-			p.OnFrame(&scene.Frame{Pixels: make([]float64, 4)})
+			p.OnFrame(&scene.Frame{})
 		})
 	})
 	k.RunUntil(sim.Time(3 * sim.Second))

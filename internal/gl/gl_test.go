@@ -22,7 +22,7 @@ func testEnv() (*sim.Kernel, *Context, *pcie.Client) {
 }
 
 func testFrame() *scene.Frame {
-	return &scene.Frame{Width: 1920, Height: 1080, Complexity: 1, Pixels: make([]float64, 16)}
+	return &scene.Frame{Width: 1920, Height: 1080, Complexity: 1}
 }
 
 func TestSwapBuffersRenders(t *testing.T) {

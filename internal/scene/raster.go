@@ -145,24 +145,29 @@ func init() {
 }
 
 // Frame is a rendered frame flowing through the cloud rendering system.
-// Pixels is the low-resolution raster the intelligent client analyzes;
-// the nominal application resolution (1920×1080×4B) determines the data
-// volumes moved over PCIe and the network.
+// Render fills it with a snapshot of the scene (cells with their poses,
+// the tick that seeds the dither, complexity and motion); the
+// low-resolution raster the intelligent client analyzes is drawn from
+// that snapshot on the first Pixels call, so a frame no driver reads is
+// never rasterized. The nominal application resolution (1920×1080×4B)
+// determines the data volumes moved over PCIe and the network.
 type Frame struct {
 	// Seq is the server-side frame number.
 	Seq int64
 	// Width and Height are the nominal application resolution.
 	Width, Height int
-	// Pixels is the FrameW×FrameH grayscale raster in [0,1], row-major.
-	Pixels []float64
 	// Complexity and Motion snapshot the scene state that produced the
 	// frame (drives render cost and compressibility).
 	Complexity float64
 	Motion     float64
 	// Tags lists the input tags this frame responds to. In the real
-	// system the tags are carried inside the pixels between hook6 and
-	// hook8; package trace implements that embedding on Pixels.
+	// system the tags are carried inside the frame's leading pixels
+	// between hook6 and hook8; TagHeader stands for those pixels.
 	Tags []uint64
+	// TagHeader is hook6's encoding of Tags (package trace), which hook8
+	// decodes on the far side of the IPC boundary. It models the pixels
+	// the paper overwrites, without touching the raster.
+	TagHeader []byte
 	// CompressedBytes is set by the codec at the CP stage.
 	CompressedBytes float64
 	// Cells snapshots the scene grid that produced the frame. It is the
@@ -170,10 +175,13 @@ type Frame struct {
 	// human" reference policy (a human perceives the objects directly;
 	// the intelligent client must recognize them from Pixels).
 	Cells []Cell
-	// PixelBackup holds the original values of the pixels hook6
-	// overwrote when embedding tags; hook8 restores them. It models the
-	// paper's "old pixels are stored in shared memory".
-	PixelBackup []float64
+
+	// tick seeds the raster's dither. pixels holds the raster once drawn
+	// is set; the buffer is allocated at the first draw and kept across
+	// recycling.
+	tick   int64
+	pixels []float64
+	drawn  bool
 
 	// owner is the scene whose free list recycles this frame; nil for
 	// hand-built or cloned frames. pooled guards double releases.
@@ -184,17 +192,29 @@ type Frame struct {
 // RawBytes reports the uncompressed framebuffer size (RGBA).
 func (f *Frame) RawBytes() float64 { return float64(f.Width) * float64(f.Height) * 4 }
 
-// Clone deep-copies the frame (pixels and tags). The clone is detached
-// from any frame pool: releasing it is a no-op.
+// Pixels returns the FrameW×FrameH grayscale raster in [0,1], row-major,
+// drawing it from the frame's snapshot on the first call. The draw
+// reads nothing but the snapshot, so it gives the same bits whenever it
+// happens. The slice belongs to the frame: it is valid until Release.
+func (f *Frame) Pixels() []float64 {
+	if !f.drawn {
+		f.draw()
+	}
+	return f.pixels
+}
+
+// Clone deep-copies the frame (raster, tags and cells), drawing the
+// raster first, so the clone keeps it after the original is recycled.
+// The clone is detached from any frame pool: releasing it is a no-op.
 func (f *Frame) Clone() *Frame {
+	px := f.Pixels()
 	g := *f
 	g.owner = nil
 	g.pooled = false
-	g.Pixels = make([]float64, len(f.Pixels))
-	copy(g.Pixels, f.Pixels)
+	g.pixels = append([]float64(nil), px...)
 	g.Tags = append([]uint64(nil), f.Tags...)
+	g.TagHeader = append([]byte(nil), f.TagHeader...)
 	g.Cells = append([]Cell(nil), f.Cells...)
-	g.PixelBackup = append([]float64(nil), f.PixelBackup...)
 	return &g
 }
 
@@ -213,46 +233,84 @@ func (f *Frame) Release() {
 	f.owner.free = append(f.owner.free, f)
 }
 
-// Render rasterizes the scene into a frame at the given nominal
-// resolution. Pose distorts each glyph: rows shift laterally and the
-// intensity envelope rotates, so pixel-exact comparison across frames of
-// the "same" scene content fails — the property that breaks DeskBench on
-// 3D applications.
+// Render snapshots the scene into a frame at the given nominal
+// resolution: the cells with their poses, the tick, complexity and
+// motion. It draws nothing; Frame.Pixels draws the raster from the
+// snapshot when a reader first asks for it.
 //
 // Frames come from a per-scene free list: a steady-state pipeline that
 // releases frames as they leave (vnc coalescing, the client drivers)
-// renders without allocating. The pixel, cell, tag and backup buffers
-// of a recycled frame are reused in place.
+// renders without allocating. The pixel, cell, tag and tag-header
+// buffers of a recycled frame are reused in place.
 func (s *Scene) Render(seq int64, width, height int) *Frame {
 	f := s.takeFrame()
-	px := f.Pixels
-	for i := range px {
-		px[i] = 0
+	f.Seq = seq
+	f.Width = width
+	f.Height = height
+	f.Complexity = s.Complexity()
+	f.Motion = s.Motion()
+	f.Cells = append(f.Cells[:0], s.cells[:]...)
+	f.tick = s.tick
+	return f
+}
+
+// takeFrame pops a recycled frame from the free list or allocates a
+// fresh one. Reused frames keep their buffer capacity; all metadata is
+// reset, and the frame is marked undrawn so its next Pixels call draws
+// the new snapshot instead of returning the old raster.
+func (s *Scene) takeFrame() *Frame {
+	if n := len(s.free); n > 0 {
+		f := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		f.pooled = false
+		f.drawn = false
+		f.Tags = f.Tags[:0]
+		f.TagHeader = f.TagHeader[:0]
+		f.CompressedBytes = 0
+		return f
 	}
-	for gy := 0; gy < GridH; gy++ {
-		for gx := 0; gx < GridW; gx++ {
-			i := gy*GridW + gx
-			if s.cells[i].T == Empty {
-				continue
-			}
-			s.drawGlyph(px, gx, gy, i)
+	return &Frame{owner: s}
+}
+
+// draw rasterizes the frame's snapshot into its pixel buffer. Pose
+// distorts each glyph: rows shift laterally and the intensity envelope
+// rotates, so pixel-exact comparison across frames of the "same" scene
+// content fails — the property that breaks DeskBench on 3D
+// applications.
+func (f *Frame) draw() {
+	if f.pixels == nil {
+		f.pixels = make([]float64, FrameW*FrameH)
+	}
+	px := f.pixels
+	clear(px)
+	memo := f.owner.envMemo()
+	for i, c := range f.Cells {
+		if c.T != Empty {
+			drawGlyph(px, i, c, memo.envelope(i, c.Pose))
 		}
 	}
-	// Pseudo-random dither keyed by scene tick: models temporal noise
-	// (anti-aliasing, animation sub-frames) without an RNG dependency,
-	// keeping Render const with respect to the scene's random stream.
-	// The 256 possible dither offsets come from a precomputed table
-	// (bit-identical to computing them inline); this loop runs for every
-	// pixel of every frame and dominated the render profile.
-	// The clamp uses the builtin float min/max (branch predictors lose
-	// on random dither signs). v is never NaN and never −0 (a float sum
-	// that cancels rounds to +0), so this is exactly the old
-	// if-v<0/else-if-v>1 clamp.
-	// The loop is tiled 4 pixels wide: the LCG's loop-carried multiply
-	// chain is the bottleneck, and the stride constants let all four
-	// lane states derive from one base value in parallel (exact modular
-	// arithmetic — see the constants above), quartering the chain.
-	n := uint64(s.tick)*2654435761 + 12345
+	dither(px, f.tick)
+	f.drawn = true
+}
+
+// dither adds pseudo-random noise keyed by the scene tick: it models
+// temporal noise (anti-aliasing, animation sub-frames) without an RNG
+// dependency, keeping rendering const with respect to the scene's
+// random stream. The 256 possible dither offsets come from a
+// precomputed table (bit-identical to computing them inline); this loop
+// runs for every pixel of every drawn frame and dominated the render
+// profile.
+// The clamp uses the builtin float min/max (branch predictors lose on
+// random dither signs). v is never NaN and never −0 (a float sum that
+// cancels rounds to +0), so this is exactly the old if-v<0/else-if-v>1
+// clamp.
+// The loop is tiled 4 pixels wide: the LCG's loop-carried multiply chain
+// is the bottleneck, and the stride constants let all four lane states
+// derive from one base value in parallel (exact modular arithmetic —
+// see the constants above), quartering the chain.
+func dither(px []float64, tick int64) {
+	n := uint64(tick)*2654435761 + 12345
 	i := 0
 	for ; i+4 <= len(px); i += 4 {
 		n1 := n*ditherK1 + ditherC1
@@ -269,53 +327,51 @@ func (s *Scene) Render(seq int64, width, height int) *Frame {
 		n = n*ditherK1 + ditherC1
 		px[i] = min(1, max(0, px[i]+ditherTab[n>>40&0xFF]))
 	}
-	f.Seq = seq
-	f.Width = width
-	f.Height = height
-	f.Complexity = s.Complexity()
-	f.Motion = s.Motion()
-	f.Cells = append(f.Cells[:0], s.cells[:]...)
-	return f
 }
 
-// takeFrame pops a recycled frame from the free list or allocates a
-// fresh one. Reused frames keep their buffer capacity; all metadata is
-// reset.
-func (s *Scene) takeFrame() *Frame {
-	if n := len(s.free); n > 0 {
-		f := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		f.pooled = false
-		f.Tags = f.Tags[:0]
-		f.PixelBackup = f.PixelBackup[:0]
-		f.CompressedBytes = 0
-		return f
+// envMemo memoizes each cell's pose-dependent intensity envelope —
+// eight math.Sin evaluations per glyph — keyed on the exact pose bits,
+// so static poses (PoseDrift 0, e.g. menu-heavy or fixed-camera
+// workloads) cost no trigonometry after the first draw. A hit returns
+// the values computed earlier for the same bits, so draws in any order
+// give bit-identical rasters.
+type envMemo struct {
+	env   [GridW * GridH][CellPx]float64
+	pose  [GridW * GridH]uint64
+	valid [GridW * GridH]bool
+}
+
+// envMemo returns the scene's envelope memo, or a fresh one for a frame
+// with no scene (hand-built).
+func (s *Scene) envMemo() *envMemo {
+	if s == nil {
+		return new(envMemo)
 	}
-	return &Frame{owner: s, Pixels: make([]float64, FrameW*FrameH)}
+	return &s.env
 }
 
-// drawGlyph rasterizes cell i (at grid position gx, gy) into px. The
-// pose-dependent intensity envelope — eight math.Sin evaluations per
-// glyph — is memoized per cell keyed on the exact pose bits, so static
-// poses (PoseDrift 0, e.g. menu-heavy or fixed-camera workloads) cost
-// no trigonometry after the first frame. Cache hits return the exact
-// previously computed values: results are bit-identical either way.
-func (s *Scene) drawGlyph(px []float64, gx, gy, i int) {
-	c := s.cells[i]
-	g := &glyphs[c.T]
-	shift := int(math.Round(c.Pose*6)) - 3 // lateral shift −3..+3
-	env := &s.envCache[i]
-	if !s.envValid[i] || s.envPose[i] != c.Pose {
-		phase := c.Pose * 2 * math.Pi
-		for y := 0; y < CellPx; y++ {
+// envelope returns cell i's intensity envelope for the given pose.
+func (m *envMemo) envelope(i int, pose float64) *[CellPx]float64 {
+	bits := math.Float64bits(pose)
+	if !m.valid[i] || m.pose[i] != bits {
+		phase := pose * 2 * math.Pi
+		for y := range m.env[i] {
 			// Intensity envelope varies down the glyph with pose
 			// ("lighting").
-			env[y] = 0.65 + 0.35*math.Sin(phase+float64(y)*0.7)
+			m.env[i][y] = 0.65 + 0.35*math.Sin(phase+float64(y)*0.7)
 		}
-		s.envPose[i] = c.Pose
-		s.envValid[i] = true
+		m.pose[i] = bits
+		m.valid[i] = true
 	}
+	return &m.env[i]
+}
+
+// drawGlyph rasterizes cell c, at grid index i, into px under the given
+// intensity envelope.
+func drawGlyph(px []float64, i int, c Cell, env *[CellPx]float64) {
+	g := &glyphs[c.T]
+	gx, gy := i%GridW, i/GridW
+	shift := int(math.Round(c.Pose*6)) - 3 // lateral shift −3..+3
 	for y := 0; y < CellPx; y++ {
 		envelope := env[y]
 		grow := g[y*CellPx : (y+1)*CellPx]

@@ -158,10 +158,8 @@ type Scene struct {
 	// (Frame.Release) are recycled by the next Render.
 	free []*Frame
 
-	// Per-cell pose-envelope memoization (see drawGlyph).
-	envCache [GridW * GridH][CellPx]float64
-	envPose  [GridW * GridH]float64
-	envValid [GridW * GridH]bool
+	// env memoizes the pose envelopes the scene's frames are drawn with.
+	env envMemo
 }
 
 // New creates a scene and populates it to steady-state density.

@@ -94,10 +94,10 @@ func TestRenderDimensionsAndRange(t *testing.T) {
 	if f.Seq != 7 || f.Width != 1920 || f.Height != 1080 {
 		t.Fatalf("frame header wrong: %+v", f)
 	}
-	if len(f.Pixels) != FrameW*FrameH {
-		t.Fatalf("pixel count = %d, want %d", len(f.Pixels), FrameW*FrameH)
+	if len(f.Pixels()) != FrameW*FrameH {
+		t.Fatalf("pixel count = %d, want %d", len(f.Pixels()), FrameW*FrameH)
 	}
-	for _, p := range f.Pixels {
+	for _, p := range f.Pixels() {
 		if p < 0 || p > 1 {
 			t.Fatalf("pixel out of range: %v", p)
 		}
@@ -128,7 +128,7 @@ func TestPoseChangesPixels(t *testing.T) {
 		}
 		return out
 	}
-	if sim := Similarity(block(fa.Pixels), block(fb.Pixels)); sim > 0.9 {
+	if sim := Similarity(block(fa.Pixels()), block(fb.Pixels())); sim > 0.9 {
 		t.Fatalf("pose change left object pixels nearly identical (similarity %v)", sim)
 	}
 }
@@ -136,14 +136,15 @@ func TestPoseChangesPixels(t *testing.T) {
 func TestSimilarityProperties(t *testing.T) {
 	s := New(gameDynamics(), sim.NewRNG(6))
 	f := s.Render(1, 1920, 1080)
-	if got := Similarity(f.Pixels, f.Pixels); got != 1 {
+	px := f.Pixels()
+	if got := Similarity(px, px); got != 1 {
 		t.Fatalf("self-similarity = %v, want 1", got)
 	}
-	if got := Similarity(f.Pixels, nil); got != 0 {
+	if got := Similarity(px, nil); got != 0 {
 		t.Fatalf("mismatched-length similarity = %v, want 0", got)
 	}
-	zeros := make([]float64, len(f.Pixels))
-	ones := make([]float64, len(f.Pixels))
+	zeros := make([]float64, len(px))
+	ones := make([]float64, len(px))
 	for i := range ones {
 		ones[i] = 1
 	}
@@ -157,10 +158,32 @@ func TestCloneIsDeep(t *testing.T) {
 	f := s.Render(1, 1920, 1080)
 	f.Tags = []uint64{42}
 	g := f.Clone()
-	g.Pixels[0] = 0.1234
+	g.Pixels()[0] = 0.1234
 	g.Tags[0] = 99
-	if f.Pixels[0] == 0.1234 || f.Tags[0] == 99 {
+	if f.Pixels()[0] == 0.1234 || f.Tags[0] == 99 {
 		t.Fatal("clone shares storage with original")
+	}
+}
+
+// TestUnreadFramesAllocateNoRaster: a Render/Release cycle that never
+// reads pixels allocates no pixel buffer. The first read allocates it,
+// and the pooled frame keeps it for its next draw.
+func TestUnreadFramesAllocateNoRaster(t *testing.T) {
+	s := New(gameDynamics(), sim.NewRNG(8))
+	for i := 0; i < 10; i++ {
+		s.Step(ActForward)
+		f := s.Render(int64(i), 1920, 1080)
+		if f.pixels != nil {
+			t.Fatalf("frame %d holds a pixel buffer no reader asked for", i)
+		}
+		f.Release()
+	}
+	f := s.Render(10, 1920, 1080)
+	px := f.Pixels()
+	f.Release()
+	s.Step(ActForward)
+	if g := s.Render(11, 1920, 1080); &g.Pixels()[0] != &px[0] {
+		t.Fatal("the recycled frame allocated a new pixel buffer")
 	}
 }
 
@@ -190,7 +213,7 @@ func TestSceneDeterminismProperty(t *testing.T) {
 			b.Step(act)
 		}
 		fa, fb := a.Render(1, 100, 100), b.Render(1, 100, 100)
-		return Similarity(fa.Pixels, fb.Pixels) == 1
+		return Similarity(fa.Pixels(), fb.Pixels()) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -210,7 +233,7 @@ func TestRenderBoundsProperty(t *testing.T) {
 			s.Step(ActPrimary)
 		}
 		fr := s.Render(1, 640, 480)
-		for _, p := range fr.Pixels {
+		for _, p := range fr.Pixels() {
 			if p < 0 || p > 1 {
 				return false
 			}

@@ -8,15 +8,14 @@ import (
 
 // BenchmarkTracerFramePath exercises the tracer work one tagged input
 // causes across a full round trip: tag allocation, all ten hook
-// timestamps, the nine stage samples, and the pixel embed/extract
+// timestamps, the nine stage samples, and the tag-header encode/decode
 // crossing of the IPC boundary. This is the trace cost of one frame in
 // a driven trial.
 func BenchmarkTracerFramePath(b *testing.B) {
 	k := sim.NewKernel()
 	tr := New(k)
-	px := make([]float64, 48*32)
 	tags := make([]uint64, 1)
-	var backup []float64
+	var hdr []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -33,12 +32,11 @@ func BenchmarkTracerFramePath(b *testing.B) {
 		tr.RecordHookMulti(Hook5, tags)
 		tr.AddStage(StageRD, sim.Millisecond, tag)
 		tr.RecordHookMulti(Hook6, tags)
-		backup = EmbedTags(px, tags, backup[:0])
+		hdr = EmbedTags(hdr, tags)
 		tr.AddStage(StageFC, sim.Millisecond, tag)
 		tr.RecordHookMulti(Hook7, tags)
 		tr.AddStage(StageAS, sim.Millisecond, tag)
-		got := ExtractTagsAppend(px, nil)
-		RestorePixels(px, backup)
+		got := ExtractTagsAppend(hdr, nil)
 		tr.RecordHookMulti(Hook8, got)
 		tr.ServerFrameTick()
 		tr.AddStage(StageCP, sim.Millisecond, tag)
@@ -64,16 +62,14 @@ func BenchmarkStageSampleMiss(b *testing.B) {
 }
 
 func BenchmarkEmbedExtractTags(b *testing.B) {
-	px := make([]float64, 48*32)
 	tags := []uint64{7, 11, 13}
-	var backup []float64
+	var hdr []byte
 	var out []uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		backup = EmbedTags(px, tags, backup[:0])
-		out = ExtractTagsAppend(px, out[:0])
-		RestorePixels(px, backup)
+		hdr = EmbedTags(hdr, tags)
+		out = ExtractTagsAppend(hdr, out[:0])
 	}
 	_ = out
 }

@@ -8,14 +8,14 @@ import (
 	"pictor/internal/sim"
 )
 
-// FuzzEmbedTagsRoundTrip drives the hook6→hook8 pixel-embedding channel
-// with arbitrary tag sets and frame sizes: whenever EmbedTags commits a
-// payload, ExtractTagsAppend must read back exactly the embedded tags
-// and RestorePixels must return the frame to its original bytes — for
-// any tag values (all 64 bits), any frame size (including too-small
-// frames, which must leave pixels untouched), and recycled buffers. An
-// empty tag list is a payload too: its count of 0 must read back as no
-// tags, whatever the pixels held.
+// FuzzEmbedTagsRoundTrip drives the hook6→hook8 tag-header channel with
+// arbitrary tag sets and recycled headers: whatever the reused header
+// held, EmbedTags must write exactly one count byte and eight bytes per
+// tag (capped at MaxEmbeddedTags), and ExtractTagsAppend must read back
+// exactly those tags after whatever dst already held — for any tag
+// values (all 64 bits), including the empty list, whose count of 0 must
+// read back as no tags. A header cut short of its count must decode to
+// nothing.
 func FuzzEmbedTagsRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(32))
 	f.Add([]byte{}, uint16(0))
@@ -24,58 +24,37 @@ func FuzzEmbedTagsRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{7}, 8*(MaxEmbeddedTags+3)), uint16(1024))
 	f.Add([]byte{1, 2, 3}, uint16(64)) // no whole tag: an untagged frame
 
-	f.Fuzz(func(t *testing.T, raw []byte, pixCount uint16) {
+	f.Fuzz(func(t *testing.T, raw []byte, staleLen uint16) {
 		var tags []uint64
 		for i := 0; i+8 <= len(raw); i += 8 {
 			tags = append(tags, binary.LittleEndian.Uint64(raw[i:i+8]))
 		}
-		pixels := make([]float64, pixCount)
-		for i := range pixels {
-			// Arbitrary but exactly-representable original values; the
-			// restore check is bit-exact. Pixel 0 is nonzero, so a count
-			// left unwritten would decode as a phantom tag.
-			pixels[i] = float64((i+1)%257) / 256
+		// A recycled header still holding an earlier frame's bytes.
+		stale := make([]byte, staleLen)
+		for i := range stale {
+			stale[i] = byte(i + 1)
 		}
-		original := append([]float64(nil), pixels...)
 
-		reuse := make([]float64, 0, 8)
-		saved := EmbedTags(pixels, tags, reuse)
+		hdr := EmbedTags(stale, tags)
 
 		want := tags
 		if len(want) > MaxEmbeddedTags {
 			want = want[:MaxEmbeddedTags]
 		}
-		embedded := len(pixels) >= 1+8*len(want)
-
-		if !embedded {
-			// Declined embeds must leave the frame untouched and return
-			// the reuse buffer unmodified.
-			if len(saved) != 0 {
-				t.Fatalf("no payload committed but %d pixels saved", len(saved))
-			}
-			for i := range pixels {
-				if pixels[i] != original[i] {
-					t.Fatalf("pixel %d mutated by a declined embed", i)
-				}
-			}
-			return
+		if len(hdr) != 1+8*len(want) {
+			t.Fatalf("%d tags encoded in %d bytes, want %d", len(want), len(hdr), 1+8*len(want))
 		}
-
-		got := ExtractTagsAppend(pixels, make([]uint64, 0, len(want)))
-		if len(got) != len(want) {
-			t.Fatalf("embedded %d tags, extracted %d", len(want), len(got))
+		got := ExtractTagsAppend(hdr, []uint64{1})
+		if len(got) != 1+len(want) || got[0] != 1 {
+			t.Fatalf("embedded %d tags, extracted %d after the existing entry", len(want), len(got)-1)
 		}
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("tag %d: embedded %#x, extracted %#x", i, want[i], got[i])
+			if got[1+i] != want[i] {
+				t.Fatalf("tag %d: embedded %#x, extracted %#x", i, want[i], got[1+i])
 			}
 		}
-
-		RestorePixels(pixels, saved)
-		for i := range pixels {
-			if pixels[i] != original[i] {
-				t.Fatalf("pixel %d not restored: %v != %v", i, pixels[i], original[i])
-			}
+		if len(want) > 0 && len(ExtractTagsAppend(hdr[:len(hdr)-1], nil)) != 0 {
+			t.Fatal("a header cut short of its count decoded as tags")
 		}
 	})
 }

@@ -1,7 +1,8 @@
 // Package trace implements Pictor's performance analysis framework:
 // unique input tags, the ten API hooks of Figure 4, per-stage latency
-// accounting, FPS counters, and the embed-tag-in-pixels mechanism that
-// carries a tag across the application↔proxy IPC boundary (hook6→hook8).
+// accounting, FPS counters, and the tag header that stands for the
+// frame's leading pixels and carries a tag across the application↔proxy
+// IPC boundary (hook6→hook8).
 //
 // The framework is designed for low overhead: each hook charges a small
 // fixed CPU cost to its caller when tracing is enabled and nothing when
@@ -23,7 +24,7 @@ type Hook int
 // proxy, 2–3 bracket the server proxy's input handling, 4 is the
 // application receiving the input (XNextEvent), 5 is render start
 // (glXSwapBuffers), 6 is frame readback (glReadPixels) where the tag is
-// embedded in pixels, 7 is the IPC hand-off (XShmPutImage), 8 is the
+// embedded in the frame, 7 is the IPC hand-off (XShmPutImage), 8 is the
 // server proxy receiving the frame, 9 is send start, 10 matches the tag
 // back at the client proxy.
 const (

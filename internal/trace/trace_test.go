@@ -147,40 +147,27 @@ func TestSummaryNonEmpty(t *testing.T) {
 }
 
 func TestEmbedExtractRoundTrip(t *testing.T) {
-	px := make([]float64, 100)
-	for i := range px {
-		px[i] = 0.5
-	}
 	tags := []uint64{1, 0xDEADBEEF, 1 << 62}
-	saved := EmbedTags(px, tags, nil)
-	if saved == nil {
-		t.Fatal("embed failed")
+	hdr := EmbedTags(nil, tags)
+	if len(hdr) != 1+8*len(tags) {
+		t.Fatalf("header holds %d bytes, want %d", len(hdr), 1+8*len(tags))
 	}
-	got := ExtractTags(px)
+	got := ExtractTags(hdr)
 	if len(got) != 3 || got[0] != 1 || got[1] != 0xDEADBEEF || got[2] != 1<<62 {
 		t.Fatalf("extracted %v, want %v", got, tags)
-	}
-	RestorePixels(px, saved)
-	for i := range px {
-		if px[i] != 0.5 {
-			t.Fatalf("pixel %d not restored: %v", i, px[i])
-		}
 	}
 }
 
 func TestEmbedEmptyAndTooSmall(t *testing.T) {
-	// No tags still writes the count, so hook8 reads "none" instead of
-	// decoding the rendered pixels as a payload.
-	px := make([]float64, 100)
-	px[0] = 3.0 / 255
-	if saved := EmbedTags(px, nil, nil); len(saved) != 1 || saved[0] != 3.0/255 {
-		t.Fatalf("embedding no tags saved %v, want the one count pixel", saved)
+	// No tags still writes the count, over whatever a recycled header
+	// held, so hook8 reads "none" for an untagged frame.
+	stale := EmbedTags(nil, []uint64{5, 6})
+	if hdr := EmbedTags(stale, nil); len(hdr) != 1 || hdr[0] != 0 || ExtractTags(hdr) != nil {
+		t.Fatalf("embedding no tags gave header %v", hdr)
 	}
-	if px[0] != 0 || ExtractTags(px) != nil {
-		t.Fatalf("embedding no tags left count pixel %v", px[0])
-	}
-	if EmbedTags(make([]float64, 3), []uint64{1}, nil) != nil {
-		t.Fatal("embedding into a tiny frame should fail")
+	// A header cut short of its count decodes to nothing.
+	if ExtractTags(EmbedTags(nil, []uint64{1})[:3]) != nil {
+		t.Fatal("a truncated header decoded as tags")
 	}
 	if ExtractTags(nil) != nil {
 		t.Fatal("extracting from nothing should fail")
@@ -188,66 +175,42 @@ func TestEmbedEmptyAndTooSmall(t *testing.T) {
 }
 
 func TestEmbedCapsTagCount(t *testing.T) {
-	px := make([]float64, 4096)
 	tags := make([]uint64, 50)
 	for i := range tags {
 		tags[i] = uint64(i + 1)
 	}
-	EmbedTags(px, tags, nil)
-	got := ExtractTags(px)
+	got := ExtractTags(EmbedTags(nil, tags))
 	if len(got) != MaxEmbeddedTags {
 		t.Fatalf("extracted %d tags, want cap %d", len(got), MaxEmbeddedTags)
 	}
 }
 
 func TestExtractRejectsGarbage(t *testing.T) {
-	px := make([]float64, 100)
-	// All-zero pixels: count 0 → reject.
-	if ExtractTags(px) != nil {
-		t.Fatal("garbage pixels decoded as tags")
+	hdr := make([]byte, 100)
+	// All-zero header: count 0 → nothing.
+	if ExtractTags(hdr) != nil {
+		t.Fatal("garbage header decoded as tags")
 	}
-	px[0] = 1.0 // count 255 > cap → reject
-	if ExtractTags(px) != nil {
+	hdr[0] = 255 // count 255 > cap → reject
+	if ExtractTags(hdr) != nil {
 		t.Fatal("oversized count decoded as tags")
 	}
 }
 
-// Property: embed → extract is the identity and restore is exact, for
-// any tag set and background pixel pattern.
+// Property: embed → extract is the identity for any tag set, whatever
+// the recycled header held before.
 func TestEmbedRoundTripProperty(t *testing.T) {
-	f := func(rawTags []uint64, seed uint8) bool {
+	f := func(rawTags []uint64, stale []byte) bool {
 		tags := rawTags
 		if len(tags) > MaxEmbeddedTags {
 			tags = tags[:MaxEmbeddedTags]
 		}
-		valid := make([]uint64, 0, len(tags))
-		for _, tg := range tags {
-			if tg != 0 {
-				valid = append(valid, tg)
-			}
-		}
-		if len(valid) == 0 {
-			return true
-		}
-		px := make([]float64, 256)
-		v := float64(seed) / 255
-		for i := range px {
-			px[i] = v
-		}
-		orig := append([]float64(nil), px...)
-		saved := EmbedTags(px, valid, nil)
-		got := ExtractTags(px)
-		if len(got) != len(valid) {
+		got := ExtractTagsAppend(EmbedTags(stale, tags), nil)
+		if len(got) != len(tags) {
 			return false
 		}
 		for i := range got {
-			if got[i] != valid[i] {
-				return false
-			}
-		}
-		RestorePixels(px, saved)
-		for i := range px {
-			if px[i] != orig[i] {
+			if got[i] != tags[i] {
 				return false
 			}
 		}

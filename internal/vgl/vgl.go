@@ -111,7 +111,10 @@ func (ip *Interposer) OnSwap(h *gl.RenderHandle) {
 // CopyFrame executes the FC stage for the given (previous) frame handle
 // on the application thread: when finished() fires the app may proceed
 // to its next AL pass, and delivered(frame) fires on the AS path with
-// the host-memory copy of the frame, tags embedded in its pixels.
+// the host-memory copy of the frame. At hook6 the frame's tags are
+// encoded into its tag header, which stands for the leading pixels the
+// paper overwrites; an untagged frame gets a count of 0. The raster is
+// not read or drawn.
 //
 // Baseline sequence: XGetWindowAttributes → wait GPU → DMA → memcpy.
 // Optimized: (cached attributes) → collect already-landed DMA → memcpy.
@@ -127,15 +130,14 @@ func (ip *Interposer) CopyFrame(h *gl.RenderHandle, finished func(), delivered f
 			if ip.tracer.Enabled() {
 				stall = h.QueryStall(ip.opts.QueryDoubleBuffer)
 			}
-			// hook6: embed the frame's tags into its pixels. The saved
-			// pixels ride along so hook8 can restore them.
+			// hook6: encode the frame's tags into its tag header.
 			memcpy := sim.DurationOfSeconds(h.Frame.RawBytes()/1e6*ip.opts.MemcpyMsPerMB/1e3) +
 				sim.DurationOfSeconds(ip.opts.ReadDriverMs/1e3) + ip.tracer.HookCost()
 			ip.k.After(stall, func() {
 				ip.proc.Run(memcpy, func() {
 					frame := h.Frame
 					ip.tracer.RecordHookMulti(trace.Hook6, frame.Tags)
-					frame.PixelBackup = trace.EmbedTags(frame.Pixels, frame.Tags, frame.PixelBackup[:0])
+					frame.TagHeader = trace.EmbedTags(frame.TagHeader, frame.Tags)
 					ip.copies++
 					ip.tracer.AddStage(trace.StageFC, ip.k.Now().Sub(start), frame.Tags...)
 					finished()

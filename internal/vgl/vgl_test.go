@@ -38,11 +38,7 @@ func newEnv() *env {
 }
 
 func frame(tags ...uint64) *scene.Frame {
-	return &scene.Frame{
-		Width: 1920, Height: 1080, Complexity: 1,
-		Pixels: make([]float64, scene.FrameW*scene.FrameH),
-		Tags:   tags,
-	}
+	return &scene.Frame{Width: 1920, Height: 1080, Complexity: 1, Tags: tags}
 }
 
 // copyOnce renders a frame and copies it, returning the FC wall time.
@@ -127,12 +123,9 @@ func TestCopyEmbedsTagsInPixels(t *testing.T) {
 	if delivered == nil {
 		t.Fatal("frame never delivered")
 	}
-	got := trace.ExtractTags(delivered.Pixels)
+	got := trace.ExtractTags(delivered.TagHeader)
 	if len(got) != 2 || got[0] != 41 || got[1] != 42 {
-		t.Fatalf("tags in pixels = %v, want [41 42]", got)
-	}
-	if delivered.PixelBackup == nil {
-		t.Fatal("displaced pixels not preserved for hook8 restore")
+		t.Fatalf("tags in header = %v, want [41 42]", got)
 	}
 }
 

@@ -105,19 +105,18 @@ func (s *ServerProxy) HandleInput(in proto.Input) {
 }
 
 // HandleFrame receives a rendered frame from the application's AS path.
-// Intake work is serialized with encoding on the update thread; frames
-// arriving while the encoder is behind coalesce onto the newest frame
-// (TurboVNC ships the latest framebuffer state, not a backlog).
+// At hook8 the frame's tags are decoded from the tag header hook6 wrote
+// (the leading pixels of the paper's frame); the raster is not read or
+// drawn. Intake work is serialized with encoding on the update thread;
+// frames arriving while the encoder is behind coalesce onto the newest
+// frame (TurboVNC ships the latest framebuffer state, not a backlog).
 func (s *ServerProxy) HandleFrame(f *scene.Frame) {
 	s.exec(func(done func()) {
 		s.proc.Run(msToDur(s.costs.ReceiveMs)+s.tracer.HookCost(), func() {
-			// hook8: recover tags embedded in the pixels, restore the
-			// displaced values. The pixel-borne tags are authoritative
-			// across the IPC boundary; they land in the frame's own
-			// (recycled) tag storage.
-			f.Tags = trace.ExtractTagsAppend(f.Pixels, f.Tags[:0])
-			trace.RestorePixels(f.Pixels, f.PixelBackup)
-			f.PixelBackup = f.PixelBackup[:0]
+			// hook8: recover the tags from the header. The header-borne
+			// tags are authoritative across the IPC boundary; they land
+			// in the frame's own (recycled) tag storage.
+			f.Tags = trace.ExtractTagsAppend(f.TagHeader, f.Tags[:0])
 			s.tracer.RecordHookMulti(trace.Hook8, f.Tags)
 			s.tracer.ServerFrameTick()
 			if old := s.pending; old != nil {

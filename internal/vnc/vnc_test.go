@@ -45,13 +45,10 @@ func newEnv(driver Driver) *env {
 }
 
 func taggedFrame(tr *trace.Tracer, tags ...uint64) *scene.Frame {
-	f := &scene.Frame{
+	return &scene.Frame{
 		Width: 1920, Height: 1080, Motion: 0.3,
-		Pixels: make([]float64, scene.FrameW*scene.FrameH),
-		Tags:   tags,
+		Tags: tags, TagHeader: trace.EmbedTags(nil, tags),
 	}
-	f.PixelBackup = trace.EmbedTags(f.Pixels, tags, nil)
-	return f
 }
 
 func TestInputPathReachesXQueue(t *testing.T) {
@@ -105,7 +102,7 @@ func TestTagRecoveryFromPixels(t *testing.T) {
 	d := &stubDriver{}
 	e := newEnv(d)
 	f := taggedFrame(e.tracer, 77, 78)
-	f.Tags = nil // the proxy must recover them from pixels alone
+	f.Tags = nil // the proxy must recover them from the header alone
 	e.server.HandleFrame(f)
 	e.k.Run()
 	if len(d.frames) != 1 {
@@ -115,28 +112,24 @@ func TestTagRecoveryFromPixels(t *testing.T) {
 	if len(got) != 2 || got[0] != 77 || got[1] != 78 {
 		t.Fatalf("recovered tags = %v, want [77 78]", got)
 	}
-	// And the embedded region was restored.
-	for i := 0; i < 17; i++ {
-		if d.frames[0].Pixels[i] != 0 {
-			t.Fatalf("pixel %d not restored: %v", i, d.frames[0].Pixels[i])
-		}
-	}
 }
 
 // TestUntaggedFrameCarriesNoTags sends a frame that answers no input
 // through hook6 (vgl's CopyFrame) and hook8 (HandleFrame). Its scene is
-// empty, and its first pixel dithers to a value that reads as a tag
-// count, so the driver gets no tags only if hook6 wrote a count of 0.
+// empty, and its first pixel dithers to a value that would read as a
+// tag count (hook8 once decoded untagged frames' pixels), so the driver
+// must get no tags.
 func TestUntaggedFrameCarriesNoTags(t *testing.T) {
 	d := &stubDriver{}
 	e := newEnv(d)
 	sc := scene.New(scene.Dynamics{Kinds: []scene.Type{scene.Item}}, sim.NewRNG(3)) // never spawns
+	count := func(f *scene.Frame) int { return int(f.Pixels()[0]*255 + 0.5) }
 	var f *scene.Frame
-	for i := 0; i < 64 && (f == nil || trace.ExtractTags(f.Pixels) == nil); i++ {
+	for i := 0; i < 64 && (f == nil || count(f) == 0); i++ {
 		sc.Step(scene.ActNone)
 		f = sc.Render(sc.Tick(), 1920, 1080)
 	}
-	if trace.ExtractTags(f.Pixels) == nil {
+	if count(f) == 0 {
 		t.Fatal("no frame whose first pixel reads as a tag count")
 	}
 
