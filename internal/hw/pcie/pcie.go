@@ -24,7 +24,9 @@ func (d Direction) String() string {
 	return "from-gpu"
 }
 
-// Bus is the PCIe interconnect.
+// Bus is the PCIe interconnect: one sim.SharedLink per direction.
+// Concurrent DMAs in a direction share its bandwidth equally, and equal
+// DMAs that start at the same instant complete in the order they started.
 type Bus struct {
 	k    *sim.Kernel
 	up   *sim.SharedLink // CPU→GPU
@@ -103,9 +105,4 @@ func (c *Client) BandwidthMBs() (toGPU, fromGPU float64) {
 func (c *Client) ResetAccounting() {
 	c.upBytes, c.downBytes = 0, 0
 	c.started = c.bus.k.Now()
-}
-
-// ActiveTransfers reports in-flight DMAs per direction.
-func (b *Bus) ActiveTransfers() (toGPU, fromGPU int) {
-	return b.up.ActiveTransfers(), b.down.ActiveTransfers()
 }

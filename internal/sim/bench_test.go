@@ -21,17 +21,29 @@ func BenchmarkKernelEventChurn(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkKernelCancelChurn measures schedule+cancel pairs (timeouts
-// and superseded frames cancel heavily in long simulations).
-func BenchmarkKernelCancelChurn(b *testing.B) {
-	k := NewKernel()
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := k.At(k.Now()+Time(1000), fn)
-		k.Cancel(id)
+// BenchmarkSharedLinkTransfer measures one frame copy through a link,
+// start to completion. "single" is the traffic the simulator measures:
+// a link almost never carries two transfers at once. In "overlap2" a
+// second copy joins 100 µs into the first, so the link plans its
+// completion event again on the join and on the first completion.
+func BenchmarkSharedLinkTransfer(b *testing.B) {
+	const frame = 1920 * 1080 * 4 // bytes of one RGBA 1080p frame
+	bench := func(b *testing.B, sharers int) {
+		k := NewKernel()
+		l := NewSharedLink(k, "pcie-down", 15.75e9)
+		join := func() { l.Transfer(frame, nil) }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.Transfer(frame, nil)
+			for j := 1; j < sharers; j++ {
+				k.After(Duration(j)*100*Microsecond, join)
+			}
+			k.Run()
+		}
 	}
+	b.Run("single", func(b *testing.B) { bench(b, 1) })
+	b.Run("overlap2", func(b *testing.B) { bench(b, 2) })
 }
 
 // BenchmarkFirstNormal measures the one-draw normal on seeds the

@@ -3,7 +3,10 @@
 // All of Pictor's hardware and software models run on top of this kernel:
 // time is virtual (nanosecond resolution), events execute in strict
 // (time, sequence) order, and all randomness flows through explicitly
-// seeded sources, so every simulation is exactly reproducible.
+// seeded sources, so every simulation is exactly reproducible. Every
+// scheduled event runs; the kernel has no cancellation. Its resources are
+// FIFO servers and SharedLink, a processor-sharing link that keeps one
+// completion event and finishes equal transfers in arrival order.
 package sim
 
 import (
@@ -44,37 +47,28 @@ func (t Time) String() string {
 }
 
 // DurationOfSeconds converts float seconds into a Duration, saturating on
-// overflow so pathological model outputs cannot wrap the clock.
+// overflow so pathological model outputs cannot wrap the clock. NaN and
+// non-positive inputs give 0.
 func DurationOfSeconds(s float64) Duration {
 	ns := s * float64(Second)
 	if ns >= math.MaxInt64 {
 		return Duration(math.MaxInt64)
 	}
-	if ns <= 0 {
+	// Written so NaN fails it too: converting NaN to an integer gives a
+	// platform-dependent value (the minimum int64 on amd64, 0 on arm64).
+	if !(ns > 0) {
 		return 0
 	}
 	return Duration(ns)
 }
 
 // event is one scheduled callback. Event structs are pooled by the
-// kernel: after firing (or after a cancelled corpse is swept) the
-// struct is recycled for a future At/After, so steady-state scheduling
-// does not allocate. gen distinguishes incarnations — an EventID from a
-// previous life of the struct no longer matches and cannot cancel the
-// current occupant.
+// kernel: after firing, the struct is recycled for a future At/After,
+// so steady-state scheduling does not allocate.
 type event struct {
-	at   Time
-	seq  uint64 // tie-break so same-time events run FIFO
-	fn   func()
-	dead bool
-	idx  int
-	gen  uint64
-}
-
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID struct {
-	ev  *event
-	gen uint64
+	at  Time
+	seq uint64 // tie-break so same-time events run FIFO
+	fn  func()
 }
 
 type eventHeap []*event
@@ -86,36 +80,25 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
-	ev.idx = -1
 	return ev
 }
 
 // Kernel is the simulation event loop. The zero value is ready to use.
+// A scheduled event always runs: there is no cancellation, so a model
+// that may supersede an event (SharedLink) makes it a no-op instead.
 type Kernel struct {
-	now     Time
-	heap    eventHeap
-	seq     uint64
-	live    int // scheduled events that are not cancelled
-	dead    int // cancelled events still occupying heap slots
-	running bool
-	stopped bool
-	pool    []*event // recycled event structs
+	now  Time
+	heap eventHeap
+	seq  uint64
+	pool []*event // recycled event structs
 }
 
 // getEvent takes a recycled event struct or allocates one.
@@ -129,61 +112,15 @@ func (k *Kernel) getEvent() *event {
 	return &event{}
 }
 
-// putEvent recycles a spent event. Bumping gen invalidates every
-// outstanding EventID pointing at the old incarnation.
-func (k *Kernel) putEvent(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	ev.dead = false
-	ev.idx = -1
-	k.pool = append(k.pool, ev)
-}
-
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel { return &Kernel{} }
 
 // Now reports the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Pending reports the number of events still scheduled. O(1): the
-// kernel keeps a live-event counter rather than scanning the heap.
-func (k *Kernel) Pending() int { return k.live }
-
-// compactThreshold is the minimum heap size before cancelled events are
-// compacted away; below it the dead entries are cheaper than the sweep.
-const compactThreshold = 64
-
-// maybeCompact rebuilds the heap without cancelled events once they
-// outnumber the live ones. Long simulations cancel heavily (timeouts,
-// superseded frames); without compaction the heap bloats with corpses
-// that every push/pop still has to sift past.
-func (k *Kernel) maybeCompact() {
-	if len(k.heap) < compactThreshold || k.dead <= k.live {
-		return
-	}
-	kept := k.heap[:0]
-	for _, ev := range k.heap {
-		if ev.dead {
-			k.putEvent(ev)
-			continue
-		}
-		kept = append(kept, ev)
-	}
-	// Clear the tail so dropped events can be collected.
-	for i := len(kept); i < len(k.heap); i++ {
-		k.heap[i] = nil
-	}
-	k.heap = kept
-	for i, ev := range k.heap {
-		ev.idx = i
-	}
-	heap.Init(&k.heap)
-	k.dead = 0
-}
-
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past panics: it would silently corrupt causality.
-func (k *Kernel) At(t Time, fn func()) EventID {
+func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
@@ -194,89 +131,44 @@ func (k *Kernel) At(t Time, fn func()) EventID {
 	ev.at, ev.seq, ev.fn = t, k.seq, fn
 	k.seq++
 	heap.Push(&k.heap, ev)
-	k.live++
-	return EventID{ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d after the current time. Negative d is
 // clamped to zero so model noise cannot schedule into the past.
-func (k *Kernel) After(d Duration, fn func()) EventID {
+func (k *Kernel) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return k.At(k.now.Add(d), fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op and reports false (the generation
-// check keeps a stale ID from touching a recycled event struct).
-func (k *Kernel) Cancel(id EventID) bool {
-	if id.ev == nil || id.gen != id.ev.gen || id.ev.dead || id.ev.idx < 0 {
-		return false
-	}
-	id.ev.dead = true
-	id.ev.fn = nil // release the closure now; the slot may linger
-	k.live--
-	k.dead++
-	k.maybeCompact()
-	return true
+	k.At(k.now.Add(d), fn)
 }
 
 // Step runs the single next event, reporting whether one existed.
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		ev := heap.Pop(&k.heap).(*event)
-		if ev.dead {
-			k.dead--
-			k.putEvent(ev)
-			continue
-		}
-		k.live--
-		k.now = ev.at
-		fn := ev.fn
-		k.putEvent(ev) // recycle before running: fn may schedule
-		fn()
-		return true
+	if len(k.heap) == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&k.heap).(*event)
+	k.now = ev.at
+	fn := ev.fn
+	ev.fn = nil
+	k.pool = append(k.pool, ev) // recycle before running: fn may schedule
+	fn()
+	return true
 }
 
 // Run executes events until the queue is empty.
 func (k *Kernel) Run() {
-	k.running = true
-	defer func() { k.running = false }()
-	for !k.stopped && k.Step() {
+	for k.Step() {
 	}
-	k.stopped = false
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to exactly t. Events scheduled after t remain pending.
 func (k *Kernel) RunUntil(t Time) {
-	k.running = true
-	defer func() { k.running = false }()
-	for !k.stopped {
-		// Peek at the next live event.
-		var next *event
-		for len(k.heap) > 0 {
-			if k.heap[0].dead {
-				k.putEvent(heap.Pop(&k.heap).(*event))
-				k.dead--
-				continue
-			}
-			next = k.heap[0]
-			break
-		}
-		if next == nil || next.at > t {
-			break
-		}
+	for len(k.heap) > 0 && k.heap[0].at <= t {
 		k.Step()
 	}
-	k.stopped = false
 	if k.now < t {
 		k.now = t
 	}
 }
-
-// Stop aborts a Run/RunUntil in progress after the current event returns.
-func (k *Kernel) Stop() { k.stopped = true }

@@ -1,22 +1,48 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
+// TestKernelRunsEventsInTimeOrder: each input schedules its events in
+// the order listed, and their labels must run in ascending order: by
+// time, and FIFO among events at the same time.
 func TestKernelRunsEventsInTimeOrder(t *testing.T) {
-	k := NewKernel()
-	var got []int
-	k.After(30*Millisecond, func() { got = append(got, 3) })
-	k.After(10*Millisecond, func() { got = append(got, 1) })
-	k.After(20*Millisecond, func() { got = append(got, 2) })
-	k.Run()
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
+	type timed struct {
+		at    Time
+		label int
+	}
+	// 250 events at distinct times, then 100 sharing one later time.
+	var many []timed
+	for i := 0; i < 250; i++ {
+		many = append(many, timed{Time(i) * Time(Millisecond), i})
+	}
+	for i := 0; i < 100; i++ {
+		many = append(many, timed{Time(Second), 10_000 + i})
+	}
+	for _, tc := range []struct {
+		name   string
+		events []timed
+	}{
+		{"three out of order", []timed{{Time(30 * Millisecond), 3}, {Time(10 * Millisecond), 1}, {Time(20 * Millisecond), 2}}},
+		{"350 with a same-time run", many},
+	} {
+		k := NewKernel()
+		var got []int
+		for _, e := range tc.events {
+			k.At(e.at, func() { got = append(got, e.label) })
+		}
+		k.Run()
+		if len(got) != len(tc.events) {
+			t.Fatalf("%s: ran %d events, want %d", tc.name, len(got), len(tc.events))
+		}
+		for j := 1; j < len(got); j++ {
+			if got[j-1] >= got[j] {
+				t.Fatalf("%s: order violated at %d: %d then %d", tc.name, j, got[j-1], got[j])
+			}
 		}
 	}
 }
@@ -95,22 +121,6 @@ func TestKernelNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestKernelCancel(t *testing.T) {
-	k := NewKernel()
-	ran := false
-	id := k.After(Millisecond, func() { ran = true })
-	if !k.Cancel(id) {
-		t.Fatal("first cancel reported false")
-	}
-	if k.Cancel(id) {
-		t.Fatal("second cancel reported true")
-	}
-	k.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-}
-
 func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
@@ -127,41 +137,6 @@ func TestKernelRunUntil(t *testing.T) {
 	k.Run()
 	if len(fired) != 3 {
 		t.Fatalf("fired %d events after full run, want 3", len(fired))
-	}
-}
-
-func TestKernelStop(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	for i := 0; i < 10; i++ {
-		k.After(Duration(i)*Millisecond, func() {
-			n++
-			if n == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if n != 3 {
-		t.Fatalf("ran %d events before stop, want 3", n)
-	}
-	// The kernel must be reusable after Stop.
-	k.Run()
-	if n != 10 {
-		t.Fatalf("ran %d events total, want 10", n)
-	}
-}
-
-func TestKernelPending(t *testing.T) {
-	k := NewKernel()
-	id := k.After(Millisecond, func() {})
-	k.After(2*Millisecond, func() {})
-	if got := k.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2", got)
-	}
-	k.Cancel(id)
-	if got := k.Pending(); got != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", got)
 	}
 }
 
@@ -205,119 +180,17 @@ func TestTimeConversions(t *testing.T) {
 }
 
 func TestDurationOfSeconds(t *testing.T) {
-	if got := DurationOfSeconds(0.001); got != Millisecond {
-		t.Fatalf("DurationOfSeconds(0.001) = %v, want 1ms", got)
-	}
-	if got := DurationOfSeconds(-5); got != 0 {
-		t.Fatalf("negative seconds = %v, want 0", got)
-	}
-	if got := DurationOfSeconds(1e300); got <= 0 {
-		t.Fatalf("huge seconds should saturate positive, got %v", got)
-	}
-}
-
-// TestKernelCompaction: cancelling most of a large schedule must shrink
-// the heap (lazy compaction) while preserving the surviving events'
-// order and the live count.
-func TestKernelCompaction(t *testing.T) {
-	k := NewKernel()
-	var ids []EventID
-	for i := 0; i < 10_000; i++ {
-		d := Duration(i+1) * Microsecond
-		if i%10 == 0 {
-			k.After(d, func() {})
-		} else {
-			ids = append(ids, k.After(d, func() {}))
-		}
-	}
-	for _, id := range ids {
-		k.Cancel(id)
-	}
-	if got, want := k.Pending(), 1000; got != want {
-		t.Fatalf("Pending = %d, want %d", got, want)
-	}
-	// Cancelled events must not keep occupying the heap: after 9000
-	// cancels against 1000 live events, compaction has to have run.
-	if n := len(k.heap); n > 2000 {
-		t.Fatalf("heap holds %d slots for 1000 live events — dead events not compacted", n)
-	}
-	k.Run()
-	if got := k.Pending(); got != 0 {
-		t.Fatalf("Pending after run = %d, want 0", got)
-	}
-}
-
-// TestKernelCancelDuringRun: cancelling from inside callbacks keeps the
-// counters exact.
-func TestKernelCancelDuringRun(t *testing.T) {
-	k := NewKernel()
-	var victim EventID
-	ran := 0
-	k.After(Millisecond, func() {
-		ran++
-		k.Cancel(victim)
-	})
-	victim = k.After(2*Millisecond, func() { ran++ })
-	k.After(3*Millisecond, func() { ran++ })
-	k.Run()
-	if ran != 2 {
-		t.Fatalf("ran %d events, want 2", ran)
-	}
-	if k.Pending() != 0 {
-		t.Fatalf("Pending = %d, want 0", k.Pending())
-	}
-}
-
-// TestKernelOrderSurvivesCompaction: compaction re-heapifies; the
-// surviving events must still run in (time, FIFO) order. Cancelled
-// events outnumber live ones so maybeCompact genuinely fires.
-func TestKernelOrderSurvivesCompaction(t *testing.T) {
-	k := NewKernel()
-	var got []int
-	var ids []EventID
-	for i := 0; i < 250; i++ {
-		i := i
-		k.At(Time(i)*Time(Millisecond), func() { got = append(got, i) })
-		// Eight cancel-fodder events per survivor.
-		for j := 0; j < 8; j++ {
-			ids = append(ids, k.At(Time(i)*Time(Millisecond)+Time(j+1), func() {}))
-		}
-	}
-	// Same-time events to exercise the FIFO tie-break post-Init.
-	for i := 0; i < 100; i++ {
-		i := i
-		k.At(Time(Second), func() { got = append(got, 10_000+i) })
-	}
-	heapBefore := len(k.heap)
-	for _, id := range ids {
-		k.Cancel(id)
-	}
-	if len(k.heap) >= heapBefore {
-		t.Fatalf("compaction never fired: heap still %d of %d slots", len(k.heap), heapBefore)
-	}
-	k.Run()
-	if len(got) != 350 {
-		t.Fatalf("ran %d events, want 350", len(got))
-	}
-	for j := 1; j < len(got); j++ {
-		if got[j-1] >= got[j] {
-			t.Fatalf("order violated at %d: %d then %d", j, got[j-1], got[j])
-		}
-	}
-}
-
-func BenchmarkKernelPendingWithManyCancelled(b *testing.B) {
-	k := NewKernel()
-	for i := 0; i < 100_000; i++ {
-		id := k.After(Duration(i+1)*Microsecond, func() {})
-		if i%2 == 0 {
-			k.Cancel(id)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if k.Pending() != 50_000 {
-			b.Fatal("wrong pending count")
+	for _, tc := range []struct {
+		s    float64
+		want Duration
+	}{
+		{0.001, Millisecond},
+		{-5, 0},
+		{1e300, math.MaxInt64}, // saturates instead of wrapping
+		{math.NaN(), 0},
+	} {
+		if got := DurationOfSeconds(tc.s); got != tc.want {
+			t.Fatalf("DurationOfSeconds(%v) = %v, want %v", tc.s, got, tc.want)
 		}
 	}
 }

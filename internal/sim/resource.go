@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // FIFO is a first-come-first-served resource with a fixed number of
 // servers (e.g. a GPU render engine, an IPC pipe). Jobs acquire a slot,
 // hold it for a caller-computed service time, and release it.
@@ -76,23 +78,25 @@ func (f *FIFO) BusyTime() Duration { return f.busyTime }
 
 // SharedLink models a bandwidth resource shared by concurrent transfers
 // using ideal processor sharing: with n active transfers each proceeds at
-// capacity/n. Transfer completion times are recomputed whenever the set of
-// active transfers changes. This is the standard fluid model for buses
-// (PCIe) and NICs.
+// capacity/n. This is the standard fluid model for buses (PCIe) and NICs.
+//
+// The link schedules one completion event at a time: that of the transfer
+// with the fewest bytes left, the earliest started on a tie, so equal
+// transfers finish in arrival order. Every change in the set of active
+// transfers plans that event again; the plan number it carries makes a
+// superseded event do nothing when it fires.
 type SharedLink struct {
 	k        *Kernel
 	name     string
-	capacity float64 // bytes per second
-	active   map[*transfer]struct{}
+	capacity float64     // bytes per second
+	active   []*transfer // in arrival order
 	lastAt   Time
-	moved    float64 // total bytes moved, for bandwidth accounting
+	plan     uint64 // number of the live completion event
 }
 
 type transfer struct {
 	remaining float64 // bytes left
 	done      func()
-	ev        EventID
-	link      *SharedLink
 }
 
 // NewSharedLink creates a shared link with the given capacity in bytes/sec.
@@ -100,22 +104,11 @@ func NewSharedLink(k *Kernel, name string, capacityBytesPerSec float64) *SharedL
 	if capacityBytesPerSec <= 0 {
 		panic("sim: link capacity must be positive: " + name)
 	}
-	return &SharedLink{
-		k:        k,
-		name:     name,
-		capacity: capacityBytesPerSec,
-		active:   make(map[*transfer]struct{}),
-	}
+	return &SharedLink{k: k, name: name, capacity: capacityBytesPerSec}
 }
 
 // Name reports the link's label.
 func (l *SharedLink) Name() string { return l.name }
-
-// BytesMoved reports the total payload the link has carried so far.
-func (l *SharedLink) BytesMoved() float64 {
-	l.advance()
-	return l.moved
-}
 
 // Transfer starts moving size bytes; done fires when the last byte lands.
 // Zero-size transfers complete immediately (next event cycle).
@@ -127,8 +120,7 @@ func (l *SharedLink) Transfer(size float64, done func()) {
 		}
 		return
 	}
-	t := &transfer{remaining: size, done: done, link: l}
-	l.active[t] = struct{}{}
+	l.active = append(l.active, &transfer{remaining: size, done: done})
 	l.reschedule()
 }
 
@@ -145,38 +137,41 @@ func (l *SharedLink) advance() {
 		return
 	}
 	rate := l.capacity / float64(n)
-	for t := range l.active {
-		delta := rate * dt
-		if delta > t.remaining {
-			delta = t.remaining
-		}
-		t.remaining -= delta
-		l.moved += delta
+	delta := rate * dt
+	for _, t := range l.active {
+		t.remaining -= min(delta, t.remaining)
 	}
 }
 
-// reschedule cancels and re-plans completion events after membership change.
+// reschedule plans the completion of the transfer with the fewest bytes
+// left after a membership change, superseding the event planned before.
 func (l *SharedLink) reschedule() {
-	n := len(l.active)
-	if n == 0 {
+	l.plan++
+	if len(l.active) == 0 {
 		return
 	}
-	rate := l.capacity / float64(n)
-	for t := range l.active {
-		l.k.Cancel(t.ev)
-		d := DurationOfSeconds(t.remaining / rate)
-		if d <= 0 {
-			// Sub-nanosecond completions must still advance the clock,
-			// or the finish/reschedule cycle would spin at zero time.
-			d = Nanosecond
+	next := l.active[0]
+	for _, t := range l.active[1:] {
+		if t.remaining < next.remaining {
+			next = t
 		}
-		tt := t
-		t.ev = l.k.After(d, func() { tt.finish() })
 	}
+	rate := l.capacity / float64(len(l.active))
+	d := DurationOfSeconds(next.remaining / rate)
+	if d <= 0 {
+		// Sub-nanosecond completions must still advance the clock,
+		// or the finish/reschedule cycle would spin at zero time.
+		d = Nanosecond
+	}
+	plan := l.plan
+	l.k.After(d, func() { l.finish(next, plan) })
 }
 
-func (t *transfer) finish() {
-	l := t.link
+// finish completes t if plan is still the link's live plan.
+func (l *SharedLink) finish(t *transfer, plan uint64) {
+	if plan != l.plan {
+		return
+	}
 	l.advance()
 	// Floating-point drift can leave a sliver; treat anything a 1 ns
 	// tick can drain as done (the clock may not resolve smaller).
@@ -184,14 +179,9 @@ func (t *transfer) finish() {
 		l.reschedule()
 		return
 	}
-	l.moved += t.remaining
-	t.remaining = 0
-	delete(l.active, t)
+	l.active = slices.DeleteFunc(l.active, func(a *transfer) bool { return a == t })
 	l.reschedule()
 	if t.done != nil {
 		t.done()
 	}
 }
-
-// ActiveTransfers reports the number of in-flight transfers.
-func (l *SharedLink) ActiveTransfers() int { return len(l.active) }

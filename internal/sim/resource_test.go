@@ -141,14 +141,53 @@ func TestSharedLinkZeroSize(t *testing.T) {
 	}
 }
 
-func TestSharedLinkBytesMoved(t *testing.T) {
+// TestSharedLinkTiesFinishInArrivalOrder: equal transfers started at
+// the same instant finish in the order they were started, the first at
+// the fair-share time and each later one 1 ns after the one before, in
+// every fresh kernel.
+func TestSharedLinkTiesFinishInArrivalOrder(t *testing.T) {
+	const n = 3
+	fair := Time(1500 * Millisecond) // n × 500 B at 1000 B/s
+	for run := 0; run < 200; run++ {
+		k := NewKernel()
+		l := NewSharedLink(k, "bus", 1000)
+		var order []int
+		var at []Time
+		for i := 0; i < n; i++ {
+			l.Transfer(500, func() {
+				order = append(order, i)
+				at = append(at, k.Now())
+			})
+		}
+		k.Run()
+		for i := 0; i < n; i++ {
+			if len(order) != n || order[i] != i || at[i] != fair+Time(i) {
+				t.Fatalf("kernel %d: transfers finished in order %v at %v, want 0..%d from %v at 1 ns steps",
+					run, order, at, n-1, fair)
+			}
+		}
+	}
+}
+
+// TestSharedLinkOvertakenTransfer: a small transfer that joins a long
+// one finishes first, and the long one's completion, planned before the
+// join, must not fire: each transfer completes exactly once, on time.
+func TestSharedLinkOvertakenTransfer(t *testing.T) {
 	k := NewKernel()
-	l := NewSharedLink(k, "bus", 1e6)
-	l.Transfer(12345, nil)
-	l.Transfer(55555, nil)
+	l := NewSharedLink(k, "bus", 1000)
+	var long, short []Time
+	l.Transfer(1000, func() { long = append(long, k.Now()) })
+	k.After(100*Millisecond, func() {
+		l.Transfer(10, func() { short = append(short, k.Now()) })
+	})
 	k.Run()
-	if got := l.BytesMoved(); math.Abs(got-67900) > 1 {
-		t.Fatalf("BytesMoved = %v, want 67900", got)
+	// The 10 B share 500 B/s for 20 ms; the long transfer then has 890 B
+	// left alone at 1000 B/s.
+	if len(short) != 1 || math.Abs(short[0].Seconds()-0.12) > 1e-6 {
+		t.Fatalf("short transfer completed at %v, want once at 120ms", short)
+	}
+	if len(long) != 1 || math.Abs(long[0].Seconds()-1.01) > 1e-6 {
+		t.Fatalf("long transfer completed at %v, want once at 1.01s", long)
 	}
 }
 

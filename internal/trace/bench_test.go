@@ -10,12 +10,14 @@ import (
 // causes across a full round trip: tag allocation, all ten hook
 // timestamps, the nine stage samples, and the tag-header encode/decode
 // crossing of the IPC boundary. This is the trace cost of one frame in
-// a driven trial.
+// a driven trial. Hook8 decodes into a slice reused across frames, as
+// the proxy decodes into the recycled frame's tag slice.
 func BenchmarkTracerFramePath(b *testing.B) {
 	k := sim.NewKernel()
 	tr := New(k)
 	tags := make([]uint64, 1)
 	var hdr []byte
+	var got []uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -36,7 +38,7 @@ func BenchmarkTracerFramePath(b *testing.B) {
 		tr.AddStage(StageFC, sim.Millisecond, tag)
 		tr.RecordHookMulti(Hook7, tags)
 		tr.AddStage(StageAS, sim.Millisecond, tag)
-		got := ExtractTagsAppend(hdr, nil)
+		got = ExtractTagsAppend(hdr, got[:0])
 		tr.RecordHookMulti(Hook8, got)
 		tr.ServerFrameTick()
 		tr.AddStage(StageCP, sim.Millisecond, tag)
