@@ -118,8 +118,9 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now reports the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
-// At schedules fn to run at absolute simulated time t. Scheduling in the
-// past panics: it would silently corrupt causality.
+// At schedules fn to run at absolute simulated time t. A scheduled event
+// cannot be withdrawn; it runs when the clock reaches it. Scheduling in
+// the past panics: it would silently corrupt causality.
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
@@ -133,8 +134,9 @@ func (k *Kernel) At(t Time, fn func()) {
 	heap.Push(&k.heap, ev)
 }
 
-// After schedules fn to run d after the current time. Negative d is
-// clamped to zero so model noise cannot schedule into the past.
+// After schedules fn to run d after the current time, as At does.
+// Negative d is clamped to zero so model noise cannot schedule into the
+// past.
 func (k *Kernel) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -146,25 +147,24 @@ func TestSharedLinkZeroSize(t *testing.T) {
 // the fair-share time and each later one 1 ns after the one before, in
 // every fresh kernel.
 func TestSharedLinkTiesFinishInArrivalOrder(t *testing.T) {
-	const n = 3
-	fair := Time(1500 * Millisecond) // n × 500 B at 1000 B/s
+	fair := Time(1500 * Millisecond) // 3 × 500 B at 1000 B/s
+	wantOrder := []int{0, 1, 2}
+	wantAt := []Time{fair, fair + 1, fair + 2}
 	for run := 0; run < 200; run++ {
 		k := NewKernel()
 		l := NewSharedLink(k, "bus", 1000)
 		var order []int
 		var at []Time
-		for i := 0; i < n; i++ {
+		for i := range wantOrder {
 			l.Transfer(500, func() {
 				order = append(order, i)
 				at = append(at, k.Now())
 			})
 		}
 		k.Run()
-		for i := 0; i < n; i++ {
-			if len(order) != n || order[i] != i || at[i] != fair+Time(i) {
-				t.Fatalf("kernel %d: transfers finished in order %v at %v, want 0..%d from %v at 1 ns steps",
-					run, order, at, n-1, fair)
-			}
+		if !slices.Equal(order, wantOrder) || !slices.Equal(at, wantAt) {
+			t.Fatalf("kernel %d: transfers finished in order %v at %v, want %v at %v",
+				run, order, at, wantOrder, wantAt)
 		}
 	}
 }

@@ -18,7 +18,8 @@ TMP=$(mktemp)
 trap 'rm -f "$TMP"' EXIT
 
 # Per-package hot-leaf microbenchmarks (scene raster, nn/tensor layers,
-# codec, tracer frame path, client inference, kernel event churn).
+# codec, tracer frame path, client inference, kernel event churn,
+# shared-link transfer).
 go test -run '^$' -bench . -benchmem \
     ./internal/scene/ ./internal/nn/ ./internal/tensor/ ./internal/codec/ \
     ./internal/trace/ ./internal/agent/ ./internal/sim/ | tee "$TMP"

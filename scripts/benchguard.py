@@ -22,11 +22,13 @@ least-demand and bin-packing offers on that fleet (bin-packing scored
 against a fixed six-profile interference table), which the fit-masked
 ranking trees keep at a descent that skips every subtree with no
 fitting machine or no machine that could beat the best so far, instead
-of a scan of every fitting machine; and two layers of the
-diurnal-million sweep in isolation, the arrival source's cost per
-session and the surrogate's cost per machine-epoch), and they are
-stable enough (no allocation churn, no I/O) that a >20% move is a code
-regression, not noise.
+of a scan of every fitting machine; two layers of the diurnal-million
+sweep in isolation, the arrival source's cost per session and the
+surrogate's cost per machine-epoch; and one frame copy through an
+otherwise idle shared link, the PCIe and NIC traffic every simulated
+frame makes, which the link serves with a single completion event),
+and they are stable enough (no allocation churn, no I/O) that a >20%
+move is a code regression, not noise.
 
 A pinned benchmark with no recorded entry in the JSON fails the guard:
 a silently missing pin is indistinguishable from an unguarded
@@ -60,6 +62,7 @@ PINNED = [
     "BenchmarkPlacementSaturated/binpack",
     "BenchmarkArrivalSource",
     "BenchmarkSurrogateEpoch",
+    "BenchmarkSharedLinkTransfer/single",
 ]
 
 
