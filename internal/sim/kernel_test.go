@@ -47,6 +47,43 @@ func TestKernelRunsEventsInTimeOrder(t *testing.T) {
 	}
 }
 
+// TestKernelOrderSurvivesEventReuse: a fired event's struct goes back to
+// the kernel's pool and a later At hands it out again; events scheduled
+// on reused structs, including a same-time run, must still interleave
+// with the older ones in (time, FIFO) order.
+func TestKernelOrderSurvivesEventReuse(t *testing.T) {
+	k := NewKernel()
+	var got []int
+	for i := 0; i < 250; i++ {
+		k.At(Time(i)*Time(Millisecond), func() { got = append(got, 2*i) })
+		// Eight no-op events per labelled one fill the pool as they fire.
+		for j := 0; j < 8; j++ {
+			k.At(Time(i)*Time(Millisecond)+Time(j+1), func() {})
+		}
+	}
+	k.RunUntil(Time(100 * Millisecond))
+	pooled := len(k.pool)
+	// Odd labels land half a millisecond after each pending even one.
+	for i := 100; i < 250; i++ {
+		k.At(Time(i)*Time(Millisecond)+Time(500*Microsecond), func() { got = append(got, 2*i+1) })
+	}
+	for i := 0; i < 100; i++ {
+		k.At(Time(Second), func() { got = append(got, 10_000+i) })
+	}
+	if reused := pooled - len(k.pool); reused != 250 {
+		t.Fatalf("%d of the 250 new events came from the pool (%d pooled)", reused, pooled)
+	}
+	k.Run()
+	if len(got) != 500 {
+		t.Fatalf("ran %d labelled events, want 500", len(got))
+	}
+	for j := 1; j < len(got); j++ {
+		if got[j-1] >= got[j] {
+			t.Fatalf("order violated at %d: %d then %d", j, got[j-1], got[j])
+		}
+	}
+}
+
 func TestKernelSameTimeFIFO(t *testing.T) {
 	k := NewKernel()
 	var got []int
