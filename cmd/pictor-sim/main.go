@@ -70,7 +70,7 @@ func runOne(prof app.Profile, n int, seconds float64, optimized, containerized b
 		r.RTT.Mean, r.RTT.P1, r.RTT.P25, r.RTT.P75, r.RTT.P99, r.RTT.N)
 	fmt.Printf("  server time %.1fms   network time %.1fms\n", r.ServerTimeMs(), r.NetworkTimeMs())
 	fmt.Printf("  stages (ms): ")
-	for _, s := range trace.Stages {
+	for s := range trace.NumStages {
 		fmt.Printf("%s %.1f  ", s, r.Stages[s].Mean)
 	}
 	fmt.Println()

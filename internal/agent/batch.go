@@ -26,8 +26,7 @@ import (
 // BatchModels is not goroutine-safe; one instance serves one
 // deterministic simulation (e.g. one cluster).
 type BatchModels struct {
-	m     *Models // private clone: weights + single-frame scratch
-	conv  *nn.Conv2D
+	conv  *nn.Conv2D // layers of a private clone of the trained models
 	pool  *nn.MaxPool2
 	dense *nn.Dense // CNN classifier head
 	lstm  *nn.LSTM
@@ -55,7 +54,6 @@ type BatchSession struct {
 func NewBatchModels(src *Models) *BatchModels {
 	m := src.Clone()
 	bm := &BatchModels{
-		m:    m,
 		conv: m.conv,
 		pool: m.pool,
 		lstm: m.lstm,

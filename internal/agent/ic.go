@@ -53,9 +53,6 @@ func NewIntelligentClientInBatch(k *sim.Kernel, rng *sim.RNG, prof app.Profile, 
 // Attach implements vnc.Driver.
 func (ic *IntelligentClient) Attach(send func(scene.Action)) { ic.send = send }
 
-// Actions reports how many inputs the client has issued.
-func (ic *IntelligentClient) Actions() int64 { return ic.actions }
-
 // APM reports achieved actions-per-minute over the elapsed sim time.
 func (ic *IntelligentClient) APM() float64 {
 	secs := ic.k.Now().Seconds()

@@ -91,9 +91,6 @@ func New(cfg Config) *App {
 	return a
 }
 
-// Scene exposes the application's scene (examples and tests peek at it).
-func (a *App) Scene() *scene.Scene { return a.sc }
-
 // Frames reports how many frames the app has produced.
 func (a *App) Frames() int64 { return a.frameSeq }
 
@@ -125,7 +122,6 @@ func (a *App) drainInputs() (tags []uint64, act scene.Action) {
 	act = scene.ActNone
 	tags = a.tagsBuf[:0]
 	for _, in := range a.display.Drain() {
-		a.tracer.RecordHook(trace.Hook4, in.Tag)
 		if in.Tag != 0 {
 			tags = append(tags, in.Tag)
 		}
@@ -181,7 +177,6 @@ func (a *App) swap(tags []uint64) *gl.RenderHandle {
 	f := a.sc.Render(a.frameSeq, a.prof.Width, a.prof.Height)
 	// tags is the drain scratch; the frame owns (recycled) tag storage.
 	f.Tags = append(f.Tags[:0], tags...)
-	a.tracer.RecordHookMulti(trace.Hook5, tags)
 	upload := a.prof.UploadMBPerFrame * (0.3 + a.sc.Motion()) * 1e6
 	h := a.glctx.SwapBuffers(f, upload)
 	h.OnRenderDone(func() {
@@ -198,7 +193,6 @@ func (a *App) dispatchAS(f *scene.Frame) {
 	ms := (a.prof.ASBaseMs + a.prof.ASPerMBMs*f.RawBytes()/1e6) * (1 + a.prof.IPCTax)
 	work := sim.DurationOfSeconds(ms/1e3) + a.tracer.HookCost()
 	a.proc.Run(work, func() {
-		a.tracer.RecordHookMulti(trace.Hook7, f.Tags)
 		a.tracer.AddStage(trace.StageAS, a.k.Now().Sub(asStart), f.Tags...)
 		if a.sendFrame != nil {
 			a.sendFrame(f)
@@ -232,7 +226,6 @@ func (a *App) slowMotionLoop() {
 					asStart := a.k.Now()
 					ms := (a.prof.ASBaseMs + a.prof.ASPerMBMs*f.RawBytes()/1e6) * (1 + a.prof.IPCTax)
 					a.proc.Run(sim.DurationOfSeconds(ms/1e3), func() {
-						a.tracer.RecordHookMulti(trace.Hook7, f.Tags)
 						a.tracer.AddStage(trace.StageAS, a.k.Now().Sub(asStart), f.Tags...)
 						if a.sendFrame != nil {
 							a.sendFrame(f)

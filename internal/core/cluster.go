@@ -45,17 +45,6 @@ type Options struct {
 	Power power.Model
 }
 
-// DefaultOptions matches the paper's testbed.
-func DefaultOptions() Options {
-	return Options{
-		Seed:            1,
-		Cores:           8,
-		PCIeBytesPerSec: 15.75e9,
-		Network:         netsim.DefaultConfig(),
-		Power:           power.Default(),
-	}
-}
-
 // InstanceConfig configures one application instance on the cluster.
 type InstanceConfig struct {
 	Profile app.Profile
@@ -118,7 +107,6 @@ type Cluster struct {
 
 	opts     Options
 	rng      *sim.RNG
-	measure  sim.Duration
 	batchers map[*agent.Models]*agent.BatchModels
 }
 
@@ -292,11 +280,7 @@ func (c *Cluster) Run(warmup, measure sim.Duration) {
 	for _, inst := range c.Instances {
 		inst.stop()
 	}
-	c.measure = measure
 }
-
-// MeasuredSeconds reports the measurement-window length.
-func (c *Cluster) MeasuredSeconds() float64 { return sim.Time(c.measure).Seconds() }
 
 // TotalPowerWatts reports modelled wall power over the measurement
 // window.

@@ -161,17 +161,17 @@ func TestTagsSurviveIPCBoundary(t *testing.T) {
 	cl := NewCluster(Options{Seed: 13})
 	cl.AddInstance(NewInstanceConfig(app.IM(), HumanDriver()))
 	cl.Run(sim.DurationOfSeconds(2), sim.DurationOfSeconds(8))
-	// If tags survive the pixel-embed→extract→restore path, hook10
-	// matches and RTTs complete.
+	// If tags survive the tag header hook6 writes and hook8 reads,
+	// hook10 matches them and RTTs complete.
 	if cl.Instances[0].Tracer.CompletedRTTCount() == 0 {
 		t.Fatal("no round trips completed — tag embedding path broken")
 	}
 }
 
 // TestNoPhantomTagRecords: hook8 must not read an untagged frame's
-// rendered pixels as tags. A phantom tag can equal a real tag not yet
-// issued and take its first Hook8–10 observations, so its RTT is never
-// recorded. Every record must name a tag the client issued.
+// tag header as tags. A phantom tag can equal a real tag not yet
+// issued and take its first CP and SS observations. Every record must
+// name a tag the client issued.
 func TestNoPhantomTagRecords(t *testing.T) {
 	cl := NewCluster(Options{Seed: 7})
 	for _, prof := range app.PaperSuite() {

@@ -24,8 +24,6 @@ type SessionObs struct {
 type MachineEpoch struct {
 	// PowerWatts is the machine's modelled wall power over the epoch.
 	PowerWatts float64
-	// Demand echoes the predicted CPU demand the machine executed at.
-	Demand float64
 	// Sessions holds one observation per resident, in placement order.
 	// An engine may reuse the backing array: the slice is valid until
 	// the same engine's next AdvanceEpoch call.
@@ -36,8 +34,8 @@ type MachineEpoch struct {
 // epoch and reports what they measured. It is the fidelity boundary:
 // fullEngine builds and runs a per-frame simulated cluster,
 // surrogateEngine evaluates trained per-profile demand/RTT predictors —
-// both behind the same contract (advance one epoch, echo demand, sample
-// RTT per session).
+// both behind the same contract (advance one epoch, sample RTT per
+// session).
 type SessionEngine interface {
 	AdvanceEpoch(epoch, machine int) MachineEpoch
 }
@@ -315,7 +313,6 @@ func (fe *fullEngine) AdvanceEpoch(e, mi int) MachineEpoch {
 	cl := runPlaced(p.t, m, machineEpochKey.Int(mi).Str("/e").Int(e).Seed(p.streamBase, p.u.Rep))
 	me := MachineEpoch{
 		PowerWatts: cl.TotalPowerWatts(),
-		Demand:     m.Demand,
 		Sessions:   make([]SessionObs, 0, len(cl.Instances)),
 	}
 	for _, inst := range cl.Instances {

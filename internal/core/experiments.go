@@ -167,7 +167,7 @@ func mergeInstances(reps []TrialResult) []InstanceResult {
 			rtts[ri] = r.Results[i].RTT
 		}
 		m.RTT = exp.PoolSummaries(rtts)
-		for _, s := range trace.Stages {
+		for s := range trace.NumStages {
 			ss := make([]stats.Summary, len(reps))
 			for ri, r := range reps {
 				ss[ri] = r.Results[i].Stages[s]

@@ -73,7 +73,7 @@ func (inst *Instance) Result() InstanceResult {
 		AttrCalls: inst.ip.AttrCalls(),
 		Copies:    inst.ip.Copies(),
 	}
-	for _, s := range trace.Stages {
+	for s := range trace.NumStages {
 		r.Stages[s] = inst.Tracer.StageSample(s).Summarize()
 	}
 	pmu := inst.appProc.PMU()

@@ -235,10 +235,7 @@ func (se *surrogateEngine) AdvanceEpoch(e, mi int) MachineEpoch {
 	if m.Cores > 0 {
 		L = m.Demand / m.Cores
 	}
-	me := MachineEpoch{
-		Demand:   m.Demand,
-		Sessions: se.sessions[:0],
-	}
+	me := MachineEpoch{Sessions: se.sessions[:0]}
 	se.call++
 	var cpu, gpu float64
 	for _, s := range m.Placed {

@@ -17,8 +17,6 @@ type CPU struct {
 
 	running    float64 // currently-executing modelled work, in threads
 	background float64 // steady background demand, in cores
-
-	procs []*Proc
 }
 
 // New creates a CPU with the given core count.
@@ -31,9 +29,6 @@ func New(k *sim.Kernel, cores int, rng *sim.RNG) *CPU {
 
 // Cores reports the configured core count.
 func (c *CPU) Cores() float64 { return c.cores }
-
-// Load reports current demand in cores (modelled threads + background).
-func (c *CPU) Load() float64 { return c.running + c.background }
 
 // Dilation reports the current time-sharing slowdown factor: 1 while the
 // machine has spare cores, demand/cores when oversubscribed.
@@ -58,11 +53,10 @@ type Proc struct {
 	bgActive        bool
 	bgSince         sim.Time
 
-	cpuTime  sim.Duration // on-CPU time consumed by modelled work
-	bgTime   sim.Duration // on-CPU time consumed by background demand
-	started  sim.Time
-	pmu      PMU
-	inflight int
+	cpuTime sim.Duration // on-CPU time consumed by modelled work
+	bgTime  sim.Duration // on-CPU time consumed by background demand
+	started sim.Time
+	pmu     PMU
 }
 
 // PMU holds synthetic top-down cycle accounting (Figure 14).
@@ -102,12 +96,8 @@ func (c *CPU) NewProc(name string, memClient *mem.Client, backgroundCores float6
 		backgroundCores: backgroundCores,
 		started:         c.k.Now(),
 	}
-	c.procs = append(c.procs, p)
 	return p
 }
-
-// Name reports the process label.
-func (p *Proc) Name() string { return p.name }
 
 // Start activates the process's background demand.
 func (p *Proc) Start() {
@@ -160,10 +150,8 @@ func (p *Proc) Run(nominal sim.Duration, done func()) {
 	onCPU := sim.Duration(float64(nominal) * cpi)
 	wall := sim.Duration(float64(onCPU) * p.cpu.Dilation())
 	p.cpu.running++
-	p.inflight++
 	p.cpu.k.After(wall, func() {
 		p.cpu.running--
-		p.inflight--
 		p.cpuTime += onCPU
 		ms := float64(onCPU) / float64(sim.Millisecond)
 		if p.mem != nil {

@@ -88,9 +88,6 @@ func (c *Context) SetActive(a bool) { c.active = a }
 // (e.g. 0.03 for +3% render time).
 func (c *Context) SetVirtTax(tax float64) { c.virtTax = tax }
 
-// Name reports the context label.
-func (c *Context) Name() string { return c.name }
-
 // Profile reports the context's GPU profile.
 func (c *Context) Profile() Profile { return c.prof }
 
@@ -147,9 +144,6 @@ func (c *Context) Render(complexity float64, done func()) {
 	})
 }
 
-// Timestamp reports the GPU's current time (for GL time queries).
-func (c *Context) Timestamp() sim.Time { return c.gpu.k.Now() }
-
 // Frames reports the number of frames this context has rendered.
 func (c *Context) Frames() int64 { return c.frames }
 
@@ -197,6 +191,3 @@ func (c *Context) ResetAccounting() {
 	c.started = c.gpu.k.Now()
 	c.l2Acc, c.l2Miss, c.texAcc, c.texMiss = 0, 0, 0, 0
 }
-
-// QueueLen reports frames waiting for the render engine.
-func (g *GPU) QueueLen() int { return g.engine.QueueLen() }

@@ -52,13 +52,12 @@ func NewSystem() *System {
 
 // Client is one process's view of the memory system.
 type Client struct {
-	sys     *System
-	name    string
-	prof    Profile
-	active  bool
-	hits    float64
-	misses  float64
-	lastObs float64 // last observed miss rate (for PMU reads)
+	sys    *System
+	name   string
+	prof   Profile
+	active bool
+	hits   float64
+	misses float64
 }
 
 // Register adds a client. Clients start inactive; activate them when
@@ -71,12 +70,6 @@ func (s *System) Register(name string, p Profile) *Client {
 
 // SetActive marks the client as running (contending) or not.
 func (c *Client) SetActive(a bool) { c.active = a }
-
-// Name reports the client label.
-func (c *Client) Name() string { return c.name }
-
-// Profile reports the client's memory profile.
-func (c *Client) Profile() Profile { return c.prof }
 
 // contentionIndex is the total intensity of *other* active clients —
 // the pressure this client experiences.
@@ -95,8 +88,7 @@ func (c *Client) contentionIndex() float64 {
 func (c *Client) MissRate() float64 {
 	idx := c.contentionIndex()
 	mr := c.prof.BaseMissRate + c.sys.MissSlope*idx*(0.5+c.prof.Sensitivity)
-	c.lastObs = math.Min(mr, 0.985)
-	return c.lastObs
+	return math.Min(mr, 0.985)
 }
 
 // CPIFactor reports the multiplicative CPU-time penalty for the client's

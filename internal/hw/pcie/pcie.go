@@ -34,8 +34,6 @@ type Bus struct {
 	// DMASetup is the fixed per-transfer initiation cost (driver ioctl,
 	// doorbell, completion interrupt).
 	DMASetup sim.Duration
-
-	clients []*Client
 }
 
 // New creates a PCIe bus. capacity is per-direction, in bytes/second
@@ -62,12 +60,8 @@ type Client struct {
 // NewClient registers a traffic account.
 func (b *Bus) NewClient(name string) *Client {
 	c := &Client{bus: b, name: name, started: b.k.Now()}
-	b.clients = append(b.clients, c)
 	return c
 }
-
-// Name reports the client label.
-func (c *Client) Name() string { return c.name }
 
 // Transfer moves size bytes in the given direction; done fires when the
 // DMA completes. Bandwidth is shared with all concurrent transfers in

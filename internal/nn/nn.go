@@ -197,18 +197,6 @@ func (r *ReLU) Forward(x []float64) []float64 {
 	return out
 }
 
-// ForwardBatch applies the activation elementwise in place and returns
-// x (ReLU needs no scratch; max(0, v) is exact). Inference only — no
-// Backward cache is recorded.
-func (r *ReLU) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
-	for i, v := range x.Data {
-		if !(v > 0) { // matches Forward exactly, including NaN → 0
-			x.Data[i] = 0
-		}
-	}
-	return x
-}
-
 // Backward implements Layer.
 func (r *ReLU) Backward(grad []float64) []float64 {
 	dx := grow(r.dx, len(grad))
@@ -300,25 +288,13 @@ func (c *Conv2D) Forward(x []float64) []float64 {
 	return out
 }
 
-// ForwardBatch convolves a (B, H, W, C) batch directly (no column
-// matrix is materialized), returning the layer-owned (B·OutH·OutW,
-// OutC) output: frame b's rows occupy the contiguous block starting at
-// b·OutH·OutW, equal bit-for-bit to Forward on that frame alone.
-// Inference only; the result is overwritten by the next ForwardBatch
-// call.
-func (c *Conv2D) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
-	return c.forwardBatch(x, false)
-}
-
-// ForwardBatchReLU is ForwardBatch with the ReLU activation fused into
-// the output store — one pass instead of a convolve pass plus an
-// elementwise rewrite of the whole block. Identical bits to
-// ForwardBatch followed by ReLU.ForwardBatch.
+// ForwardBatchReLU convolves a (B, H, W, C) batch directly (no column
+// matrix is materialized) and applies the ReLU activation as it stores
+// each output, returning the layer-owned (B·OutH·OutW, OutC) output:
+// frame b's rows occupy the contiguous block starting at b·OutH·OutW,
+// equal bit-for-bit to Forward and then ReLU's Forward on that frame
+// alone. Inference only; the result is overwritten by the next call.
 func (c *Conv2D) ForwardBatchReLU(x *tensor.Tensor) *tensor.Tensor {
-	return c.forwardBatch(x, true)
-}
-
-func (c *Conv2D) forwardBatch(x *tensor.Tensor, relu bool) *tensor.Tensor {
 	if x.Dims() != 4 || x.Shape[1] != c.H || x.Shape[2] != c.W || x.Shape[3] != c.InC {
 		panic("nn: Conv2D batch input shape mismatch")
 	}
@@ -326,18 +302,18 @@ func (c *Conv2D) forwardBatch(x *tensor.Tensor, relu bool) *tensor.Tensor {
 	rows := bn * c.OutH() * c.OutW()
 	out := ensureTensor(c.batchOut, rows, c.OutC)
 	c.batchOut = out
-	c.convDirect(out.Data, x.Data, bn, relu)
+	c.convDirect(out.Data, x.Data, bn)
 	return out
 }
 
 // convDirect convolves `frames` stacked (H, W, C) frames in src into
 // dst ((frames·OutH·OutW, OutC) row-major). Per output element it
 // accumulates the K·K·InC products in exactly im2col row order (ky-
-// major, then kx·c), then adds the channel bias, then optionally
-// applies ReLU — bit-identical to the im2col → MatMulTransBInto →
-// addBias → ReLU pipeline it replaces, without writing and re-reading
-// the (rows, K·K·InC) column matrix.
-func (c *Conv2D) convDirect(dst, src []float64, frames int, relu bool) {
+// major, then kx·c), then adds the channel bias, then applies ReLU —
+// bit-identical to the im2col → MatMulTransBInto → addBias → ReLU
+// pipeline it replaces, without writing and re-reading the (rows,
+// K·K·InC) column matrix.
+func (c *Conv2D) convDirect(dst, src []float64, frames int) {
 	oh, ow := c.OutH(), c.OutW()
 	kw := c.K * c.InC // receptive-field row-segment width
 	kmat := c.w.W     // (OutC, K·K·InC) row-major
@@ -375,7 +351,7 @@ func (c *Conv2D) convDirect(dst, src []float64, frames int, relu bool) {
 						s += p7 * k[7]
 						s += p8 * k[8]
 						s += bias[oc]
-						if relu && !(s > 0) {
+						if !(s > 0) {
 							s = 0
 						}
 						dst[di+oc] = s
@@ -402,7 +378,7 @@ func (c *Conv2D) convDirect(dst, src []float64, frames int, relu bool) {
 						}
 					}
 					s += bias[oc]
-					if relu && !(s > 0) {
+					if !(s > 0) {
 						s = 0
 					}
 					dst[di+oc] = s

@@ -61,13 +61,6 @@ func (a *Adam) Step() {
 	}
 }
 
-// ZeroGrad clears all gradients without updating.
-func (a *Adam) ZeroGrad() {
-	for _, p := range a.params {
-		p.zeroGrad()
-	}
-}
-
 // SaveWeights serializes a parameter set (gob encoding).
 func SaveWeights(params []*Param) ([]byte, error) {
 	var ws [][]float64

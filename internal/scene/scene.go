@@ -276,6 +276,3 @@ func (s *Scene) Cells() []Cell {
 	copy(out, s.cells[:])
 	return out
 }
-
-// CellAt reports the cell at grid position (x, y).
-func (s *Scene) CellAt(x, y int) Cell { return s.cells[y*GridW+x] }

@@ -136,12 +136,17 @@ func (k *Kernel) At(t Time, fn func()) {
 
 // After schedules fn to run d after the current time, as At does.
 // Negative d is clamped to zero so model noise cannot schedule into the
-// past.
+// past, and a time beyond the clock's range saturates at its last
+// instant, so a delay DurationOfSeconds saturated cannot wrap it.
 func (k *Kernel) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	k.At(k.now.Add(d), fn)
+	t := k.now.Add(d)
+	if t < k.now {
+		t = math.MaxInt64
+	}
+	k.At(t, fn)
 }
 
 // Step runs the single next event, reporting whether one existed.

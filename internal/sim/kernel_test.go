@@ -158,6 +158,24 @@ func TestKernelNegativeDelayClamped(t *testing.T) {
 	}
 }
 
+// TestKernelAfterSaturates: a delay beyond the clock's range schedules
+// the event at the clock's last instant instead of wrapping into the
+// past.
+func TestKernelAfterSaturates(t *testing.T) {
+	k := NewKernel()
+	k.RunUntil(1) // from 0 the sum would not wrap
+	ran := false
+	k.After(DurationOfSeconds(1e300), func() { ran = true })
+	k.RunUntil(math.MaxInt64 - 1)
+	if ran {
+		t.Fatal("saturated event ran before the clock's last instant")
+	}
+	k.Run()
+	if !ran || k.Now() != math.MaxInt64 {
+		t.Fatalf("saturated event ran=%v at %v, want at %v", ran, k.Now(), Time(math.MaxInt64))
+	}
+}
+
 func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	var fired []Time

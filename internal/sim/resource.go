@@ -12,7 +12,6 @@ type FIFO struct {
 	busy     int
 	waiters  []func()
 	busyTime Duration // aggregate busy time across servers, for utilization
-	lastTick Time
 }
 
 // NewFIFO creates a FIFO resource with the given number of servers.
@@ -22,9 +21,6 @@ func NewFIFO(k *Kernel, name string, servers int) *FIFO {
 	}
 	return &FIFO{k: k, name: name, servers: servers}
 }
-
-// Name reports the resource's label.
-func (f *FIFO) Name() string { return f.name }
 
 // Acquire requests a server slot; granted runs (as a new event) once a
 // slot is free. The holder must call Release exactly once.
@@ -87,7 +83,6 @@ func (f *FIFO) BusyTime() Duration { return f.busyTime }
 // superseded event do nothing when it fires.
 type SharedLink struct {
 	k        *Kernel
-	name     string
 	capacity float64     // bytes per second
 	active   []*transfer // in arrival order
 	lastAt   Time
@@ -104,11 +99,8 @@ func NewSharedLink(k *Kernel, name string, capacityBytesPerSec float64) *SharedL
 	if capacityBytesPerSec <= 0 {
 		panic("sim: link capacity must be positive: " + name)
 	}
-	return &SharedLink{k: k, name: name, capacity: capacityBytesPerSec}
+	return &SharedLink{k: k, capacity: capacityBytesPerSec}
 }
-
-// Name reports the link's label.
-func (l *SharedLink) Name() string { return l.name }
 
 // Transfer starts moving size bytes; done fires when the last byte lands.
 // Zero-size transfers complete immediately (next event cycle).

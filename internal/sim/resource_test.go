@@ -142,6 +142,21 @@ func TestSharedLinkZeroSize(t *testing.T) {
 	}
 }
 
+// TestSharedLinkInfiniteTransfer: a transfer of infinitely many bytes
+// plans its completion at the clock's last instant instead of wrapping
+// the clock.
+func TestSharedLinkInfiniteTransfer(t *testing.T) {
+	k := NewKernel()
+	k.RunUntil(1) // from 0 the sum would not wrap
+	l := NewSharedLink(k, "bus", 1000)
+	done := false
+	l.Transfer(math.Inf(1), func() { done = true })
+	k.RunUntil(math.MaxInt64 - 1)
+	if done {
+		t.Fatal("an infinite transfer completed")
+	}
+}
+
 // TestSharedLinkTiesFinishInArrivalOrder: equal transfers started at
 // the same instant finish in the order they were started, the first at
 // the fair-share time and each later one 1 ns after the one before, in

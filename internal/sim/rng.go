@@ -34,9 +34,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform int in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Normal returns a Gaussian sample with the given mean and stddev.
 func (g *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*g.r.NormFloat64()
@@ -97,6 +94,3 @@ func (g *RNG) Jitter(d Duration, sigma float64) Duration {
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -111,10 +111,8 @@ func (s *Sample) Max() float64 {
 }
 
 func (s *Sample) ensureSorted() {
-	// The empty early-out is load-bearing beyond speed: read-style
-	// queries (Values, Min, Max, Percentile) must not write any field
-	// of an empty sample, so a shared canonical empty sample (see
-	// trace.StageSample) stays safe under concurrent readers.
+	// Read-style queries (Values, Min, Max, Percentile) write no field
+	// of an empty sample.
 	if s.sorted || len(s.xs) == 0 {
 		return
 	}

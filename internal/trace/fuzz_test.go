@@ -61,8 +61,8 @@ func FuzzEmbedTagsRoundTrip(f *testing.F) {
 
 // TestResetClearsTagRecordState is the regression test for the
 // fixed-array TagRecord storage: after Reset, a re-observed tag id must
-// start from a blank record — no hook timestamps, no stage latencies,
-// no completed-RTT carryover from before the reset. (A leaked hookSet
+// start from a blank record — no issue time, no stage latencies, no
+// completed-RTT carryover from before the reset. (A leaked issue time
 // or stageSet bit would let a warmup observation complete a
 // measurement-window RTT.)
 func TestResetClearsTagRecordState(t *testing.T) {
@@ -89,7 +89,7 @@ func TestResetClearsTagRecordState(t *testing.T) {
 	if tr.CompletedRTTCount() != 0 || tr.RTTs().N() != 0 {
 		t.Fatal("RTT sample survives Reset")
 	}
-	for _, s := range Stages {
+	for s := range NumStages {
 		if n := tr.StageSample(s).N(); n != 0 {
 			t.Fatalf("stage %s keeps %d observations after Reset", s, n)
 		}
@@ -105,10 +105,10 @@ func TestResetClearsTagRecordState(t *testing.T) {
 		t.Fatal("pre-reset Hook1 leaked into a post-reset round trip")
 	}
 	rec := tr.Records()[0]
-	if _, ok := rec.Hook(Hook1); ok {
-		t.Fatal("pre-reset hook timestamp visible after Reset")
+	if _, ok := rec.Issued(); ok {
+		t.Fatal("pre-reset issue time visible after Reset")
 	}
-	for _, s := range Stages {
+	for s := range NumStages {
 		if _, ok := rec.Stage(s); ok {
 			t.Fatalf("pre-reset stage %s latency visible after Reset", s)
 		}

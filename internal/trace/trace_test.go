@@ -1,10 +1,14 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"pictor/internal/sim"
+	"pictor/internal/stats"
 )
 
 func TestTagAllocationSequential(t *testing.T) {
@@ -29,6 +33,51 @@ func TestDisabledTracerIsFree(t *testing.T) {
 	tr.AddStage(StageAL, sim.Millisecond, 5)
 	if len(tr.Records()) != 0 || tr.StageSample(StageAL).N() != 0 {
 		t.Fatal("disabled tracer recorded data")
+	}
+	// Nothing will be recorded, so nothing is pre-sized: the overhead
+	// experiment runs one untraced tracer per instance.
+	hint := 0
+	if a := testing.AllocsPerRun(50, func() {
+		hint += 1024
+		tr.SizeHint(hint)
+	}); a != 0 {
+		t.Fatalf("SizeHint on a disabled tracer made %v allocations per call, want 0", a)
+	}
+}
+
+// TestStageTextForm: a map keyed by Stage encodes to the JSON of the
+// same map keyed by the stage names, byte for byte (the server export
+// and the bench digest hash that JSON), and decodes back.
+func TestStageTextForm(t *testing.T) {
+	names := []string{"CS", "SP", "PS", "AL", "RD", "FC", "AS", "CP", "SS"}
+	byStage := map[Stage]stats.Summary{}
+	byName := map[string]stats.Summary{}
+	for s := range NumStages {
+		sum := stats.Summary{N: int(s) + 1, Mean: float64(s) + 0.25, P99: 1e3}
+		byStage[s] = sum
+		byName[names[s]] = sum
+	}
+	got, err := json.Marshal(byStage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(byName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stage-keyed JSON\n%s\nwant\n%s", got, want)
+	}
+	var back map[Stage]stats.Summary
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, byStage) {
+		t.Fatalf("decoded %v, want %v", back, byStage)
+	}
+	var s Stage
+	if err := s.UnmarshalText([]byte("XX")); err == nil {
+		t.Fatal("unknown stage name decoded")
 	}
 }
 
@@ -134,15 +183,6 @@ func TestReset(t *testing.T) {
 	// Tag counter must NOT reset: tags stay unique across the session.
 	if next := tr.NextTag(); next != tag+1 {
 		t.Fatalf("tag after reset = %d, want %d", next, tag+1)
-	}
-}
-
-func TestSummaryNonEmpty(t *testing.T) {
-	k := sim.NewKernel()
-	tr := New(k)
-	tr.AddStage(StageFC, 15*sim.Millisecond)
-	if s := tr.Summary(); len(s) == 0 {
-		t.Fatal("empty summary")
 	}
 }
 

@@ -89,9 +89,6 @@ func New(k *sim.Kernel, proc *cpu.Proc, display *x11.Display, tracer *trace.Trac
 	return &Interposer{k: k, proc: proc, display: display, tracer: tracer, opts: opts}
 }
 
-// Options reports the interposer's configuration.
-func (ip *Interposer) Options() Options { return ip.opts }
-
 // AttrCalls reports how many real XGetWindowAttributes round trips were
 // made (the memoization ablation checks this collapses to ~1).
 func (ip *Interposer) AttrCalls() int64 { return ip.attrCalls }
@@ -136,7 +133,6 @@ func (ip *Interposer) CopyFrame(h *gl.RenderHandle, finished func(), delivered f
 			ip.k.After(stall, func() {
 				ip.proc.Run(memcpy, func() {
 					frame := h.Frame
-					ip.tracer.RecordHookMulti(trace.Hook6, frame.Tags)
 					frame.TagHeader = trace.EmbedTags(frame.TagHeader, frame.Tags)
 					ip.copies++
 					ip.tracer.AddStage(trace.StageFC, ip.k.Now().Sub(start), frame.Tags...)

@@ -74,19 +74,12 @@ func NewServerProxy(k *sim.Kernel, proc *cpu.Proc, link *netsim.Link, display *x
 // SetDeliver wires the frame delivery callback (client proxy).
 func (s *ServerProxy) SetDeliver(fn func(f *scene.Frame)) { s.deliver = fn }
 
-// Proc exposes the proxy's CPU process (for utilization reports).
-func (s *ServerProxy) Proc() *cpu.Proc { return s.proc }
-
-// Codec exposes the proxy's codec (the Chen-et-al. estimator needs it).
-func (s *ServerProxy) Codec() codec.Codec { return s.cod }
-
 // HandleInput processes one input arriving from the network: hook2, the
 // SP stage, hook3, then the PS IPC injection into the application's X
 // event queue. The input path runs on its own proxy thread and does not
 // queue behind frame encoding.
 func (s *ServerProxy) HandleInput(in proto.Input) {
 	now := s.k.Now()
-	s.tracer.RecordHook(trace.Hook2, in.Tag)
 	if in.Tag != 0 {
 		s.tracer.AddStage(trace.StageCS, now.Sub(in.Issued), in.Tag)
 	}
@@ -94,7 +87,6 @@ func (s *ServerProxy) HandleInput(in proto.Input) {
 	spStart := now
 	s.proc.Run(spWork, func() {
 		s.tracer.AddStage(trace.StageSP, s.k.Now().Sub(spStart), in.Tag)
-		s.tracer.RecordHook(trace.Hook3, in.Tag)
 		psStart := s.k.Now()
 		psWork := msToDur(s.costs.PSMs * (1 + s.costs.IPCTax))
 		s.proc.Run(psWork, func() {
@@ -117,7 +109,6 @@ func (s *ServerProxy) HandleFrame(f *scene.Frame) {
 			// tags are authoritative across the IPC boundary; they land
 			// in the frame's own (recycled) tag storage.
 			f.Tags = trace.ExtractTagsAppend(f.TagHeader, f.Tags[:0])
-			s.tracer.RecordHookMulti(trace.Hook8, f.Tags)
 			s.tracer.ServerFrameTick()
 			if old := s.pending; old != nil {
 				// Newest frame wins, but answered inputs keep their tags
@@ -169,7 +160,6 @@ func (s *ServerProxy) pump() {
 		cpStart := s.k.Now()
 		s.proc.Run(cpCost+s.tracer.HookCost(), func() {
 			s.tracer.AddStage(trace.StageCP, s.k.Now().Sub(cpStart), f.Tags...)
-			s.tracer.RecordHookMulti(trace.Hook9, f.Tags)
 			done() // encoder thread freed; the send overlaps intake
 			ssStart := s.k.Now()
 			s.link.SendToClient(bytes, func() {
