@@ -86,17 +86,17 @@ func (p PMU) Fractions() (retiring, frontend, badspec, backend float64) {
 	return p.Retiring / t, p.FrontEnd / t, p.BadSpec / t, p.BackEnd / t
 }
 
-// NewProc registers a process. memClient may be nil for processes whose
-// memory behaviour we don't track (e.g. client machines).
+// NewProc creates a process on the CPU. memClient may be nil for
+// processes whose memory behaviour we don't track (e.g. client
+// machines).
 func (c *CPU) NewProc(name string, memClient *mem.Client, backgroundCores float64) *Proc {
-	p := &Proc{
+	return &Proc{
 		cpu:             c,
 		name:            name,
 		mem:             memClient,
 		backgroundCores: backgroundCores,
 		started:         c.k.Now(),
 	}
-	return p
 }
 
 // Start activates the process's background demand.

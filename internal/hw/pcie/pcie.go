@@ -57,10 +57,9 @@ type Client struct {
 	downBytes float64
 }
 
-// NewClient registers a traffic account.
+// NewClient opens a traffic account on the bus.
 func (b *Bus) NewClient(name string) *Client {
-	c := &Client{bus: b, name: name, started: b.k.Now()}
-	return c
+	return &Client{bus: b, name: name, started: b.k.Now()}
 }
 
 // Transfer moves size bytes in the given direction; done fires when the

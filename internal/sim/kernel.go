@@ -136,8 +136,9 @@ func (k *Kernel) At(t Time, fn func()) {
 
 // After schedules fn to run d after the current time, as At does.
 // Negative d is clamped to zero so model noise cannot schedule into the
-// past, and a time beyond the clock's range saturates at its last
-// instant, so a delay DurationOfSeconds saturated cannot wrap it.
+// past, and a sum beyond the clock's range saturates at its last
+// instant, so a delay that DurationOfSeconds saturated cannot wrap the
+// clock.
 func (k *Kernel) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0

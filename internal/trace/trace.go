@@ -22,14 +22,14 @@ import (
 // Hook identifies one of the ten instrumentation points of Figure 4.
 type Hook int
 
-// The hooks the tracer records. Of the ten, in input-processing order:
-// 1 tags the input at the client proxy, 2–3 bracket the server proxy's
-// input handling, 4 is the application receiving the input
-// (XNextEvent), 5 is render start (glXSwapBuffers), 6 is frame readback
-// (glReadPixels) where the tags are written into the frame's tag header,
-// 7 is the IPC hand-off (XShmPutImage), 8 is the server proxy reading
-// the header, 9 is send start, 10 matches the tag back at the client
-// proxy.
+// The ten hooks, in input-processing order: 1 tags the input at the
+// client proxy, 2–3 bracket the server proxy's input handling, 4 is the
+// application receiving the input (XNextEvent), 5 is render start
+// (glXSwapBuffers), 6 is frame readback (glReadPixels) where the tags
+// are written into the frame's tag header, 7 is the IPC hand-off
+// (XShmPutImage), 8 is the server proxy reading the header, 9 is send
+// start, 10 matches the tag back at the client proxy. The tracer
+// records hooks 1 and 10 only.
 const (
 	Hook1  Hook = 1
 	Hook10 Hook = 10
