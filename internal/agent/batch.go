@@ -26,7 +26,8 @@ import (
 // BatchModels is not goroutine-safe; one instance serves one
 // deterministic simulation (e.g. one cluster).
 type BatchModels struct {
-	conv  *nn.Conv2D // layers of a private clone of the trained models
+	// The layers of a private clone of the trained models.
+	conv  *nn.Conv2D
 	pool  *nn.MaxPool2
 	dense *nn.Dense // CNN classifier head
 	lstm  *nn.LSTM
