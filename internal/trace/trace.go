@@ -4,11 +4,11 @@
 // frame's leading pixels and carries a tag across the application↔proxy
 // IPC boundary (hook6→hook8).
 //
-// Every hook site charges HookCPUCost to the process that crosses it
-// when tracing is enabled and nothing when disabled, mirroring the
-// paper's 2.7%-average FPS overhead result. The tracer stamps an input's
-// issue time at hook 1 and completes its round trip at hook 10; stage
-// latencies come from AddStage, so the server-side hooks 2–9 leave no
+// The server-side hook sites (2–9) charge HookCPUCost to the process
+// that crosses them when tracing is enabled and nothing when disabled,
+// mirroring the paper's 2.7%-average FPS overhead result. The tracer
+// stamps an input's issue time at hook 1 and completes its round trip
+// at hook 10; stage latencies come from AddStage, so hooks 2–9 leave no
 // timestamp. Hooks 6 and 8 write and read the tag header.
 package trace
 
