@@ -57,6 +57,19 @@ type Proc struct {
 	bgTime  sim.Duration // on-CPU time consumed by background demand
 	started sim.Time
 	pmu     PMU
+	free    *run // recycled Run records
+}
+
+// run is the record of one Proc.Run in flight, recycled through
+// Proc.free. fire is the method value r.finish, bound once when the
+// record is built, so a Run allocates nothing once a record is free.
+type run struct {
+	p     *Proc
+	onCPU sim.Duration
+	cpi   float64
+	done  func()
+	fire  func()
+	next  *run // next free record
 }
 
 // PMU holds synthetic top-down cycle accounting (Figure 14).
@@ -149,19 +162,34 @@ func (p *Proc) Run(nominal sim.Duration, done func()) {
 	}
 	onCPU := sim.Duration(float64(nominal) * cpi)
 	wall := sim.Duration(float64(onCPU) * p.cpu.Dilation())
+	r := p.free
+	if r == nil {
+		r = &run{p: p}
+		r.fire = r.finish
+	} else {
+		p.free = r.next
+	}
+	r.onCPU, r.cpi, r.done = onCPU, cpi, done
 	p.cpu.running++
-	p.cpu.k.After(wall, func() {
-		p.cpu.running--
-		p.cpuTime += onCPU
-		ms := float64(onCPU) / float64(sim.Millisecond)
-		if p.mem != nil {
-			p.mem.Account(ms)
-		}
-		p.accountCycles(ms, cpi)
-		if done != nil {
-			done()
-		}
-	})
+	p.cpu.k.After(wall, r.fire)
+}
+
+// finish accounts a completed Run and recycles r before calling done,
+// which may start the next Run on the same record.
+func (r *run) finish() {
+	p, onCPU, cpi, done := r.p, r.onCPU, r.cpi, r.done
+	r.done = nil
+	r.next, p.free = p.free, r
+	p.cpu.running--
+	p.cpuTime += onCPU
+	ms := float64(onCPU) / float64(sim.Millisecond)
+	if p.mem != nil {
+		p.mem.Account(ms)
+	}
+	p.accountCycles(ms, cpi)
+	if done != nil {
+		done()
+	}
 }
 
 // accountCycles synthesizes top-down PMU counters for ms milliseconds of

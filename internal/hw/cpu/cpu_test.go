@@ -193,3 +193,17 @@ func TestDilationAtExactCapacity(t *testing.T) {
 		t.Fatalf("dilation at exact capacity = %v, want 1", d)
 	}
 }
+
+// TestRunAllocatesNothing: once a Run record is free, a Run and its
+// completion allocate nothing.
+func TestRunAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	p := newCPU(k, 8).NewProc("app", mem.NewSystem().Register("app", mem.Profile{}), 0)
+	done := func() {}
+	if n := testing.AllocsPerRun(100, func() {
+		p.Run(sim.Millisecond, done)
+		k.Run()
+	}); n != 0 {
+		t.Fatalf("a Run cycle made %v allocations, want 0", n)
+	}
+}

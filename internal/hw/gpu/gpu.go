@@ -64,14 +64,28 @@ type Context struct {
 	active  bool
 	virtTax float64 // multiplicative render-time overhead (containers)
 
-	busy       sim.Duration
-	frames     int64
-	started    sim.Time
-	l2Acc      float64
-	l2Miss     float64
-	texAcc     float64
-	texMiss    float64
-	lastRender sim.Duration
+	busy    sim.Duration
+	frames  int64
+	started sim.Time
+	l2Acc   float64
+	l2Miss  float64
+	texAcc  float64
+	texMiss float64
+	free    *render // recycled Render records
+}
+
+// render is the record of one Context.Render in flight, recycled through
+// Context.free. hold and fire are the method values r.duration and
+// r.finish, bound once when the record is built, so a Render allocates
+// nothing once a record is free.
+type render struct {
+	c          *Context
+	complexity float64
+	d          sim.Duration // render time, drawn when the engine is granted
+	done       func()
+	hold       func() sim.Duration
+	fire       func()
+	next       *render // next free record
 }
 
 // NewContext registers a rendering context.
@@ -123,25 +137,43 @@ func (c *Context) Render(complexity float64, done func()) {
 	if complexity <= 0 {
 		complexity = 1
 	}
-	c.gpu.engine.Use(func() sim.Duration {
-		extraMiss := c.L2MissRate() - c.prof.BaseL2Miss
-		inflate := 1 + c.gpu.MissPenalty*extraMiss
-		ms := c.prof.BaseRenderMs * complexity * inflate * (1 + c.virtTax)
-		d := c.gpu.rng.Jitter(sim.DurationOfSeconds(ms/1e3), c.prof.RenderJitter)
-		c.lastRender = d
-		return d
-	}, func() {
-		c.busy += c.lastRender
-		c.frames++
-		// Synthetic PMU traffic: accesses scale with render time.
-		accesses := float64(c.lastRender) / float64(sim.Millisecond) * 5e4
-		l2mr := c.L2MissRate()
-		c.l2Acc += accesses
-		c.l2Miss += accesses * l2mr
-		c.texAcc += accesses * 2.5
-		c.texMiss += accesses * 2.5 * c.prof.TexMiss
-		done()
-	})
+	r := c.free
+	if r == nil {
+		r = &render{c: c}
+		r.hold, r.fire = r.duration, r.finish
+	} else {
+		c.free = r.next
+	}
+	r.complexity, r.done = complexity, done
+	c.gpu.engine.Use(r.hold, r.fire)
+}
+
+// duration draws the frame's render time under the contention at grant.
+func (r *render) duration() sim.Duration {
+	c := r.c
+	extraMiss := c.L2MissRate() - c.prof.BaseL2Miss
+	inflate := 1 + c.gpu.MissPenalty*extraMiss
+	ms := c.prof.BaseRenderMs * r.complexity * inflate * (1 + c.virtTax)
+	r.d = c.gpu.rng.Jitter(sim.DurationOfSeconds(ms/1e3), c.prof.RenderJitter)
+	return r.d
+}
+
+// finish accounts the rendered frame and recycles r before calling done,
+// which may start the next Render on the same record.
+func (r *render) finish() {
+	c, d, done := r.c, r.d, r.done
+	r.done = nil
+	r.next, c.free = c.free, r
+	c.busy += d
+	c.frames++
+	// Synthetic PMU traffic: accesses scale with render time.
+	accesses := float64(d) / float64(sim.Millisecond) * 5e4
+	l2mr := c.L2MissRate()
+	c.l2Acc += accesses
+	c.l2Miss += accesses * l2mr
+	c.texAcc += accesses * 2.5
+	c.texMiss += accesses * 2.5 * c.prof.TexMiss
+	done()
 }
 
 // Frames reports the number of frames this context has rendered.

@@ -175,3 +175,19 @@ func TestZeroComplexityClamped(t *testing.T) {
 		t.Fatalf("zero-complexity render ended at %v, want clamped to 8ms", end)
 	}
 }
+
+// TestRenderAllocatesNothing: once the context's and the engine's
+// records are free, a frame from submission to completion allocates
+// nothing.
+func TestRenderAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	c := New(k, sim.NewRNG(1)).NewContext("app", testProfile())
+	c.SetActive(true)
+	done := func() {}
+	if n := testing.AllocsPerRun(100, func() {
+		c.Render(1, done)
+		k.Run()
+	}); n != 0 {
+		t.Fatalf("a Render cycle made %v allocations, want 0", n)
+	}
+}

@@ -55,6 +55,20 @@ type Client struct {
 	started   sim.Time
 	upBytes   float64
 	downBytes float64
+	free      *dma // recycled Transfer records
+}
+
+// dma is the record of one Client.Transfer waiting out its set-up,
+// recycled through Client.free. fire is the method value d.start, bound
+// once when the record is built, so a Transfer allocates nothing once a
+// record is free.
+type dma struct {
+	c    *Client
+	link *sim.SharedLink
+	size float64
+	done func()
+	fire func()
+	next *dma // next free record
 }
 
 // NewClient opens a traffic account on the bus.
@@ -76,9 +90,24 @@ func (c *Client) Transfer(dir Direction, size float64, done func()) {
 	} else {
 		c.downBytes += size
 	}
-	c.bus.k.After(c.bus.DMASetup, func() {
-		link.Transfer(size, done)
-	})
+	d := c.free
+	if d == nil {
+		d = &dma{c: c}
+		d.fire = d.start
+	} else {
+		c.free = d.next
+	}
+	d.link, d.size, d.done = link, size, done
+	c.bus.k.After(c.bus.DMASetup, d.fire)
+}
+
+// start hands the DMA to its link once set-up is over, recycling d
+// first.
+func (d *dma) start() {
+	c, link, size, done := d.c, d.link, d.size, d.done
+	d.link, d.done = nil, nil
+	d.next, c.free = c.free, d
+	link.Transfer(size, done)
 }
 
 // Bytes reports cumulative traffic in each direction.

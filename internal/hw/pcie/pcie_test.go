@@ -106,3 +106,17 @@ func TestDirectionString(t *testing.T) {
 		t.Fatal("direction strings wrong")
 	}
 }
+
+// TestTransferAllocatesNothing: once the client's and the link's records
+// are free, a DMA from set-up to completion allocates nothing.
+func TestTransferAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	c := New(k, 15.75e9).NewClient("app")
+	done := func() {}
+	if n := testing.AllocsPerRun(100, func() {
+		c.Transfer(FromGPU, 1920*1080*4, done)
+		k.Run()
+	}); n != 0 {
+		t.Fatalf("a Transfer cycle made %v allocations, want 0", n)
+	}
+}

@@ -38,6 +38,18 @@ type Link struct {
 
 	upBytes   float64
 	downBytes float64
+	free      *message // recycled send records
+}
+
+// message is the record of one message on the wire, recycled through
+// Link.free. fire is the method value m.serialized, bound once when the
+// record is built, so a send allocates nothing once a record is free.
+type message struct {
+	l    *Link
+	prop sim.Duration // propagation delay, drawn when sent
+	done func()
+	fire func()
+	next *message // next free record
 }
 
 // NewLink creates a duplex link.
@@ -69,12 +81,26 @@ func (l *Link) SendToClient(size float64, done func()) {
 
 func (l *Link) send(link *sim.SharedLink, size float64, done func()) {
 	prop := l.rng.Jitter(l.cfg.PropagationDelay, l.cfg.Jitter)
-	link.Transfer(size, func() {
-		if done == nil {
-			return
-		}
+	m := l.free
+	if m == nil {
+		m = &message{l: l}
+		m.fire = m.serialized
+	} else {
+		l.free = m.next
+	}
+	m.prop, m.done = prop, done
+	link.Transfer(size, m.fire)
+}
+
+// serialized runs when the link has carried the last byte: it recycles m
+// and delivers the message after its propagation delay.
+func (m *message) serialized() {
+	l, prop, done := m.l, m.prop, m.done
+	m.done = nil
+	m.next, l.free = l.free, m
+	if done != nil {
 		l.k.After(prop, done)
-	})
+	}
 }
 
 // Bytes reports cumulative traffic (inputs up, frames down).

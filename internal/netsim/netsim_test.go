@@ -125,3 +125,17 @@ func TestJitterVariesLatency(t *testing.T) {
 		t.Fatalf("jittered latencies collapsed to %d distinct values", len(seen))
 	}
 }
+
+// TestSendAllocatesNothing: once the link's records are free, a frame
+// from send to delivery allocates nothing.
+func TestSendAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	l := NewLink(k, "inst0", DefaultConfig(), sim.NewRNG(1))
+	done := func() {}
+	if n := testing.AllocsPerRun(100, func() {
+		l.SendToClient(2.5e6, done)
+		k.Run()
+	}); n != 0 {
+		t.Fatalf("a SendToClient cycle made %v allocations, want 0", n)
+	}
+}

@@ -21,6 +21,31 @@ func BenchmarkKernelEventChurn(b *testing.B) {
 	k.Run()
 }
 
+// BenchmarkKernelEventChurnPending16 is BenchmarkKernelEventChurn with
+// 16 events pending, the deepest queue a churn-full invocation reaches
+// (3.44 on average), so each event pays the heap's sift. Sixteen chains
+// tick at periods of 1–16 µs, so their events keep changing order.
+func BenchmarkKernelEventChurnPending16(b *testing.B) {
+	k := NewKernel()
+	n := 0
+	ticks := make([]func(), 16)
+	for i := range ticks {
+		period := Duration(i+1) * Microsecond
+		ticks[i] = func() {
+			n++
+			if n < b.N {
+				k.After(period, ticks[i])
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, tick := range ticks {
+		k.After(Millisecond, tick)
+	}
+	k.Run()
+}
+
 // BenchmarkSharedLinkTransfer measures one frame copy through a link,
 // start to completion. "single" is the traffic the simulator measures:
 // a link almost never carries two transfers at once. In "overlap2" a

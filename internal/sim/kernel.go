@@ -7,10 +7,16 @@
 // scheduled event runs; the kernel has no cancellation. Its resources are
 // FIFO servers and SharedLink, a processor-sharing link that keeps one
 // completion event and finishes equal transfers in arrival order.
+//
+// Scheduling allocates nothing in steady state. The kernel keeps its
+// queue as a heap of event values, and each resource keeps the records
+// its callbacks run from and reuses them once they have fired: a record
+// holds one operation's state, and its callback is a method value bound
+// once, when the record is built. The hw and netsim models recycle
+// their records the same way.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -62,54 +68,34 @@ func DurationOfSeconds(s float64) Duration {
 	return Duration(ns)
 }
 
-// event is one scheduled callback. Event structs are pooled by the
-// kernel: after firing, the struct is recycled for a future At/After,
-// so steady-state scheduling does not allocate.
+// event is one scheduled callback. The kernel keeps events by value in
+// its heap slice, so scheduling one allocates nothing once the slice has
+// grown to the queue's deepest point.
 type event struct {
 	at  Time
 	seq uint64 // tie-break so same-time events run FIFO
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether e runs before o: earlier time first, then
+// earlier scheduling.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return e.seq < o.seq
 }
 
 // Kernel is the simulation event loop. The zero value is ready to use.
 // A scheduled event always runs: there is no cancellation, so a model
 // that may supersede an event (SharedLink) makes it a no-op instead.
+// Its queue is a binary min-heap of event values ordered by (time,
+// sequence); the order is total, so the run order does not depend on
+// how the heap arranges ties.
 type Kernel struct {
-	now  Time
-	heap eventHeap
-	seq  uint64
-	pool []*event // recycled event structs
-}
-
-// getEvent takes a recycled event struct or allocates one.
-func (k *Kernel) getEvent() *event {
-	if n := len(k.pool); n > 0 {
-		ev := k.pool[n-1]
-		k.pool[n-1] = nil
-		k.pool = k.pool[:n-1]
-		return ev
-	}
-	return &event{}
+	now    Time
+	events []event // binary min-heap by (at, seq)
+	seq    uint64
 }
 
 // NewKernel returns a kernel with the clock at zero.
@@ -128,10 +114,21 @@ func (k *Kernel) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	ev := k.getEvent()
-	ev.at, ev.seq, ev.fn = t, k.seq, fn
+	ev := event{at: t, seq: k.seq, fn: fn}
 	k.seq++
-	heap.Push(&k.heap, ev)
+	// Sift up: move parents that run after ev down into the hole.
+	h := append(k.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	k.events = h
 }
 
 // After schedules fn to run d after the current time, as At does.
@@ -152,15 +149,38 @@ func (k *Kernel) After(d Duration, fn func()) {
 
 // Step runs the single next event, reporting whether one existed.
 func (k *Kernel) Step() bool {
-	if len(k.heap) == 0 {
+	h := k.events
+	n := len(h) - 1
+	if n < 0 {
 		return false
 	}
-	ev := heap.Pop(&k.heap).(*event)
+	ev := h[0]
+	// Sift the last event down from the root: move children that run
+	// before it up into the hole.
+	last := h[n]
+	h[n] = event{} // drop the callback so the slice does not keep it alive
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	k.events = h
 	k.now = ev.at
-	fn := ev.fn
-	ev.fn = nil
-	k.pool = append(k.pool, ev) // recycle before running: fn may schedule
-	fn()
+	ev.fn()
 	return true
 }
 
@@ -173,7 +193,7 @@ func (k *Kernel) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to exactly t. Events scheduled after t remain pending.
 func (k *Kernel) RunUntil(t Time) {
-	for len(k.heap) > 0 && k.heap[0].at <= t {
+	for len(k.events) > 0 && k.events[0].at <= t {
 		k.Step()
 	}
 	if k.now < t {

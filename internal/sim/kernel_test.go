@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -47,31 +50,27 @@ func TestKernelRunsEventsInTimeOrder(t *testing.T) {
 	}
 }
 
-// TestKernelOrderSurvivesEventReuse: a fired event's struct goes back to
-// the kernel's pool and a later At hands it out again; events scheduled
-// on reused structs, including a same-time run, must still interleave
-// with the older ones in (time, FIFO) order.
-func TestKernelOrderSurvivesEventReuse(t *testing.T) {
+// TestKernelOrderSurvivesQueueRegrowth: once part of the queue has run,
+// the heap slice shrinks and its freed slots are refilled by later At
+// calls; events scheduled then, including a same-time run, must still
+// interleave with the older ones in (time, FIFO) order.
+func TestKernelOrderSurvivesQueueRegrowth(t *testing.T) {
 	k := NewKernel()
 	var got []int
 	for i := 0; i < 250; i++ {
 		k.At(Time(i)*Time(Millisecond), func() { got = append(got, 2*i) })
-		// Eight no-op events per labelled one fill the pool as they fire.
+		// Eight no-op events per labelled one deepen the queue.
 		for j := 0; j < 8; j++ {
 			k.At(Time(i)*Time(Millisecond)+Time(j+1), func() {})
 		}
 	}
 	k.RunUntil(Time(100 * Millisecond))
-	pooled := len(k.pool)
 	// Odd labels land half a millisecond after each pending even one.
 	for i := 100; i < 250; i++ {
 		k.At(Time(i)*Time(Millisecond)+Time(500*Microsecond), func() { got = append(got, 2*i+1) })
 	}
 	for i := 0; i < 100; i++ {
 		k.At(Time(Second), func() { got = append(got, 10_000+i) })
-	}
-	if reused := pooled - len(k.pool); reused != 250 {
-		t.Fatalf("%d of the 250 new events came from the pool (%d pooled)", reused, pooled)
 	}
 	k.Run()
 	if len(got) != 500 {
@@ -80,6 +79,64 @@ func TestKernelOrderSurvivesEventReuse(t *testing.T) {
 	for j := 1; j < len(got); j++ {
 		if got[j-1] >= got[j] {
 			t.Fatalf("order violated at %d: %d then %d", j, got[j-1], got[j])
+		}
+	}
+}
+
+// TestKernelRandomScheduleRunsInStableTimeOrder: seeded random mixes of
+// At, After, Step and RunUntil, from outside and from inside running
+// events, with most events tied on a handful of instants and queues from
+// empty to a few hundred deep. Every event ever scheduled is no earlier
+// than the clock, so the whole run order must equal a stable sort of the
+// schedule by time, and each event must run at its own time.
+func TestKernelRandomScheduleRunsInStableTimeOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < 100; round++ {
+		k := NewKernel()
+		var at []Time // at[id]: time event id was scheduled for
+		var ran []int
+		var schedule func()
+		schedule = func() {
+			id := len(at)
+			// Few distinct offsets, so most events tie with others.
+			when := k.Now() + Time(rng.Intn(4))*Time(rng.Intn(3))
+			at = append(at, when)
+			fn := func() {
+				if k.Now() != at[id] {
+					t.Fatalf("round %d: event %d ran at %v, want %v", round, id, k.Now(), at[id])
+				}
+				ran = append(ran, id)
+				if rng.Intn(4) == 0 {
+					schedule()
+				}
+			}
+			if rng.Intn(2) == 0 {
+				k.At(when, fn)
+			} else {
+				k.After(when.Sub(k.Now()), fn)
+			}
+		}
+		for op := 0; op < 40; op++ {
+			switch rng.Intn(4) {
+			case 0, 1:
+				for n := rng.Intn(300); n > 0; n-- {
+					schedule()
+				}
+			case 2:
+				for n := rng.Intn(200); n > 0 && k.Step(); n-- {
+				}
+			case 3:
+				k.RunUntil(k.Now() + Time(rng.Intn(3)))
+			}
+		}
+		k.Run()
+		want := make([]int, len(at))
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(at[a], at[b]) })
+		if !slices.Equal(ran, want) {
+			t.Fatalf("round %d: %d events ran out of stable time order", round, len(at))
 		}
 	}
 }

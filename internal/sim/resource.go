@@ -1,6 +1,9 @@
 package sim
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // FIFO is a first-come-first-served resource with a fixed number of
 // servers (e.g. a GPU render engine, an IPC pipe). Jobs acquire a slot,
@@ -10,8 +13,21 @@ type FIFO struct {
 	name     string
 	servers  int
 	busy     int
-	waiters  []func()
+	waiters  []func() // oldest first; popped by shifting, so storage is reused
 	busyTime Duration // aggregate busy time across servers, for utilization
+	free     *use     // recycled Use records
+}
+
+// use is the record of one FIFO.Use, recycled through FIFO.free. Its
+// grant and release are method values bound once, when the record is
+// built, so a Use allocates nothing once a record is free.
+type use struct {
+	f              *FIFO
+	hold           func() Duration
+	done           func()
+	start          Time
+	grant, release func()
+	next           *use // next free record
 }
 
 // NewFIFO creates a FIFO resource with the given number of servers.
@@ -40,7 +56,7 @@ func (f *FIFO) Release() {
 	}
 	if len(f.waiters) > 0 {
 		next := f.waiters[0]
-		f.waiters = f.waiters[1:]
+		f.waiters = slices.Delete(f.waiters, 0, 1)
 		f.k.After(0, next)
 		return
 	}
@@ -50,17 +66,34 @@ func (f *FIFO) Release() {
 // Use acquires a slot, holds it for hold(), then releases and calls done.
 // hold is evaluated at grant time so it can observe contention state.
 func (f *FIFO) Use(hold func() Duration, done func()) {
-	f.Acquire(func() {
-		start := f.k.Now()
-		d := hold()
-		f.k.After(d, func() {
-			f.busyTime += f.k.Now().Sub(start)
-			f.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	u := f.free
+	if u == nil {
+		u = &use{f: f}
+		u.grant, u.release = u.granted, u.released
+	} else {
+		f.free = u.next
+	}
+	u.hold, u.done = hold, done
+	f.Acquire(u.grant)
+}
+
+// granted starts the hold once a slot is free.
+func (u *use) granted() {
+	u.start = u.f.k.Now()
+	u.f.k.After(u.hold(), u.release)
+}
+
+// released ends the hold and recycles u before calling done, which may
+// start the next Use on the same record.
+func (u *use) released() {
+	f, start, done := u.f, u.start, u.done
+	u.hold, u.done = nil, nil
+	u.next, f.free = f.free, u
+	f.busyTime += f.k.Now().Sub(start)
+	f.Release()
+	if done != nil {
+		done()
+	}
 }
 
 // QueueLen reports the number of jobs waiting (not in service).
@@ -80,18 +113,37 @@ func (f *FIFO) BusyTime() Duration { return f.busyTime }
 // with the fewest bytes left, the earliest started on a tie, so equal
 // transfers finish in arrival order. Every change in the set of active
 // transfers plans that event again; the plan number it carries makes a
-// superseded event do nothing when it fires.
+// superseded event do nothing when it fires. At the clock's last instant
+// a transfer that is still unfinished is planned no further, since no
+// later instant exists to drain it.
 type SharedLink struct {
 	k        *Kernel
 	capacity float64     // bytes per second
 	active   []*transfer // in arrival order
 	lastAt   Time
-	plan     uint64 // number of the live completion event
+	plan     uint64      // number of the live completion event
+	freeT    *transfer   // recycled transfer records
+	freeC    *completion // recycled completion records
 }
 
+// transfer is one active transfer, recycled through SharedLink.freeT
+// once it completes.
 type transfer struct {
 	remaining float64 // bytes left
 	done      func()
+	next      *transfer // next free record
+}
+
+// completion is one planned completion event. It returns to
+// SharedLink.freeC only when its event fires, superseded or not, so a
+// pending event never shares its record. fire is the method value
+// c.fired, bound once when the record is built.
+type completion struct {
+	l    *SharedLink
+	t    *transfer // the transfer planned to finish
+	plan uint64    // the link's plan number when planned
+	fire func()
+	next *completion // next free record
 }
 
 // NewSharedLink creates a shared link with the given capacity in bytes/sec.
@@ -112,7 +164,14 @@ func (l *SharedLink) Transfer(size float64, done func()) {
 		}
 		return
 	}
-	l.active = append(l.active, &transfer{remaining: size, done: done})
+	t := l.freeT
+	if t == nil {
+		t = &transfer{}
+	} else {
+		l.freeT = t.next
+	}
+	t.remaining, t.done = size, done
+	l.active = append(l.active, t)
 	l.reschedule()
 }
 
@@ -155,12 +214,25 @@ func (l *SharedLink) reschedule() {
 		// or the finish/reschedule cycle would spin at zero time.
 		d = Nanosecond
 	}
-	plan := l.plan
-	l.k.After(d, func() { l.finish(next, plan) })
+	c := l.freeC
+	if c == nil {
+		c = &completion{l: l}
+		c.fire = c.fired
+	} else {
+		l.freeC = c.next
+	}
+	c.t, c.plan = next, l.plan
+	l.k.After(d, c.fire)
 }
 
-// finish completes t if plan is still the link's live plan.
-func (l *SharedLink) finish(t *transfer, plan uint64) {
+// fired recycles c and, if c is still the live plan, completes its
+// transfer, or plans again if a sliver of it is left. A superseded c may
+// name a transfer that has completed and been recycled since, so the
+// plan is checked before the transfer is touched.
+func (c *completion) fired() {
+	l, t, plan := c.l, c.t, c.plan
+	c.t = nil
+	c.next, l.freeC = l.freeC, c
 	if plan != l.plan {
 		return
 	}
@@ -168,12 +240,20 @@ func (l *SharedLink) finish(t *transfer, plan uint64) {
 	// Floating-point drift can leave a sliver; treat anything a 1 ns
 	// tick can drain as done (the clock may not resolve smaller).
 	if t.remaining > l.capacity*1e-9+1 {
-		l.reschedule()
+		// At the clock's last instant no later event can drain the
+		// rest, and planning again would repeat this one forever.
+		if l.k.Now() < math.MaxInt64 {
+			l.reschedule()
+		}
 		return
 	}
-	l.active = slices.DeleteFunc(l.active, func(a *transfer) bool { return a == t })
+	i := slices.Index(l.active, t)
+	l.active = slices.Delete(l.active, i, i+1)
+	done := t.done
+	t.done = nil
+	t.next, l.freeT = l.freeT, t
 	l.reschedule()
-	if t.done != nil {
-		t.done()
+	if done != nil {
+		done()
 	}
 }

@@ -88,6 +88,22 @@ func TestFIFOBusyTimeAccounting(t *testing.T) {
 	}
 }
 
+// TestFIFOUseAllocatesNothing: once the records and the waiter queue
+// have grown, two jobs contending for one server allocate nothing.
+func TestFIFOUseAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	f := NewFIFO(k, "engine", 1)
+	hold := func() Duration { return Millisecond }
+	done := func() {}
+	if n := testing.AllocsPerRun(100, func() {
+		f.Use(hold, done)
+		f.Use(hold, done)
+		k.Run()
+	}); n != 0 {
+		t.Fatalf("two contending Use calls made %v allocations, want 0", n)
+	}
+}
+
 func TestSharedLinkSingleTransferRate(t *testing.T) {
 	k := NewKernel()
 	l := NewSharedLink(k, "nic", 1000) // 1000 B/s
@@ -144,16 +160,53 @@ func TestSharedLinkZeroSize(t *testing.T) {
 
 // TestSharedLinkInfiniteTransfer: a transfer of infinitely many bytes
 // plans its completion at the clock's last instant instead of wrapping
-// the clock.
+// the clock, and there plans nothing more, so the queue empties. A
+// finite transfer beside it completes once; the infinite one never does.
 func TestSharedLinkInfiniteTransfer(t *testing.T) {
-	k := NewKernel()
-	k.RunUntil(1) // from 0 the sum would not wrap
-	l := NewSharedLink(k, "bus", 1000)
-	done := false
-	l.Transfer(math.Inf(1), func() { done = true })
-	k.RunUntil(math.MaxInt64 - 1)
-	if done {
-		t.Fatal("an infinite transfer completed")
+	for beside := 0; beside <= 1; beside++ {
+		k := NewKernel()
+		k.RunUntil(1) // from 0 the sum would not wrap
+		l := NewSharedLink(k, "bus", 1000)
+		done, finite := false, 0
+		l.Transfer(math.Inf(1), func() { done = true })
+		for i := 0; i < beside; i++ {
+			l.Transfer(500, func() { finite++ })
+		}
+		k.RunUntil(math.MaxInt64 - 1)
+		for i := 0; i < 1000 && k.Step(); i++ {
+		}
+		if k.Step() {
+			t.Fatalf("%d beside: 1,000 steps at %v left the queue non-empty", beside, k.Now())
+		}
+		if done {
+			t.Fatalf("%d beside: an infinite transfer completed", beside)
+		}
+		if finite != beside {
+			t.Fatalf("%d beside: finite transfers completed %d times, want %d", beside, finite, beside)
+		}
+	}
+}
+
+// TestSharedLinkTransferAllocatesNothing: once the link's records are
+// free, a transfer alone and two overlapping ones (the second joining
+// 100 µs into the first, so the link plans its completion three times)
+// allocate nothing from start to completion.
+func TestSharedLinkTransferAllocatesNothing(t *testing.T) {
+	const frame = 1920 * 1080 * 4
+	for sharers := 1; sharers <= 2; sharers++ {
+		k := NewKernel()
+		l := NewSharedLink(k, "pcie-down", 15.75e9)
+		done := func() {}
+		join := func() { l.Transfer(frame, done) }
+		if n := testing.AllocsPerRun(100, func() {
+			l.Transfer(frame, done)
+			if sharers == 2 {
+				k.After(100*Microsecond, join)
+			}
+			k.Run()
+		}); n != 0 {
+			t.Errorf("%d sharers: a transfer cycle made %v allocations, want 0", sharers, n)
+		}
 	}
 }
 
