@@ -119,11 +119,11 @@ func TestKernelRandomScheduleRunsInStableTimeOrder(t *testing.T) {
 		for op := 0; op < 40; op++ {
 			switch rng.Intn(4) {
 			case 0, 1:
-				for n := rng.Intn(300); n > 0; n-- {
+				for n := rng.Intn(100); n > 0; n-- {
 					schedule()
 				}
 			case 2:
-				for n := rng.Intn(200); n > 0 && k.Step(); n-- {
+				for n := rng.Intn(300); n > 0 && k.Step(); n-- {
 				}
 			case 3:
 				k.RunUntil(k.Now() + Time(rng.Intn(3)))

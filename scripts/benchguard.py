@@ -24,9 +24,11 @@ ranking trees keep at a descent that skips every subtree with no
 fitting machine or no machine that could beat the best so far, instead
 of a scan of every fitting machine; two layers of the diurnal-million
 sweep in isolation, the arrival source's cost per session and the
-surrogate's cost per machine-epoch; and one frame copy through an
+surrogate's cost per machine-epoch; one frame copy through an
 otherwise idle shared link, the PCIe and NIC traffic every simulated
-frame makes, which the link serves with a single completion event),
+frame makes, which the link serves with a single completion event; and
+the event kernel's cost per scheduled event with one event pending,
+which its value heap keeps free of allocation and interface calls),
 and they are stable enough (no allocation churn, no I/O) that a >20%
 move is a code regression, not noise.
 
@@ -63,6 +65,7 @@ PINNED = [
     "BenchmarkArrivalSource",
     "BenchmarkSurrogateEpoch",
     "BenchmarkSharedLinkTransfer/single",
+    "BenchmarkKernelEventChurn",
 ]
 
 
