@@ -22,9 +22,10 @@ func BenchmarkKernelEventChurn(b *testing.B) {
 }
 
 // BenchmarkKernelEventChurnPending16 is BenchmarkKernelEventChurn with
-// 16 events pending, the deepest queue a churn-full invocation reaches
-// (3.44 on average), so each event pays the heap's sift. Sixteen chains
-// tick at periods of 1–16 µs, so their events keep changing order.
+// 16 events pending, the deepest queue a seed-1 churn-full invocation
+// reaches (its average push finds 3.44 queued), so each event pays the
+// heap's sift. Sixteen chains tick at periods of 1–16 µs, so their
+// events keep changing order.
 func BenchmarkKernelEventChurnPending16(b *testing.B) {
 	k := NewKernel()
 	n := 0
