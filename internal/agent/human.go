@@ -27,11 +27,20 @@ type Human struct {
 
 	nextAllowed sim.Time
 	actions     int64
+
+	// pending is the action waiting out the reaction delay; react is
+	// the method value h.act, bound once in NewHuman. MinActionGap
+	// keeps a second reaction from starting before the first has sent
+	// its action, so one is enough.
+	pending scene.Action
+	react   func()
 }
 
 // NewHuman creates the reference player for a benchmark.
 func NewHuman(k *sim.Kernel, rng *sim.RNG, prof app.Profile) *Human {
-	return &Human{k: k, rng: rng.Fork("human-" + prof.Name), prof: prof}
+	h := &Human{k: k, rng: rng.Fork("human-" + prof.Name), prof: prof}
+	h.react = h.act
+	return h
 }
 
 // Attach implements vnc.Driver.
@@ -58,7 +67,15 @@ func (h *Human) OnFrame(f *scene.Frame) {
 	reaction := h.rng.Jitter(sim.DurationOfSeconds(h.prof.HumanReactionMs/1e3), 0.25)
 	h.nextAllowed = h.k.Now().Add(reaction + MinActionGap)
 	h.actions++
-	h.k.After(reaction, func() { h.send(act) })
+	h.pending = act
+	h.k.After(reaction, h.react)
+}
+
+// act sends the pending action once the reaction delay has passed.
+func (h *Human) act() {
+	act := h.pending
+	h.pending = scene.ActNone
+	h.send(act)
 }
 
 // Sample is one recorded (frame, action) pair of a human session.

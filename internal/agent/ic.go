@@ -24,6 +24,12 @@ type IntelligentClient struct {
 	latest  *scene.Frame
 	actions int64
 
+	// The analysis in flight (one at a time, guarded by busy): the
+	// sampled action waits out the RNN latency in act. recognized and
+	// decided are method values bound once in the constructor.
+	act                 scene.Action
+	recognized, decided func()
+
 	// CVTimes and RNNTimes are the measured inference latencies
 	// (Figure 7), in milliseconds.
 	CVTimes  stats.Sample
@@ -42,12 +48,14 @@ func NewIntelligentClient(k *sim.Kernel, rng *sim.RNG, prof app.Profile, models 
 // (possibly shared) BatchModels.
 func NewIntelligentClientInBatch(k *sim.Kernel, rng *sim.RNG, prof app.Profile, sess *BatchSession) *IntelligentClient {
 	sess.ResetState()
-	return &IntelligentClient{
+	ic := &IntelligentClient{
 		k:    k,
 		rng:  rng.Fork("ic-" + prof.Name),
 		prof: prof,
 		sess: sess,
 	}
+	ic.recognized, ic.decided = ic.cvDone, ic.rnnDone
+	return ic
 }
 
 // Attach implements vnc.Driver.
@@ -93,20 +101,30 @@ func (ic *IntelligentClient) maybeProcess() {
 	f.Release()
 	cv := ic.rng.Jitter(sim.DurationOfSeconds(ic.prof.CVLatencyMs/1e3), 0.10)
 	ic.CVTimes.Add(float64(cv) / float64(sim.Millisecond))
-	ic.k.After(cv, func() {
-		logits := ic.sess.NextActionLogits(ic.sess.Detected())
-		act := SampleAction(logits, ic.rng)
-		rnn := ic.rng.Jitter(sim.DurationOfSeconds(ic.prof.RNNLatencyMs/1e3), 0.15)
-		ic.RNNTimes.Add(float64(rnn) / float64(sim.Millisecond))
-		ic.k.After(rnn, func() {
-			if act != scene.ActNone && act.Valid() {
-				ic.actions++
-				if ic.send != nil {
-					ic.send(act)
-				}
-			}
-			ic.busy = false
-			ic.maybeProcess()
-		})
-	})
+	ic.k.After(cv, ic.recognized)
+}
+
+// cvDone feeds the recognized objects to the LSTM and samples an
+// action, which is sent once the RNN latency has passed.
+func (ic *IntelligentClient) cvDone() {
+	logits := ic.sess.NextActionLogits(ic.sess.Detected())
+	ic.act = SampleAction(logits, ic.rng)
+	rnn := ic.rng.Jitter(sim.DurationOfSeconds(ic.prof.RNNLatencyMs/1e3), 0.15)
+	ic.RNNTimes.Add(float64(rnn) / float64(sim.Millisecond))
+	ic.k.After(rnn, ic.decided)
+}
+
+// rnnDone sends the sampled action, if any, and analyzes the latest
+// frame.
+func (ic *IntelligentClient) rnnDone() {
+	act := ic.act
+	ic.act = scene.ActNone
+	if act != scene.ActNone && act.Valid() {
+		ic.actions++
+		if ic.send != nil {
+			ic.send(act)
+		}
+	}
+	ic.busy = false
+	ic.maybeProcess()
 }

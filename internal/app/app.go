@@ -56,6 +56,47 @@ type App struct {
 
 	// Slow-motion bookkeeping.
 	smPollEvery sim.Duration
+
+	// The pass in flight. Passes run one at a time, so their state
+	// lives here: alStart is the AL stage's start; in slow motion,
+	// smHandle is the frame being rendered, and smFrame and smASStart
+	// the copied frame on its way through AS.
+	alStart   sim.Time
+	smHandle  *gl.RenderHandle
+	smFrame   *scene.Frame
+	smASStart sim.Time
+
+	// The passes' steps, method values bound once in New.
+	loopFn, alDone, nextPass func()
+	smLoopFn, smALDone       func()
+	smRendered, smASDone     func()
+	deliverAS, smDeliverAS   func(f *scene.Frame)
+
+	// AS hand-offs and RD-stage callbacks can overlap the next pass, so
+	// each in flight has a record from a free list.
+	freeAS *asSend
+	freeRD *rdStage
+}
+
+// asSend is the record of one AS hand-off in flight, recycled through
+// App.freeAS. fire is the method value s.sent, bound once when the
+// record is built.
+type asSend struct {
+	a     *App
+	f     *scene.Frame
+	start sim.Time
+	fire  func()
+	next  *asSend
+}
+
+// rdStage is the record of one frame's RD-stage callback, recycled
+// through App.freeRD. fire is the method value r.rendered, bound once
+// when the record is built.
+type rdStage struct {
+	a    *App
+	h    *gl.RenderHandle
+	fire func()
+	next *rdStage
 }
 
 // Config assembles an App.
@@ -88,6 +129,10 @@ func New(cfg Config) *App {
 		smPollEvery: 4 * sim.Millisecond,
 	}
 	a.sc = scene.New(cfg.Profile.Dynamics, a.rng)
+	a.loopFn, a.alDone, a.nextPass = a.loop, a.alFinished, a.scheduleLoop
+	a.smLoopFn, a.smALDone = a.slowMotionLoop, a.smALFinished
+	a.smRendered, a.smASDone = a.smCopy, a.smASFinished
+	a.deliverAS, a.smDeliverAS = a.dispatchAS, a.smAS
 	return a
 }
 
@@ -102,10 +147,10 @@ func (a *App) Start() {
 	a.running = true
 	a.proc.Start()
 	if a.mode == ModeSlowMotion {
-		a.k.After(0, a.slowMotionLoop)
+		a.k.After(0, a.smLoopFn)
 		return
 	}
-	a.k.After(0, a.loop)
+	a.k.After(0, a.loopFn)
 }
 
 // Stop halts the pipeline after the current pass.
@@ -139,10 +184,12 @@ func (a *App) drainInputs() (tags []uint64, act scene.Action) {
 // profile's value is honored as-is: Register stamps the documented
 // 0.25 default onto unset profiles, so there is no hidden runtime
 // coercion — an explicitly tiny (or zero, for hand-built profiles)
-// coupling really runs that way.
+// coupling really runs that way. The conversions round each product,
+// so no architecture fuses one into the add that follows it.
 func (a *App) alWork(nInputs int) sim.Duration {
 	c := a.prof.ALComplexityCoupling
-	ms := a.prof.ALBaseMs*((1-c)+c*a.sc.Complexity()) + a.prof.ALPerInputMs*float64(nInputs)
+	scale := (1 - c) + float64(c*a.sc.Complexity())
+	ms := float64(a.prof.ALBaseMs*scale) + float64(a.prof.ALPerInputMs*float64(nInputs))
 	d := sim.DurationOfSeconds(ms / 1e3)
 	return a.rng.Jitter(d, a.prof.ALJitter) + a.tracer.HookCost()
 }
@@ -155,21 +202,27 @@ func (a *App) loop() {
 	}
 	tags, act := a.drainInputs()
 	a.sc.Step(act)
-	alStart := a.k.Now()
-	a.proc.Run(a.alWork(len(tags)), func() {
-		a.tracer.AddStage(trace.StageAL, a.k.Now().Sub(alStart), tags...)
-		h := a.swap(tags)
-		prev := a.prev
-		a.prev = h
-		if prev == nil {
-			a.k.After(0, a.loop)
-			return
-		}
-		a.ip.CopyFrame(prev,
-			func() { a.k.After(0, a.loop) },
-			func(f *scene.Frame) { a.dispatchAS(f) })
-	})
+	a.alStart = a.k.Now()
+	a.proc.Run(a.alWork(len(tags)), a.alDone)
 }
+
+// alFinished ends AL_i: it swaps (RD_i starts) and copies the previous
+// frame, whose delivery runs AS on the side.
+func (a *App) alFinished() {
+	tags := a.tagsBuf
+	a.tracer.AddStage(trace.StageAL, a.k.Now().Sub(a.alStart), tags...)
+	h := a.swap(tags)
+	prev := a.prev
+	a.prev = h
+	if prev == nil {
+		a.scheduleLoop()
+		return
+	}
+	a.ip.CopyFrame(prev, a.nextPass, a.deliverAS)
+}
+
+// scheduleLoop queues the next pass as a fresh event.
+func (a *App) scheduleLoop() { a.k.After(0, a.loopFn) }
 
 // swap renders the current scene into a frame and submits it (hook5).
 func (a *App) swap(tags []uint64) *gl.RenderHandle {
@@ -179,11 +232,27 @@ func (a *App) swap(tags []uint64) *gl.RenderHandle {
 	f.Tags = append(f.Tags[:0], tags...)
 	upload := a.prof.UploadMBPerFrame * (0.3 + a.sc.Motion()) * 1e6
 	h := a.glctx.SwapBuffers(f, upload)
-	h.OnRenderDone(func() {
-		a.tracer.AddStage(trace.StageRD, h.RenderLatency(), f.Tags...)
-	})
+	r := a.freeRD
+	if r == nil {
+		r = &rdStage{a: a}
+		r.fire = r.rendered
+	} else {
+		a.freeRD = r.next
+	}
+	r.h = h
+	h.OnRenderDone(r.fire)
 	a.ip.OnSwap(h)
 	return h
+}
+
+// rendered records the frame's RD stage. The handle is still the
+// frame's here: it goes back to the GL context only when the frame has
+// been copied, which waits for the render.
+func (r *rdStage) rendered() {
+	a, h := r.a, r.h
+	r.h = nil
+	r.next, a.freeRD = a.freeRD, r
+	a.tracer.AddStage(trace.StageRD, h.RenderLatency(), h.Frame.Tags...)
 }
 
 // dispatchAS ships a copied frame to the server proxy on the AS thread
@@ -192,12 +261,26 @@ func (a *App) dispatchAS(f *scene.Frame) {
 	asStart := a.k.Now()
 	ms := (a.prof.ASBaseMs + a.prof.ASPerMBMs*f.RawBytes()/1e6) * (1 + a.prof.IPCTax)
 	work := sim.DurationOfSeconds(ms/1e3) + a.tracer.HookCost()
-	a.proc.Run(work, func() {
-		a.tracer.AddStage(trace.StageAS, a.k.Now().Sub(asStart), f.Tags...)
-		if a.sendFrame != nil {
-			a.sendFrame(f)
-		}
-	})
+	s := a.freeAS
+	if s == nil {
+		s = &asSend{a: a}
+		s.fire = s.sent
+	} else {
+		a.freeAS = s.next
+	}
+	s.f, s.start = f, asStart
+	a.proc.Run(work, s.fire)
+}
+
+// sent ends one AS hand-off. It recycles s before it calls out.
+func (s *asSend) sent() {
+	a, f, start := s.a, s.f, s.start
+	s.f = nil
+	s.next, a.freeAS = a.freeAS, s
+	a.tracer.AddStage(trace.StageAS, a.k.Now().Sub(start), f.Tags...)
+	if a.sendFrame != nil {
+		a.sendFrame(f)
+	}
 }
 
 // slowMotionLoop admits one input at a time and fully serializes its
@@ -208,31 +291,50 @@ func (a *App) slowMotionLoop() {
 		return
 	}
 	if a.display.Pending() == 0 {
-		a.k.After(a.smPollEvery, a.slowMotionLoop)
+		a.k.After(a.smPollEvery, a.smLoopFn)
 		return
 	}
 	tags, act := a.drainInputs()
 	a.sc.Step(act)
-	alStart := a.k.Now()
-	a.proc.Run(a.alWork(len(tags)), func() {
-		a.tracer.AddStage(trace.StageAL, a.k.Now().Sub(alStart), tags...)
-		h := a.swap(tags)
-		// Fully sequential: wait for the render, then copy this very
-		// frame, then ship it, then look for the next input.
-		h.OnRenderDone(func() {
-			a.ip.CopyFrame(h,
-				func() {},
-				func(f *scene.Frame) {
-					asStart := a.k.Now()
-					ms := (a.prof.ASBaseMs + a.prof.ASPerMBMs*f.RawBytes()/1e6) * (1 + a.prof.IPCTax)
-					a.proc.Run(sim.DurationOfSeconds(ms/1e3), func() {
-						a.tracer.AddStage(trace.StageAS, a.k.Now().Sub(asStart), f.Tags...)
-						if a.sendFrame != nil {
-							a.sendFrame(f)
-						}
-						a.k.After(0, a.slowMotionLoop)
-					})
-				})
-		})
-	})
+	a.alStart = a.k.Now()
+	a.proc.Run(a.alWork(len(tags)), a.smALDone)
 }
+
+// smALFinished swaps, then waits for the render: fully sequential, the
+// pass copies this very frame, ships it, and only then looks for the
+// next input.
+func (a *App) smALFinished() {
+	tags := a.tagsBuf
+	a.tracer.AddStage(trace.StageAL, a.k.Now().Sub(a.alStart), tags...)
+	a.smHandle = a.swap(tags)
+	a.smHandle.OnRenderDone(a.smRendered)
+}
+
+// smCopy copies the rendered frame; the pass goes on from its delivery.
+func (a *App) smCopy() {
+	h := a.smHandle
+	a.smHandle = nil
+	a.ip.CopyFrame(h, nop, a.smDeliverAS)
+}
+
+// smAS ships the copied frame. Unlike dispatchAS it charges no hook-7
+// cost.
+func (a *App) smAS(f *scene.Frame) {
+	a.smFrame, a.smASStart = f, a.k.Now()
+	ms := (a.prof.ASBaseMs + a.prof.ASPerMBMs*f.RawBytes()/1e6) * (1 + a.prof.IPCTax)
+	a.proc.Run(sim.DurationOfSeconds(ms/1e3), a.smASDone)
+}
+
+// smASFinished hands the frame to the server proxy and looks for the
+// next input.
+func (a *App) smASFinished() {
+	f := a.smFrame
+	a.smFrame = nil
+	a.tracer.AddStage(trace.StageAS, a.k.Now().Sub(a.smASStart), f.Tags...)
+	if a.sendFrame != nil {
+		a.sendFrame(f)
+	}
+	a.k.After(0, a.smLoopFn)
+}
+
+func nop() {}

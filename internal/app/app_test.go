@@ -183,3 +183,48 @@ func TestALComplexityCouplingDefaults(t *testing.T) {
 		t.Fatalf("AL mean = %vms with zero coupling, implausible", m)
 	}
 }
+
+// TestDispatchASAllocatesNothing: a steady-state AS hand-off (dispatch,
+// then the kernel drained) allocates nothing once the app has a free
+// record.
+func TestDispatchASAllocatesNothing(t *testing.T) {
+	r := newRig(STK(), ModeNormal)
+	r.tracer.SizeHint(1 << 10)
+	var sent *scene.Frame
+	r.app.sendFrame = func(f *scene.Frame) { sent = f }
+	f := r.app.sc.Render(1, 64, 48)
+	if a := testing.AllocsPerRun(100, func() {
+		r.app.dispatchAS(f)
+		r.k.Run()
+	}); a != 0 {
+		t.Fatalf("dispatchAS made %v allocations, want 0", a)
+	}
+	if sent != f || r.tracer.StageSample(trace.StageAS).N() != 101 {
+		t.Fatalf("AS delivered %p (want %p) over %d stages, want 101",
+			sent, f, r.tracer.StageSample(trace.StageAS).N())
+	}
+}
+
+// TestSlowMotionPassAllocatesNothing: one slow-motion pass (an untagged
+// input admitted, then AL → RD → FC → AS to the proxy, then the idle
+// polls) allocates nothing once every free list is warm.
+func TestSlowMotionPassAllocatesNothing(t *testing.T) {
+	r := newRig(RE(), ModeSlowMotion)
+	r.tracer.SizeHint(1 << 10)
+	sent := 0
+	r.app.sendFrame = func(f *scene.Frame) {
+		sent++
+		f.Release()
+	}
+	r.app.Start()
+	in := proto.Input{Action: scene.ActPrimary}
+	if a := testing.AllocsPerRun(100, func() {
+		r.display.Push(in)
+		r.k.RunUntil(r.k.Now().Add(200 * sim.Millisecond))
+	}); a != 0 {
+		t.Fatalf("a slow-motion pass made %v allocations, want 0", a)
+	}
+	if sent != 101 {
+		t.Fatalf("%d frames reached the proxy over 101 passes, want 101", sent)
+	}
+}

@@ -263,18 +263,19 @@ func (inst *Instance) resetAccounting() {
 // Run executes the cluster: warmup (discarded), then the measurement
 // window. Instances start together and stop at the end.
 func (c *Cluster) Run(warmup, measure sim.Duration) {
+	// Pre-size the tracer's frame-path samples once, from the longer
+	// window: each collects at most ~one observation per frame, so a
+	// frame rate bound × window length covers warm-up and measurement
+	// without re-growth (the end-of-warm-up reset keeps the capacity).
+	const maxExpectedFPS = 64
+	hint := int(sim.Time(max(warmup, measure)).Seconds() * maxExpectedFPS)
 	for _, inst := range c.Instances {
+		inst.Tracer.SizeHint(hint)
 		inst.start()
 	}
 	c.K.RunUntil(c.K.Now().Add(warmup))
-	// Pre-size the tracer's samples from the configured window: stage
-	// samples collect at most ~one observation per frame, so a frame
-	// rate bound × window length covers steady state without re-growth.
-	const maxExpectedFPS = 64
-	hint := int(sim.Time(measure).Seconds() * maxExpectedFPS)
 	for _, inst := range c.Instances {
 		inst.resetAccounting()
-		inst.Tracer.SizeHint(hint)
 	}
 	c.K.RunUntil(c.K.Now().Add(measure))
 	for _, inst := range c.Instances {

@@ -12,11 +12,14 @@ import (
 	"pictor/internal/sim"
 )
 
-// Context is one application's GL context.
+// Context is one application's GL context. It recycles its render
+// handles through free: a handle goes back with Release once its frame
+// has been copied, so a steady-state swap allocates nothing.
 type Context struct {
 	k    *sim.Kernel
 	gctx *gpu.Context
 	bus  *pcie.Client
+	free *RenderHandle // released handles
 }
 
 // NewContext binds a GL context to a GPU rendering context and a PCIe
@@ -26,6 +29,9 @@ func NewContext(k *sim.Kernel, gctx *gpu.Context, bus *pcie.Client) *Context {
 }
 
 // RenderHandle tracks one in-flight frame through render and readback.
+// Handles are recycled: the render and readback steps are method values
+// bound once, when the handle is built, and the waiter lists keep their
+// storage, so a recycled handle allocates nothing.
 type RenderHandle struct {
 	ctx   *Context
 	Frame *scene.Frame
@@ -38,6 +44,14 @@ type RenderHandle struct {
 	readStarted bool
 	readDone    bool
 	readWaiter  []func()
+
+	// syncDone is the pending ReadPixels' continuation.
+	syncDone func()
+
+	// Bound once per handle: the steps of render and readback.
+	rendered, startSyncRead, syncLanded, startAsyncRead, asyncLanded func()
+
+	next *RenderHandle // next free handle
 }
 
 // SwapBuffers submits the frame for rendering (hook5) and returns a
@@ -45,19 +59,48 @@ type RenderHandle struct {
 // to the CPU→GPU PCIe direction (uploadBytes; STK's drastically changing
 // frames make this large).
 func (c *Context) SwapBuffers(f *scene.Frame, uploadBytes float64) *RenderHandle {
-	h := &RenderHandle{ctx: c, Frame: f, submitted: c.k.Now()}
+	h := c.free
+	if h == nil {
+		h = &RenderHandle{ctx: c}
+		h.rendered = h.renderFinished
+		h.startSyncRead = h.syncRead
+		h.syncLanded = h.syncReadLanded
+		h.startAsyncRead = h.asyncRead
+		h.asyncLanded = h.asyncReadLanded
+	} else {
+		c.free = h.next
+		h.next = nil
+	}
+	h.Frame = f
+	h.submitted, h.finished = c.k.Now(), 0
+	h.renderDone, h.readStarted, h.readDone = false, false, false
 	if uploadBytes > 0 {
 		c.bus.Transfer(pcie.ToGPU, uploadBytes, func() {})
 	}
-	c.gctx.Render(f.Complexity, func() {
-		h.renderDone = true
-		h.finished = c.k.Now()
-		for _, fn := range h.renderWaiter {
-			c.k.After(0, fn)
-		}
-		h.renderWaiter = nil
-	})
+	c.gctx.Render(f.Complexity, h.rendered)
 	return h
+}
+
+// Release returns the handle to its context for reuse by a later
+// SwapBuffers. The caller must hold no further reference to it, and
+// nothing may still wait on it: the interposer releases a handle when
+// its frame copy completes, the handle's last use.
+func (h *RenderHandle) Release() {
+	h.Frame = nil
+	h.next, h.ctx.free = h.ctx.free, h
+}
+
+// renderFinished marks the render done and wakes its waiters, each as
+// a fresh event.
+func (h *RenderHandle) renderFinished() {
+	k := h.ctx.k
+	h.renderDone = true
+	h.finished = k.Now()
+	for _, fn := range h.renderWaiter {
+		k.After(0, fn)
+	}
+	clear(h.renderWaiter)
+	h.renderWaiter = h.renderWaiter[:0]
 }
 
 // OnRenderDone invokes fn when the GPU finishes the frame (immediately,
@@ -84,14 +127,29 @@ func (h *RenderHandle) RenderLatency() sim.Duration {
 
 // ReadPixels performs a synchronous glReadPixels: wait for the render,
 // DMA the framebuffer over PCIe (GPU→CPU), then done. This is the
-// baseline (halting) frame-copy path.
+// baseline (halting) frame-copy path. A handle carries one pending
+// ReadPixels at a time, as a frame gets one glReadPixels: a second
+// call before the first's done has run panics.
 func (h *RenderHandle) ReadPixels(done func()) {
-	h.OnRenderDone(func() {
-		h.ctx.bus.Transfer(pcie.FromGPU, h.Frame.RawBytes(), func() {
-			h.readDone = true
-			done()
-		})
-	})
+	if h.syncDone != nil {
+		panic("gl: ReadPixels while another is pending on the handle")
+	}
+	h.syncDone = done
+	h.OnRenderDone(h.startSyncRead)
+}
+
+// syncRead starts the synchronous read's DMA.
+func (h *RenderHandle) syncRead() {
+	h.ctx.bus.Transfer(pcie.FromGPU, h.Frame.RawBytes(), h.syncLanded)
+}
+
+// syncReadLanded completes ReadPixels. It clears syncDone before
+// calling it, so done may issue the next ReadPixels.
+func (h *RenderHandle) syncReadLanded() {
+	done := h.syncDone
+	h.syncDone = nil
+	h.readDone = true
+	done()
 }
 
 // StartAsyncRead begins a PBO-style asynchronous readback: the DMA is
@@ -102,15 +160,23 @@ func (h *RenderHandle) StartAsyncRead() {
 		return
 	}
 	h.readStarted = true
-	h.OnRenderDone(func() {
-		h.ctx.bus.Transfer(pcie.FromGPU, h.Frame.RawBytes(), func() {
-			h.readDone = true
-			for _, fn := range h.readWaiter {
-				h.ctx.k.After(0, fn)
-			}
-			h.readWaiter = nil
-		})
-	})
+	h.OnRenderDone(h.startAsyncRead)
+}
+
+// asyncRead queues the asynchronous read's DMA.
+func (h *RenderHandle) asyncRead() {
+	h.ctx.bus.Transfer(pcie.FromGPU, h.Frame.RawBytes(), h.asyncLanded)
+}
+
+// asyncReadLanded marks the asynchronous read landed and wakes its
+// waiters, each as a fresh event.
+func (h *RenderHandle) asyncReadLanded() {
+	h.readDone = true
+	for _, fn := range h.readWaiter {
+		h.ctx.k.After(0, fn)
+	}
+	clear(h.readWaiter)
+	h.readWaiter = h.readWaiter[:0]
 }
 
 // FinishAsyncRead waits (usually not at all) for the asynchronous

@@ -125,3 +125,71 @@ func TestQueryStallBehaviour(t *testing.T) {
 		t.Fatalf("post-render stall (%v) should undercut mid-render (%v)", s, mid)
 	}
 }
+
+// TestReleasedHandleIsReusedClean: a released handle comes back from
+// the next SwapBuffers with none of its old frame's render or readback
+// state, and runs the new frame's render and readback in full.
+func TestReleasedHandleIsReusedClean(t *testing.T) {
+	k, ctx, _ := testEnv()
+	h := ctx.SwapBuffers(testFrame(), 0)
+	h.StartAsyncRead()
+	k.Run()
+	if !h.ReadDone() {
+		t.Fatal("async read never landed")
+	}
+	h.Release()
+	start := k.Now()
+	f := testFrame()
+	h2 := ctx.SwapBuffers(f, 0)
+	if h2 != h {
+		t.Fatal("SwapBuffers built a new handle beside a released one")
+	}
+	if h2.Frame != f || h2.RenderDone() || h2.ReadDone() || h2.RenderLatency() != 0 {
+		t.Fatalf("recycled handle kept old state: frame %p (want %p), render %v, read %v, latency %v",
+			h2.Frame, f, h2.RenderDone(), h2.ReadDone(), h2.RenderLatency())
+	}
+	var done sim.Time
+	h2.FinishAsyncRead(func() { done = k.Now() })
+	k.Run()
+	if lat := h2.RenderLatency(); lat != 8*sim.Millisecond {
+		t.Fatalf("recycled handle's render latency = %v, want 8ms", lat)
+	}
+	if !h2.ReadDone() || done.Sub(start) < 16*sim.Millisecond {
+		t.Fatalf("recycled handle's read landed at +%v (done %v), want render then DMA", done.Sub(start), h2.ReadDone())
+	}
+}
+
+// TestRecycledHandleAllocatesNothing: swap, synchronous readback and
+// release allocate nothing once the context has a free handle.
+func TestRecycledHandleAllocatesNothing(t *testing.T) {
+	k, ctx, _ := testEnv()
+	f := testFrame()
+	reads := 0
+	done := func() { reads++ }
+	if a := testing.AllocsPerRun(100, func() {
+		h := ctx.SwapBuffers(f, 1e6)
+		h.ReadPixels(done)
+		k.Run()
+		h.Release()
+	}); a != 0 {
+		t.Fatalf("swap, ReadPixels and Release made %v allocations, want 0", a)
+	}
+	if reads != 101 {
+		t.Fatalf("%d reads completed, want 101", reads)
+	}
+}
+
+// TestSecondPendingReadPixelsPanics: a handle carries one pending
+// ReadPixels, as a frame gets one glReadPixels.
+func TestSecondPendingReadPixelsPanics(t *testing.T) {
+	k, ctx, _ := testEnv()
+	h := ctx.SwapBuffers(testFrame(), 0)
+	h.ReadPixels(func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second pending ReadPixels did not panic")
+		}
+		k.Run()
+	}()
+	h.ReadPixels(func() {})
+}

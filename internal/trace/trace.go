@@ -144,16 +144,18 @@ func New(k *sim.Kernel) *Tracer {
 // overhead experiment runs the suite both ways).
 func (t *Tracer) SetEnabled(e bool) { t.enabled = e }
 
-// SizeHint pre-sizes the RTT and stage samples for an expected number
-// of observations (derived from the configured measurement window), so
-// steady-state sampling never re-grows its backing arrays. A disabled
-// tracer records nothing, so it sizes nothing.
+// SizeHint pre-sizes the frame-path stage samples (AL through SS) for
+// an expected number of observations (one per frame, derived from the
+// configured window), so steady-state sampling never re-grows their
+// backing arrays; Reset keeps the capacity. The input-path samples (CS,
+// SP, PS and the RTT) record one observation per input, a small
+// fraction of the frame rate, so they grow by append. A disabled tracer
+// records nothing, so it sizes nothing.
 func (t *Tracer) SizeHint(n int) {
 	if !t.enabled || n <= 0 {
 		return
 	}
-	t.rttSample.Grow(n)
-	for s := range t.stageSamples {
+	for s := StageAL; s < NumStages; s++ {
 		t.stageSamples[s].Grow(n)
 	}
 }

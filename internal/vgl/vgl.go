@@ -76,6 +76,18 @@ type Interposer struct {
 
 	attrCalls int64 // actual XGetWindowAttributes round trips
 	copies    int64
+
+	// The FC copy in flight. One runs at a time, on the application
+	// thread, so its state lives here.
+	fcHandle    *gl.RenderHandle
+	fcStart     sim.Time
+	fcMemcpy    sim.Duration
+	fcFinished  func()
+	fcDelivered func(f *scene.Frame)
+
+	// The copy's steps, method values bound once in New.
+	attrsServed, framebufferRead, startMemcpy, copied func()
+	attrsFetched                                      func(w, h int)
 }
 
 // New creates an interposer.
@@ -86,7 +98,11 @@ func New(k *sim.Kernel, proc *cpu.Proc, display *x11.Display, tracer *trace.Trac
 	if opts.ReadDriverMs <= 0 {
 		opts.ReadDriverMs = 0.45
 	}
-	return &Interposer{k: k, proc: proc, display: display, tracer: tracer, opts: opts}
+	ip := &Interposer{k: k, proc: proc, display: display, tracer: tracer, opts: opts}
+	ip.attrsServed, ip.framebufferRead = ip.readFramebuffer, ip.afterRead
+	ip.startMemcpy, ip.copied = ip.memcpy, ip.finishCopy
+	ip.attrsFetched = ip.cacheAttributes
+	return ip
 }
 
 // AttrCalls reports how many real XGetWindowAttributes round trips were
@@ -111,57 +127,82 @@ func (ip *Interposer) OnSwap(h *gl.RenderHandle) {
 // the host-memory copy of the frame. At hook6 the frame's tags are
 // encoded into its tag header, which stands for the leading pixels the
 // paper overwrites; an untagged frame gets a count of 0. The raster is
-// not read or drawn.
+// not read or drawn. The handle goes back to its GL context before
+// finished runs, so the caller must not use it afterwards.
+//
+// One copy runs at a time, as on the application thread: CopyFrame
+// must not be called again before finished has run.
 //
 // Baseline sequence: XGetWindowAttributes → wait GPU → DMA → memcpy.
 // Optimized: (cached attributes) → collect already-landed DMA → memcpy.
 func (ip *Interposer) CopyFrame(h *gl.RenderHandle, finished func(), delivered func(f *scene.Frame)) {
-	start := ip.k.Now()
-	ip.getAttributes(func(w, hgt int) {
-		// The frame is copied at the *current* window size.
-		_ = w
-		_ = hgt
-		afterRead := func() {
-			// Query-result read for the GPU time measurement.
-			stall := sim.Duration(0)
-			if ip.tracer.Enabled() {
-				stall = h.QueryStall(ip.opts.QueryDoubleBuffer)
-			}
-			// hook6: encode the frame's tags into its tag header.
-			memcpy := sim.DurationOfSeconds(h.Frame.RawBytes()/1e6*ip.opts.MemcpyMsPerMB/1e3) +
-				sim.DurationOfSeconds(ip.opts.ReadDriverMs/1e3) + ip.tracer.HookCost()
-			ip.k.After(stall, func() {
-				ip.proc.Run(memcpy, func() {
-					frame := h.Frame
-					frame.TagHeader = trace.EmbedTags(frame.TagHeader, frame.Tags)
-					ip.copies++
-					ip.tracer.AddStage(trace.StageFC, ip.k.Now().Sub(start), frame.Tags...)
-					finished()
-					delivered(frame)
-				})
-			})
-		}
-		if ip.opts.AsyncCopy {
-			h.FinishAsyncRead(afterRead)
-		} else {
-			h.ReadPixels(afterRead)
-		}
-	})
+	if ip.fcHandle != nil {
+		panic("vgl: CopyFrame while another copy is in flight")
+	}
+	ip.fcHandle, ip.fcStart = h, ip.k.Now()
+	ip.fcFinished, ip.fcDelivered = finished, delivered
+	ip.getAttributes()
+}
+
+// readFramebuffer reads the frame back once the window size is known.
+// The frame is copied at the *current* window size.
+func (ip *Interposer) readFramebuffer() {
+	if ip.opts.AsyncCopy {
+		ip.fcHandle.FinishAsyncRead(ip.framebufferRead)
+	} else {
+		ip.fcHandle.ReadPixels(ip.framebufferRead)
+	}
+}
+
+// afterRead reads the GPU time query, then runs the memcpy into the
+// shared segment.
+func (ip *Interposer) afterRead() {
+	h := ip.fcHandle
+	// Query-result read for the GPU time measurement.
+	stall := sim.Duration(0)
+	if ip.tracer.Enabled() {
+		stall = h.QueryStall(ip.opts.QueryDoubleBuffer)
+	}
+	// hook6: encode the frame's tags into its tag header.
+	ip.fcMemcpy = sim.DurationOfSeconds(h.Frame.RawBytes()/1e6*ip.opts.MemcpyMsPerMB/1e3) +
+		sim.DurationOfSeconds(ip.opts.ReadDriverMs/1e3) + ip.tracer.HookCost()
+	ip.k.After(stall, ip.startMemcpy)
+}
+
+func (ip *Interposer) memcpy() { ip.proc.Run(ip.fcMemcpy, ip.copied) }
+
+// finishCopy completes the copy at hook6. It clears the copy in flight
+// and releases the handle before it calls finished, which may start
+// the next copy.
+func (ip *Interposer) finishCopy() {
+	h, start, finished, delivered := ip.fcHandle, ip.fcStart, ip.fcFinished, ip.fcDelivered
+	ip.fcHandle, ip.fcFinished, ip.fcDelivered = nil, nil, nil
+	frame := h.Frame
+	h.Release()
+	frame.TagHeader = trace.EmbedTags(frame.TagHeader, frame.Tags)
+	ip.copies++
+	ip.tracer.AddStage(trace.StageFC, ip.k.Now().Sub(start), frame.Tags...)
+	finished()
+	delivered(frame)
 }
 
 // getAttributes resolves the window size, through the cache when
-// memoization is enabled and the resolution epoch is unchanged.
-func (ip *Interposer) getAttributes(done func(w, h int)) {
+// memoization is enabled and the resolution epoch is unchanged, then
+// reads the framebuffer.
+func (ip *Interposer) getAttributes() {
 	if ip.opts.MemoizeAttributes && ip.attrsCached && ip.cachedEpoch == ip.display.ResolutionEpoch() {
 		// Served from cache: just the intercept's own cost.
-		ip.proc.Run(30*sim.Microsecond, func() { done(ip.cachedW, ip.cachedH) })
+		ip.proc.Run(30*sim.Microsecond, ip.attrsServed)
 		return
 	}
 	ip.attrCalls++
-	ip.display.GetWindowAttributes(ip.proc, func(w, h int) {
-		ip.cachedW, ip.cachedH = w, h
-		ip.cachedEpoch = ip.display.ResolutionEpoch()
-		ip.attrsCached = true
-		done(w, h)
-	})
+	ip.display.GetWindowAttributes(ip.proc, ip.attrsFetched)
+}
+
+// cacheAttributes memoizes the size a real round trip returned.
+func (ip *Interposer) cacheAttributes(w, h int) {
+	ip.cachedW, ip.cachedH = w, h
+	ip.cachedEpoch = ip.display.ResolutionEpoch()
+	ip.attrsCached = true
+	ip.readFramebuffer()
 }

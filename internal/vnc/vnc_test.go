@@ -9,6 +9,7 @@ import (
 	"pictor/internal/hw/gpu"
 	"pictor/internal/hw/pcie"
 	"pictor/internal/netsim"
+	"pictor/internal/proto"
 	"pictor/internal/scene"
 	"pictor/internal/sim"
 	"pictor/internal/trace"
@@ -183,5 +184,61 @@ func TestServerFPSCountsArrivals(t *testing.T) {
 	e.k.RunUntil(sim.Time(sim.Second))
 	if got := e.tracer.ServerFrameCount(); got != 5 {
 		t.Fatalf("server frames = %d, want 5", got)
+	}
+}
+
+// The input and delivery paths reuse their records: each steady-state
+// cycle below (the operation, then the kernel drained) allocates
+// nothing. Tracing is off, so no tag record is made per input.
+
+func TestHandleInputAllocatesNothing(t *testing.T) {
+	e := newEnv(nil)
+	e.tracer.SetEnabled(false)
+	in := proto.Input{Action: scene.ActPrimary}
+	if a := testing.AllocsPerRun(100, func() {
+		e.server.HandleInput(in)
+		e.k.Run()
+		if len(e.display.Drain()) != 1 {
+			t.Fatal("input never reached the X queue")
+		}
+	}); a != 0 {
+		t.Fatalf("HandleInput (SP then PS) made %v allocations, want 0", a)
+	}
+}
+
+func TestSendInputAllocatesNothing(t *testing.T) {
+	e := newEnv(nil)
+	e.tracer.SetEnabled(false)
+	if a := testing.AllocsPerRun(100, func() {
+		e.client.SendInput(scene.ActForward)
+		e.k.Run()
+		if len(e.display.Drain()) != 1 {
+			t.Fatal("input never reached the X queue")
+		}
+	}); a != 0 {
+		t.Fatalf("SendInput over the uplink made %v allocations, want 0", a)
+	}
+}
+
+// countingDriver counts displayed frames without keeping them.
+type countingDriver struct{ frames int }
+
+func (d *countingDriver) Attach(func(scene.Action)) {}
+func (d *countingDriver) OnFrame(*scene.Frame)      { d.frames++ }
+
+func TestDecompressToDriverAllocatesNothing(t *testing.T) {
+	d := &countingDriver{}
+	e := newEnv(d)
+	e.tracer.SetEnabled(false)
+	f := taggedFrame(e.tracer)
+	f.CompressedBytes = 40e3
+	if a := testing.AllocsPerRun(100, func() {
+		e.client.handleFrame(f)
+		e.k.Run()
+	}); a != 0 {
+		t.Fatalf("decompress to driver made %v allocations, want 0", a)
+	}
+	if d.frames != 101 {
+		t.Fatalf("driver saw %d frames, want 101", d.frames)
 	}
 }

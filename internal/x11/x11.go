@@ -24,6 +24,20 @@ type Display struct {
 	attrBaseMs float64
 
 	resolutionChanges int64
+
+	free *attrCall // recycled GetWindowAttributes records
+}
+
+// attrCall is the record of one GetWindowAttributes round trip in
+// flight, recycled through Display.free. Its two steps are method
+// values bound once, when the record is built.
+type attrCall struct {
+	d        *Display
+	wait     sim.Duration
+	done     func(w, h int)
+	sent     func() // the request left the caller's CPU
+	answered func() // the X server replied
+	next     *attrCall
 }
 
 // NewDisplay creates a display with the given window resolution.
@@ -80,11 +94,30 @@ func (d *Display) ResolutionEpoch() int64 { return d.resolutionChanges }
 // (6–9 ms, worse when the machine is loaded). done receives the window
 // size.
 func (d *Display) GetWindowAttributes(proc *cpu.Proc, done func(w, h int)) {
-	ms := 6 + d.rng.Float64()*3 // uniform 6–9 ms, per the paper
-	wait := sim.DurationOfSeconds(ms / 1e3)
-	proc.Run(150*sim.Microsecond, func() {
-		d.k.After(wait, func() {
-			done(d.width, d.height)
-		})
-	})
+	// Uniform 6–9 ms, per the paper. The conversion rounds the product,
+	// so no architecture fuses it into the add.
+	ms := float64(d.rng.Float64()*3) + 6
+	r := d.free
+	if r == nil {
+		r = &attrCall{d: d}
+		r.sent = r.request
+		r.answered = r.reply
+	} else {
+		d.free = r.next
+	}
+	r.wait = sim.DurationOfSeconds(ms / 1e3)
+	r.done = done
+	proc.Run(150*sim.Microsecond, r.sent)
+}
+
+// request waits out the X server's round trip.
+func (r *attrCall) request() { r.d.k.After(r.wait, r.answered) }
+
+// reply recycles r before calling done, which may start the next round
+// trip on the same record.
+func (r *attrCall) reply() {
+	d, done := r.d, r.done
+	r.done = nil
+	r.next, d.free = d.free, r
+	done(d.width, d.height)
 }

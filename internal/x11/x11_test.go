@@ -68,3 +68,23 @@ func TestResolutionEpoch(t *testing.T) {
 		t.Fatalf("resolution = %dx%d", w, h)
 	}
 }
+
+// TestGetWindowAttributesAllocatesNothing: a steady-state round trip
+// (the call, then the kernel drained) allocates nothing once the
+// display has a free record.
+func TestGetWindowAttributesAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	d := newDisplay(k)
+	proc := cpu.New(k, 8, sim.NewRNG(2)).NewProc("app", nil, 0)
+	var w int
+	done := func(width, _ int) { w = width }
+	if a := testing.AllocsPerRun(100, func() {
+		d.GetWindowAttributes(proc, done)
+		k.Run()
+	}); a != 0 {
+		t.Fatalf("GetWindowAttributes round trip made %v allocations, want 0", a)
+	}
+	if w != 1920 {
+		t.Fatalf("round trip reported width %d, want 1920", w)
+	}
+}
