@@ -314,7 +314,7 @@ func (a *App) smALFinished() {
 func (a *App) smCopy() {
 	h := a.smHandle
 	a.smHandle = nil
-	a.ip.CopyFrame(h, nop, a.smDeliverAS)
+	a.ip.CopyFrame(h, func() {}, a.smDeliverAS)
 }
 
 // smAS ships the copied frame. Unlike dispatchAS it charges no hook-7
@@ -336,5 +336,3 @@ func (a *App) smASFinished() {
 	}
 	a.k.After(0, a.smLoopFn)
 }
-
-func nop() {}

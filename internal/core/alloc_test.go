@@ -17,9 +17,6 @@ import (
 // at 8–16 FPS); a 12 s warm-up fills every free list and grows the
 // kernel's queue to its working depth first.
 func TestSteadyStateFrameAllocatesNothing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulates 20 s of a six-instance machine")
-	}
 	for _, tc := range []struct {
 		name string
 		opts vgl.Options

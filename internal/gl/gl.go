@@ -48,8 +48,9 @@ type RenderHandle struct {
 	// syncDone is the pending ReadPixels' continuation.
 	syncDone func()
 
-	// Bound once per handle: the steps of render and readback.
-	rendered, startSyncRead, syncLanded, startAsyncRead, asyncLanded func()
+	// The steps of render and readback, method values bound once per
+	// handle.
+	rendered, syncDMA, syncLanded, asyncDMA, asyncLanded func()
 
 	next *RenderHandle // next free handle
 }
@@ -63,10 +64,8 @@ func (c *Context) SwapBuffers(f *scene.Frame, uploadBytes float64) *RenderHandle
 	if h == nil {
 		h = &RenderHandle{ctx: c}
 		h.rendered = h.renderFinished
-		h.startSyncRead = h.syncRead
-		h.syncLanded = h.syncReadLanded
-		h.startAsyncRead = h.asyncRead
-		h.asyncLanded = h.asyncReadLanded
+		h.syncDMA, h.syncLanded = h.startSyncDMA, h.syncDMALanded
+		h.asyncDMA, h.asyncLanded = h.startAsyncDMA, h.asyncDMALanded
 	} else {
 		c.free = h.next
 		h.next = nil
@@ -84,7 +83,9 @@ func (c *Context) SwapBuffers(f *scene.Frame, uploadBytes float64) *RenderHandle
 // Release returns the handle to its context for reuse by a later
 // SwapBuffers. The caller must hold no further reference to it, and
 // nothing may still wait on it: the interposer releases a handle when
-// its frame copy completes, the handle's last use.
+// its frame copy completes, the handle's last use. A handle never
+// released (a run's last frame, never copied) is dropped with its
+// context.
 func (h *RenderHandle) Release() {
 	h.Frame = nil
 	h.next, h.ctx.free = h.ctx.free, h
@@ -135,17 +136,17 @@ func (h *RenderHandle) ReadPixels(done func()) {
 		panic("gl: ReadPixels while another is pending on the handle")
 	}
 	h.syncDone = done
-	h.OnRenderDone(h.startSyncRead)
+	h.OnRenderDone(h.syncDMA)
 }
 
-// syncRead starts the synchronous read's DMA.
-func (h *RenderHandle) syncRead() {
+// startSyncDMA starts the synchronous read's DMA.
+func (h *RenderHandle) startSyncDMA() {
 	h.ctx.bus.Transfer(pcie.FromGPU, h.Frame.RawBytes(), h.syncLanded)
 }
 
-// syncReadLanded completes ReadPixels. It clears syncDone before
+// syncDMALanded completes ReadPixels. It clears syncDone before
 // calling it, so done may issue the next ReadPixels.
-func (h *RenderHandle) syncReadLanded() {
+func (h *RenderHandle) syncDMALanded() {
 	done := h.syncDone
 	h.syncDone = nil
 	h.readDone = true
@@ -160,17 +161,17 @@ func (h *RenderHandle) StartAsyncRead() {
 		return
 	}
 	h.readStarted = true
-	h.OnRenderDone(h.startAsyncRead)
+	h.OnRenderDone(h.asyncDMA)
 }
 
-// asyncRead queues the asynchronous read's DMA.
-func (h *RenderHandle) asyncRead() {
+// startAsyncDMA queues the asynchronous read's DMA.
+func (h *RenderHandle) startAsyncDMA() {
 	h.ctx.bus.Transfer(pcie.FromGPU, h.Frame.RawBytes(), h.asyncLanded)
 }
 
-// asyncReadLanded marks the asynchronous read landed and wakes its
+// asyncDMALanded marks the asynchronous read landed and wakes its
 // waiters, each as a fresh event.
-func (h *RenderHandle) asyncReadLanded() {
+func (h *RenderHandle) asyncDMALanded() {
 	h.readDone = true
 	for _, fn := range h.readWaiter {
 		h.ctx.k.After(0, fn)

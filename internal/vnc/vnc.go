@@ -296,8 +296,8 @@ type ClientProxy struct {
 	server *ServerProxy
 	driver Driver
 
-	freeUplink *uplink
-	freeShow   *decompress
+	freeUplink     *uplink
+	freeDecompress *decompress
 }
 
 // uplink is the record of one input on its way to the server proxy,
@@ -311,8 +311,8 @@ type uplink struct {
 }
 
 // decompress is the record of one frame being decompressed for the
-// driver, recycled through ClientProxy.freeShow. fire is the method
-// value d.decompressed, bound once when the record is built.
+// driver, recycled through ClientProxy.freeDecompress. fire is the
+// method value d.decompressed, bound once when the record is built.
 type decompress struct {
 	c    *ClientProxy
 	f    *scene.Frame
@@ -365,12 +365,12 @@ func (c *ClientProxy) handleFrame(f *scene.Frame) {
 		f.Release()
 		return
 	}
-	d := c.freeShow
+	d := c.freeDecompress
 	if d == nil {
 		d = &decompress{c: c}
 		d.fire = d.decompressed
 	} else {
-		c.freeShow = d.next
+		c.freeDecompress = d.next
 	}
 	d.f = f
 	c.k.After(codec.DecompressTime(f.CompressedBytes), d.fire)
@@ -380,6 +380,6 @@ func (c *ClientProxy) handleFrame(f *scene.Frame) {
 func (d *decompress) decompressed() {
 	c, f := d.c, d.f
 	d.f = nil
-	d.next, c.freeShow = c.freeShow, d
+	d.next, c.freeDecompress = c.freeDecompress, d
 	c.driver.OnFrame(f)
 }
