@@ -259,8 +259,7 @@ func (r *rdStage) rendered() {
 // (XShmPutImage — hook7). It does not block the pipeline loop.
 func (a *App) dispatchAS(f *scene.Frame) {
 	asStart := a.k.Now()
-	ms := (a.prof.ASBaseMs + a.prof.ASPerMBMs*f.RawBytes()/1e6) * (1 + a.prof.IPCTax)
-	work := sim.DurationOfSeconds(ms/1e3) + a.tracer.HookCost()
+	work := a.asCost(f) + a.tracer.HookCost()
 	s := a.freeAS
 	if s == nil {
 		s = &asSend{a: a}
@@ -270,6 +269,12 @@ func (a *App) dispatchAS(f *scene.Frame) {
 	}
 	s.f, s.start = f, asStart
 	a.proc.Run(work, s.fire)
+}
+
+// asCost prices one frame's AS hand-off, before any hook cost.
+func (a *App) asCost(f *scene.Frame) sim.Duration {
+	ms := (a.prof.ASBaseMs + a.prof.ASPerMBMs*f.RawBytes()/1e6) * (1 + a.prof.IPCTax)
+	return sim.DurationOfSeconds(ms / 1e3)
 }
 
 // sent ends one AS hand-off. It recycles s before it calls out.
@@ -321,8 +326,7 @@ func (a *App) smCopy() {
 // cost.
 func (a *App) smAS(f *scene.Frame) {
 	a.smFrame, a.smASStart = f, a.k.Now()
-	ms := (a.prof.ASBaseMs + a.prof.ASPerMBMs*f.RawBytes()/1e6) * (1 + a.prof.IPCTax)
-	a.proc.Run(sim.DurationOfSeconds(ms/1e3), a.smASDone)
+	a.proc.Run(a.asCost(f), a.smASDone)
 }
 
 // smASFinished hands the frame to the server proxy and looks for the
