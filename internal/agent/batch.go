@@ -130,7 +130,7 @@ func (bm *BatchModels) flush() {
 	nc := bm.dense.Out
 	for start := 0; start < len(bm.queue); start += flushChunk {
 		chunk := bm.queue[start:min(start+flushChunk, len(bm.queue))]
-		bm.batchIn = ensureTensor(bm.batchIn, len(chunk)*cells, scene.CellPx, scene.CellPx, 1)
+		bm.batchIn = tensor.Ensure(bm.batchIn, len(chunk)*cells, scene.CellPx, scene.CellPx, 1)
 		for i, s := range chunk {
 			base := i * cells * patchLen
 			for gy := 0; gy < scene.GridH; gy++ {
@@ -178,7 +178,7 @@ func (bm *BatchModels) NextActionLogitsAll(sessions []*BatchSession, detecteds [
 		panic("agent: NextActionLogitsAll length mismatch")
 	}
 	bm.featBuf = grow(bm.featBuf, FeatureSize)
-	bm.hBatch = ensureTensor(bm.hBatch, b, lstmHidden)
+	bm.hBatch = tensor.Ensure(bm.hBatch, b, lstmHidden)
 	for i, s := range sessions {
 		bm.lstm.StepState(s.h, s.c, featuresInto(bm.featBuf, detecteds[i]))
 		copy(bm.hBatch.Data[i*lstmHidden:(i+1)*lstmHidden], s.h)
@@ -192,19 +192,4 @@ func grow(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// ensureTensor mirrors nn's batch-scratch helper: reshape reusing
-// capacity (batch sizes fluctuate as sessions come and go).
-func ensureTensor(t *tensor.Tensor, shape ...int) *tensor.Tensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if t == nil || cap(t.Data) < n {
-		return tensor.New(shape...)
-	}
-	t.Data = t.Data[:n]
-	t.Shape = append(t.Shape[:0], shape...)
-	return t
 }

@@ -111,3 +111,29 @@ func TestNextActionLogitsAllMatchesPerSession(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchFlushAllocatesNothing pins the batched client's scratch
+// reuse: once warmed, a CNN flush over the whole batch and the batched
+// LSTM step allocate nothing.
+func TestBatchFlushAllocatesNothing(t *testing.T) {
+	bm := NewBatchModels(NewModels(1))
+	sessions := make([]*BatchSession, flushChunk+3)
+	detecteds := make([][]scene.Type, len(sessions))
+	for i := range sessions {
+		sessions[i] = bm.NewSession()
+	}
+	px := benchFrame().Pixels()
+	step := func() {
+		for _, s := range sessions {
+			s.SubmitFrame(px)
+		}
+		for i, s := range sessions {
+			detecteds[i] = s.Detected()
+		}
+		bm.NextActionLogitsAll(sessions, detecteds)
+	}
+	step()
+	if a := testing.AllocsPerRun(10, step); a != 0 {
+		t.Fatalf("a warmed batch flush allocates %v objects, want 0", a)
+	}
+}

@@ -73,23 +73,6 @@ func growZero(buf []float64, n int) []float64 {
 	return buf
 }
 
-// ensureTensor reshapes t to the given shape, reusing its storage when
-// the capacity allows (batch sizes fluctuate tick to tick; the scratch
-// must not reallocate every time the batch shrinks). Contents are
-// unspecified — callers fully overwrite.
-func ensureTensor(t *tensor.Tensor, shape ...int) *tensor.Tensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if t == nil || cap(t.Data) < n {
-		return tensor.New(shape...)
-	}
-	t.Data = t.Data[:n]
-	t.Shape = append(t.Shape[:0], shape...)
-	return t
-}
-
 // Dense is a fully connected layer: y = Wx + b.
 type Dense struct {
 	In, Out  int
@@ -141,7 +124,7 @@ func (d *Dense) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Dense batch input shape mismatch")
 	}
 	bn := x.Shape[0]
-	out := ensureTensor(d.batchOut, bn, d.Out)
+	out := tensor.Ensure(d.batchOut, bn, d.Out)
 	d.batchOut = out
 	tensor.MatMulTransBInto(out, x, d.weightT())
 	for r := 0; r < bn; r++ {
@@ -300,7 +283,7 @@ func (c *Conv2D) ForwardBatchReLU(x *tensor.Tensor) *tensor.Tensor {
 	}
 	bn := x.Shape[0]
 	rows := bn * c.OutH() * c.OutW()
-	out := ensureTensor(c.batchOut, rows, c.OutC)
+	out := tensor.Ensure(c.batchOut, rows, c.OutC)
 	c.batchOut = out
 	c.convDirect(out.Data, x.Data, bn)
 	return out
@@ -512,7 +495,7 @@ func (p *MaxPool2) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	}
 	bn := x.Len() / frameLen
 	outLen := p.OutLen()
-	outT := ensureTensor(p.batchOut, bn, outLen)
+	outT := tensor.Ensure(p.batchOut, bn, outLen)
 	p.batchOut = outT
 	oh, ow := p.H/2, p.W/2
 	for b := 0; b < bn; b++ {

@@ -249,3 +249,27 @@ func TestAdamClipBoundsGradient(t *testing.T) {
 		t.Fatal("gradients not zeroed after step")
 	}
 }
+
+// TestBatchForwardAllocatesNothing pins the batched inference layers'
+// scratch reuse: once warmed at the largest batch, a forward pass at that
+// batch or a smaller one allocates nothing.
+func TestBatchForwardAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	conv := NewConv2D(8, 8, 1, 4, 3, rng)
+	pool := NewMaxPool2(conv.OutH(), conv.OutW(), 4)
+	dense := NewDense(pool.OutLen(), 5, rng)
+	big := tensor.New(6, 8, 8, 1)
+	for i := range big.Data {
+		big.Data[i] = rng.Float64()
+	}
+	small := tensor.FromSlice(big.Data[:3*8*8], 3, 8, 8, 1)
+	forward := func(x *tensor.Tensor) {
+		dense.ForwardBatch(pool.ForwardBatch(conv.ForwardBatchReLU(x)))
+	}
+	forward(big)
+	for _, x := range []*tensor.Tensor{big, small} {
+		if a := testing.AllocsPerRun(20, func() { forward(x) }); a != 0 {
+			t.Fatalf("a warmed batched forward of %d frames allocates %v objects, want 0", x.Shape[0], a)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkKernelEventChurn measures the scheduler's per-event cost: a
 // self-sustaining chain of After calls, the shape every pipeline loop
@@ -94,3 +97,44 @@ func BenchmarkFirstNormal(b *testing.B) {
 }
 
 var firstNormalSink float64
+
+// BenchmarkNewRNG measures a stream from creation to its last draw, for
+// the lengths streams have in a churn run: one that only forks (a
+// cluster's root, its cpu streams), a few draws, the last draw before
+// the register fills, and 1,000 draws, past the fill. "steady" is one
+// draw of a stream well past its fill, the per-frame draw of a long run.
+func BenchmarkNewRNG(b *testing.B) {
+	NewRNG(0) // the replica's first-use check stays out of the timings
+	b.Run("steady", func(b *testing.B) {
+		g := NewRNG(1)
+		for k := 0; k < 1000; k++ {
+			g.Float64()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		v := 0.0
+		for i := 0; i < b.N; i++ {
+			v += g.Float64()
+		}
+		firstNormalSink = v
+	})
+	b.Run("fork", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewRNG(int64(i)).Fork("child")
+		}
+	})
+	for _, draws := range []int{8, 272, 1000} {
+		b.Run(fmt.Sprintf("draws%d", draws), func(b *testing.B) {
+			b.ReportAllocs()
+			v := 0.0
+			for i := 0; i < b.N; i++ {
+				g := NewRNG(int64(i))
+				for k := 0; k < draws; k++ {
+					v += g.Float64()
+				}
+			}
+			firstNormalSink = v
+		})
+	}
+}

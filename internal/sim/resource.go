@@ -239,7 +239,7 @@ func (c *completion) fired() {
 	l.advance()
 	// Floating-point drift can leave a sliver; treat anything a 1 ns
 	// tick can drain as done (the clock may not resolve smaller).
-	if t.remaining > l.capacity*1e-9+1 {
+	if t.remaining > float64(l.capacity*1e-9)+1 {
 		// At the clock's last instant no later event can drain the
 		// rest, and planning again would repeat this one forever.
 		if l.k.Now() < math.MaxInt64 {

@@ -8,24 +8,48 @@ import (
 // RNG wraps a deterministic random source. Every model component derives
 // its own RNG (via Fork) so adding a component never perturbs the random
 // streams of the others.
+//
+// Its draws are math/rand's, bit for bit: r is math/rand's own sampler,
+// over src until src's register fills and over the register from then
+// on (see mathrand.go).
 type RNG struct {
-	r *rand.Rand
+	r   rand.Rand
+	src stream
 }
 
-// NewRNG returns a seeded random source.
+// NewRNG returns a seeded random source. It seeds nothing yet: a stream
+// that only forks or never draws costs this one small object.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	replicaOnce.Do(deriveReplica)
+	return newRNG(seed, replicaSlow)
+}
+
+// newRNG returns seed's stream: the replica, or with mathRand set a
+// rand.NewSource itself, whose forks are too.
+func newRNG(seed int64, mathRand bool) *RNG {
+	g := new(RNG)
+	if mathRand {
+		g.r = *rand.New(rand.NewSource(seed))
+		return g
+	}
+	g.src = stream{x0: lcgStart(seed), owner: g}
+	g.r = *rand.New(&g.src)
+	return g
 }
 
 // Fork derives an independent child stream, keyed by a label hash so the
 // child's stream is stable across code reorderings that don't change labels.
+// Its draw reserves no register, so a stream that only forks stays small.
 func (g *RNG) Fork(label string) *RNG {
 	var h int64 = 1469598103934665603 // FNV-1a offset basis (truncated)
 	for i := 0; i < len(label); i++ {
 		h ^= int64(label[i])
 		h *= 1099511628211
 	}
-	return NewRNG(h ^ g.r.Int63())
+	if g.src.owner == nil {
+		return newRNG(h^g.r.Int63(), true)
+	}
+	return newRNG(h^int64(g.src.next()&rngMask), false)
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -36,7 +60,7 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
 // Normal returns a Gaussian sample with the given mean and stddev.
 func (g *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
+	return mean + float64(stddev*g.r.NormFloat64())
 }
 
 // LogNormalAround returns a sample whose median is m and whose spread is

@@ -14,28 +14,51 @@ type Tensor struct {
 	Data  []float64
 }
 
-// New allocates a zeroed tensor with the given shape.
+// New allocates a zeroed tensor with the given shape. It keeps a copy of
+// shape, never shape itself, so a caller's variadic argument slice stays
+// on the caller's stack.
 func New(shape ...int) *Tensor {
+	dims := append([]int(nil), shape...)
 	n := 1
-	for _, s := range shape {
+	for _, s := range dims {
 		if s <= 0 {
-			panic(fmt.Sprintf("tensor: non-positive dimension %d in %v", s, shape))
+			panic(fmt.Sprintf("tensor: non-positive dimension %d in %v", s, dims))
 		}
 		n *= s
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
+	return &Tensor{Shape: dims, Data: make([]float64, n)}
 }
 
-// FromSlice wraps data with a shape (no copy). len(data) must match.
-func FromSlice(data []float64, shape ...int) *Tensor {
+// Ensure reshapes t to the given shape, reusing its storage when the
+// capacity allows, and allocates a new tensor otherwise (or when t is
+// nil). Batch scratch uses it: batch sizes fluctuate tick to tick, and
+// the scratch must not reallocate every time the batch shrinks. Contents
+// are unspecified; callers fully overwrite.
+func Ensure(t *Tensor, shape ...int) *Tensor {
 	n := 1
 	for _, s := range shape {
 		n *= s
 	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), shape))
+	if t == nil || cap(t.Data) < n {
+		return New(shape...)
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
+	t.Data = t.Data[:n]
+	t.Shape = append(t.Shape[:0], shape...)
+	return t
+}
+
+// FromSlice wraps data with a shape (no copy of data; a copy of shape,
+// as New keeps). len(data) must match.
+func FromSlice(data []float64, shape ...int) *Tensor {
+	dims := append([]int(nil), shape...)
+	n := 1
+	for _, s := range dims {
+		n *= s
+	}
+	if n != len(data) {
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), dims))
+	}
+	return &Tensor{Shape: dims, Data: data}
 }
 
 // Len reports the number of elements.
