@@ -91,12 +91,12 @@ func BenchmarkFirstNormal(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				v += FirstNormal(bc.seeds[i%len(bc.seeds)])
 			}
-			firstNormalSink = v
+			drawSink = v
 		})
 	}
 }
 
-var firstNormalSink float64
+var drawSink float64
 
 // BenchmarkNewRNG measures a stream from creation to its last draw, for
 // the lengths streams have in a churn run: one that only forks (a
@@ -116,7 +116,7 @@ func BenchmarkNewRNG(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			v += g.Float64()
 		}
-		firstNormalSink = v
+		drawSink = v
 	})
 	b.Run("fork", func(b *testing.B) {
 		b.ReportAllocs()
@@ -134,7 +134,7 @@ func BenchmarkNewRNG(b *testing.B) {
 					v += g.Float64()
 				}
 			}
-			firstNormalSink = v
+			drawSink = v
 		})
 	}
 }

@@ -195,9 +195,10 @@ func deriveReplica() {
 	// Draw k writes u[k] to the feed 333-k, which still held its seeded
 	// value: u[k] is that value plus the tap 606-k (indices mod rngLen).
 	// From draw rngTap on, the tap is the feed written rngTap draws
-	// earlier; before it, an element whose seeded value the later draws
-	// give.
-	const probe = 1
+	// earlier, u[k-rngTap]. Before it, the tap still holds its seeded
+	// value, which the first loop has already recovered: element 606-k
+	// is the feed of draw k+334.
+	const probe = 1 // any seed: replicaMatches checks the others
 	src := rand.NewSource(probe).(rand.Source64)
 	var u, vec [rngLen]uint64
 	for k := range u {

@@ -46,7 +46,7 @@ func (g *RNG) Fork(label string) *RNG {
 		h ^= int64(label[i])
 		h *= 1099511628211
 	}
-	if g.src.owner == nil {
+	if g.src.owner == nil { // g draws from rand.NewSource itself
 		return newRNG(h^g.r.Int63(), true)
 	}
 	return newRNG(h^int64(g.src.next()&rngMask), false)

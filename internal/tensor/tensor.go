@@ -47,18 +47,16 @@ func Ensure(t *Tensor, shape ...int) *Tensor {
 	return t
 }
 
-// FromSlice wraps data with a shape (no copy of data; a copy of shape,
-// as New keeps). len(data) must match.
+// FromSlice wraps data with a shape (no copy). len(data) must match.
 func FromSlice(data []float64, shape ...int) *Tensor {
-	dims := append([]int(nil), shape...)
 	n := 1
-	for _, s := range dims {
+	for _, s := range shape {
 		n *= s
 	}
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), dims))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), shape))
 	}
-	return &Tensor{Shape: dims, Data: data}
+	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
 }
 
 // Len reports the number of elements.

@@ -32,10 +32,11 @@ go test -run '^$' -bench 'BenchmarkSuiteGridSequential' \
 # bookkeeping loop, the diurnal sweep's arrival, placement and
 # surrogate layers in isolation, and the surrogate/streaming scale
 # contracts (one iteration each — they assert their own scale
-# internally).
+# internally). BenchmarkFullClusterEpoch, churn-full's full-fidelity
+# layer, is recorded beside them but not pinned.
 go test -run '^$' -bench 'BenchmarkFaultChurnBookkeeping$|BenchmarkPlacementSaturated|BenchmarkArrivalSource$' \
     -benchmem ./internal/fleet/ | tee -a "$TMP"
-go test -run '^$' -bench 'BenchmarkSurrogateEpoch$' -benchmem ./internal/core/ | tee -a "$TMP"
+go test -run '^$' -bench 'BenchmarkSurrogateEpoch$|BenchmarkFullClusterEpoch$' -benchmem ./internal/core/ | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkSurrogateSweep$|BenchmarkDiurnalMillionSweep$' \
     -benchtime 1x -benchmem . | tee -a "$TMP"
 
