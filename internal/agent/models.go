@@ -63,6 +63,10 @@ func NewModels(seed int64) *Models {
 	return m
 }
 
+// cnnParams lists the CNN's learnable parameters in optimizer order:
+// the convolution's, then the classifier's.
+func (m *Models) cnnParams() []*nn.Param { return m.cnn.Params() }
+
 // patch extracts cell (gx, gy)'s CellPx×CellPx pixels from a frame
 // raster into dst.
 func patch(pixels []float64, gx, gy int, dst []float64) {
@@ -201,7 +205,7 @@ func (m *Models) trainCNN(rec *Recording, cfg TrainConfig, rng *rand.Rand) {
 	if len(pool) == 0 {
 		return
 	}
-	opt := nn.NewAdam(m.cnn.Params(), cfg.LearningRate)
+	opt := nn.NewAdam(m.cnnParams(), cfg.LearningRate)
 	for epoch := 0; epoch < cfg.CNNEpochs; epoch++ {
 		n := cfg.CNNMaxPatch
 		if n > len(pool) {
