@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"pictor/internal/nn"
 	"pictor/internal/scene"
 	"pictor/internal/tensor"
 )
@@ -14,29 +13,24 @@ import (
 // Detection is batched lazily: sessions submit frames as they arrive
 // (SubmitFrame copies the pixels and queues the session), and the CNN
 // runs when the first session demands its result (Detected), sweeping
-// every queued session into one (B·cells) im2col + matmul pass. Because
-// the simulated CV latency is far longer than the inter-arrival gap of
-// frames across sessions, the queue holds most of the machine's
-// sessions by the time the earliest demand fires, so the batch
-// converges to machine occupancy — with no new simulator events and no
-// timing changes. Per-row math is bit-identical to the per-clone
-// Models path (same summation order per output element), so simulation
-// results are byte-for-byte unchanged.
+// every queued session through Models.recognize, flushChunk frames per
+// pass. Because the simulated CV latency is far longer than the
+// inter-arrival gap of frames across sessions, the queue holds most of
+// the machine's sessions by the time the earliest demand fires, so the
+// batch converges to machine occupancy — with no new simulator events
+// and no timing changes. Per-row math is bit-identical to Models.Detect
+// and NextActionLogits (same summation order per output element), so
+// simulation results are byte-for-byte unchanged.
 //
 // BatchModels is not goroutine-safe; one instance serves one
 // deterministic simulation (e.g. one cluster).
 type BatchModels struct {
-	// The layers of a private clone of the trained models.
-	conv  *nn.Conv2D
-	pool  *nn.MaxPool2
-	dense *nn.Dense // CNN classifier head
-	lstm  *nn.LSTM
-	head  *nn.Dense
+	m *Models // a private clone of the trained models
 
-	queue   []*BatchSession // sessions with a pending frame
-	batchIn *tensor.Tensor  // (B·cells, CellPx, CellPx, 1) patch batch
-	featBuf []float64
-	hBatch  *tensor.Tensor // (B, hidden) for one-pass action logits
+	queue  []*BatchSession // sessions with a pending frame
+	frames [][]float64     // one flush chunk's rasters
+	dets   []scene.Type    // one flush chunk's recognitions
+	hBatch *tensor.Tensor  // (B, hidden) for one-pass action logits
 }
 
 // BatchSession is one client's handle into a BatchModels: its LSTM
@@ -53,18 +47,11 @@ type BatchSession struct {
 // is cloned once — the caller's networks are never mutated — and every
 // session created afterwards shares that one copy's weights.
 func NewBatchModels(src *Models) *BatchModels {
-	m := src.Clone()
-	bm := &BatchModels{
-		conv: m.conv,
-		pool: m.pool,
-		lstm: m.lstm,
-		head: m.head,
+	return &BatchModels{
+		m:      src.Clone(),
+		frames: make([][]float64, 0, flushChunk),
+		dets:   make([]scene.Type, flushChunk*cells),
 	}
-	// The CNN stack is [conv, relu, pool, dense]; the batched path
-	// drives conv (with the ReLU fused into its store), pool and dense
-	// directly.
-	bm.dense = m.cnn.Layers[3].(*nn.Dense)
-	return bm
 }
 
 // NewSession adds a session (one simulated client) and returns its
@@ -111,9 +98,6 @@ func (s *BatchSession) Detected() []scene.Type {
 	return s.detected
 }
 
-// cells is the number of CNN invocations per frame.
-const cells = scene.GridW * scene.GridH
-
 // flushChunk caps how many sessions one CNN pass spans. Chunking keeps
 // the pass's im2col/activation buffers cache-resident between layers:
 // one unbounded pass over a large fleet streams multi-megabyte arrays
@@ -123,31 +107,18 @@ const cells = scene.GridW * scene.GridH
 const flushChunk = 8
 
 // flush runs the batched CNN over all queued sessions in chunks of up
-// to flushChunk: one im2col and one matmul per layer per chunk, then
-// per-cell argmax into each session's detected buffer.
+// to flushChunk, then copies each session's per-cell recognitions into
+// its detected buffer.
 func (bm *BatchModels) flush() {
-	patchLen := scene.CellPx * scene.CellPx
-	nc := bm.dense.Out
 	for start := 0; start < len(bm.queue); start += flushChunk {
 		chunk := bm.queue[start:min(start+flushChunk, len(bm.queue))]
-		bm.batchIn = tensor.Ensure(bm.batchIn, len(chunk)*cells, scene.CellPx, scene.CellPx, 1)
-		for i, s := range chunk {
-			base := i * cells * patchLen
-			for gy := 0; gy < scene.GridH; gy++ {
-				for gx := 0; gx < scene.GridW; gx++ {
-					off := base + (gy*scene.GridW+gx)*patchLen
-					patch(s.pixels, gx, gy, bm.batchIn.Data[off:off+patchLen])
-				}
-			}
+		bm.frames = bm.frames[:0]
+		for _, s := range chunk {
+			bm.frames = append(bm.frames, s.pixels)
 		}
-		x := bm.conv.ForwardBatchReLU(bm.batchIn)
-		x = bm.pool.ForwardBatch(x)
-		logits := bm.dense.ForwardBatch(x) // (chunk·cells, NumCoreTypes)
+		bm.m.recognize(bm.dets, bm.frames)
 		for i, s := range chunk {
-			for cell := 0; cell < cells; cell++ {
-				row := logits.Data[(i*cells+cell)*nc : (i*cells+cell+1)*nc]
-				s.detected[cell] = scene.Type(tensor.ArgMax(row))
-			}
+			copy(s.detected, bm.dets[i*cells:(i+1)*cells])
 			s.pending = false
 		}
 	}
@@ -160,10 +131,10 @@ func (bm *BatchModels) flush() {
 // their own simulated times, so the recurrent update is per-row; only
 // the frame-recognition CNN is cross-session batched.
 func (s *BatchSession) NextActionLogits(detected []scene.Type) []float64 {
-	bm := s.bm
-	bm.featBuf = grow(bm.featBuf, FeatureSize)
-	bm.lstm.StepState(s.h, s.c, featuresInto(bm.featBuf, detected))
-	return bm.head.Forward(s.h)
+	m := s.bm.m
+	m.featBuf = grow(m.featBuf, FeatureSize)
+	m.lstm.StepState(s.h, s.c, featuresInto(m.featBuf, detected))
+	return m.head.Forward(s.h)
 }
 
 // NextActionLogitsAll advances every given session one LSTM step and
@@ -177,13 +148,14 @@ func (bm *BatchModels) NextActionLogitsAll(sessions []*BatchSession, detecteds [
 	if len(detecteds) != b {
 		panic("agent: NextActionLogitsAll length mismatch")
 	}
-	bm.featBuf = grow(bm.featBuf, FeatureSize)
+	m := bm.m
+	m.featBuf = grow(m.featBuf, FeatureSize)
 	bm.hBatch = tensor.Ensure(bm.hBatch, b, lstmHidden)
 	for i, s := range sessions {
-		bm.lstm.StepState(s.h, s.c, featuresInto(bm.featBuf, detecteds[i]))
+		m.lstm.StepState(s.h, s.c, featuresInto(m.featBuf, detecteds[i]))
 		copy(bm.hBatch.Data[i*lstmHidden:(i+1)*lstmHidden], s.h)
 	}
-	return bm.head.ForwardBatch(bm.hBatch)
+	return m.head.ForwardBatch(bm.hBatch)
 }
 
 // grow mirrors nn's scratch-buffer helper.

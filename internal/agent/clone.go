@@ -1,7 +1,5 @@
 package agent
 
-import "pictor/internal/nn"
-
 // Clone returns an independent copy of the trained networks: same
 // weights, fresh inference state. The experiment runner executes many
 // trials concurrently against one per-benchmark trained model, and
@@ -10,25 +8,11 @@ import "pictor/internal/nn"
 // must own its own copy for runs to be race-free and byte-identical at
 // any parallelism level.
 func (m *Models) Clone() *Models {
-	conv := m.conv.Clone()
-	pool := m.pool.Clone()
-	c := &Models{
-		conv: conv,
-		pool: pool,
-		lstm: m.lstm.Clone(),
-		head: m.head.Clone(),
+	return &Models{
+		conv:  m.conv.Clone(),
+		pool:  m.pool.Clone(),
+		dense: m.dense.Clone(),
+		lstm:  m.lstm.Clone(),
+		head:  m.head.Clone(),
 	}
-	layers := make([]nn.Layer, len(m.cnn.Layers))
-	for i, l := range m.cnn.Layers {
-		switch {
-		case l == nn.Layer(m.conv):
-			layers[i] = conv
-		case l == nn.Layer(m.pool):
-			layers[i] = pool
-		default:
-			layers[i] = nn.CloneLayer(l)
-		}
-	}
-	c.cnn = &nn.Sequential{Layers: layers}
-	return c
 }

@@ -3,6 +3,8 @@ package agent
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"pictor/internal/nn"
 	"pictor/internal/scene"
@@ -14,10 +16,15 @@ import (
 // recognizes the object in each grid cell of a frame (the paper's
 // MobileNets role) and the LSTM+head that maps recognized objects to
 // the next human-like action.
+//
+// The CNN is conv (ReLU fused) → 2×2 max pool → dense classifier. One
+// code path runs it for inference and for training's detection pass:
+// recognize, over a batch of frames. Training drives the three layers
+// one example at a time.
 type Models struct {
-	conv *nn.Conv2D
-	pool *nn.MaxPool2
-	cnn  *nn.Sequential
+	conv  *nn.Conv2D
+	pool  *nn.MaxPool2
+	dense *nn.Dense // the CNN's classifier
 
 	lstm *nn.LSTM
 	head *nn.Dense
@@ -25,9 +32,10 @@ type Models struct {
 	// Per-frame inference scratch, owned by this clone (never shared:
 	// Clone starts clones with empty scratch). Reused across frames so
 	// steady-state inference does not allocate.
-	detOut   []scene.Type
-	patchBuf []float64
-	featBuf  []float64
+	detOut  []scene.Type
+	frame   [1][]float64   // Detect's one-frame batch
+	batchIn *tensor.Tensor // (frames·cells, CellPx, CellPx, 1) patch batch
+	featBuf []float64
 }
 
 // FeatureSize is the LSTM input width: per-type object counts plus a
@@ -43,6 +51,9 @@ const FeatureSize = int(scene.NumCoreTypes) + 1
 // lstmHidden is the LSTM width.
 const lstmHidden = 14
 
+// cells is the number of grid cells the CNN classifies per frame.
+const cells = scene.GridW * scene.GridH
+
 // NewModels builds untrained networks.
 func NewModels(seed int64) *Models {
 	rng := rand.New(rand.NewSource(seed))
@@ -54,18 +65,16 @@ func NewModels(seed int64) *Models {
 		lstm: nn.NewLSTM(FeatureSize, lstmHidden, rng),
 		head: nn.NewDense(lstmHidden, int(scene.NumActions), rng),
 	}
-	m.cnn = &nn.Sequential{Layers: []nn.Layer{
-		conv,
-		&nn.ReLU{},
-		pool,
-		nn.NewDense(pool.OutLen(), int(scene.NumCoreTypes), rng),
-	}}
+	// The classifier draws its initial weights last.
+	m.dense = nn.NewDense(pool.OutLen(), int(scene.NumCoreTypes), rng)
 	return m
 }
 
 // cnnParams lists the CNN's learnable parameters in optimizer order:
 // the convolution's, then the classifier's.
-func (m *Models) cnnParams() []*nn.Param { return m.cnn.Params() }
+func (m *Models) cnnParams() []*nn.Param {
+	return append(m.conv.Params(), m.dense.Params()...)
+}
 
 // patch extracts cell (gx, gy)'s CellPx×CellPx pixels from a frame
 // raster into dst.
@@ -76,6 +85,29 @@ func patch(pixels []float64, gx, gy int, dst []float64) {
 	}
 }
 
+// recognize classifies every grid cell of each frame raster in one
+// batched CNN pass (conv with its fused ReLU, pool, classifier) and
+// writes frame i's types, in row-major cell order, to
+// out[i·cells:(i+1)·cells]. Callers pass at most flushChunk frames.
+// Every cell's logits are computed exactly as for that cell alone.
+func (m *Models) recognize(out []scene.Type, frames [][]float64) {
+	const patchLen = scene.CellPx * scene.CellPx
+	m.batchIn = tensor.Ensure(m.batchIn, len(frames)*cells, scene.CellPx, scene.CellPx, 1)
+	for i, px := range frames {
+		for c := 0; c < cells; c++ {
+			off := (i*cells + c) * patchLen
+			patch(px, c%scene.GridW, c/scene.GridW, m.batchIn.Data[off:off+patchLen])
+		}
+	}
+	x := m.conv.ForwardBatchReLU(m.batchIn)
+	x = m.pool.ForwardBatch(x)
+	logits := m.dense.ForwardBatch(x) // (frames·cells, NumCoreTypes)
+	nc := m.dense.Out
+	for r := range out[:len(frames)*cells] {
+		out[r] = scene.Type(tensor.ArgMax(logits.Data[r*nc : (r+1)*nc]))
+	}
+}
+
 // Detect classifies every grid cell of the frame raster, returning the
 // recognized object types in row-major cell order. This is the real
 // inference path — the CNN actually runs on the pixels.
@@ -83,19 +115,48 @@ func patch(pixels []float64, gx, gy int, dst []float64) {
 // The returned slice is scratch owned by the model and is overwritten
 // by the next Detect on the same clone; copy it to retain it.
 func (m *Models) Detect(pixels []float64) []scene.Type {
-	if cap(m.detOut) < scene.GridW*scene.GridH {
-		m.detOut = make([]scene.Type, scene.GridW*scene.GridH)
-		m.patchBuf = make([]float64, scene.CellPx*scene.CellPx)
+	if m.detOut == nil {
+		m.detOut = make([]scene.Type, cells)
 	}
-	out := m.detOut[:scene.GridW*scene.GridH]
-	buf := m.patchBuf
-	for gy := 0; gy < scene.GridH; gy++ {
-		for gx := 0; gx < scene.GridW; gx++ {
-			patch(pixels, gx, gy, buf)
-			logits := m.cnn.Forward(buf)
-			out[gy*scene.GridW+gx] = scene.Type(tensor.ArgMax(logits))
+	m.frame[0] = pixels
+	m.recognize(m.detOut, m.frame[:])
+	m.frame[0] = nil
+	return m.detOut
+}
+
+// detectAll recognizes every recorded frame, returning frame i's types
+// at [i·cells:(i+1)·cells]. The frames are split into contiguous ranges
+// over `workers` goroutines, each with its own clone of the networks,
+// and each range runs in chunks of flushChunk frames; every row is
+// computed as if alone, so the result does not depend on the split.
+func (m *Models) detectAll(samples []Sample, workers int) []scene.Type {
+	out := make([]scene.Type, len(samples)*cells)
+	workers = max(1, min(workers, len(samples)))
+	detect := func(w *Models, lo, hi int) {
+		var frames [flushChunk][]float64
+		for start := lo; start < hi; start += flushChunk {
+			end := min(start+flushChunk, hi)
+			for i := start; i < end; i++ {
+				frames[i-start] = samples[i].Pixels
+			}
+			w.recognize(out[start*cells:end*cells], frames[:end-start])
 		}
 	}
+	if workers == 1 {
+		detect(m, 0, len(samples))
+		return out
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		lo, hi := k*len(samples)/workers, (k+1)*len(samples)/workers
+		w := m.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			detect(w, lo, hi)
+		}()
+	}
+	wg.Wait()
 	return out
 }
 
@@ -111,7 +172,7 @@ func featuresInto(f []float64, detected []scene.Type) []float64 {
 	}
 	for _, t := range detected {
 		if t != scene.Empty && int(t) < int(scene.NumCoreTypes) {
-			f[t] += 1.0 / float64(len(detected)) * 4 // scaled count
+			f[t] += float64(1.0 / float64(len(detected)) * 4) // scaled count
 		}
 	}
 	f[FeatureSize-1] = 1 // bias input
@@ -175,47 +236,41 @@ func Train(rec *Recording, cfg TrainConfig, seed int64) *Models {
 	m := NewModels(seed)
 	rng := rand.New(rand.NewSource(seed + 1))
 	m.trainCNN(rec, cfg, rng)
-	m.trainLSTM(rec, cfg, rng)
+	m.trainLSTM(rec, cfg)
 	return m
 }
 
+// trainCNN fits the CNN on (cell pixels → labeled type) examples drawn
+// at random from the recording's labeled cells, one forward and one
+// backward pass per example and an Adam step every four.
 func (m *Models) trainCNN(rec *Recording, cfg TrainConfig, rng *rand.Rand) {
-	type example struct {
-		px    []float64
-		label int
-	}
-	var pool []example
-	buf := make([]float64, scene.CellPx*scene.CellPx)
-	for _, s := range rec.Samples {
-		for gy := 0; gy < scene.GridH; gy++ {
-			for gx := 0; gx < scene.GridW; gx++ {
-				label := int(s.Cells[gy*scene.GridW+gx].T)
-				// Extended kinds sit outside the CNN's fixed class
-				// vocabulary; their patches carry no usable label.
-				if label >= int(scene.NumCoreTypes) {
-					continue
-				}
-				patch(s.Pixels, gx, gy, buf)
-				px := make([]float64, len(buf))
-				copy(px, buf)
-				pool = append(pool, example{px: px, label: label})
+	// The pool indexes the labeled cells: sample·cells + cell.
+	var pool []int32
+	for si, s := range rec.Samples {
+		for c := 0; c < cells; c++ {
+			// Extended kinds sit outside the CNN's fixed class
+			// vocabulary; their patches carry no usable label.
+			if s.Cells[c].T >= scene.NumCoreTypes {
+				continue
 			}
+			pool = append(pool, int32(si*cells+c))
 		}
 	}
 	if len(pool) == 0 {
 		return
 	}
 	opt := nn.NewAdam(m.cnnParams(), cfg.LearningRate)
+	px := make([]float64, scene.CellPx*scene.CellPx)
+	grad := make([]float64, m.dense.Out)
 	for epoch := 0; epoch < cfg.CNNEpochs; epoch++ {
-		n := cfg.CNNMaxPatch
-		if n > len(pool) {
-			n = len(pool)
-		}
+		n := min(cfg.CNNMaxPatch, len(pool))
 		for i := 0; i < n; i++ {
-			ex := pool[rng.Intn(len(pool))]
-			logits := m.cnn.Forward(ex.px)
-			_, g := nn.SoftmaxCrossEntropy(logits, ex.label)
-			m.cnn.Backward(g)
+			ex := int(pool[rng.Intn(len(pool))])
+			s, c := &rec.Samples[ex/cells], ex%cells
+			patch(s.Pixels, c%scene.GridW, c/scene.GridW, px)
+			logits := m.dense.Forward(m.pool.Forward(m.conv.ForwardReLU(px)))
+			nn.SoftmaxCrossEntropy(grad, logits, int(s.Cells[c].T))
+			m.conv.BackwardReLU(m.pool.Backward(m.dense.Backward(grad)))
 			if i%4 == 3 {
 				opt.Step()
 			}
@@ -224,15 +279,18 @@ func (m *Models) trainCNN(rec *Recording, cfg TrainConfig, rng *rand.Rand) {
 	}
 }
 
-func (m *Models) trainLSTM(rec *Recording, cfg TrainConfig, rng *rand.Rand) {
+// trainLSTM fits the LSTM and its head on (recognized objects →
+// recorded action) sequences of SeqLen frames.
+func (m *Models) trainLSTM(rec *Recording, cfg TrainConfig) {
 	if len(rec.Samples) < 2 {
 		return
 	}
-	// Pre-compute the CNN's recognitions once (they are the features).
-	// Detect returns model-owned scratch, so each result is copied out.
-	detections := make([][]scene.Type, len(rec.Samples))
-	for i, s := range rec.Samples {
-		detections[i] = append([]scene.Type(nil), m.Detect(s.Pixels)...)
+	// The CNN's recognitions are the features; compute each frame's
+	// once.
+	detections := m.detectAll(rec.Samples, runtime.GOMAXPROCS(0))
+	feats := make([]float64, len(rec.Samples)*FeatureSize)
+	for i := range rec.Samples {
+		featuresInto(feats[i*FeatureSize:(i+1)*FeatureSize], detections[i*cells:(i+1)*cells])
 	}
 	params := append(m.lstm.Params(), m.head.Params()...)
 	opt := nn.NewAdam(params, cfg.LearningRate)
@@ -258,33 +316,32 @@ func (m *Models) trainLSTM(rec *Recording, cfg TrainConfig, rng *rand.Rand) {
 			actWeight = 1
 		}
 	}
+	g := make([]float64, m.head.Out)
+	// BPTT retains one head gradient per timestep; they live in dhBuf.
+	dhBuf := make([]float64, cfg.SeqLen*lstmHidden)
+	dHs := make([][]float64, 0, cfg.SeqLen)
 	for epoch := 0; epoch < cfg.LSTMEpochs; epoch++ {
 		for start := 0; start+1 < len(rec.Samples); start += cfg.SeqLen {
-			end := start + cfg.SeqLen
-			if end > len(rec.Samples) {
-				end = len(rec.Samples)
-			}
+			end := min(start+cfg.SeqLen, len(rec.Samples))
 			m.lstm.Reset()
 			m.lstm.SetTraining(true)
-			var dHs [][]float64
+			dHs = dHs[:0]
 			for i := start; i < end; i++ {
-				h := m.lstm.Step(Features(detections[i]))
+				h := m.lstm.Step(feats[i*FeatureSize : (i+1)*FeatureSize])
 				logits := m.head.Forward(h)
-				label := int(rec.Samples[i].Action)
-				_, g := nn.SoftmaxCrossEntropy(logits, label)
+				nn.SoftmaxCrossEntropy(g, logits, int(rec.Samples[i].Action))
 				if rec.Samples[i].Action != scene.ActNone {
 					for j := range g {
 						g[j] *= actWeight
 					}
 				}
-				// Backward returns head-owned scratch; BPTT retains one
-				// gradient per timestep, so copy.
-				dHs = append(dHs, append([]float64(nil), m.head.Backward(g)...))
+				dh := dhBuf[(i-start)*lstmHidden : (i-start+1)*lstmHidden]
+				copy(dh, m.head.Backward(g))
+				dHs = append(dHs, dh)
 			}
 			m.lstm.Backward(dHs)
 			opt.Step()
 		}
-		_ = rng
 	}
 	m.lstm.SetTraining(false)
 	m.lstm.Reset()

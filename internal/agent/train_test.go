@@ -72,3 +72,27 @@ func TestTrainedWeightsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectAllSplitDeterministic checks that the detection pass gives
+// the same recognitions whether one worker or three split the frames,
+// and that they equal Detect's frame by frame. 203 frames is a multiple
+// of neither the chunk size (8) nor the worker count.
+func TestDetectAllSplitDeterministic(t *testing.T) {
+	rec := makeRecording(app.STK(), 203, 5)
+	m := Train(rec, TrainConfig{CNNEpochs: 1, CNNMaxPatch: 500, LSTMEpochs: 1, SeqLen: 24, LearningRate: 0.01}, 3)
+	one := m.detectAll(rec.Samples, 1)
+	three := m.detectAll(rec.Samples, 3)
+	for i := range one {
+		if one[i] != three[i] {
+			t.Fatalf("frame %d cell %d: one worker detected %v, three workers %v", i/cells, i%cells, one[i], three[i])
+		}
+	}
+	for f, s := range rec.Samples {
+		det := m.Detect(s.Pixels)
+		for c, d := range det {
+			if got := one[f*cells+c]; got != d {
+				t.Fatalf("frame %d cell %d: detection pass %v, Detect %v", f, c, got, d)
+			}
+		}
+	}
+}

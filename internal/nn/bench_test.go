@@ -30,37 +30,16 @@ func BenchmarkDenseForward(b *testing.B) {
 	}
 }
 
-func BenchmarkReLUForward(b *testing.B) {
-	r := &ReLU{}
-	x := benchInput(216, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Forward(x)
-	}
-}
-
-func BenchmarkConv2DForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	c := NewConv2D(8, 8, 1, 6, 3, rng)
-	x := benchInput(64, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Forward(x)
-	}
-}
-
 func BenchmarkConv2DBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	c := NewConv2D(8, 8, 1, 6, 3, rng)
 	x := benchInput(64, 2)
 	grad := benchInput(c.OutLen(), 3)
-	c.Forward(x)
+	c.ForwardReLU(x)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Backward(grad)
+		c.BackwardReLU(grad)
 	}
 }
 
@@ -71,26 +50,6 @@ func BenchmarkMaxPool2Forward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Forward(x)
-	}
-}
-
-// BenchmarkCNNForward is the full per-cell recognition stack the
-// intelligent client runs 24 times per frame.
-func BenchmarkCNNForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	conv := NewConv2D(8, 8, 1, 6, 3, rng)
-	pool := NewMaxPool2(conv.OutH(), conv.OutW(), 6)
-	cnn := &Sequential{Layers: []Layer{
-		conv,
-		&ReLU{},
-		pool,
-		NewDense(pool.OutLen(), 8, rng),
-	}}
-	x := benchInput(64, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cnn.Forward(x)
 	}
 }
 

@@ -3,7 +3,7 @@ package nn
 // Layer cloning: deep-copies of the learnable weights with fresh
 // forward/backward caches. Clones exist so one trained network can
 // drive many concurrent simulations — Forward and Step write scratch
-// state (lastX, im2col columns, LSTM recurrent state), so a shared
+// state (cached inputs and outputs, LSTM recurrent state), so a shared
 // network is neither goroutine-safe nor deterministic across runs.
 
 func cloneParam(p *Param) *Param {
@@ -20,9 +20,6 @@ func (d *Dense) Clone() *Dense {
 	return &Dense{In: d.In, Out: d.Out, w: cloneParam(d.w), b: cloneParam(d.b)}
 }
 
-// Clone returns an independent activation (stateless but for caches).
-func (r *ReLU) Clone() *ReLU { return &ReLU{} }
-
 // Clone returns an independent layer with the same weights.
 func (c *Conv2D) Clone() *Conv2D {
 	return &Conv2D{H: c.H, W: c.W, InC: c.InC, OutC: c.OutC, K: c.K,
@@ -38,28 +35,4 @@ func (l *LSTM) Clone() *LSTM {
 	c := &LSTM{InSize: l.InSize, Hidden: l.Hidden, w: cloneParam(l.w)}
 	c.Reset()
 	return c
-}
-
-// CloneLayer clones any of the built-in feed-forward layer types.
-func CloneLayer(l Layer) Layer {
-	switch v := l.(type) {
-	case *Dense:
-		return v.Clone()
-	case *ReLU:
-		return v.Clone()
-	case *Conv2D:
-		return v.Clone()
-	case *MaxPool2:
-		return v.Clone()
-	}
-	panic("nn: CloneLayer: unknown layer type")
-}
-
-// Clone returns an independent network with the same weights.
-func (s *Sequential) Clone() *Sequential {
-	out := &Sequential{Layers: make([]Layer, len(s.Layers))}
-	for i, l := range s.Layers {
-		out.Layers[i] = CloneLayer(l)
-	}
-	return out
 }

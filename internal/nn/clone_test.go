@@ -17,24 +17,6 @@ func sliceEq(a, b []float64) bool {
 	return true
 }
 
-func TestSequentialCloneMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	net := &Sequential{Layers: []Layer{
-		NewDense(16, 8, rng),
-		&ReLU{},
-		NewDense(8, 4, rng),
-	}}
-	clone := net.Clone()
-
-	x := make([]float64, 16)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	if !sliceEq(net.Forward(x), clone.Forward(x)) {
-		t.Fatal("cloned network diverges from original")
-	}
-}
-
 func TestConv2DCloneMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := NewConv2D(6, 6, 1, 2, 3, rng)
@@ -42,7 +24,7 @@ func TestConv2DCloneMatchesForward(t *testing.T) {
 	for i := range x {
 		x[i] = rng.Float64()
 	}
-	if !sliceEq(c.Forward(x), c.Clone().Forward(x)) {
+	if !sliceEq(c.ForwardReLU(x), c.Clone().ForwardReLU(x)) {
 		t.Fatal("cloned conv diverges from original")
 	}
 }

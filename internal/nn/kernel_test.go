@@ -186,11 +186,11 @@ func TestKernelsMatchReference(t *testing.T) {
 				if i, ok := sameBits(got, want); !ok {
 					t.Fatalf("case %d trial %d: batched conv of %d frames differs at %d: %v, reference %v", ci, trial, frames, i, got[i], want[i])
 				}
-				if frames == 1 {
-					one := conv.Forward(x.Data[:frameLen])
-					relu := (&ReLU{}).Forward(one)
-					if i, ok := sameBits(relu, want); !ok {
-						t.Fatalf("case %d trial %d: one-frame conv differs at %d: %v, reference %v", ci, trial, i, relu[i], want[i])
+				outLen := conv.OutLen()
+				for f := 0; f < frames; f++ {
+					got := conv.ForwardReLU(x.Data[f*frameLen : (f+1)*frameLen])
+					if i, ok := sameBits(got, want[f*outLen:(f+1)*outLen]); !ok {
+						t.Fatalf("case %d trial %d frame %d: one-frame conv differs at %d: %v, reference %v", ci, trial, f, i, got[i], want[f*outLen+i])
 					}
 				}
 			}
@@ -247,10 +247,11 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// TestConvWeightGradsMatchReference checks the conv backward's weight
-// and bias gradients against the reference, bit for bit, with several
-// frames accumulating into the gradients before they are read, as
-// training accumulates several examples before one Adam step.
+// TestConvWeightGradsMatchReference checks the weights-only conv
+// backward against the reference, bit for bit, with several frames
+// accumulating into the gradients before they are read, as training
+// accumulates several examples before one Adam step. The reference
+// applies ReLU's mask from its own forward pass.
 func TestConvWeightGradsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for ci, kc := range kernelCases {
@@ -277,16 +278,16 @@ func TestConvWeightGradsMatchReference(t *testing.T) {
 						grad[i] = 0
 					}
 				}
-				pre := conv.Forward(x)
-				// The reference takes the gradient after the ReLU mask.
+				y := refConvReLU(x, conv.w.W, conv.b.W, 1, kc.h, kc.w, kc.inC, kc.outC, kc.k)
 				masked := make([]float64, len(grad))
 				for i, g := range grad {
-					if pre[i] > 0 {
+					if y[i] > 0 {
 						masked[i] = g
 					}
 				}
 				refConvGrads(wg, bg, x, masked, kc.h, kc.w, kc.inC, kc.outC, kc.k)
-				conv.Backward(masked)
+				conv.ForwardReLU(x)
+				conv.BackwardReLU(grad)
 			}
 			if i, ok := sameBits(conv.w.G, wg); !ok {
 				t.Fatalf("case %d trial %d: weight gradient %d = %v, reference %v", ci, trial, i, conv.w.G[i], wg[i])

@@ -167,20 +167,20 @@ func (l *LSTM) stepCore(h, c, x, prevH, prevC, zi, zf, zg, zo []float64) {
 			if xv == 0 {
 				continue
 			}
-			si += rowI[k] * xv
-			sf += rowF[k] * xv
-			sg += rowG[k] * xv
-			so += rowO[k] * xv
+			si += float64(rowI[k] * xv)
+			sf += float64(rowF[k] * xv)
+			sg += float64(rowG[k] * xv)
+			so += float64(rowO[k] * xv)
 		}
 		for k := 0; k < l.Hidden; k++ {
 			hv := prevH[k]
 			if hv == 0 {
 				continue
 			}
-			si += rowI[l.InSize+k] * hv
-			sf += rowF[l.InSize+k] * hv
-			sg += rowG[l.InSize+k] * hv
-			so += rowO[l.InSize+k] * hv
+			si += float64(rowI[l.InSize+k] * hv)
+			sf += float64(rowF[l.InSize+k] * hv)
+			sg += float64(rowG[l.InSize+k] * hv)
+			so += float64(rowO[l.InSize+k] * hv)
 		}
 		si += rowI[cols-1]
 		sf += rowF[cols-1]
@@ -190,7 +190,7 @@ func (l *LSTM) stepCore(h, c, x, prevH, prevC, zi, zf, zg, zo []float64) {
 		zf[j] = sigmoid(sf)
 		zg[j] = math.Tanh(sg)
 		zo[j] = sigmoid(so)
-		c[j] = zf[j]*prevC[j] + zi[j]*zg[j]
+		c[j] = float64(zf[j]*prevC[j]) + float64(zi[j]*zg[j])
 		h[j] = zo[j] * math.Tanh(c[j])
 	}
 }
@@ -222,22 +222,22 @@ func (l *LSTM) Backward(dHs [][]float64) {
 		}
 		// Recompute c_t from the caches.
 		for j := 0; j < l.Hidden; j++ {
-			ct[j] = gf[j]*cs[j] + gi[j]*gg[j]
+			ct[j] = float64(gf[j]*cs[j]) + float64(gi[j]*gg[j])
 			dhPrev[j] = 0
 		}
 		for j := 0; j < l.Hidden; j++ {
 			tanhC := math.Tanh(ct[j])
 			do := dh[j] * tanhC
-			dc := dh[j]*go_[j]*(1-tanhC*tanhC) + dcNext[j]
+			dc := float64(dh[j]*go_[j]*(1-float64(tanhC*tanhC))) + dcNext[j]
 			di := dc * gg[j]
 			dg := dc * gi[j]
 			df := dc * cs[j]
 			dcPrev[j] = dc * gf[j]
 			// Pre-activation gradients.
-			pi := di * gi[j] * (1 - gi[j])
-			pf := df * gf[j] * (1 - gf[j])
-			pg := dg * (1 - gg[j]*gg[j])
-			po := do * go_[j] * (1 - go_[j])
+			pi := float64(di * gi[j] * (1 - gi[j]))
+			pf := float64(df * gf[j] * (1 - gf[j]))
+			pg := float64(dg * (1 - float64(gg[j]*gg[j])))
+			po := float64(do * go_[j] * (1 - go_[j]))
 			// Per-gate weight/gradient rows (the widx arithmetic hoisted
 			// out of the inner loops; every += lands on the same element
 			// in the same order as before).
@@ -251,19 +251,19 @@ func (l *LSTM) Backward(dHs [][]float64) {
 			wO := l.w.W[(3*l.Hidden+j)*cols : (3*l.Hidden+j+1)*cols]
 			for k := 0; k < l.InSize; k++ {
 				xv := xs[k]
-				gI[k] += pi * xv
-				gF[k] += pf * xv
-				gG[k] += pg * xv
-				gO[k] += po * xv
+				gI[k] += float64(pi * xv)
+				gF[k] += float64(pf * xv)
+				gG[k] += float64(pg * xv)
+				gO[k] += float64(po * xv)
 			}
 			for k := 0; k < l.Hidden; k++ {
 				hv := hs[k]
 				kk := l.InSize + k
-				gI[kk] += pi * hv
-				gF[kk] += pf * hv
-				gG[kk] += pg * hv
-				gO[kk] += po * hv
-				dhPrev[k] += pi*wI[kk] + pf*wF[kk] + pg*wG[kk] + po*wO[kk]
+				gI[kk] += float64(pi * hv)
+				gF[kk] += float64(pf * hv)
+				gG[kk] += float64(pg * hv)
+				gO[kk] += float64(po * hv)
+				dhPrev[k] += float64(pi*wI[kk]) + float64(pf*wF[kk]) + float64(pg*wG[kk]) + float64(po*wO[kk])
 			}
 			gI[cols-1] += pi
 			gF[cols-1] += pf

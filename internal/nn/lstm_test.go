@@ -127,7 +127,8 @@ func TestLSTMLearnsSequencePattern(t *testing.T) {
 		for i, x := range xs {
 			h := l.Step(x)
 			logits := head.Forward(h)
-			_, g := SoftmaxCrossEntropy(logits, labels[i])
+			g := make([]float64, len(logits))
+			SoftmaxCrossEntropy(g, logits, labels[i])
 			// Backward returns layer-owned scratch; BPTT retains per step.
 			dHs[i] = append([]float64(nil), head.Backward(g)...)
 		}

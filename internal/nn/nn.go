@@ -34,25 +34,10 @@ func (p *Param) zeroGrad() {
 func (p *Param) initUniform(rng *rand.Rand, fanIn int) {
 	scale := math.Sqrt(2.0 / float64(fanIn))
 	for i := range p.W {
-		p.W[i] = (rng.Float64()*2 - 1) * scale
+		// Float64 divides by 2⁶³, which compiles to a multiply; the
+		// conversion keeps that multiply out of a fused subtraction.
+		p.W[i] = (float64(rng.Float64())*2 - 1) * scale
 	}
-}
-
-// Layer is one differentiable stage of a feed-forward network.
-//
-// Ownership: Forward and Backward return layer-owned scratch buffers
-// that are overwritten by the next call on the same layer. Callers that
-// need a result to survive a subsequent call must copy it. This is what
-// keeps steady-state inference allocation-free (the intelligent client
-// runs the CNN 24 times per displayed frame).
-type Layer interface {
-	// Forward maps input to output, caching what Backward needs.
-	Forward(x []float64) []float64
-	// Backward receives dLoss/dOutput, accumulates parameter gradients,
-	// and returns dLoss/dInput.
-	Backward(grad []float64) []float64
-	// Params lists the layer's learnable parameters (may be empty).
-	Params() []*Param
 }
 
 // grow returns buf resized to n elements, reallocating only when the
@@ -99,7 +84,8 @@ func (d *Dense) weightT() *tensor.Tensor {
 	return d.wT
 }
 
-// Forward implements Layer.
+// Forward maps x through the layer, returning layer-owned scratch
+// overwritten by the next call, and keeps x for Backward.
 func (d *Dense) Forward(x []float64) []float64 {
 	if len(x) != d.In {
 		panic("nn: Dense input size mismatch")
@@ -136,7 +122,8 @@ func (d *Dense) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer.
+// Backward receives dLoss/dOutput for the last Forward, accumulates the
+// parameter gradients and returns dLoss/dInput (layer-owned scratch).
 func (d *Dense) Backward(grad []float64) []float64 {
 	dx := growZero(d.dx, d.In)
 	d.dx = dx
@@ -149,62 +136,24 @@ func (d *Dense) Backward(grad []float64) []float64 {
 		row := d.w.W[o*d.In : (o+1)*d.In]
 		grow := d.w.G[o*d.In : (o+1)*d.In]
 		for i := 0; i < d.In; i++ {
-			grow[i] += g * d.lastX[i]
-			dx[i] += g * row[i]
+			grow[i] += float64(g * d.lastX[i])
+			dx[i] += float64(g * row[i])
 		}
 	}
 	return dx
 }
 
-// Params implements Layer.
+// Params lists the weights, then the biases.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
-// ReLU is the rectified-linear activation.
-type ReLU struct {
-	lastX   []float64
-	out, dx []float64 // owned scratch, reused across calls
-}
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x []float64) []float64 {
-	r.lastX = append(r.lastX[:0], x...)
-	out := grow(r.out, len(x))
-	r.out = out
-	for i, v := range x {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(grad []float64) []float64 {
-	dx := grow(r.dx, len(grad))
-	r.dx = dx
-	for i, g := range grad {
-		if r.lastX[i] > 0 {
-			dx[i] = g
-		} else {
-			dx[i] = 0
-		}
-	}
-	return dx
-}
-
-// Params implements Layer.
-func (r *ReLU) Params() []*Param { return nil }
-
 // Conv2D is a valid-padding, stride-1 convolution over an (H, W, C)
-// input producing (H-k+1, W-k+1, OutC). Implemented with im2col.
+// input producing (H-k+1, W-k+1, OutC), with the ReLU activation fused
+// into its output. It is the first layer of the intelligent client's
+// CNN, so its backward pass computes no input gradient.
 type Conv2D struct {
 	H, W, InC, OutC, K int
 	w, b               *Param
-	lastCols           *tensor.Tensor
-	out, dcols, dx     []float64      // owned scratch, reused across calls
-	inT, kmat, outT    *tensor.Tensor // cached headers (no per-call FromSlice)
+	lastX, out         []float64      // one-frame input and output, kept for BackwardReLU
 	batchOut           *tensor.Tensor // owned batch scratch
 }
 
@@ -225,58 +174,26 @@ func (c *Conv2D) OutW() int { return c.W - c.K + 1 }
 // OutLen reports the flattened output length.
 func (c *Conv2D) OutLen() int { return c.OutH() * c.OutW() * c.OutC }
 
-// kernelMat returns the cached (OutC, K·K·InC) tensor view of the
-// kernel weights — the transposed-B operand of the im2col matmul.
-func (c *Conv2D) kernelMat() *tensor.Tensor {
-	if c.kmat == nil {
-		c.kmat = tensor.FromSlice(c.w.W, c.OutC, c.K*c.K*c.InC)
-	}
-	return c.kmat
-}
-
-// addBias adds the per-channel bias to every row of a (rows, OutC)
-// output block.
-func (c *Conv2D) addBias(out []float64, rows int) {
-	for r := 0; r < rows; r++ {
-		row := out[r*c.OutC : (r+1)*c.OutC]
-		for o, bv := range c.b.W {
-			row[o] += bv
-		}
-	}
-}
-
-// Forward implements Layer. Input is flattened (H, W, C); output is
-// flattened (OutH, OutW, OutC).
-func (c *Conv2D) Forward(x []float64) []float64 {
+// ForwardReLU convolves one flattened (H, W, C) frame and applies ReLU,
+// returning the layer-owned flattened (OutH, OutW, OutC) output. It is
+// ForwardBatchReLU's kernel on a batch of one, and it keeps the input
+// and the output for BackwardReLU; both are overwritten by the next
+// call.
+func (c *Conv2D) ForwardReLU(x []float64) []float64 {
 	if len(x) != c.H*c.W*c.InC {
 		panic("nn: Conv2D input size mismatch")
 	}
-	if c.lastCols == nil {
-		c.lastCols = tensor.New(c.OutH()*c.OutW(), c.K*c.K*c.InC)
-		c.inT = tensor.FromSlice(x, c.H, c.W, c.InC)
-	}
-	in := c.inT // cached header; rebind the data to this call's input
-	in.Data = x
-	cols := c.lastCols // (outH*outW, K*K*InC), reused across frames
-	tensor.Im2ColInto(cols, in, c.K, c.K)
-	rows := cols.Shape[0]
-	out := grow(c.out, rows*c.OutC)
-	c.out = out
-	if c.outT == nil {
-		c.outT = tensor.FromSlice(out, rows, c.OutC)
-	}
-	c.outT.Data = out // rebind in case grow reallocated
-	tensor.MatMulTransBInto(c.outT, cols, c.kernelMat())
-	c.addBias(out, rows)
-	return out
+	c.lastX = append(c.lastX[:0], x...)
+	c.out = grow(c.out, c.OutLen())
+	c.convDirect(c.out, x, 1)
+	return c.out
 }
 
-// ForwardBatchReLU convolves a (B, H, W, C) batch directly (no column
-// matrix is materialized) and applies the ReLU activation as it stores
-// each output, returning the layer-owned (B·OutH·OutW, OutC) output:
-// frame b's rows occupy the contiguous block starting at b·OutH·OutW,
-// equal bit-for-bit to Forward and then ReLU's Forward on that frame
-// alone. Inference only; the result is overwritten by the next call.
+// ForwardBatchReLU convolves a (B, H, W, C) batch and applies ReLU,
+// returning the layer-owned (B·OutH·OutW, OutC) output: frame b's rows
+// occupy the contiguous block starting at b·OutH·OutW, equal bit for
+// bit to ForwardReLU on that frame alone. Inference only; the result is
+// overwritten by the next call.
 func (c *Conv2D) ForwardBatchReLU(x *tensor.Tensor) *tensor.Tensor {
 	if x.Dims() != 4 || x.Shape[1] != c.H || x.Shape[2] != c.W || x.Shape[3] != c.InC {
 		panic("nn: Conv2D batch input shape mismatch")
@@ -289,13 +206,23 @@ func (c *Conv2D) ForwardBatchReLU(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// relu returns s when s > 0 and +0 otherwise (NaN, ±0 and negatives),
+// without a data-dependent branch: the sign and the comparison select a
+// bit mask.
+func relu(s float64) float64 {
+	var keep uint64
+	if s > 0 {
+		keep = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(s) & keep)
+}
+
 // convDirect convolves `frames` stacked (H, W, C) frames in src into
-// dst ((frames·OutH·OutW, OutC) row-major). Per output element it
-// accumulates the K·K·InC products in exactly im2col row order (ky-
-// major, then kx·c), then adds the channel bias, then applies ReLU —
-// bit-identical to the im2col → MatMulTransBInto → addBias → ReLU
-// pipeline it replaces, without writing and re-reading the (rows,
-// K·K·InC) column matrix.
+// dst ((frames·OutH·OutW, OutC) row-major). Per output element it sums
+// the K·K·InC products from zero in receptive-field order (ky-major,
+// then kx, then channel), then adds the channel bias, then applies
+// ReLU: bit-identical to convolving through an im2col column matrix and
+// a matmul, without writing and re-reading the column matrix.
 func (c *Conv2D) convDirect(dst, src []float64, frames int) {
 	oh, ow := c.OutH(), c.OutW()
 	kw := c.K * c.InC // receptive-field row-segment width
@@ -307,7 +234,7 @@ func (c *Conv2D) convDirect(dst, src []float64, frames int) {
 	if c.K == 3 && c.InC == 1 {
 		// The detect geometry (3×3 kernel over one channel): the nine
 		// receptive-field taps are loaded once per position and the
-		// nine-term dot is fully unrolled in im2col row order.
+		// nine-term dot is fully unrolled.
 		for f := 0; f < frames; f++ {
 			fr := src[f*frameLen : (f+1)*frameLen]
 			for oy := 0; oy < oh; oy++ {
@@ -319,27 +246,23 @@ func (c *Conv2D) convDirect(dst, src []float64, frames int) {
 					p0, p1, p2 := r0[0], r0[1], r0[2]
 					p3, p4, p5 := r1[0], r1[1], r1[2]
 					p6, p7, p8 := r2[0], r2[1], r2[2]
-					for oc := 0; oc < c.OutC; oc++ {
+					out := dst[di : di+len(bias)]
+					for oc, bv := range bias {
 						k := kmat[oc*9 : oc*9+9]
-						// Nine sequential += terms, matching Dot's
-						// accumulation (including its 0 start) exactly.
+						// Nine sequential += terms from a zero start.
 						var s float64
-						s += p0 * k[0]
-						s += p1 * k[1]
-						s += p2 * k[2]
-						s += p3 * k[3]
-						s += p4 * k[4]
-						s += p5 * k[5]
-						s += p6 * k[6]
-						s += p7 * k[7]
-						s += p8 * k[8]
-						s += bias[oc]
-						if !(s > 0) {
-							s = 0
-						}
-						dst[di+oc] = s
+						s += float64(p0 * k[0])
+						s += float64(p1 * k[1])
+						s += float64(p2 * k[2])
+						s += float64(p3 * k[3])
+						s += float64(p4 * k[4])
+						s += float64(p5 * k[5])
+						s += float64(p6 * k[6])
+						s += float64(p7 * k[7])
+						s += float64(p8 * k[8])
+						out[oc] = relu(s + bv)
 					}
-					di += c.OutC
+					di += len(bias)
 				}
 			}
 		}
@@ -357,14 +280,10 @@ func (c *Conv2D) convDirect(dst, src []float64, frames int) {
 						seg := fr[base+ky*rowStride : base+ky*rowStride+kw]
 						kk := krow[ky*kw : ky*kw+kw]
 						for i, v := range seg {
-							s += v * kk[i]
+							s += float64(v * kk[i])
 						}
 					}
-					s += bias[oc]
-					if !(s > 0) {
-						s = 0
-					}
-					dst[di+oc] = s
+					dst[di+oc] = relu(s + bias[oc])
 				}
 				di += c.OutC
 			}
@@ -372,54 +291,85 @@ func (c *Conv2D) convDirect(dst, src []float64, frames int) {
 	}
 }
 
-// Backward implements Layer. For compactness it propagates gradients to
-// parameters and to the input via the im2col mapping.
-func (c *Conv2D) Backward(grad []float64) []float64 {
-	depth := c.K * c.K * c.InC
-	rows := c.OutH() * c.OutW()
-	dcols := growZero(c.dcols, rows*depth)
-	c.dcols = dcols
-	for r := 0; r < rows; r++ {
-		patch := c.lastCols.Data[r*depth : (r+1)*depth]
-		for o := 0; o < c.OutC; o++ {
-			g := grad[r*c.OutC+o]
-			if g == 0 {
-				continue
-			}
-			c.b.G[o] += g
-			wrow := c.w.W[o*depth : (o+1)*depth]
-			growW := c.w.G[o*depth : (o+1)*depth]
-			drow := dcols[r*depth : (r+1)*depth]
-			for i := 0; i < depth; i++ {
-				growW[i] += g * patch[i]
-				drow[i] += g * wrow[i]
-			}
-		}
+// BackwardReLU receives dLoss/dOutput for the last ForwardReLU and
+// accumulates the weight and bias gradients. ReLU passes a gradient
+// only where the stored output is > 0, which is exactly where the
+// pre-activation was (a NaN pre-activation stored 0). Zero gradients
+// are skipped, and every gradient element sums its terms in output-row
+// order, as an im2col backward pass does; no input gradient is
+// computed.
+func (c *Conv2D) BackwardReLU(grad []float64) {
+	if len(grad) != c.OutLen() {
+		panic("nn: Conv2D gradient size mismatch")
 	}
-	// Scatter column gradients back to input positions.
-	dx := growZero(c.dx, c.H*c.W*c.InC)
-	c.dx = dx
-	ow := c.OutW()
-	r := 0
-	for oy := 0; oy < c.OutH(); oy++ {
+	oh, ow := c.OutH(), c.OutW()
+	x, y := c.lastX, c.out
+	rowStride := c.W * c.InC
+	if c.K == 3 && c.InC == 1 {
+		// Channel-major: each channel's nine weight sums and its bias
+		// sum stay in registers across the output rows.
+		for o := 0; o < c.OutC; o++ {
+			wg := c.w.G[o*9 : o*9+9]
+			s0, s1, s2 := wg[0], wg[1], wg[2]
+			s3, s4, s5 := wg[3], wg[4], wg[5]
+			s6, s7, s8 := wg[6], wg[7], wg[8]
+			sb := c.b.G[o]
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					i := (oy*ow+ox)*c.OutC + o
+					g := grad[i]
+					if g == 0 || !(y[i] > 0) {
+						continue
+					}
+					sb += g
+					base := oy*rowStride + ox
+					r0 := x[base : base+3]
+					r1 := x[base+rowStride : base+rowStride+3]
+					r2 := x[base+2*rowStride : base+2*rowStride+3]
+					s0 += float64(g * r0[0])
+					s1 += float64(g * r0[1])
+					s2 += float64(g * r0[2])
+					s3 += float64(g * r1[0])
+					s4 += float64(g * r1[1])
+					s5 += float64(g * r1[2])
+					s6 += float64(g * r2[0])
+					s7 += float64(g * r2[1])
+					s8 += float64(g * r2[2])
+				}
+			}
+			wg[0], wg[1], wg[2] = s0, s1, s2
+			wg[3], wg[4], wg[5] = s3, s4, s5
+			wg[6], wg[7], wg[8] = s6, s7, s8
+			c.b.G[o] = sb
+		}
+		return
+	}
+	depth := c.K * c.K * c.InC
+	kw := c.K * c.InC
+	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
-			col := 0
-			for ky := 0; ky < c.K; ky++ {
-				for kx := 0; kx < c.K; kx++ {
-					base := ((oy+ky)*c.W + ox + kx) * c.InC
-					for ch := 0; ch < c.InC; ch++ {
-						dx[base+ch] += dcols[r*depth+col]
-						col++
+			base := oy*rowStride + ox*c.InC
+			for o := 0; o < c.OutC; o++ {
+				i := (oy*ow+ox)*c.OutC + o
+				g := grad[i]
+				if g == 0 || !(y[i] > 0) {
+					continue
+				}
+				c.b.G[o] += g
+				wg := c.w.G[o*depth : (o+1)*depth]
+				for ky := 0; ky < c.K; ky++ {
+					seg := x[base+ky*rowStride : base+ky*rowStride+kw]
+					gk := wg[ky*kw : ky*kw+kw]
+					for j, v := range seg {
+						gk[j] += float64(g * v)
 					}
 				}
 			}
-			r++
 		}
 	}
-	return dx
 }
 
-// Params implements Layer.
+// Params lists the kernel weights, then the biases.
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 
 // MaxPool2 is 2×2 max pooling with stride 2 over an (H, W, C) input.
@@ -441,7 +391,9 @@ func NewMaxPool2(h, w, c int) *MaxPool2 {
 // OutLen reports the flattened output length.
 func (p *MaxPool2) OutLen() int { return p.H / 2 * p.W / 2 * p.C }
 
-// Forward implements Layer.
+// Forward pools one flattened (H, W, C) frame, returning layer-owned
+// scratch overwritten by the next call, and records each window's
+// argmax for Backward.
 func (p *MaxPool2) Forward(x []float64) []float64 {
 	oh, ow := p.H/2, p.W/2
 	out := grow(p.out, oh*ow*p.C)
@@ -528,7 +480,8 @@ func (p *MaxPool2) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	return outT
 }
 
-// Backward implements Layer.
+// Backward routes each output gradient to its window's argmax,
+// returning dLoss/dInput (layer-owned scratch).
 func (p *MaxPool2) Backward(grad []float64) []float64 {
 	dx := growZero(p.dx, p.H*p.W*p.C)
 	p.dx = dx
@@ -538,48 +491,14 @@ func (p *MaxPool2) Backward(grad []float64) []float64 {
 	return dx
 }
 
-// Params implements Layer.
-func (p *MaxPool2) Params() []*Param { return nil }
-
-// Sequential chains layers into one network.
-type Sequential struct {
-	Layers []Layer
-}
-
-// Forward runs the full stack.
-func (s *Sequential) Forward(x []float64) []float64 {
-	for _, l := range s.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward runs the full reverse pass.
-func (s *Sequential) Backward(grad []float64) []float64 {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// Params gathers every layer's parameters.
-func (s *Sequential) Params() []*Param {
-	var out []*Param
-	for _, l := range s.Layers {
-		out = append(out, l.Params()...)
-	}
-	return out
-}
-
-// SoftmaxCrossEntropy computes loss and dLoss/dLogits for one example.
-func SoftmaxCrossEntropy(logits []float64, label int) (loss float64, grad []float64) {
-	probs := tensor.Softmax(logits)
-	grad = make([]float64, len(logits))
-	copy(grad, probs)
+// SoftmaxCrossEntropy computes the loss of one example and writes
+// dLoss/dLogits into grad (len(logits) long, not aliasing logits).
+func SoftmaxCrossEntropy(grad, logits []float64, label int) (loss float64) {
+	tensor.SoftmaxInto(grad, logits)
+	p := grad[label]
 	grad[label] -= 1
-	p := probs[label]
 	if p < 1e-12 {
 		p = 1e-12
 	}
-	return -math.Log(p), grad
+	return -math.Log(p)
 }

@@ -8,6 +8,12 @@ import (
 	"pictor/internal/tensor"
 )
 
+// crossEntropy returns the loss of one example and dLoss/dLogits.
+func crossEntropy(logits []float64, label int) (float64, []float64) {
+	g := make([]float64, len(logits))
+	return SoftmaxCrossEntropy(g, logits, label), g
+}
+
 // numGrad estimates dLoss/dW numerically for gradient checking.
 func numGrad(f func() float64, w *float64) float64 {
 	const eps = 1e-5
@@ -44,11 +50,11 @@ func TestDenseGradientCheck(t *testing.T) {
 	x := []float64{0.5, -0.3, 0.8, 0.1}
 	label := 1
 	loss := func() float64 {
-		l, _ := SoftmaxCrossEntropy(d.Forward(x), label)
+		l, _ := crossEntropy(d.Forward(x), label)
 		return l
 	}
 	// Analytic gradients.
-	_, g := SoftmaxCrossEntropy(d.Forward(x), label)
+	_, g := crossEntropy(d.Forward(x), label)
 	d.Backward(g)
 	for _, p := range d.Params() {
 		for i := range p.W {
@@ -66,10 +72,10 @@ func TestDenseBackwardInputGradient(t *testing.T) {
 	x := []float64{0.2, -0.4, 0.9}
 	label := 0
 	loss := func(xv []float64) float64 {
-		l, _ := SoftmaxCrossEntropy(d.Forward(xv), label)
+		l, _ := crossEntropy(d.Forward(xv), label)
 		return l
 	}
-	_, g := SoftmaxCrossEntropy(d.Forward(x), label)
+	_, g := crossEntropy(d.Forward(x), label)
 	dx := d.Backward(g)
 	for i := range x {
 		want := numGrad(func() float64 { return loss(x) }, &x[i])
@@ -79,15 +85,34 @@ func TestDenseBackwardInputGradient(t *testing.T) {
 	}
 }
 
+// TestReLU checks the ReLU fused into the convolution: the output keeps
+// only pre-activations > 0 (NaN and -0 give +0), and the backward pass
+// lets a gradient through only where the output is > 0.
 func TestReLU(t *testing.T) {
-	r := &ReLU{}
-	out := r.Forward([]float64{-1, 0, 2})
-	if out[0] != 0 || out[1] != 0 || out[2] != 2 {
-		t.Fatalf("relu forward = %v", out)
+	// A 1×1 output whose pre-activation is the input's first pixel.
+	c := NewConv2D(3, 3, 1, 1, 3, rand.New(rand.NewSource(1)))
+	for i := range c.w.W {
+		c.w.W[i] = 0
 	}
-	dx := r.Backward([]float64{1, 1, 1})
-	if dx[0] != 0 || dx[1] != 0 || dx[2] != 1 {
-		t.Fatalf("relu backward = %v", dx)
+	c.w.W[0], c.b.W[0] = 1, 0
+	x := make([]float64, 9)
+	for _, tc := range []struct{ pre, out float64 }{
+		{-1, 0}, {math.Copysign(0, -1), 0}, {0, 0}, {math.NaN(), 0}, {math.Inf(-1), 0}, {2, 2}, {math.Inf(1), math.Inf(1)},
+	} {
+		x[0] = tc.pre
+		out := c.ForwardReLU(x)
+		if math.Float64bits(out[0]) != math.Float64bits(tc.out) {
+			t.Fatalf("relu forward of %v = %v, want %v", tc.pre, out[0], tc.out)
+		}
+		c.w.G[0], c.b.G[0] = 0, 0
+		c.BackwardReLU([]float64{1})
+		wantW, wantB := 0.0, 0.0
+		if tc.out > 0 {
+			wantW, wantB = tc.pre, 1
+		}
+		if c.w.G[0] != wantW || c.b.G[0] != wantB {
+			t.Fatalf("relu backward of %v: weight grad %v, bias grad %v", tc.pre, c.w.G[0], c.b.G[0])
+		}
 	}
 }
 
@@ -97,7 +122,7 @@ func TestConv2DOutputShape(t *testing.T) {
 	if c.OutH() != 6 || c.OutW() != 6 || c.OutLen() != 6*6*4 {
 		t.Fatalf("conv out dims wrong: %d×%d×%d", c.OutH(), c.OutW(), c.OutC)
 	}
-	out := c.Forward(make([]float64, 64))
+	out := c.ForwardReLU(make([]float64, 64))
 	if len(out) != c.OutLen() {
 		t.Fatalf("conv out len = %d, want %d", len(out), c.OutLen())
 	}
@@ -112,11 +137,11 @@ func TestConv2DGradientCheck(t *testing.T) {
 	}
 	label := 3
 	loss := func() float64 {
-		l, _ := SoftmaxCrossEntropy(c.Forward(x), label)
+		l, _ := crossEntropy(c.ForwardReLU(x), label)
 		return l
 	}
-	_, g := SoftmaxCrossEntropy(c.Forward(x), label)
-	c.Backward(g)
+	_, g := crossEntropy(c.ForwardReLU(x), label)
+	c.BackwardReLU(g)
 	for _, p := range c.Params() {
 		for i := range p.W {
 			want := numGrad(loss, &p.W[i])
@@ -148,26 +173,35 @@ func TestMaxPool2OddPanics(t *testing.T) {
 	NewMaxPool2(3, 2, 1)
 }
 
-func TestSequentialLearnsXOR(t *testing.T) {
+// TestDenseLearnsXOR trains two dense layers with a ReLU between them.
+func TestDenseLearnsXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	net := &Sequential{Layers: []Layer{
-		NewDense(2, 8, rng),
-		&ReLU{},
-		NewDense(8, 2, rng),
-	}}
-	opt := NewAdam(net.Params(), 0.01)
+	l1, l2 := NewDense(2, 8, rng), NewDense(8, 2, rng)
+	hidden := make([]float64, 8)
+	forward := func(x []float64) []float64 {
+		for i, v := range l1.Forward(x) {
+			hidden[i] = math.Max(v, 0)
+		}
+		return l2.Forward(hidden)
+	}
+	opt := NewAdam(append(l1.Params(), l2.Params()...), 0.01)
 	data := [][2]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 	labels := []int{0, 1, 1, 0}
 	for epoch := 0; epoch < 400; epoch++ {
 		for i, d := range data {
-			logits := net.Forward(d[:])
-			_, g := SoftmaxCrossEntropy(logits, labels[i])
-			net.Backward(g)
+			_, g := crossEntropy(forward(d[:]), labels[i])
+			dh := l2.Backward(g)
+			for j, h := range hidden {
+				if !(h > 0) {
+					dh[j] = 0
+				}
+			}
+			l1.Backward(dh)
 			opt.Step()
 		}
 	}
 	for i, d := range data {
-		logits := net.Forward(d[:])
+		logits := forward(d[:])
 		if tensor.ArgMax(logits) != labels[i] {
 			t.Fatalf("XOR not learned: input %v → %v, want class %d", d, logits, labels[i])
 		}
@@ -179,61 +213,33 @@ func TestCNNLearnsPatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	conv := NewConv2D(4, 4, 1, 4, 3, rng)
 	pool := NewMaxPool2(2, 2, 4)
-	net := &Sequential{Layers: []Layer{
-		conv,
-		&ReLU{},
-		pool,
-		NewDense(pool.OutLen(), 2, rng),
-	}}
-	opt := NewAdam(net.Params(), 0.01)
+	dense := NewDense(pool.OutLen(), 2, rng)
+	forward := func(x []float64) []float64 {
+		return dense.Forward(pool.Forward(conv.ForwardReLU(x)))
+	}
+	opt := NewAdam(append(conv.Params(), dense.Params()...), 0.01)
 	cross := []float64{1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1}
 	box := []float64{1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1, 1}
 	for epoch := 0; epoch < 150; epoch++ {
 		for i, x := range [][]float64{cross, box} {
-			logits := net.Forward(x)
-			_, g := SoftmaxCrossEntropy(logits, i)
-			net.Backward(g)
+			_, g := crossEntropy(forward(x), i)
+			conv.BackwardReLU(pool.Backward(dense.Backward(g)))
 			opt.Step()
 		}
 	}
-	if tensor.ArgMax(net.Forward(cross)) != 0 || tensor.ArgMax(net.Forward(box)) != 1 {
+	if tensor.ArgMax(forward(cross)) != 0 || tensor.ArgMax(forward(box)) != 1 {
 		t.Fatal("CNN failed to separate two trivially different patterns")
 	}
 }
 
 func TestSoftmaxCrossEntropyGradSumsToZero(t *testing.T) {
-	_, g := SoftmaxCrossEntropy([]float64{0.3, -0.2, 1.4}, 2)
+	_, g := crossEntropy([]float64{0.3, -0.2, 1.4}, 2)
 	var sum float64
 	for _, v := range g {
 		sum += v
 	}
 	if math.Abs(sum) > 1e-9 {
 		t.Fatalf("CE gradient sums to %v, want 0", sum)
-	}
-}
-
-func TestSaveLoadWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := NewDense(3, 2, rng)
-	b := NewDense(3, 2, rng)
-	blob, err := SaveWeights(a.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadWeights(b.Params(), blob); err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.1, 0.2, 0.3}
-	ya, yb := a.Forward(x), b.Forward(x)
-	for i := range ya {
-		if ya[i] != yb[i] {
-			t.Fatal("loaded weights produce different output")
-		}
-	}
-	// Shape mismatch must fail cleanly.
-	c := NewDense(4, 2, rng)
-	if err := LoadWeights(c.Params(), blob); err == nil {
-		t.Fatal("shape mismatch load should error")
 	}
 }
 

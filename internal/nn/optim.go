@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"bytes"
-	"encoding/gob"
-	"math"
-)
+import "math"
 
 // Adam is the Adam optimizer (Kingma & Ba) over a parameter set.
 type Adam struct {
@@ -30,7 +26,7 @@ func (a *Adam) Step() {
 		var norm float64
 		for _, p := range a.params {
 			for _, g := range p.G {
-				norm += g * g
+				norm += float64(g * g)
 			}
 		}
 		norm = math.Sqrt(norm)
@@ -51,8 +47,8 @@ func (a *Adam) Step() {
 			p.v = make([]float64, len(p.W))
 		}
 		for i, g := range p.G {
-			p.m[i] = a.Beta1*p.m[i] + (1-a.Beta1)*g
-			p.v[i] = a.Beta2*p.v[i] + (1-a.Beta2)*g*g
+			p.m[i] = float64(a.Beta1*p.m[i]) + float64((1-a.Beta1)*g)
+			p.v[i] = float64(a.Beta2*p.v[i]) + float64((1-a.Beta2)*g*g)
 			mHat := p.m[i] / bc1
 			vHat := p.v[i] / bc2
 			p.W[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
@@ -60,41 +56,3 @@ func (a *Adam) Step() {
 		p.zeroGrad()
 	}
 }
-
-// SaveWeights serializes a parameter set (gob encoding).
-func SaveWeights(params []*Param) ([]byte, error) {
-	var ws [][]float64
-	for _, p := range params {
-		ws = append(ws, p.W)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ws); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// LoadWeights restores a parameter set saved with SaveWeights. The
-// parameter shapes must match.
-func LoadWeights(params []*Param, data []byte) error {
-	var ws [][]float64
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ws); err != nil {
-		return err
-	}
-	if len(ws) != len(params) {
-		return errShape
-	}
-	for i, p := range params {
-		if len(ws[i]) != len(p.W) {
-			return errShape
-		}
-		copy(p.W, ws[i])
-	}
-	return nil
-}
-
-type shapeError struct{}
-
-func (shapeError) Error() string { return "nn: weight shape mismatch" }
-
-var errShape = shapeError{}

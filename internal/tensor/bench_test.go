@@ -13,20 +13,8 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
-func BenchmarkMatMulInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randTensor(rng, 36, 9)
-	c := randTensor(rng, 9, 6)
-	out := New(36, 6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(out, a, c)
-	}
-}
-
-// The Conv2D hot shape: one cell's im2col rows against the transposed
-// kernel matrix (36×9 · (6×9)ᵀ).
+// A 36×9 · (6×9)ᵀ product: one cell's receptive-field rows against a
+// 3×3 kernel of six channels.
 func BenchmarkMatMulTransB(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randTensor(rng, 36, 9)
@@ -39,7 +27,7 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	}
 }
 
-// The batched Conv2D shape: 32 sessions' cells in one matmul.
+// The same product over 32 cells' rows at once.
 func BenchmarkMatMulTransBBatch32(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randTensor(rng, 32*36, 9)
@@ -49,17 +37,6 @@ func BenchmarkMatMulTransBBatch32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulTransBInto(out, a, c)
-	}
-}
-
-func BenchmarkIm2ColInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	in := randTensor(rng, 8, 8, 1)
-	out := New(36, 9)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2ColInto(out, in, 3, 3)
 	}
 }
 

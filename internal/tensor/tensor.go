@@ -1,6 +1,7 @@
 // Package tensor provides the small dense-tensor math underlying
-// Pictor's neural networks: shaped float64 arrays, matrix multiply, and
-// the im2col transform used by convolution layers.
+// Pictor's neural networks: shaped float64 arrays, the transposed
+// matrix multiply and matrix-vector product of the dense layers, and
+// softmax.
 package tensor
 
 import (
@@ -93,77 +94,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
-// AddInPlace accumulates u into t elementwise.
-func (t *Tensor) AddInPlace(u *Tensor) {
-	if len(t.Data) != len(u.Data) {
-		panic("tensor: AddInPlace size mismatch")
-	}
-	for i, v := range u.Data {
-		t.Data[i] += v
-	}
-}
-
-// Scale multiplies every element by a.
-func (t *Tensor) Scale(a float64) {
-	for i := range t.Data {
-		t.Data[i] *= a
-	}
-}
-
-// MatMul computes the 2-D product a(m×k) · b(k×n) → (m×n).
-//
-// Allocating convenience wrapper for tests and one-off call sites; hot
-// code uses MatMulInto / MatMulTransBInto with caller-owned output.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic("tensor: MatMul needs 2-D operands")
-	}
-	m, n := a.Shape[0], b.Shape[1]
-	out := New(m, n)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes a(m×k) · b(k×n) into out(m×n), reusing out's
-// storage. out is fully overwritten; it must not alias a or b.
-func MatMulInto(out, a, b *Tensor) {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic("tensor: MatMul needs 2-D operands")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
-	}
-	if out.Dims() != 2 || out.Shape[0] != m || out.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto out shape %v, want [%d %d]", out.Shape, m, n))
-	}
-	for i := range out.Data {
-		out.Data[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
 // MatMulTransBInto computes a(m×k) · bᵀ into out(m×n), where b is
 // stored pre-transposed as (n×k) so both operands stream row-major.
 // Each output element is an independent sequential dot product over k —
@@ -204,14 +134,14 @@ func MatMulTransBInto(out, a, b *Tensor) {
 			for p := 0; p < k; p++ {
 				av0, av1 := a0[p], a1[p]
 				bv0, bv1, bv2, bv3 := b0[p], b1[p], b2[p], b3[p]
-				s00 += av0 * bv0
-				s01 += av0 * bv1
-				s02 += av0 * bv2
-				s03 += av0 * bv3
-				s10 += av1 * bv0
-				s11 += av1 * bv1
-				s12 += av1 * bv2
-				s13 += av1 * bv3
+				s00 += float64(av0 * bv0)
+				s01 += float64(av0 * bv1)
+				s02 += float64(av0 * bv2)
+				s03 += float64(av0 * bv3)
+				s10 += float64(av1 * bv0)
+				s11 += float64(av1 * bv1)
+				s12 += float64(av1 * bv2)
+				s13 += float64(av1 * bv3)
 			}
 			o0[j], o0[j+1], o0[j+2], o0[j+3] = s00, s01, s02, s03
 			o1[j], o1[j+1], o1[j+2], o1[j+3] = s10, s11, s12, s13
@@ -221,8 +151,8 @@ func MatMulTransBInto(out, a, b *Tensor) {
 			var s0, s1 float64
 			for p := 0; p < k; p++ {
 				bv := brow[p]
-				s0 += a0[p] * bv
-				s1 += a1[p] * bv
+				s0 += float64(a0[p] * bv)
+				s1 += float64(a1[p] * bv)
 			}
 			o0[j], o1[j] = s0, s1
 		}
@@ -239,10 +169,10 @@ func MatMulTransBInto(out, a, b *Tensor) {
 			var s0, s1, s2, s3 float64
 			for p := 0; p < k; p++ {
 				av := arow[p]
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+				s0 += float64(av * b0[p])
+				s1 += float64(av * b1[p])
+				s2 += float64(av * b2[p])
+				s3 += float64(av * b3[p])
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
@@ -267,97 +197,6 @@ func MatVecInto(dst []float64, a *Tensor, x []float64) {
 	}
 }
 
-// Im2Col unrolls an (H, W, C) input into a matrix whose rows are the
-// kh×kw×C receptive fields of each valid output position, in row-major
-// output order. Convolution then reduces to one MatMul.
-//
-// Allocating convenience wrapper for tests and one-off call sites; hot
-// code uses Im2ColInto / Im2ColBatchInto with caller-owned output.
-func Im2Col(input *Tensor, kh, kw int) *Tensor {
-	if input.Dims() != 3 {
-		panic("tensor: Im2Col needs an (H, W, C) input")
-	}
-	h, w, c := input.Shape[0], input.Shape[1], input.Shape[2]
-	oh, ow := h-kh+1, w-kw+1
-	if oh <= 0 || ow <= 0 {
-		panic("tensor: kernel larger than input")
-	}
-	out := New(oh*ow, kh*kw*c)
-	Im2ColInto(out, input, kh, kw)
-	return out
-}
-
-// Im2ColInto performs the Im2Col transform into a preallocated
-// (oh*ow, kh*kw*C) matrix, reusing its storage across frames. Every
-// element of out is overwritten.
-func Im2ColInto(out, input *Tensor, kh, kw int) {
-	if input.Dims() != 3 {
-		panic("tensor: Im2Col needs an (H, W, C) input")
-	}
-	h, w, c := input.Shape[0], input.Shape[1], input.Shape[2]
-	oh, ow := h-kh+1, w-kw+1
-	if oh <= 0 || ow <= 0 {
-		panic("tensor: kernel larger than input")
-	}
-	if out.Dims() != 2 || out.Shape[0] != oh*ow || out.Shape[1] != kh*kw*c {
-		panic(fmt.Sprintf("tensor: Im2ColInto out shape %v, want [%d %d]", out.Shape, oh*ow, kh*kw*c))
-	}
-	im2colRows(out.Data, input.Data, 0, h, w, c, kh, kw)
-}
-
-// im2colRows writes one frame's receptive-field rows into dst starting
-// at row `row` (each row kh·kw·c wide). The kw·c-wide row segments are
-// hand-copied when narrow: at the common kernel widths a memmove call
-// costs more than the move itself, and this loop runs for every cell of
-// every frame of every trial (and every training patch).
-func im2colRows(dst, src []float64, row, h, w, c, kh, kw int) {
-	oh, ow := h-kh+1, w-kw+1
-	n := kw * c
-	depth := kh * n
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			col := row * depth
-			for ky := 0; ky < kh; ky++ {
-				srcOff := ((oy+ky)*w + ox) * c
-				if n == 3 {
-					dst[col] = src[srcOff]
-					dst[col+1] = src[srcOff+1]
-					dst[col+2] = src[srcOff+2]
-				} else {
-					copy(dst[col:col+n], src[srcOff:srcOff+n])
-				}
-				col += n
-			}
-			row++
-		}
-	}
-}
-
-// Im2ColBatchInto unrolls a (B, H, W, C) batch into one
-// (B·oh·ow, kh·kw·C) matrix: frame b's receptive-field rows occupy the
-// contiguous block starting at row b·oh·ow, each laid out exactly as
-// Im2ColInto would lay them for that frame alone. One downstream matmul
-// then convolves the whole batch. Every element of out is overwritten.
-func Im2ColBatchInto(out, input *Tensor, kh, kw int) {
-	if input.Dims() != 4 {
-		panic("tensor: Im2ColBatchInto needs a (B, H, W, C) input")
-	}
-	bn, h, w, c := input.Shape[0], input.Shape[1], input.Shape[2], input.Shape[3]
-	oh, ow := h-kh+1, w-kw+1
-	if oh <= 0 || ow <= 0 {
-		panic("tensor: kernel larger than input")
-	}
-	depth := kh * kw * c
-	if out.Dims() != 2 || out.Shape[0] != bn*oh*ow || out.Shape[1] != depth {
-		panic(fmt.Sprintf("tensor: Im2ColBatchInto out shape %v, want [%d %d]", out.Shape, bn*oh*ow, depth))
-	}
-	frameLen := h * w * c
-	for b := 0; b < bn; b++ {
-		frame := input.Data[b*frameLen : (b+1)*frameLen]
-		im2colRows(out.Data, frame, b*oh*ow, h, w, c, kh, kw)
-	}
-}
-
 // Dot computes the inner product of equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -365,16 +204,9 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
-}
-
-// Softmax returns the softmax of x (numerically stabilized).
-func Softmax(x []float64) []float64 {
-	out := make([]float64, len(x))
-	SoftmaxInto(out, x)
-	return out
 }
 
 // SoftmaxInto writes the softmax of x into out (same length, fully

@@ -70,28 +70,33 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestFillScaleAdd(t *testing.T) {
-	a := New(3)
-	a.Fill(2)
-	a.Scale(3)
-	b := New(3)
-	b.Fill(1)
-	a.AddInPlace(b)
-	for i := 0; i < 3; i++ {
-		if a.Data[i] != 7 {
-			t.Fatalf("fill/scale/add = %v, want 7", a.Data[i])
+// matMul is the textbook product a(m×k) · b(k×n), each element a dot
+// product started at zero: the reference for MatMulTransBInto.
+func matMul(a, b *Tensor) *Tensor {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	out := New(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for p := 0; p < k; p++ {
+				s += float64(a.Data[i*k+p] * b.Data[p*n+j])
+			}
+			out.Data[i*n+j] = s
 		}
 	}
+	return out
 }
 
 func TestMatMul(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	// (3, 2) operand [[7 8] [9 10] [11 12]], stored transposed.
+	bt := FromSlice([]float64{7, 9, 11, 8, 10, 12}, 2, 3)
+	c := New(2, 2)
+	MatMulTransBInto(c, a, bt)
 	want := []float64{58, 64, 139, 154}
 	for i, w := range want {
 		if c.Data[i] != w {
-			t.Fatalf("MatMul = %v, want %v", c.Data, want)
+			t.Fatalf("MatMulTransBInto = %v, want %v", c.Data, want)
 		}
 	}
 }
@@ -99,10 +104,10 @@ func TestMatMul(t *testing.T) {
 func TestMatMulShapeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("inner-dim mismatch did not panic")
+			t.Fatal("output shape mismatch did not panic")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 3))
+	MatMulTransBInto(New(2, 3), New(2, 4), New(2, 4))
 }
 
 func TestMatVecInto(t *testing.T) {
@@ -157,7 +162,7 @@ func TestMatMulTransBMatchesMatMul(t *testing.T) {
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
 	// b transposed to (2, 3) row-major.
 	bt := FromSlice([]float64{7, 9, 11, 8, 10, 12}, 2, 3)
-	want := MatMul(a, b)
+	want := matMul(a, b)
 	got := New(2, 2)
 	MatMulTransBInto(got, a, bt)
 	for i := range want.Data {
@@ -176,91 +181,22 @@ func TestMatMulTransBShapeMismatchPanics(t *testing.T) {
 	MatMulTransBInto(New(2, 2), New(2, 3), New(2, 4))
 }
 
-func TestIm2Col(t *testing.T) {
-	// 3×3 single-channel input, 2×2 kernel → 4 patches of 4 values.
-	in := FromSlice([]float64{
-		1, 2, 3,
-		4, 5, 6,
-		7, 8, 9,
-	}, 3, 3, 1)
-	cols := Im2Col(in, 2, 2)
-	if cols.Shape[0] != 4 || cols.Shape[1] != 4 {
-		t.Fatalf("Im2Col shape = %v, want [4 4]", cols.Shape)
-	}
-	want := [][]float64{
-		{1, 2, 4, 5},
-		{2, 3, 5, 6},
-		{4, 5, 7, 8},
-		{5, 6, 8, 9},
-	}
-	for r, row := range want {
-		for c, v := range row {
-			if cols.At(r, c) != v {
-				t.Fatalf("patch %d = %v, want %v", r, cols.Data[r*4:(r+1)*4], row)
-			}
-		}
-	}
-}
-
-func TestIm2ColMultiChannel(t *testing.T) {
-	in := New(2, 2, 2)
-	in.Set(1, 0, 0, 0)
-	in.Set(2, 0, 0, 1)
-	cols := Im2Col(in, 2, 2)
-	if cols.Shape[0] != 1 || cols.Shape[1] != 8 {
-		t.Fatalf("multi-channel shape = %v, want [1 8]", cols.Shape)
-	}
-	if cols.At(0, 0) != 1 || cols.At(0, 1) != 2 {
-		t.Fatal("channel interleave wrong")
-	}
-}
-
-// A batched im2col over B frames must produce, per frame, exactly the
-// rows Im2ColInto produces for that frame alone.
-func TestIm2ColBatchMatchesSingle(t *testing.T) {
-	const bn, h, w, c, kh, kw = 3, 4, 5, 2, 2, 3
-	oh, ow := h-kh+1, w-kw+1
-	batch := New(bn, h, w, c)
-	for i := range batch.Data {
-		batch.Data[i] = float64(i)*0.5 - 7
-	}
-	out := New(bn*oh*ow, kh*kw*c)
-	Im2ColBatchInto(out, batch, kh, kw)
-
-	frameLen := h * w * c
-	single := New(oh*ow, kh*kw*c)
-	for b := 0; b < bn; b++ {
-		frame := FromSlice(batch.Data[b*frameLen:(b+1)*frameLen], h, w, c)
-		Im2ColInto(single, frame, kh, kw)
-		for r := 0; r < oh*ow; r++ {
-			for col := 0; col < kh*kw*c; col++ {
-				if out.At(b*oh*ow+r, col) != single.At(r, col) {
-					t.Fatalf("frame %d row %d col %d: batch %v != single %v",
-						b, r, col, out.At(b*oh*ow+r, col), single.At(r, col))
-				}
-			}
-		}
-	}
-}
-
-func TestIm2ColBatchShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong out shape did not panic")
-		}
-	}()
-	Im2ColBatchInto(New(2, 2), New(2, 3, 3, 1), 2, 2)
+// softmax returns SoftmaxInto's result in a fresh slice.
+func softmax(x []float64) []float64 {
+	out := make([]float64, len(x))
+	SoftmaxInto(out, x)
+	return out
 }
 
 func TestSoftmax(t *testing.T) {
-	p := Softmax([]float64{1, 1, 1})
+	p := softmax([]float64{1, 1, 1})
 	for _, v := range p {
 		if math.Abs(v-1.0/3) > 1e-12 {
 			t.Fatalf("uniform softmax = %v", p)
 		}
 	}
 	// Large logits must not overflow.
-	p = Softmax([]float64{1000, 0})
+	p = softmax([]float64{1000, 0})
 	if math.IsNaN(p[0]) || p[0] < 0.999 {
 		t.Fatalf("softmax unstable: %v", p)
 	}
@@ -287,7 +223,7 @@ func TestSoftmaxNormalizedProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		p := Softmax(xs)
+		p := softmax(xs)
 		var sum float64
 		for _, v := range p {
 			if v <= 0 || v > 1 {
@@ -302,7 +238,7 @@ func TestSoftmaxNormalizedProperty(t *testing.T) {
 	}
 }
 
-// Property: MatMul with identity returns the original.
+// Property: a product with the identity returns the original.
 func TestMatMulIdentityProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		n := 3
@@ -322,7 +258,8 @@ func TestMatMulIdentityProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			id.Set(1, i, i)
 		}
-		c := MatMul(a, id)
+		c := New(n, n)
+		MatMulTransBInto(c, a, id)
 		for i := range c.Data {
 			if c.Data[i] != a.Data[i] {
 				return false
