@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"pictor/internal/fleet"
 )
 
 func normOK(t *testing.T, s ExperimentSpec) ExperimentSpec {
@@ -113,6 +116,19 @@ func TestSpecScheduleKnobs(t *testing.T) {
 	normErr(t, ExperimentSpec{Kind: "churn", Schedule: "wat"}, "unknown rate schedule")
 	normErr(t, ExperimentSpec{Kind: "churn", Rate: 5, Schedule: "diurnal", Peak: 2, Period: 6}, "peak rate")
 	normErr(t, ExperimentSpec{Kind: "churn", Schedule: "flash", Peak: 9}, "period")
+}
+
+// TestSpecArrivalRateBounded: a spec's rate and peak are capped at
+// fleet.MaxArrivalRate, so no posted spec can ask the Poisson sampler
+// for a mean it never works down.
+func TestSpecArrivalRateBounded(t *testing.T) {
+	above := math.Nextafter(fleet.MaxArrivalRate, math.Inf(1))
+	normOK(t, ExperimentSpec{Kind: "churn", Rate: fleet.MaxArrivalRate})
+	normOK(t, ExperimentSpec{Kind: "faults", Schedule: "diurnal", Peak: fleet.MaxArrivalRate, Period: 6})
+	for _, rate := range []float64{above, 1e300} {
+		normErr(t, ExperimentSpec{Kind: "churn", Rate: rate}, "arrival rate")
+		normErr(t, ExperimentSpec{Kind: "churn", Schedule: "flash", Peak: rate, Period: 6}, "peak rate")
+	}
 }
 
 func TestSpecTrialsMatchComparisonBatches(t *testing.T) {

@@ -180,3 +180,28 @@ func TestChurnSourceScheduledVolume(t *testing.T) {
 		t.Fatalf("scheduled sources must out-arrive the trough: constant %d, diurnal %d, flash %d", flat, diurnal, flash)
 	}
 }
+
+// TestArrivalRateBounded: the rate and a schedule's peak are capped at
+// MaxArrivalRate. The cap itself passes; the next float above it and
+// 1e300 (a mean the Poisson sampler could never work down) fail.
+func TestArrivalRateBounded(t *testing.T) {
+	above := math.Nextafter(MaxArrivalRate, math.Inf(1))
+	if err := ValidateChurnParams(MaxArrivalRate, 2, 3); err != nil {
+		t.Fatalf("rate at the bound rejected: %v", err)
+	}
+	for _, sched := range []string{ScheduleDiurnal, ScheduleFlash} {
+		if err := ValidateSchedule(sched, 2, MaxArrivalRate, 4); err != nil {
+			t.Fatalf("%s peak at the bound rejected: %v", sched, err)
+		}
+	}
+	for _, rate := range []float64{above, 1e300} {
+		if err := ValidateChurnParams(rate, 2, 3); err == nil {
+			t.Fatalf("rate %g accepted", rate)
+		}
+		for _, sched := range []string{ScheduleDiurnal, ScheduleFlash} {
+			if err := ValidateSchedule(sched, 2, rate, 4); err == nil {
+				t.Fatalf("%s peak %g accepted", sched, rate)
+			}
+		}
+	}
+}

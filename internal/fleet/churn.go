@@ -37,6 +37,13 @@ type Session struct {
 	Departs int
 }
 
+// MaxArrivalRate bounds a churn shape's arrival rate and a schedule's
+// peak, in sessions per epoch: 50 times the largest shipped rate
+// (diurnal-1m's peak of 20,000). The Poisson sampler works a huge mean
+// down in chunks of 500, and at 1e300 a chunk no longer changes the
+// mean, so an unbounded rate would never finish drawing.
+const MaxArrivalRate = 1e6
+
 // ValidateChurnParams checks the churn-shape vocabulary with actionable
 // messages. It is shared by NewChurnSource and the shape validators, so
 // a typo fails identically whether it arrives via the CLI or the API.
@@ -44,8 +51,8 @@ func ValidateChurnParams(rate, meanEpochs float64, epochs int) error {
 	if epochs < 1 {
 		return fmt.Errorf("fleet: churn needs at least 1 epoch, got %d", epochs)
 	}
-	if !(rate > 0) || math.IsInf(rate, 1) {
-		return fmt.Errorf("fleet: churn arrival rate must be a finite number > 0 sessions/epoch, got %g", rate)
+	if !(rate > 0) || !(rate <= MaxArrivalRate) {
+		return fmt.Errorf("fleet: churn arrival rate must be > 0 and <= %g sessions/epoch, got %g", float64(MaxArrivalRate), rate)
 	}
 	if !(meanEpochs > 0) || math.IsInf(meanEpochs, 1) {
 		return fmt.Errorf("fleet: churn mean session length must be a finite number > 0 epochs, got %g", meanEpochs)
