@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pictor/internal/app"
 	"pictor/internal/scene"
 	"pictor/internal/sim"
 )
@@ -90,5 +91,17 @@ func BenchmarkInferenceFrame(b *testing.B) {
 		detected := m.Detect(px)
 		logits := m.NextActionLogits(detected)
 		SampleAction(logits, rng)
+	}
+}
+
+// BenchmarkTrain is one training of the intelligent client with the
+// default configuration on a synthetic 1,500-frame STK recording, about
+// the length of the 45 s recorded session each paper profile trains on.
+func BenchmarkTrain(b *testing.B) {
+	rec := makeRecording(app.STK(), 1500, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Train(rec, DefaultTrainConfig(), 77)
 	}
 }

@@ -41,17 +41,19 @@ func (a *Adam) Step() {
 	}
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	b1, b2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Eps
 	for _, p := range a.params {
 		if p.m == nil {
 			p.m = make([]float64, len(p.W))
 			p.v = make([]float64, len(p.W))
 		}
-		for i, g := range p.G {
-			p.m[i] = float64(a.Beta1*p.m[i]) + float64((1-a.Beta1)*g)
-			p.v[i] = float64(a.Beta2*p.v[i]) + float64((1-a.Beta2)*g*g)
-			mHat := p.m[i] / bc1
-			vHat := p.v[i] / bc2
-			p.W[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+		w, m, v := p.W, p.m[:len(p.W)], p.v[:len(p.W)]
+		for i, g := range p.G[:len(p.W)] {
+			m[i] = float64(b1*m[i]) + float64((1-b1)*g)
+			v[i] = float64(b2*v[i]) + float64((1-b2)*g*g)
+			mHat := m[i] / bc1
+			vHat := v[i] / bc2
+			w[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
 		}
 		p.zeroGrad()
 	}
