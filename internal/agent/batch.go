@@ -98,8 +98,8 @@ func (s *BatchSession) Detected() []scene.Type {
 	return s.detected
 }
 
-// flushChunk caps how many sessions one CNN pass spans. Chunking keeps
-// the pass's im2col/activation buffers cache-resident between layers:
+// flushChunk caps how many frames one CNN pass spans. Chunking keeps
+// the pass's patch and activation buffers cache-resident between layers:
 // one unbounded pass over a large fleet streams multi-megabyte arrays
 // through every layer and goes DRAM-bound (measured ~60% slower per
 // session at 32 sessions than at 8). Each row's math is independent,

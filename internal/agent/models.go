@@ -137,28 +137,20 @@ func (m *Models) Detect(pixels []float64) []scene.Type {
 func (m *Models) detectAll(samples []Sample, workers int) []scene.Type {
 	out := make([]scene.Type, len(samples)*cells)
 	workers = max(1, min(workers, len(samples)))
-	detect := func(w *Models, lo, hi int) {
-		var frames [flushChunk][]float64
-		for start := lo; start < hi; start += flushChunk {
-			end := min(start+flushChunk, hi)
-			for i := start; i < end; i++ {
-				frames[i-start] = samples[i].Pixels
-			}
-			w.recognize(out[start*cells:end*cells], frames[:end-start])
-		}
-	}
-	if workers == 1 {
-		detect(m, 0, len(samples))
-		return out
-	}
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
-		lo, hi := k*len(samples)/workers, (k+1)*len(samples)/workers
-		w := m.Clone()
+		w, lo, hi := m.Clone(), k*len(samples)/workers, (k+1)*len(samples)/workers
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			detect(w, lo, hi)
+			var frames [flushChunk][]float64
+			for start := lo; start < hi; start += flushChunk {
+				end := min(start+flushChunk, hi)
+				for i := start; i < end; i++ {
+					frames[i-start] = samples[i].Pixels
+				}
+				w.recognize(out[start*cells:end*cells], frames[:end-start])
+			}
 		}()
 	}
 	wg.Wait()
