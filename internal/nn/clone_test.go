@@ -17,6 +17,30 @@ func sliceEq(a, b []float64) bool {
 	return true
 }
 
+// TestSequentialCloneMatchesForward clones a dense → ReLU → dense stack
+// layer by layer: the clones must compute the original's forward pass.
+func TestSequentialCloneMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	l1, l2 := NewDense(16, 8, rng), NewDense(8, 4, rng)
+	c1, c2 := l1.Clone(), l2.Clone()
+	forward := func(a, b *Dense, x []float64) []float64 {
+		h := append([]float64(nil), a.Forward(x)...)
+		for i, v := range h {
+			if !(v > 0) {
+				h[i] = 0
+			}
+		}
+		return b.Forward(h)
+	}
+	x := make([]float64, 16)
+	for i := range x {
+		x[i] = rng.Float64()
+	}
+	if !sliceEq(forward(l1, l2, x), forward(c1, c2, x)) {
+		t.Fatal("cloned network diverges from original")
+	}
+}
+
 func TestConv2DCloneMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := NewConv2D(6, 6, 1, 2, 3, rng)

@@ -162,9 +162,8 @@ type kernelCase struct {
 var kernelCases = []kernelCase{
 	{8, 8, 1, 6, 3, false}, // the intelligent client's detect geometry
 	{8, 8, 1, 6, 3, true},
-	{4, 4, 1, 2, 3, true},
-	{6, 6, 1, 3, 3, true}, // an odd channel count takes the general loop
-	{6, 6, 2, 3, 3, true}, // so do several input channels
+	{4, 4, 1, 3, 3, true},
+	{6, 6, 2, 3, 3, true}, // the general (multi-channel) loop
 	{5, 7, 3, 4, 2, false},
 }
 

@@ -220,13 +220,10 @@ func (c *Conv2D) convDirect(dst, src []float64, frames int) {
 	frameLen := c.H * c.W * c.InC
 	rowStride := c.W * c.InC
 	di := 0
-	if c.K == 3 && c.InC == 1 && c.OutC%2 == 0 {
-		// The detect geometry (3×3 kernel over one channel, an even
-		// channel count): the nine receptive-field taps are loaded once
-		// per position and the nine-term dots are fully unrolled, two
-		// channels at a time so that two independent add chains are in
-		// flight.
-		nc := len(bias)
+	if c.K == 3 && c.InC == 1 {
+		// The detect geometry (3×3 kernel over one channel): the nine
+		// receptive-field taps are loaded once per position and the
+		// nine-term dot is fully unrolled.
 		for f := 0; f < frames; f++ {
 			fr := src[f*frameLen : (f+1)*frameLen]
 			for oy := 0; oy < oh; oy++ {
@@ -238,41 +235,26 @@ func (c *Conv2D) convDirect(dst, src []float64, frames int) {
 					p0, p1, p2 := r0[0], r0[1], r0[2]
 					p3, p4, p5 := r1[0], r1[1], r1[2]
 					p6, p7, p8 := r2[0], r2[1], r2[2]
-					out := dst[di : di+nc]
-					for oc := 0; oc < nc; oc += 2 {
-						k := (*[18]float64)(kmat[oc*9:])
-						// Nine sequential += terms per channel, each
-						// from a zero start.
-						var s, t float64
+					for oc := 0; oc < c.OutC; oc++ {
+						k := kmat[oc*9 : oc*9+9]
+						// Nine sequential += terms from a zero start.
+						var s float64
 						s += float64(p0 * k[0])
-						t += float64(p0 * k[9])
 						s += float64(p1 * k[1])
-						t += float64(p1 * k[10])
 						s += float64(p2 * k[2])
-						t += float64(p2 * k[11])
 						s += float64(p3 * k[3])
-						t += float64(p3 * k[12])
 						s += float64(p4 * k[4])
-						t += float64(p4 * k[13])
 						s += float64(p5 * k[5])
-						t += float64(p5 * k[14])
 						s += float64(p6 * k[6])
-						t += float64(p6 * k[15])
 						s += float64(p7 * k[7])
-						t += float64(p7 * k[16])
 						s += float64(p8 * k[8])
-						t += float64(p8 * k[17])
 						s += bias[oc]
-						t += bias[oc+1]
 						if !(s > 0) {
 							s = 0
 						}
-						if !(t > 0) {
-							t = 0
-						}
-						out[oc], out[oc+1] = s, t
+						dst[di+oc] = s
 					}
-					di += nc
+					di += c.OutC
 				}
 			}
 		}

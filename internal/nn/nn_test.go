@@ -173,8 +173,9 @@ func TestMaxPool2OddPanics(t *testing.T) {
 	NewMaxPool2(3, 2, 1)
 }
 
-// TestDenseLearnsXOR trains two dense layers with a ReLU between them.
-func TestDenseLearnsXOR(t *testing.T) {
+// TestSequentialLearnsXOR trains a dense → ReLU → dense stack on XOR,
+// its layers driven in sequence.
+func TestSequentialLearnsXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	l1, l2 := NewDense(2, 8, rng), NewDense(8, 2, rng)
 	hidden := make([]float64, 8)
