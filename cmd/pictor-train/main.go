@@ -55,14 +55,14 @@ func main() {
 
 	fmt.Printf("  CNN per-cell recognition accuracy: %.1f%%\n", models.CNNAccuracy(rec)*100)
 
-	// Replay the recording through the trained pipeline and compare
+	// Replay the recording through one client session and compare
 	// action rates — the mimicry check behind Table 3.
+	sess := agent.NewBatchModels(models).NewSession()
 	rng := sim.NewRNG(5)
-	models.ResetState()
 	icActs := 0
 	for _, s := range rec.Samples {
-		det := models.Detect(s.Pixels)
-		if a := agent.SampleAction(models.NextActionLogits(det), rng); a != scene.ActNone {
+		sess.SubmitFrame(s.Pixels)
+		if a := agent.SampleAction(sess.NextActionLogits(sess.Detected()), rng); a != scene.ActNone {
 			icActs++
 		}
 	}
@@ -70,8 +70,9 @@ func main() {
 
 	// Show a sample decision.
 	if len(rec.Samples) > 0 {
-		det := models.Detect(rec.Samples[0].Pixels)
-		logits := models.NextActionLogits(det)
+		sess.SubmitFrame(rec.Samples[0].Pixels)
+		det := sess.Detected()
+		logits := sess.NextActionLogits(det)
 		fmt.Printf("  sample frame: detected %d objects, argmax action %v\n",
 			countNonEmpty(det), scene.Action(tensor.ArgMax(logits)))
 	}

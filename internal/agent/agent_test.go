@@ -159,13 +159,13 @@ func TestLSTMMimicsActionRate(t *testing.T) {
 	// compare act rates: the IC should behave like the human.
 	rng := sim.NewRNG(13)
 	var humanActs, icActs float64
-	m.ResetState()
+	sess := NewBatchModels(m).NewSession()
 	for _, s := range rec.Samples {
 		if s.Action != scene.ActNone {
 			humanActs++
 		}
-		det := m.Detect(s.Pixels)
-		a := SampleAction(m.NextActionLogits(det), rng)
+		sess.SubmitFrame(s.Pixels)
+		a := SampleAction(sess.NextActionLogits(sess.Detected()), rng)
 		if a != scene.ActNone {
 			icActs++
 		}
@@ -182,10 +182,7 @@ func TestLSTMMimicsActionRate(t *testing.T) {
 func TestFeaturesShape(t *testing.T) {
 	det := make([]scene.Type, scene.GridW*scene.GridH)
 	det[0] = scene.Enemy
-	f := Features(det)
-	if len(f) != FeatureSize {
-		t.Fatalf("feature length = %d, want %d", len(f), FeatureSize)
-	}
+	f := featuresInto(make([]float64, FeatureSize), det)
 	if f[int(scene.Enemy)] == 0 {
 		t.Fatal("enemy count feature empty")
 	}
@@ -210,7 +207,7 @@ func TestICDriverProcessesFramesWithLatency(t *testing.T) {
 	prof := app.RE()
 	rec := makeRecording(prof, 120, 15)
 	m := Train(rec, fastTrainConfig(), 16)
-	ic := NewIntelligentClient(k, sim.NewRNG(17), prof, m)
+	ic := NewIntelligentClientInBatch(k, sim.NewRNG(17), prof, NewBatchModels(m).NewSession())
 	sent := 0
 	ic.Attach(func(a scene.Action) { sent++ })
 	sc := scene.New(prof.Dynamics, sim.NewRNG(18))

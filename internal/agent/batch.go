@@ -1,14 +1,12 @@
 package agent
 
-import (
-	"pictor/internal/scene"
-	"pictor/internal/tensor"
-)
+import "pictor/internal/scene"
 
 // BatchModels runs inference for many concurrent sessions against one
-// shared set of weights, row-per-session, replacing clone-per-client.
-// All sessions on a machine share the layer weights and batch scratch;
-// each session owns only its LSTM state rows and small I/O buffers.
+// shared set of weights, one row per session. All sessions on a machine
+// share the layer weights and batch scratch; each session owns its LSTM
+// state rows, the only recurrent state inference has, and small I/O
+// buffers.
 //
 // Detection is batched lazily: sessions submit frames as they arrive
 // (SubmitFrame copies the pixels and queues the session), and the CNN
@@ -18,9 +16,9 @@ import (
 // inter-arrival gap of frames across sessions, the queue holds most of
 // the machine's sessions by the time the earliest demand fires, so the
 // batch converges to machine occupancy — with no new simulator events
-// and no timing changes. Per-row math is bit-identical to Models.Detect
-// and NextActionLogits (same summation order per output element), so
-// simulation results are byte-for-byte unchanged.
+// and no timing changes. Each row's math is bit-identical to
+// Models.Detect on that frame alone (same summation order per output
+// element), so the batch a frame lands in changes no result.
 //
 // BatchModels is not goroutine-safe; one instance serves one
 // deterministic simulation (e.g. one cluster).
@@ -30,7 +28,7 @@ type BatchModels struct {
 	queue  []*BatchSession // sessions with a pending frame
 	frames [][]float64     // one flush chunk's rasters
 	dets   []scene.Type    // one flush chunk's recognitions
-	hBatch *tensor.Tensor  // (B, hidden) for one-pass action logits
+	feat   []float64       // one LSTM step's features
 }
 
 // BatchSession is one client's handle into a BatchModels: its LSTM
@@ -51,6 +49,7 @@ func NewBatchModels(src *Models) *BatchModels {
 		m:      src.Clone(),
 		frames: make([][]float64, 0, flushChunk),
 		dets:   make([]scene.Type, flushChunk*cells),
+		feat:   make([]float64, FeatureSize),
 	}
 }
 
@@ -131,37 +130,7 @@ func (bm *BatchModels) flush() {
 // their own simulated times, so the recurrent update is per-row; only
 // the frame-recognition CNN is cross-session batched.
 func (s *BatchSession) NextActionLogits(detected []scene.Type) []float64 {
-	m := s.bm.m
-	m.featBuf = grow(m.featBuf, FeatureSize)
-	m.lstm.StepState(s.h, s.c, featuresInto(m.featBuf, detected))
-	return m.head.Forward(s.h)
-}
-
-// NextActionLogitsAll advances every given session one LSTM step and
-// returns their action logits as a (B, actions) tensor (owned scratch),
-// row i for sessions[i]. The recurrent gate math per row is the exact
-// Step code and the head runs as one batched matmul, so row i is
-// bit-identical to sessions[i].NextActionLogits. This is the one-pass
-// entry point for tick-synchronized workloads and benchmarks.
-func (bm *BatchModels) NextActionLogitsAll(sessions []*BatchSession, detecteds [][]scene.Type) *tensor.Tensor {
-	b := len(sessions)
-	if len(detecteds) != b {
-		panic("agent: NextActionLogitsAll length mismatch")
-	}
-	m := bm.m
-	m.featBuf = grow(m.featBuf, FeatureSize)
-	bm.hBatch = tensor.Ensure(bm.hBatch, b, lstmHidden)
-	for i, s := range sessions {
-		m.lstm.StepState(s.h, s.c, featuresInto(m.featBuf, detecteds[i]))
-		copy(bm.hBatch.Data[i*lstmHidden:(i+1)*lstmHidden], s.h)
-	}
-	return m.head.ForwardBatch(bm.hBatch)
-}
-
-// grow mirrors nn's scratch-buffer helper.
-func grow(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
+	bm := s.bm
+	bm.m.lstm.StepState(s.h, s.c, featuresInto(bm.feat, detected))
+	return bm.m.head.Forward(s.h)
 }

@@ -12,10 +12,10 @@ import (
 
 // The batched inference contract: for every registered workload profile
 // (the paper's six plus the later scenario families) and across batch
-// sizes spanning sub-chunk, chunk-boundary and multi-chunk flushes,
-// BatchModels must produce byte-for-byte the results of the per-client
-// clone-per-session architecture it replaced — detection, recurrent
-// state and action logits alike.
+// sizes spanning sub-chunk, chunk-boundary and multi-chunk flushes, a
+// session in a shared BatchModels must produce byte-for-byte the
+// results of a client alone in its own BatchModels — detection,
+// recurrent state and action logits alike.
 func TestBatchMatchesPerClientAllProfiles(t *testing.T) {
 	profiles := app.Suite()
 	if len(profiles) < 9 {
@@ -28,10 +28,10 @@ func TestBatchMatchesPerClientAllProfiles(t *testing.T) {
 				src := NewModels(101 + int64(pi))
 				bm := NewBatchModels(src)
 				sessions := make([]*BatchSession, batch)
-				solo := make([]*Models, batch)
+				solo := make([]*BatchSession, batch)
 				for i := range sessions {
 					sessions[i] = bm.NewSession()
-					solo[i] = src.Clone()
+					solo[i] = NewBatchModels(src).NewSession()
 				}
 				// Each session watches its own evolving scene, so the
 				// batch mixes genuinely different rasters.
@@ -47,12 +47,13 @@ func TestBatchMatchesPerClientAllProfiles(t *testing.T) {
 					}
 					for i, s := range sessions {
 						s.SubmitFrame(frames[i].Pixels())
+						solo[i].SubmitFrame(frames[i].Pixels())
 					}
 					// The first demand flushes the whole queue, like the
 					// earliest cv-latency continuation in the simulator.
 					for i, s := range sessions {
 						got := s.Detected()
-						want := solo[i].Detect(frames[i].Pixels())
+						want := solo[i].Detected()
 						for cell := range want {
 							if got[cell] != want[cell] {
 								t.Fatalf("round %d session %d cell %d: batch detected %v, per-client %v",
@@ -78,47 +79,12 @@ func TestBatchMatchesPerClientAllProfiles(t *testing.T) {
 	}
 }
 
-// NextActionLogitsAll must equal row-by-row calls — same recurrent
-// update, head run as one batched matmul.
-func TestNextActionLogitsAllMatchesPerSession(t *testing.T) {
-	prof := app.Suite()[0]
-	src := NewModels(7)
-	const batch = 5
-	bmAll, bmOne := NewBatchModels(src), NewBatchModels(src)
-	all := make([]*BatchSession, batch)
-	one := make([]*BatchSession, batch)
-	detecteds := make([][]scene.Type, batch)
-	sc := scene.New(prof.Dynamics, sim.NewRNG(3))
-	for i := range all {
-		all[i] = bmAll.NewSession()
-		one[i] = bmOne.NewSession()
-		sc.Step(scene.ActForward)
-		f := sc.Render(int64(i), prof.Width, prof.Height)
-		all[i].SubmitFrame(f.Pixels())
-		one[i].SubmitFrame(f.Pixels())
-		detecteds[i] = append([]scene.Type(nil), all[i].Detected()...)
-	}
-	for round := 0; round < 3; round++ {
-		got := bmAll.NextActionLogitsAll(all, detecteds)
-		for i, s := range one {
-			want := s.NextActionLogits(detecteds[i])
-			for j := range want {
-				gv := got.Data[i*got.Shape[1]+j]
-				if math.Float64bits(gv) != math.Float64bits(want[j]) {
-					t.Fatalf("round %d session %d logit %d: all-pass %g, per-session %g", round, i, j, gv, want[j])
-				}
-			}
-		}
-	}
-}
-
 // TestBatchFlushAllocatesNothing pins the batched client's scratch
-// reuse: once warmed, a CNN flush over the whole batch and the batched
-// LSTM step allocate nothing.
+// reuse: once warmed, a CNN flush over the whole batch and every
+// session's LSTM step allocate nothing.
 func TestBatchFlushAllocatesNothing(t *testing.T) {
 	bm := NewBatchModels(NewModels(1))
 	sessions := make([]*BatchSession, flushChunk+3)
-	detecteds := make([][]scene.Type, len(sessions))
 	for i := range sessions {
 		sessions[i] = bm.NewSession()
 	}
@@ -127,10 +93,9 @@ func TestBatchFlushAllocatesNothing(t *testing.T) {
 		for _, s := range sessions {
 			s.SubmitFrame(px)
 		}
-		for i, s := range sessions {
-			detecteds[i] = s.Detected()
+		for _, s := range sessions {
+			s.NextActionLogits(s.Detected())
 		}
-		bm.NextActionLogitsAll(sessions, detecteds)
 	}
 	step()
 	if a := testing.AllocsPerRun(10, step); a != 0 {

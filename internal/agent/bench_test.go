@@ -40,14 +40,15 @@ func BenchmarkDetect(b *testing.B) {
 	}
 }
 
+// BenchmarkNextActionLogits is one session's LSTM step and action head.
 func BenchmarkNextActionLogits(b *testing.B) {
 	m := NewModels(1)
-	f := benchFrame()
-	detected := append([]scene.Type(nil), m.Detect(f.Pixels())...)
+	detected := append([]scene.Type(nil), m.Detect(benchFrame().Pixels())...)
+	s := NewBatchModels(m).NewSession()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.NextActionLogits(detected)
+		s.NextActionLogits(detected)
 	}
 }
 
@@ -79,18 +80,18 @@ func BenchmarkBatchDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkInferenceFrame is the full per-frame client path: detect,
-// features, LSTM, head, softmax sample.
+// BenchmarkInferenceFrame is the full per-frame client path of a
+// session alone in its batch: submit, detect, features, LSTM, head,
+// softmax sample.
 func BenchmarkInferenceFrame(b *testing.B) {
-	m := NewModels(1)
+	s := NewBatchModels(NewModels(1)).NewSession()
 	px := benchFrame().Pixels()
 	rng := sim.NewRNG(7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		detected := m.Detect(px)
-		logits := m.NextActionLogits(detected)
-		SampleAction(logits, rng)
+		s.SubmitFrame(px)
+		SampleAction(s.NextActionLogits(s.Detected()), rng)
 	}
 }
 

@@ -1,12 +1,11 @@
 package agent
 
 // Clone returns an independent copy of the trained networks: same
-// weights, fresh inference state. The experiment runner executes many
-// trials concurrently against one per-benchmark trained model, and
-// inference mutates the networks (the LSTM carries recurrent state,
-// feed-forward layers cache activations), so every simulated client
-// must own its own copy for runs to be race-free and byte-identical at
-// any parallelism level.
+// weights, fresh scratch. The experiment runner executes many trials
+// concurrently against one per-benchmark trained model, and every
+// forward pass writes its layers' scratch, so each BatchModels and each
+// training detection worker runs on its own copy; runs stay race-free
+// and byte-identical at any parallelism level.
 func (m *Models) Clone() *Models {
 	return &Models{
 		conv:  m.conv.Clone(),

@@ -26,12 +26,11 @@ func TestModelsCloneMatchesAndIsolates(t *testing.T) {
 		}
 	}
 
-	// Same LSTM trajectory from reset state.
-	m.ResetState()
-	c.ResetState()
+	// Sessions over the two copies follow the same LSTM trajectory.
+	sa, sb := NewBatchModels(m).NewSession(), NewBatchModels(c).NewSession()
 	for step := 0; step < 4; step++ {
-		la := m.NextActionLogits(da)
-		lb := c.NextActionLogits(db)
+		la := sa.NextActionLogits(da)
+		lb := sb.NextActionLogits(db)
 		for i := range la {
 			if la[i] != lb[i] {
 				t.Fatalf("clone logits diverge at step %d", step)
@@ -39,21 +38,20 @@ func TestModelsCloneMatchesAndIsolates(t *testing.T) {
 		}
 	}
 
-	// Advancing the clone's recurrent state must not leak into the
-	// original: a fresh client resetting one model must not be able to
-	// perturb another client's session.
-	m.ResetState()
-	c.ResetState()
-	// NextActionLogits returns model-owned scratch; copy before the next
-	// call on m overwrites it.
-	refFirst := append([]float64(nil), m.NextActionLogits(da)...)
-	c.NextActionLogits(db)
-	c.NextActionLogits(db)
-	m.ResetState()
-	again := m.NextActionLogits(da)
+	// A session's recurrent state is its own: stepping one session of a
+	// batch must not perturb another's.
+	bm := NewBatchModels(m)
+	first, other := bm.NewSession(), bm.NewSession()
+	// NextActionLogits returns shared head scratch; copy before the
+	// next call overwrites it.
+	refFirst := append([]float64(nil), first.NextActionLogits(da)...)
+	other.NextActionLogits(db)
+	other.NextActionLogits(db)
+	first.ResetState()
+	again := first.NextActionLogits(da)
 	for i := range refFirst {
 		if refFirst[i] != again[i] {
-			t.Fatal("original's state was perturbed by the clone")
+			t.Fatal("one session's state was perturbed by another's")
 		}
 	}
 }

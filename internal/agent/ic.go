@@ -36,16 +36,9 @@ type IntelligentClient struct {
 	RNNTimes stats.Sample
 }
 
-// NewIntelligentClient creates a standalone driver around trained
-// models (a private single-session batch). Clients that share a machine
-// should share a BatchModels instead, via NewIntelligentClientInBatch,
-// so their per-frame CNN passes coalesce.
-func NewIntelligentClient(k *sim.Kernel, rng *sim.RNG, prof app.Profile, models *Models) *IntelligentClient {
-	return NewIntelligentClientInBatch(k, rng, prof, NewBatchModels(models).NewSession())
-}
-
 // NewIntelligentClientInBatch creates the driver around a session of a
-// (possibly shared) BatchModels.
+// BatchModels. Clients that share a machine share one BatchModels, so
+// their per-frame CNN passes coalesce.
 func NewIntelligentClientInBatch(k *sim.Kernel, rng *sim.RNG, prof app.Profile, sess *BatchSession) *IntelligentClient {
 	sess.ResetState()
 	ic := &IntelligentClient{

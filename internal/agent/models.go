@@ -21,6 +21,9 @@ import (
 // code path runs it for inference and for training's detection pass:
 // recognize, over a batch of frames. Training drives the three layers
 // one example at a time.
+//
+// The LSTM keeps no inference state: each BatchSession owns its
+// recurrent rows, and only training steps the layer itself.
 type Models struct {
 	conv  *nn.Conv2D
 	pool  *nn.MaxPool2
@@ -35,7 +38,6 @@ type Models struct {
 	detOut  []scene.Type
 	frame   [1][]float64   // Detect's one-frame batch
 	batchIn *tensor.Tensor // (frames·cells, CellPx, CellPx, 1) patch batch
-	featBuf []float64
 }
 
 // FeatureSize is the LSTM input width: per-type object counts plus a
@@ -157,11 +159,6 @@ func (m *Models) detectAll(samples []Sample, workers int) []scene.Type {
 	return out
 }
 
-// Features builds the LSTM input from the recognized objects.
-func Features(detected []scene.Type) []float64 {
-	return featuresInto(make([]float64, FeatureSize), detected)
-}
-
 // featuresInto fills a FeatureSize-long buffer with the LSTM features.
 func featuresInto(f []float64, detected []scene.Type) []float64 {
 	for i := range f {
@@ -175,20 +172,6 @@ func featuresInto(f []float64, detected []scene.Type) []float64 {
 	f[FeatureSize-1] = 1 // bias input
 	return f
 }
-
-// NextActionLogits advances the LSTM one frame and returns action
-// logits (model-owned scratch, overwritten by the next call). The
-// caller samples or argmaxes.
-func (m *Models) NextActionLogits(detected []scene.Type) []float64 {
-	if cap(m.featBuf) < FeatureSize {
-		m.featBuf = make([]float64, FeatureSize)
-	}
-	h := m.lstm.Step(featuresInto(m.featBuf[:FeatureSize], detected))
-	return m.head.Forward(h)
-}
-
-// ResetState clears the LSTM's recurrent state (new session).
-func (m *Models) ResetState() { m.lstm.Reset() }
 
 // SampleAction draws from the softmax over logits. The softmax lands in
 // a stack buffer: this runs once per displayed frame and must not
@@ -321,7 +304,6 @@ func (m *Models) trainLSTM(rec *Recording, cfg TrainConfig) {
 		for start := 0; start+1 < len(rec.Samples); start += cfg.SeqLen {
 			end := min(start+cfg.SeqLen, len(rec.Samples))
 			m.lstm.Reset()
-			m.lstm.SetTraining(true)
 			dHs = dHs[:0]
 			for i := start; i < end; i++ {
 				h := m.lstm.Step(feats[i*FeatureSize : (i+1)*FeatureSize])
@@ -340,8 +322,6 @@ func (m *Models) trainLSTM(rec *Recording, cfg TrainConfig) {
 			opt.Step()
 		}
 	}
-	m.lstm.SetTraining(false)
-	m.lstm.Reset()
 }
 
 // CNNAccuracy evaluates per-cell recognition accuracy on a recording.

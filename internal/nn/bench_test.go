@@ -53,13 +53,15 @@ func BenchmarkMaxPool2Forward(b *testing.B) {
 	}
 }
 
+// BenchmarkLSTMStep is one inference step over a session's state rows.
 func BenchmarkLSTMStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLSTM(9, 14, rng)
 	x := benchInput(9, 2)
+	h, c := make([]float64, 14), make([]float64, 14)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Step(x)
+		l.StepState(h, c, x)
 	}
 }

@@ -2,9 +2,9 @@ package nn
 
 // Layer cloning: deep-copies of the learnable weights with fresh
 // forward/backward caches. Clones exist so one trained network can
-// drive many concurrent simulations — Forward and Step write scratch
-// state (cached inputs and outputs, LSTM recurrent state), so a shared
-// network is neither goroutine-safe nor deterministic across runs.
+// drive many concurrent simulations: every forward pass, StepState
+// included, writes layer-owned scratch, so a shared layer is not
+// goroutine-safe.
 
 func cloneParam(p *Param) *Param {
 	if p == nil {
@@ -29,8 +29,8 @@ func (c *Conv2D) Clone() *Conv2D {
 // Clone returns an independent pooling layer.
 func (p *MaxPool2) Clone() *MaxPool2 { return &MaxPool2{H: p.H, W: p.W, C: p.C} }
 
-// Clone returns an independent LSTM with the same weights and cleared
-// recurrent state.
+// Clone returns an independent LSTM with the same weights, cleared
+// training state and an empty BPTT cache.
 func (l *LSTM) Clone() *LSTM {
 	c := &LSTM{InSize: l.InSize, Hidden: l.Hidden, w: cloneParam(l.w)}
 	c.Reset()

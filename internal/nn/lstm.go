@@ -3,33 +3,30 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // LSTM is a single-layer Long Short-Term Memory network (Hochreiter &
 // Schmidhuber 1997 — the paper's action-generation model), trained with
 // backpropagation through time.
+//
+// Step and Backward are the training path: Step advances the layer's
+// own state and records the step for Backward. Inference goes through
+// StepState, over state rows the caller owns.
 type LSTM struct {
 	InSize, Hidden int
 	// Gate weights, stacked [input; forget; cell; output] × (in+hidden+1).
 	w *Param
 
-	// Inference state.
-	h, c []float64
+	// Training state: the recurrent rows Step advances, and the BPTT
+	// cache of the sequence since Reset, one record per Step (see
+	// record).
+	h, c  []float64
+	cache []float64
 
-	// BPTT caches (one entry per timestep of the current sequence).
-	xs, hs, cs      [][]float64
-	gi, gf, gg, go_ [][]float64
-	training        bool
-
-	// Inference scratch (reused across Steps outside training; BPTT
-	// needs per-step copies, so training allocates as before).
-	sPrevH, sPrevC, sZi, sZf, sZg, sZo []float64
-
-	// freeSteps recycles the per-step BPTT cache slices between
-	// sequences: Reset moves the previous sequence's caches here and
-	// Step pops from it before allocating. Every recycled slice is
-	// fully overwritten before use, so training is unaffected.
-	freeSteps [][]float64
+	// Backward's six state-gradient buffers, and StepState's one-record
+	// scratch.
+	dstate, scratch []float64
 }
 
 // NewLSTM creates an LSTM with forget-gate bias initialized positive
@@ -51,108 +48,63 @@ func (l *LSTM) widx(g, j, k int) int {
 	return (g*l.Hidden+j)*cols + k
 }
 
-// Reset clears the recurrent state and BPTT caches. The state buffers
-// are zeroed in place when already allocated (a new session must not
-// cost a new allocation in a long-running client).
+// Reset clears the training state and the BPTT cache, keeping their
+// storage for the next sequence.
 func (l *LSTM) Reset() {
-	if len(l.h) != l.Hidden {
-		l.h = make([]float64, l.Hidden)
-		l.c = make([]float64, l.Hidden)
-	} else {
-		for i := range l.h {
-			l.h[i] = 0
-			l.c[i] = 0
-		}
-	}
-	for _, seq := range [][][]float64{l.xs, l.hs, l.cs, l.gi, l.gf, l.gg, l.go_} {
-		l.freeSteps = append(l.freeSteps, seq...)
-	}
-	l.xs, l.hs, l.cs = l.xs[:0], l.hs[:0], l.cs[:0]
-	l.gi, l.gf, l.gg, l.go_ = l.gi[:0], l.gf[:0], l.gg[:0], l.go_[:0]
+	l.h = growZero(l.h, l.Hidden)
+	l.c = growZero(l.c, l.Hidden)
+	l.cache = l.cache[:0]
 }
-
-// takeStep pops a recycled BPTT cache slice of length n (or allocates
-// one). The caller fully overwrites it.
-func (l *LSTM) takeStep(n int) []float64 {
-	for i := len(l.freeSteps) - 1; i >= 0; i-- {
-		s := l.freeSteps[i]
-		if cap(s) >= n {
-			last := len(l.freeSteps) - 1
-			l.freeSteps[i] = l.freeSteps[last]
-			l.freeSteps[last] = nil
-			l.freeSteps = l.freeSteps[:last]
-			return s[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-// SetTraining switches BPTT caching on or off.
-func (l *LSTM) SetTraining(t bool) { l.training = t }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// Step consumes one input vector and returns the new hidden state. The
-// returned slice aliases the LSTM's own state buffer and is overwritten
-// by the next Step; copy it to retain it across steps.
+// recordLen is the length of one step's record: the input x, the state
+// h₋₁ and c₋₁ the step started from, and the activations of the input,
+// forget, cell and output gates.
+func (l *LSTM) recordLen() int { return l.InSize + 6*l.Hidden }
+
+// record splits one step's record into its seven parts.
+func (l *LSTM) record(r []float64) (x, prevH, prevC, zi, zf, zg, zo []float64) {
+	n, H := l.InSize, l.Hidden
+	return r[:n], r[n : n+H], r[n+H : n+2*H], r[n+2*H : n+3*H],
+		r[n+3*H : n+4*H], r[n+4*H : n+5*H], r[n+5*H : n+6*H]
+}
+
+// Step is one training step: it advances the layer's state by input x,
+// records the step for Backward and returns the new hidden state. The
+// returned slice aliases the layer's state and is overwritten by the
+// next Step; copy it to retain it across steps.
 func (l *LSTM) Step(x []float64) []float64 {
-	if len(x) != l.InSize {
-		panic("nn: LSTM input size mismatch")
-	}
-	if l.training {
-		// BPTT retains these per step; each is private to the step
-		// (freshly allocated or recycled from a finished sequence).
-		prevH := l.takeStep(l.Hidden)
-		copy(prevH, l.h)
-		prevC := l.takeStep(l.Hidden)
-		copy(prevC, l.c)
-		zi := l.takeStep(l.Hidden)
-		zf := l.takeStep(l.Hidden)
-		zg := l.takeStep(l.Hidden)
-		zo := l.takeStep(l.Hidden)
-		l.stepCore(l.h, l.c, x, prevH, prevC, zi, zf, zg, zo)
-		xc := l.takeStep(l.InSize)
-		copy(xc, x)
-		l.xs = append(l.xs, xc)
-		l.hs = append(l.hs, prevH)
-		l.cs = append(l.cs, prevC)
-		l.gi = append(l.gi, zi)
-		l.gf = append(l.gf, zf)
-		l.gg = append(l.gg, zg)
-		l.go_ = append(l.go_, zo)
-	} else {
-		l.StepState(l.h, l.c, x)
-	}
+	t, n := len(l.cache), l.recordLen()
+	l.cache = slices.Grow(l.cache, n)[:t+n]
+	l.step(l.cache[t:], l.h, l.c, x)
 	return l.h
 }
 
-// StepState advances one inference step over caller-provided state rows
-// h and c (each Hidden long), updating them in place. This is the
-// batched entry point: many sessions can share one weight-holding LSTM,
-// each owning only its two state rows, and the gate math is the exact
-// code Step runs — batched and per-session results are bit-identical by
-// construction. Uses the layer's owned scratch; not valid while
-// training (no BPTT caches are recorded).
+// StepState advances one inference step over caller-owned state rows
+// h and c (each Hidden long), updating them in place. Many sessions can
+// share one weight-holding LSTM, each owning only its two state rows;
+// the gate math is the exact code Step runs. It uses the layer's
+// scratch and leaves the training state alone.
 func (l *LSTM) StepState(h, c, x []float64) {
-	if len(x) != l.InSize {
-		panic("nn: LSTM input size mismatch")
-	}
 	if len(h) != l.Hidden || len(c) != l.Hidden {
 		panic("nn: LSTM state size mismatch")
 	}
-	l.sPrevH = append(l.sPrevH[:0], h...)
-	l.sPrevC = append(l.sPrevC[:0], c...)
-	l.sZi = grow(l.sZi, l.Hidden)
-	l.sZf = grow(l.sZf, l.Hidden)
-	l.sZg = grow(l.sZg, l.Hidden)
-	l.sZo = grow(l.sZo, l.Hidden)
-	l.stepCore(h, c, x, l.sPrevH, l.sPrevC, l.sZi, l.sZf, l.sZg, l.sZo)
+	l.scratch = grow(l.scratch, l.recordLen())
+	l.step(l.scratch, h, c, x)
 }
 
-// stepCore is the shared gate math: reads prevH/prevC (copies of the
-// pre-step state), writes the new state into h and c, and records gate
-// activations into zi/zf/zg/zo.
-func (l *LSTM) stepCore(h, c, x, prevH, prevC, zi, zf, zg, zo []float64) {
+// step is the shared gate math: it records x and the pre-step state in
+// r, writes the new state into h and c, and the gate activations into
+// r.
+func (l *LSTM) step(r, h, c, x []float64) {
+	if len(x) != l.InSize {
+		panic("nn: LSTM input size mismatch")
+	}
+	xs, prevH, prevC, zi, zf, zg, zo := l.record(r)
+	copy(xs, x)
+	copy(prevH, h)
+	copy(prevC, c)
 	cols := l.InSize + l.Hidden + 1
 	for j := 0; j < l.Hidden; j++ {
 		// Row slices per gate (the widx arithmetic hoisted out of the
@@ -163,7 +115,7 @@ func (l *LSTM) stepCore(h, c, x, prevH, prevC, zi, zf, zg, zo []float64) {
 		rowO := l.w.W[(3*l.Hidden+j)*cols : (3*l.Hidden+j+1)*cols]
 		var si, sf, sg, so float64
 		for k := 0; k < l.InSize; k++ {
-			xv := x[k]
+			xv := xs[k]
 			if xv == 0 {
 				continue
 			}
@@ -199,7 +151,8 @@ func (l *LSTM) stepCore(h, c, x, prevH, prevC, zi, zf, zg, zo []float64) {
 // step t (same length as the number of Steps taken since Reset).
 // Gradients accumulate into the weight parameter.
 func (l *LSTM) Backward(dHs [][]float64) {
-	T := len(l.xs)
+	n, H := l.recordLen(), l.Hidden
+	T := len(l.cache) / n
 	if len(dHs) != T {
 		panic("nn: BPTT gradient count mismatch")
 	}
@@ -207,15 +160,12 @@ func (l *LSTM) Backward(dHs [][]float64) {
 	// Two pairs of state-gradient buffers, swapped each step (the values
 	// written as dhPrev/dcPrev at step t are read as dhNext/dcNext at
 	// t−1; no other step touches them, so reuse is safe).
-	dhNext := make([]float64, l.Hidden)
-	dcNext := make([]float64, l.Hidden)
-	dhPrev := make([]float64, l.Hidden)
-	dcPrev := make([]float64, l.Hidden)
-	dh := make([]float64, l.Hidden)
-	ct := make([]float64, l.Hidden)
+	l.dstate = growZero(l.dstate, 6*H)
+	d := l.dstate
+	dhNext, dcNext, dhPrev, dcPrev := d[:H], d[H:2*H], d[2*H:3*H], d[3*H:4*H]
+	dh, ct := d[4*H:5*H], d[5*H:]
 	for t := T - 1; t >= 0; t-- {
-		xs, hs, cs := l.xs[t], l.hs[t], l.cs[t]
-		gi, gf, gg, go_ := l.gi[t], l.gf[t], l.gg[t], l.go_[t]
+		xs, hs, cs, gi, gf, gg, go_ := l.record(l.cache[t*n : (t+1)*n])
 		copy(dh, dHs[t])
 		for j := range dh {
 			dh[j] += dhNext[j]

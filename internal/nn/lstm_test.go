@@ -64,7 +64,6 @@ func TestLSTMGradientCheck(t *testing.T) {
 	// Loss: sum of hidden[0] over all steps (simple linear functional).
 	run := func() float64 {
 		l.Reset()
-		l.SetTraining(true)
 		var loss float64
 		for _, x := range seq {
 			h := l.Step(x)
@@ -122,7 +121,6 @@ func TestLSTMLearnsSequencePattern(t *testing.T) {
 	for epoch := 0; epoch < 120; epoch++ {
 		xs, labels := makeSeq(dataRng)
 		l.Reset()
-		l.SetTraining(true)
 		dHs := make([][]float64, seqLen)
 		for i, x := range xs {
 			h := l.Step(x)
@@ -136,15 +134,16 @@ func TestLSTMLearnsSequencePattern(t *testing.T) {
 		opt.Step()
 	}
 
-	// Evaluate on fresh sequences.
+	// Evaluate on fresh sequences, through the inference step.
 	evalRng := rand.New(rand.NewSource(99))
 	correct, total := 0, 0
+	h, c := make([]float64, 8), make([]float64, 8)
 	for trial := 0; trial < 10; trial++ {
 		xs, labels := makeSeq(evalRng)
-		l.Reset()
-		l.SetTraining(false)
+		clear(h)
+		clear(c)
 		for i, x := range xs {
-			h := l.Step(x)
+			l.StepState(h, c, x)
 			if tensor.ArgMax(head.Forward(h)) == labels[i] {
 				correct++
 			}
@@ -160,7 +159,6 @@ func TestLSTMLearnsSequencePattern(t *testing.T) {
 func TestLSTMBackwardCountMismatchPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	l := NewLSTM(2, 3, rng)
-	l.SetTraining(true)
 	l.Step([]float64{1, 0})
 	defer func() {
 		if recover() == nil {
@@ -168,4 +166,45 @@ func TestLSTMBackwardCountMismatchPanics(t *testing.T) {
 		}
 	}()
 	l.Backward(make([][]float64, 5))
+}
+
+// TestLSTMStepStateMatchesStep runs one sequence through the training
+// step and through the inference step over caller-owned rows: the
+// hidden states must be equal bit for bit.
+func TestLSTMStepStateMatchesStep(t *testing.T) {
+	l := NewLSTM(4, 6, rand.New(rand.NewSource(8)))
+	h, c := make([]float64, 6), make([]float64, 6)
+	for i := 0; i < 5; i++ {
+		x := benchInput(4, int64(i))
+		want := l.Step(x)
+		l.StepState(h, c, x)
+		for j := range want {
+			if math.Float64bits(h[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("step %d unit %d: StepState %g, Step %g", i, j, h[j], want[j])
+			}
+		}
+	}
+}
+
+// TestLSTMTrainingAllocatesNothing pins the flat BPTT cache: once one
+// sequence has sized it, a 24-step sequence and its Backward allocate
+// nothing.
+func TestLSTMTrainingAllocatesNothing(t *testing.T) {
+	l := NewLSTM(9, 14, rand.New(rand.NewSource(7)))
+	x := benchInput(9, 2)
+	dHs := make([][]float64, 24)
+	for i := range dHs {
+		dHs[i] = benchInput(14, int64(i))
+	}
+	sequence := func() {
+		l.Reset()
+		for range dHs {
+			l.Step(x)
+		}
+		l.Backward(dHs)
+	}
+	sequence()
+	if a := testing.AllocsPerRun(10, sequence); a != 0 {
+		t.Fatalf("a warmed training sequence allocates %v objects, want 0", a)
+	}
 }
