@@ -59,18 +59,14 @@ type App struct {
 
 	// The pass in flight. Passes run one at a time, so their state
 	// lives here: alStart is the AL stage's start; in slow motion,
-	// smHandle is the frame being rendered, and smFrame and smASStart
-	// the copied frame on its way through AS.
-	alStart   sim.Time
-	smHandle  *gl.RenderHandle
-	smFrame   *scene.Frame
-	smASStart sim.Time
+	// smHandle is the frame being rendered.
+	alStart  sim.Time
+	smHandle *gl.RenderHandle
 
 	// The passes' steps, method values bound once in New.
-	loopFn, alDone, nextPass func()
-	smLoopFn, smALDone       func()
-	smRendered, smASDone     func()
-	deliverAS, smDeliverAS   func(f *scene.Frame)
+	loopFn, alDone, nextPass       func()
+	smLoopFn, smALDone, smRendered func()
+	deliverAS                      func(f *scene.Frame)
 
 	// AS hand-offs and RD-stage callbacks can overlap the next pass, so
 	// each in flight has a record from a free list.
@@ -130,9 +126,8 @@ func New(cfg Config) *App {
 	}
 	a.sc = scene.New(cfg.Profile.Dynamics, a.rng)
 	a.loopFn, a.alDone, a.nextPass = a.loop, a.alFinished, a.scheduleLoop
-	a.smLoopFn, a.smALDone = a.slowMotionLoop, a.smALFinished
-	a.smRendered, a.smASDone = a.smCopy, a.smASFinished
-	a.deliverAS, a.smDeliverAS = a.dispatchAS, a.smAS
+	a.smLoopFn, a.smALDone, a.smRendered = a.slowMotionLoop, a.smALFinished, a.smCopy
+	a.deliverAS = a.dispatchAS
 	return a
 }
 
@@ -256,10 +251,12 @@ func (r *rdStage) rendered() {
 }
 
 // dispatchAS ships a copied frame to the server proxy on the AS thread
-// (XShmPutImage — hook7). It does not block the pipeline loop.
+// (XShmPutImage — hook7). It does not block the normal pipeline loop;
+// the slow-motion pass waits for it.
 func (a *App) dispatchAS(f *scene.Frame) {
 	asStart := a.k.Now()
-	work := a.asCost(f) + a.tracer.HookCost()
+	ms := (a.prof.ASBaseMs + a.prof.ASPerMBMs*f.RawBytes()/1e6) * (1 + a.prof.IPCTax)
+	work := sim.DurationOfSeconds(ms/1e3) + a.tracer.HookCost()
 	s := a.freeAS
 	if s == nil {
 		s = &asSend{a: a}
@@ -271,13 +268,8 @@ func (a *App) dispatchAS(f *scene.Frame) {
 	a.proc.Run(work, s.fire)
 }
 
-// asCost prices one frame's AS hand-off, before any hook cost.
-func (a *App) asCost(f *scene.Frame) sim.Duration {
-	ms := (a.prof.ASBaseMs + a.prof.ASPerMBMs*f.RawBytes()/1e6) * (1 + a.prof.IPCTax)
-	return sim.DurationOfSeconds(ms / 1e3)
-}
-
-// sent ends one AS hand-off. It recycles s before it calls out.
+// sent ends one AS hand-off; in slow motion it then looks for the next
+// input. It recycles s before it calls out.
 func (s *asSend) sent() {
 	a, f, start := s.a, s.f, s.start
 	s.f = nil
@@ -285,6 +277,9 @@ func (s *asSend) sent() {
 	a.tracer.AddStage(trace.StageAS, a.k.Now().Sub(start), f.Tags...)
 	if a.sendFrame != nil {
 		a.sendFrame(f)
+	}
+	if a.mode == ModeSlowMotion {
+		a.k.After(0, a.smLoopFn)
 	}
 }
 
@@ -315,28 +310,10 @@ func (a *App) smALFinished() {
 	a.smHandle.OnRenderDone(a.smRendered)
 }
 
-// smCopy copies the rendered frame; the pass goes on from its delivery.
+// smCopy copies the rendered frame; the pass goes on from its AS
+// hand-off, whose end looks for the next input.
 func (a *App) smCopy() {
 	h := a.smHandle
 	a.smHandle = nil
-	a.ip.CopyFrame(h, func() {}, a.smDeliverAS)
-}
-
-// smAS ships the copied frame. Unlike dispatchAS it charges no hook-7
-// cost.
-func (a *App) smAS(f *scene.Frame) {
-	a.smFrame, a.smASStart = f, a.k.Now()
-	a.proc.Run(a.asCost(f), a.smASDone)
-}
-
-// smASFinished hands the frame to the server proxy and looks for the
-// next input.
-func (a *App) smASFinished() {
-	f := a.smFrame
-	a.smFrame = nil
-	a.tracer.AddStage(trace.StageAS, a.k.Now().Sub(a.smASStart), f.Tags...)
-	if a.sendFrame != nil {
-		a.sendFrame(f)
-	}
-	a.k.After(0, a.smLoopFn)
+	a.ip.CopyFrame(h, func() {}, a.deliverAS)
 }
