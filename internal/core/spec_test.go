@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -166,4 +167,91 @@ func TestSuiteGridTrialsDedupCanonically(t *testing.T) {
 		}
 		seen[k] = tr.ID
 	}
+}
+
+// FuzzSpecNormalize drives ExperimentSpec.Normalize with arbitrary
+// knobs, one fuzz argument per field (a pointer field is a set flag
+// plus its value): Normalize must never panic, and a spec it accepts
+// must normalize to itself again, pointer fields compared by value.
+func FuzzSpecNormalize(f *testing.F) {
+	add := func(s ExperimentSpec) {
+		var seed int64
+		if s.Seed != nil {
+			seed = *s.Seed
+		}
+		fidelity := 0
+		if s.Fidelity != nil {
+			fidelity = *s.Fidelity
+		}
+		f.Add(s.Kind, s.Profiles, s.Seconds, s.Warmup, s.Seed != nil, seed, s.Reps, s.MaxInstances,
+			s.Machines, s.Policy, s.Mix, s.Requests, s.CoreClasses,
+			s.Rate, s.Duration, s.Epochs, s.Migrate != nil, s.Migrate != nil && *s.Migrate,
+			s.Schedule, s.Peak, s.Period, s.Stream,
+			s.MTBF, s.MTTR, s.Retries, s.Backoff, s.Degrade, s.Fidelity != nil, fidelity, s.Occupancy)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	above := math.Nextafter(fleet.MaxArrivalRate, inf)
+	one := 1
+	for _, s := range []ExperimentSpec{
+		{Kind: SpecGrid},
+		{Kind: " Grid ", Profiles: "all", MaxInstances: 2},
+		{Kind: SpecFleet, Machines: 3, Policy: "binpack", Mix: "suite", CoreClasses: "8,4"},
+		{Kind: SpecChurn, Schedule: fleet.ScheduleDiurnal, Peak: 4, Period: 6, Stream: true},
+		{Kind: SpecFaults, MTBF: 7, Retries: 2, Degrade: true, Fidelity: &one, Occupancy: true},
+		// The non-finite knobs Normalize rejects.
+		{Kind: SpecGrid, Seconds: nan},
+		{Kind: SpecGrid, Warmup: inf},
+		{Kind: SpecFleet, CoreClasses: "8,NaN"},
+		{Kind: SpecFleet, CoreClasses: "Inf"},
+		{Kind: SpecChurn, Rate: nan},
+		{Kind: SpecChurn, Rate: inf},
+		{Kind: SpecChurn, Duration: nan},
+		{Kind: SpecChurn, Duration: inf},
+		{Kind: SpecChurn, Schedule: fleet.ScheduleDiurnal, Peak: nan, Period: 4},
+		{Kind: SpecFaults, MTBF: nan},
+		{Kind: SpecFaults, MTBF: inf},
+		{Kind: SpecFaults, MTBF: 3, MTTR: nan},
+		// Rates and peaks at fleet.MaxArrivalRate and just above it.
+		{Kind: SpecChurn, Rate: fleet.MaxArrivalRate},
+		{Kind: SpecChurn, Rate: above},
+		{Kind: SpecChurn, Schedule: fleet.ScheduleFlash, Peak: fleet.MaxArrivalRate, Period: 6},
+		{Kind: SpecChurn, Schedule: fleet.ScheduleFlash, Peak: above, Period: 6},
+		{Kind: SpecFaults, Schedule: fleet.ScheduleDiurnal, Peak: above, Period: 6},
+	} {
+		add(s)
+	}
+	f.Fuzz(func(t *testing.T, kind, profiles string, seconds, warmup float64, seedSet bool, seed int64,
+		reps, maxInstances, machines int, policy, mix string, requests int, cores string,
+		rate, duration float64, epochs int, migrateSet, migrate bool,
+		schedule string, peak float64, period int, stream bool,
+		mtbf, mttr float64, retries, backoff int, degrade, fidelitySet bool, fidelity int, occupancy bool) {
+		s := ExperimentSpec{
+			Kind: kind, Profiles: profiles, Seconds: seconds, Warmup: warmup, Reps: reps,
+			MaxInstances: maxInstances, Machines: machines, Policy: policy, Mix: mix,
+			Requests: requests, CoreClasses: cores, Rate: rate, Duration: duration, Epochs: epochs,
+			Schedule: schedule, Peak: peak, Period: period, Stream: stream,
+			MTBF: mtbf, MTTR: mttr, Retries: retries, Backoff: backoff, Degrade: degrade,
+			Occupancy: occupancy,
+		}
+		if seedSet {
+			s.Seed = &seed
+		}
+		if migrateSet {
+			s.Migrate = &migrate
+		}
+		if fidelitySet {
+			s.Fidelity = &fidelity
+		}
+		n, err := s.Normalize()
+		if err != nil {
+			return
+		}
+		again, err := n.Normalize()
+		if err != nil {
+			t.Fatalf("Normalize accepted %+v as %+v, then rejected that: %v", s, n, err)
+		}
+		if !reflect.DeepEqual(again, n) {
+			t.Fatalf("Normalize is not idempotent: %+v normalizes to %+v, then to %+v", s, n, again)
+		}
+	})
 }
