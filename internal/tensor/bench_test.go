@@ -13,13 +13,13 @@ func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
-// A 36×9 · (6×9)ᵀ product: one cell's receptive-field rows against a
-// 3×3 kernel of six channels.
+// The CNN classifier's product over one frame: 24 cells' pooled
+// features (54 wide) against the 8 classes' weights, 24×54 · (8×54)ᵀ.
 func BenchmarkMatMulTransB(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	a := randTensor(rng, 36, 9)
-	c := randTensor(rng, 6, 9)
-	out := New(36, 6)
+	a := randTensor(rng, 24, 54)
+	c := randTensor(rng, 8, 54)
+	out := New(24, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -27,12 +27,13 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	}
 }
 
-// The same product over 32 cells' rows at once.
+// The same product over one detection flush of 8 frames' cells,
+// 192×54 · (8×54)ᵀ.
 func BenchmarkMatMulTransBBatch32(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	a := randTensor(rng, 32*36, 9)
-	c := randTensor(rng, 6, 9)
-	out := New(32*36, 6)
+	a := randTensor(rng, 8*24, 54)
+	c := randTensor(rng, 8, 54)
+	out := New(8*24, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

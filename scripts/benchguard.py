@@ -7,7 +7,9 @@ Usage: benchguard.py BENCH_OUTPUT_FILE JSON_PATH [SECTION]
 Compares the fresh `go test -bench` output against the given section of
 BENCH_single_trial.json (default "current") and exits non-zero if any
 pinned benchmark's ns/op regressed by more than the tolerance
-(BENCH_GUARD_TOLERANCE, default 0.20 = 20%).
+(BENCH_GUARD_TOLERANCE, default 0.20 = 20%), or if a pin recorded at 0
+allocs/op allocates: allocation counts do not drift with host speed, so
+that check holds on every runner.
 
 Only the pinned set below is enforced: these are the per-frame hot
 leaves whose cost the evaluation's wall-clock floor is built on (plus
@@ -100,14 +102,19 @@ def main():
         verdict = "ok"
         if ratio > 1 + tolerance:
             verdict = "REGRESSED"
+        allocs = fresh[name].get("allocs_op", 0)
+        if recorded[name].get("allocs_op") == 0 and allocs > 0:
+            verdict = f"ALLOCATES ({allocs:g} allocs/op, recorded 0)"
+        if verdict != "ok":
             failures.append(name)
         print(f"benchguard: {name}: {want:.1f} -> {got:.1f} ns/op "
               f"({(ratio - 1) * 100:+.1f}%, tolerance {tolerance:.0%}) {verdict}")
 
     if failures:
         print(f"benchguard: FAIL: {len(failures)} pinned benchmark(s) regressed "
-              f">{tolerance:.0%} or went unrecorded vs [{section}] of "
-              f"{json_path}: {', '.join(failures)}")
+              f">{tolerance:.0%}, allocated where 0 allocs/op is recorded or "
+              f"went unrecorded vs [{section}] of {json_path}: "
+              f"{', '.join(failures)}")
         return 1
     print(f"benchguard: all pinned benchmarks within {tolerance:.0%} of [{section}]")
     return 0
