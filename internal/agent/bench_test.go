@@ -87,11 +87,15 @@ func BenchmarkInferenceFrame(b *testing.B) {
 	s := NewBatchModels(NewModels(1)).NewSession()
 	px := benchFrame().Pixels()
 	rng := sim.NewRNG(7)
+	frame := func() {
+		s.SubmitFrame(px)
+		SampleAction(s.NextActionLogits(s.Detected()), rng)
+	}
+	frame() // sizes the batch scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SubmitFrame(px)
-		SampleAction(s.NextActionLogits(s.Detected()), rng)
+		frame()
 	}
 }
 
