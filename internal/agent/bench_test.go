@@ -45,6 +45,7 @@ func BenchmarkNextActionLogits(b *testing.B) {
 	m := NewModels(1)
 	detected := append([]scene.Type(nil), m.Detect(benchFrame().Pixels())...)
 	s := NewBatchModels(m).NewSession()
+	s.NextActionLogits(detected) // sizes the layers' scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

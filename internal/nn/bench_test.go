@@ -59,6 +59,7 @@ func BenchmarkLSTMStep(b *testing.B) {
 	l := NewLSTM(9, 14, rng)
 	x := benchInput(9, 2)
 	h, c := make([]float64, 14), make([]float64, 14)
+	l.StepState(h, c, x) // sizes the layer's scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
